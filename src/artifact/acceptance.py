@@ -22,7 +22,8 @@ from .graphstate import build_graph_state, stabilizer_expectations, triangle_ope
 from .isometry import anticommutator_norm, equivalence_distance
 from .mbqc import (MeasurementPattern, PatternStep, reference_run,
                    run_distribution, teleport_chain_check, total_variation)
-from .protocol import run_amplified_rounds, uncovered_calculate_queries
+from .protocol import (midpoint_threshold, run_amplified_rounds,
+                       uncovered_calculate_queries)
 from .provers import honest_provers, perturbed_provers, xz_plane_provers
 from .selftest import (best_classical_rtheta, c_test, default_parameters,
                        empirical_pass_rate, exact_pass_probability,
@@ -328,7 +329,7 @@ def criterion_11(fast: bool = False) -> tuple[bool, str]:
     """Majority amplification decides synthetic Bernoulli rounds correctly."""
     meta = 200 if fast else 1000
     c_ip, s_ip, n_rounds = 0.25, 0.05, 55
-    threshold = n_rounds * (c_ip - s_ip) / 2
+    threshold = midpoint_threshold(n_rounds, c_ip, s_ip)
     rng = np.random.default_rng(1111)
     errors = {"completeness": 0, "soundness": 0}
     for _ in range(meta):

@@ -24,8 +24,14 @@ from .provers import strategy_from_json
 from .selftest import default_parameters
 
 
-def _load_json_arg(value: str) -> dict:
-    """Accept either a path to a JSON file or an inline JSON object."""
+class InputError(click.ClickException):
+    """Bad input data: a single ``Error:`` line on stderr and exit code 2."""
+
+    exit_code = 2
+
+
+def _load_json_arg(value: str):
+    """Accept either a path to a JSON file or an inline JSON value."""
     text = value.strip()
     if text.startswith("{") or text.startswith("["):
         return json.loads(text)
@@ -46,8 +52,24 @@ def _parse_labels(value: str | None) -> tuple | None:
         return None
     obj = _load_json_arg(value)
     if not isinstance(obj, list):
-        raise click.BadParameter("labels must be a JSON list")
+        raise ValueError("labels must be a JSON list")
     return tuple(tuple(l) if isinstance(l, list) else l for l in obj)
+
+
+def _experiment_config(kind: str, graph_src: str, strategy_src: str | None = None,
+                       pattern_src: str | None = None, labels_src: str | None = None,
+                       **fields) -> ExperimentConfig:
+    """Parse every JSON input of a run into its config, in one place."""
+    try:
+        return ExperimentConfig(
+            kind=kind, graph=_load_graph(graph_src),
+            strategy=None if strategy_src is None else _load_json_arg(strategy_src),
+            pattern=None if pattern_src is None else _load_pattern(pattern_src),
+            labels=_parse_labels(labels_src), **fields)
+    except KeyError as exc:
+        raise InputError(f"missing field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _parse_options(pairs: tuple[str, ...]) -> dict:
@@ -73,19 +95,12 @@ def _emit(record, out: str | None, as_csv: bool) -> None:
         click.echo(f"wrote {out}", err=True)
 
 
-def _build_config(**kwargs) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 def _run_and_emit(cfg: ExperimentConfig, jobs: int, out: str | None,
                   as_csv: bool) -> None:
     try:
         record = run_experiment(cfg, jobs=jobs)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     _emit(record, out, as_csv)
 
 
@@ -152,10 +167,8 @@ def gen_graph(family, n, k, rows, cols, out):
 @_with_common
 def selftest(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv):
     """Run the one-shot honesty test repeatedly and report the accept rate."""
-    cfg = _build_config(
-        kind="selftest", graph=_load_graph(graph_src), theta=theta,
-        strategy=None if strategy_src is None else _load_json_arg(strategy_src),
-        trials=trials, seed=seed)
+    cfg = _experiment_config("selftest", graph_src, strategy_src, theta=theta,
+                             trials=trials, seed=seed)
     _run_and_emit(cfg, jobs, out, as_csv)
 
 
@@ -166,10 +179,8 @@ def selftest(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv):
 def mbqc(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv,
          pattern_src):
     """Drive an adaptive measurement pattern and tally the output bit."""
-    cfg = _build_config(
-        kind="mbqc", graph=_load_graph(graph_src), theta=theta,
-        strategy=None if strategy_src is None else _load_json_arg(strategy_src),
-        pattern=_load_pattern(pattern_src), trials=trials, seed=seed)
+    cfg = _experiment_config("mbqc", graph_src, strategy_src, pattern_src,
+                             theta=theta, trials=trials, seed=seed)
     _run_and_emit(cfg, jobs, out, as_csv)
 
 
@@ -180,10 +191,9 @@ def mbqc(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv,
 def isometry_check(graph_src, strategy_src, theta, trials, seed, jobs, out,
                    as_csv, labels_src):
     """Measure swap-isometry distances against their closed-form bounds."""
-    cfg = _build_config(
-        kind="isometry", graph=_load_graph(graph_src), theta=theta,
-        strategy=None if strategy_src is None else _load_json_arg(strategy_src),
-        labels=_parse_labels(labels_src), trials=trials, seed=seed)
+    cfg = _experiment_config("isometry", graph_src, strategy_src,
+                             labels_src=labels_src, theta=theta, trials=trials,
+                             seed=seed)
     _run_and_emit(cfg, jobs, out, as_csv)
 
 
@@ -229,26 +239,22 @@ def prove(graph_src, pattern_src, strategy_src, theta, delta, q, rounds, seed,
     """One amplified protocol run; exit 0 on accept, 1 on reject."""
     from .experiments import _protocol_setup
 
-    graph = _load_graph(graph_src)
     options = _parse_options(extra)
     options.setdefault("delta", delta)
     if q is not None:
         options["q"] = q
     if rounds is not None:
         options["n_rounds"] = rounds
-    cfg = ExperimentConfig(kind="protocol", graph=graph, theta=theta,
-                           strategy=None if strategy_src is None
-                           else _load_json_arg(strategy_src),
-                           pattern=_load_pattern(pattern_src),
-                           trials=1, seed=seed, options=options)
+    cfg = _experiment_config("protocol", graph_src, strategy_src, pattern_src,
+                             theta=theta, trials=1, seed=seed, options=options)
     try:
         params, proto_cfg, meta = _protocol_setup(cfg)
         rng = np.random.default_rng([seed, 0])
         spec = cfg.strategy or {"kind": "honest"}
         theta_map = {v: params.theta[v] for v in range(len(params.theta))}
-        p = strategy_from_json(spec, graph, theta_map, rng)
+        p = strategy_from_json(spec, cfg.graph, theta_map, rng)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise InputError(str(exc)) from exc
     result = run_amplified(p, proto_cfg, rng)
     payload = result.to_json()
     payload["setup"] = meta

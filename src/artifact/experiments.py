@@ -58,6 +58,8 @@ class ExperimentConfig:
             return
         if self.graph is None:
             raise ValueError(f"{self.kind} experiments need a graph")
+        if self.strategy is not None and not isinstance(self.strategy, dict):
+            raise ValueError("a strategy must be a JSON object")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed is None:
@@ -255,8 +257,9 @@ def _protocol_setup(cfg: ExperimentConfig) -> tuple[TestParameters, ProtocolConf
     return params, proto_cfg, meta
 
 
-def _protocol_rows(cfg: ExperimentConfig, trials: range) -> list[dict]:
-    params, proto_cfg, _ = _protocol_setup(cfg)
+def _protocol_rows(cfg: ExperimentConfig, trials: range,
+                   setup: tuple | None = None) -> list[dict]:
+    params, proto_cfg, _ = setup or _protocol_setup(cfg)
     factory = _ProverFactory(cfg, params)
     rows = []
     for i in trials:
@@ -302,7 +305,7 @@ def _bounds_record(cfg: ExperimentConfig) -> ResultRecord:
     return ResultRecord(cfg.digest(), cfg.kind, (), summary)
 
 
-def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+def _summarize(cfg: ExperimentConfig, rows: list[dict], setup: tuple | None) -> dict:
     summary = {"kind": cfg.kind, "trials": cfg.trials, "prng": _prng_stamp(cfg)}
     if cfg.kind == "selftest":
         params = _params_for(cfg)
@@ -330,8 +333,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
             "max_worst_excess": max(r["worst_excess"] for r in rows),
             "max_epsilon": max(r["epsilon"] for r in rows)})
     elif cfg.kind == "protocol":
-        _, _, meta = _protocol_setup(cfg)
-        summary.update(meta)
+        summary.update(setup[2])
         summary["accept_fraction"] = sum(r["accepted"] for r in rows) / len(rows)
     return summary
 
@@ -344,6 +346,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
     """
     if cfg.kind == "bounds":
         return _bounds_record(cfg)
+    # the protocol setup runs reference_run; build it once for rows and summary
+    setup = _protocol_setup(cfg) if cfg.kind == "protocol" else None
     if jobs > 1 and cfg.trials > 1:
         cfg_json = json.dumps(cfg.to_json())
         n_chunks = min(jobs, cfg.trials)
@@ -354,10 +358,12 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
                        for a, b in zip(edges[:-1], edges[1:]) if a < b]
             for fut in futures:
                 rows.extend(fut.result())
+    elif setup is not None:
+        rows = _protocol_rows(cfg, range(cfg.trials), setup)
     else:
         rows = _ROW_FNS[cfg.kind](cfg, range(cfg.trials))
     return ResultRecord(cfg.digest(), cfg.kind, tuple(rows),
-                        _summarize(cfg, rows))
+                        _summarize(cfg, rows, setup))
 
 
 def write_json_lines(record: ResultRecord, stream) -> None:

@@ -16,7 +16,15 @@ Register layout for a prover set with shared state on m >= n qubits:
 
 After the circuits run, the second ancillas ``m+2v+1`` form the graph
 register; the junk state lives on the shared-state block plus the first
-ancillas.
+ancillas.  ``grouped_matrix`` reorders the output so that bit v is shared
+qubit v, bit m+v the first ancilla and bit m+n+v the second ancilla of
+vertex v.
+
+A report runs the circuit once.  The vertex circuits U_v are unitary and
+act on disjoint qubits, so a label's prover factors M'_v move through
+them by conjugation, Phi(M'_S|psi'>) = prod_{v in S} U_v M'_v U_v^dagger
+Phi(|psi'>), and each label costs |S| 4x4 kernels on the identity-run
+output instead of a second circuit run.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ BOUND_SLACK = 1e-9
 _EPR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
+_I2 = np.eye(2, dtype=complex)
 
 
 class JunkDegenerateError(ValueError):
@@ -118,20 +127,9 @@ def apply_phi_state(p: ProverSet, state: StateVector) -> IsometryOutput:
     return IsometryOutput(p.n, m, StateVector(total, amps))
 
 
-def apply_phi(p: ProverSet, pre: dict[int, np.ndarray] | None = None) -> IsometryOutput:
-    """Attach EPR ancillas to the shared state and run every vertex circuit.
-
-    ``pre`` optionally maps vertex -> 2x2 matrix applied to the shared state
-    before the isometry (how observable labels M' enter the distance).
-    """
-    _require_quantum(p)
-    state = p.shared_state
-    if pre:
-        amps = state.amplitudes
-        for v, mat in pre.items():
-            amps = apply_single(amps, np.asarray(mat, dtype=complex), v, state.n_qubits)
-        state = StateVector(state.n_qubits, amps)
-    return apply_phi_state(p, state)
+def apply_phi(p: ProverSet) -> IsometryOutput:
+    """Attach EPR ancillas to the shared state and run every vertex circuit."""
+    return apply_phi_state(p, p.shared_state)
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +156,31 @@ def grouped_matrix(out: IsometryOutput) -> np.ndarray:
     flat = np.empty_like(out.state.amplitudes)
     flat[perm] = out.state.amplitudes
     return flat.reshape(1 << out.n_system, 1 << (out.n_shared + out.n_system))
+
+
+def conjugated_kernels(p: ProverSet, factors: dict[int, np.ndarray]) -> list:
+    """The 4x4 kernels W_v = U_v (I (x) M'_v) U_v^dagger of a label's factors.
+
+    ``factors`` maps vertex v -> M'_v on shared qubit v.  Each kernel comes
+    with the grouped-layout bits it acts on: v (the system qubit) and
+    m+n+v (the second ancilla of vertex v).
+    """
+    m, n = p.shared_state.n_qubits, p.n
+    kernels = []
+    for v, f in factors.items():
+        u = phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
+                               p.observable(v, Z_LABEL).matrix)
+        kernels.append((u @ np.kron(_I2, f) @ u.conj().T, [v, m + n + v]))
+    return kernels
+
+
+def apply_kernels(grouped: np.ndarray, kernels) -> np.ndarray:
+    """A label's grouped output matrix from the grouped identity-run output."""
+    total = grouped.size.bit_length() - 1
+    amps = grouped.reshape(-1)
+    for w, qubits in kernels:
+        amps = apply_unitary(amps, w, qubits, total)
+    return amps.reshape(grouped.shape)
 
 
 def extract_junk(out: IsometryOutput, graph: Graph) -> np.ndarray:
@@ -319,40 +342,44 @@ class EquivalenceReport:
 
 def _label_entry(p: ProverSet, params: TestParameters, label: tuple,
                  eps: float, g_amps: np.ndarray):
-    """Prover-side pre matrices, ideal target vector, and bound for a label."""
+    """Prover-side factors M'_v, ideal target vector, and bound for a label.
+
+    The factors map vertex -> the 2x2 matrix the label applies to that
+    prover's qubit of the shared state; the identity label has none.
+    """
     graph = params.graph
     n = graph.n
     head = label[0]
     ideal = g_amps
     if head == "I":
-        return label, None, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, 0)
+        return label, {}, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, 0)
     if head in ("X", "Z"):
         v = label[1]
         if not 0 <= v < n:
             raise ValueError(f"label vertex {v} out of range")
         pauli = PAULI_X if head == "X" else PAULI_Z
         prover_label = X_LABEL if head == "X" else Z_LABEL
-        pre = {v: p.observable(v, prover_label).matrix}
+        factors = {v: p.observable(v, prover_label).matrix}
         ideal = apply_single(g_amps, pauli, v, n)
         p_dot = 0 if head == "X" else 1
-        return label, pre, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, p_dot)
+        return label, factors, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, p_dot)
     if head in ("R+", "R-"):
         v = label[1]
         if not 0 <= v < n:
             raise ValueError(f"label vertex {v} out of range")
         t = 1 if head == "R+" else -1
         theta = params.theta[v]
-        pre = {v: p.observable(v, R_PLUS if t == 1 else R_MINUS).matrix}
+        factors = {v: p.observable(v, R_PLUS if t == 1 else R_MINUS).matrix}
         ideal = apply_single(g_amps, rotation_matrix(t * theta), v, n)
         u = params.u_choice[v]
         p_dot = max(graph.degree(v), graph.degree(u) - 1)
         delta = bounds.thm2_bound(eps, n, graph.edge_count, p_dot)
         eps_r = rtheta_epsilon(p, params, v, t)
-        return label, pre, ideal, "lemma3", bounds.lemma3_bound(eps_r, delta)
+        return label, factors, ideal, "lemma3", bounds.lemma3_bound(eps_r, delta)
     q, pz = label[1], label[2]
     if len(q) != n or len(pz) != n:
         raise ValueError("XZ label exponents must have one bit per vertex")
-    pre = {}
+    factors = {}
     for v in range(n):
         mats_prover = []
         mats_ideal = []
@@ -366,28 +393,43 @@ def _label_entry(p: ProverSet, params: TestParameters, label: tuple,
             continue
         prover_m = mats_prover[0] if len(mats_prover) == 1 else mats_prover[0] @ mats_prover[1]
         ideal_m = mats_ideal[0] if len(mats_ideal) == 1 else mats_ideal[0] @ mats_ideal[1]
-        pre[v] = prover_m
+        factors[v] = prover_m
         ideal = apply_single(ideal, ideal_m, v, n)
-    return label, pre, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, sum(pz))
+    return label, factors, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, sum(pz))
 
 
 def equivalence_distance(p: ProverSet, params: TestParameters,
                          labels) -> EquivalenceReport:
     """Distances || Phi(M'|psi'>) - |junk> M|G> || with one shared junk.
 
+    The swap circuit runs once, on |psi'> itself.  A label's output then
+    follows by conjugation: the vertex circuits U_v act on disjoint qubits
+    (v, m+2v+1) and are unitary, so a factor M'_v on shared qubit v
+    commutes with every U_w, w != v, and
+
+        Phi(M'_S |psi'>) = prod_{v in S} W_v Phi(|psi'>),
+        W_v = U_v (I (x) M'_v) U_v^dagger,
+
+    which costs |S| 4x4 kernels on the grouped identity-run output (where
+    the pair sits on bits v and m+n+v).  Label matrices are rebuilt from
+    their kernels whenever they are needed and never stored.
+
     The junk is extracted from the identity-label run (normalized overlap of
     the output against |G> on the graph register).  If any label then
     exceeds its bound, two fallback junk choices are tried before reporting:
-    the closed-form best-aligned state for the measured outputs, and the
-    factorization's constructed junk.  The first fully satisfying report
-    wins; otherwise the one with the smallest worst excess.
+    the closed-form best-aligned state for the measured outputs, summed
+    during the first pass, and the factorization's constructed junk; the
+    label matrices are recomputed once for both.  The first fully
+    satisfying report wins; otherwise the one with the smallest worst
+    excess.  Each distance is the direct residual norm, which keeps honest
+    distances at rounding level (the expanded inner-product form loses
+    them to cancellation near 1e-8).
     """
     _require_quantum(p)
     graph = params.graph
     eps = measured_epsilon(p, params)
     g_amps = build_graph_state(graph).state.amplitudes
-    out0 = apply_phi(p)
-    mat0 = grouped_matrix(out0)
+    mat0 = grouped_matrix(apply_phi(p))
     raw = np.conj(g_amps) @ mat0
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < JUNK_TOL:
@@ -397,33 +439,48 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
 
     entries = []
     for spec in labels:
-        label, pre, ideal, kind, bound = _label_entry(p, params, parse_label(spec),
-                                                      eps, g_amps)
-        mat = mat0 if not pre else grouped_matrix(apply_phi(p, pre))
-        entries.append((label_name(label), kind, mat, ideal, bound))
+        label, factors, ideal, kind, bound = _label_entry(p, params, parse_label(spec),
+                                                          eps, g_amps)
+        entries.append((label_name(label), kind, conjugated_kernels(p, factors),
+                        ideal, bound))
 
-    def report_for(junk: np.ndarray, source: str) -> EquivalenceReport:
-        reps = []
-        for name, kind, mat, ideal, bound in entries:
-            dist = float(np.linalg.norm(mat - np.outer(ideal, junk)))
-            reps.append(LabelReport(name, kind, dist, bound,
-                                    dist <= bound + BOUND_SLACK))
-        return EquivalenceReport(eps, raw_norm, source, tuple(reps))
+    def label_matrices():
+        for _, _, kernels, ideal, _ in entries:
+            yield apply_kernels(mat0, kernels), ideal
 
-    best = report_for(raw / raw_norm, "identity-extraction")
+    residual = np.empty_like(mat0)
+
+    def distance(mat, ideal, junk) -> float:
+        np.multiply.outer(ideal, junk, out=residual)
+        np.subtract(mat, residual, out=residual)
+        return float(np.linalg.norm(residual))
+
+    def report(dists, source: str) -> EquivalenceReport:
+        reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
+                     for (name, kind, _, _, bound), dist in zip(entries, dists))
+        return EquivalenceReport(eps, raw_norm, source, reps)
+
+    junk0 = raw / raw_norm
+    aligned = np.zeros_like(raw)
+    dists0 = []
+    for mat, ideal in label_matrices():
+        aligned += np.conj(ideal) @ mat
+        dists0.append(distance(mat, ideal, junk0))
+    best = report(dists0, "identity-extraction")
     if best.all_satisfied:
         return best
 
     fallbacks = []
-    aligned = np.zeros_like(raw)
-    for _, _, mat, ideal, _ in entries:
-        aligned += np.conj(ideal) @ mat
     aligned_norm = np.linalg.norm(aligned)
     if aligned_norm >= JUNK_TOL:
         fallbacks.append((aligned / aligned_norm, "best-aligned"))
     fallbacks.append((constructed_junk(p, graph), "constructed"))
-    for junk, source in fallbacks:
-        cand = report_for(junk, source)
+    dists = [[] for _ in fallbacks]
+    for mat, ideal in label_matrices():
+        for d, (junk, _) in zip(dists, fallbacks):
+            d.append(distance(mat, ideal, junk))
+    for d, (_, source) in zip(dists, fallbacks):
+        cand = report(d, source)
         if cand.all_satisfied:
             return cand
         if cand.worst_excess < best.worst_excess:

@@ -3,8 +3,11 @@
 A round flips a coin: with probability q the verifier runs the measurement
 pattern and accepts on the designated output bit; otherwise it runs the
 one-shot honesty test.  Repeating N rounds and accepting when the accept
-count exceeds N (c_ip - s_ip) / 2 amplifies the completeness/soundness gap
-via Hoeffding's inequality.
+count exceeds the midpoint N (c_ip + s_ip) / 2 amplifies the
+completeness/soundness gap via Hoeffding's inequality: an honest count
+falls below it, and a cheating count rises above it, with probability at
+most exp(-N (c_ip - s_ip)^2 / 2); ``hoeffding_n`` picks the N that makes
+this 1/3.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ def choose_q(c_test: float, s_test: float, s_calc: float, delta: float,
     q = (c_test - s_test) / denom
     gap = (c_calc - s_calc - delta) * (c_test - s_test) / denom
     return q, gap
+
+
+def midpoint_threshold(n_rounds: int, c_ip: float, s_ip: float) -> float:
+    """The amplified decision's accept threshold N (c_ip + s_ip) / 2."""
+    return n_rounds * (c_ip + s_ip) / 2
 
 
 def gap_case_lines(q: float, c_calc: float, s_calc: float, c_test: float,
@@ -83,7 +91,7 @@ class ProtocolConfig:
                 raise ValueError(f"pattern vertex {step.vertex} outside graph")
         if self.threshold is None:
             object.__setattr__(self, "threshold",
-                               self.n_rounds * (self.c_ip - self.s_ip) / 2)
+                               midpoint_threshold(self.n_rounds, self.c_ip, self.s_ip))
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,7 @@ def uncovered_calculate_queries(pattern: MeasurementPattern,
 
 __all__ = [
     "CALCULATE", "TEST", "ProtocolConfig", "ProtocolResult", "RoundRecord",
-    "choose_q", "gap_case_lines", "run_round", "run_amplified",
+    "choose_q", "gap_case_lines", "midpoint_threshold", "run_round", "run_amplified",
     "run_amplified_rounds", "exact_accept_probability",
     "uncovered_calculate_queries", "hoeffding_n",
 ]

@@ -194,12 +194,6 @@ def xz_plane_provers(state: StateVector, angles: list[dict[str, float]],
     return ProverSet(n, QuantumStrategy(per_prover), state)
 
 
-def custom_provers(state: StateVector,
-                   observables: list[dict[str, SingleQubitObservable]]) -> ProverSet:
-    """Expert constructor: any Hermitian involutions, one qubit each."""
-    return ProverSet(len(observables), QuantumStrategy(tuple(observables)), state)
-
-
 def classical_provers(n: int, table: dict[tuple[int, str], int]) -> ProverSet:
     """Deterministic provers; the table must cover every (vertex, label)."""
     per_prover = []
@@ -272,6 +266,8 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
     if kind == "honest":
         return honest_provers(graph, theta)
     if kind == "perturbed":
+        if "eta" not in spec:
+            raise ValueError("a perturbed strategy needs an \"eta\"")
         return perturbed_provers(honest_provers(graph, theta),
                                  float(spec["eta"]), rng)
     if kind == "classical":
@@ -282,8 +278,12 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
             return classical_provers(graph.n, table)
         return constant_classical_provers(graph.n, int(spec.get("value", 1)))
     if kind == "xz":
+        if "angles" not in spec:
+            raise ValueError("an xz strategy needs \"angles\"")
         angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
         for v, per_label in spec["angles"].items():
+            if not 0 <= int(v) < graph.n:
+                raise ValueError(f"xz angles given for vertex {v}, outside the graph")
             angles[int(v)].update({k: float(a) for k, a in per_label.items()})
         return xz_plane_provers(build_graph_state(graph).state, angles)
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -54,11 +54,6 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return math.cos(theta) * PAULI_X + math.sin(theta) * PAULI_Z
 
 
-def xz_plane_observable(phi: float) -> np.ndarray:
-    """Same family as rotation_matrix; named for the Bloch-angle reading."""
-    return rotation_matrix(phi)
-
-
 @dataclass(frozen=True)
 class SingleQubitObservable:
     """A 2x2 Hermitian involution (eigenvalues exactly +-1), or identity."""

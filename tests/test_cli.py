@@ -132,6 +132,32 @@ class TestIsometryCommand:
         assert footer["summary"]["violations"] == 0
 
 
+class TestBadInput:
+    """Malformed JSON inputs end in one ``Error:`` line and exit code 2."""
+
+    BAD_PATTERN = json.dumps({
+        "steps": [{"v": 0, "theta": 3, "x_deps": [], "z_deps": []}],
+        "output_bits": [0]})
+
+    @pytest.mark.parametrize("args", [
+        ["selftest", "--strategy", json.dumps({"kind": "perturbed"})],
+        ["selftest", "--strategy",
+         json.dumps({"kind": "xz", "angles": {"7": {"X": 0.1}}})],
+        ["mbqc", "--pattern", BAD_PATTERN],
+        ["prove", "--pattern", BAD_PATTERN],
+        ["selftest", "--jobs", "2", "--strategy", json.dumps({"kind": "perturbed"})],
+    ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
+            "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2"])
+    def test_one_error_line(self, runner, args):
+        command, *rest = args
+        trials = [] if command == "prove" else ["--trials", "4"]
+        result = runner.invoke(main, [command, "--graph", K3_JSON, "--seed", "1",
+                                      *trials, *rest])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+
 class TestBoundsCommand:
     def test_single_kind(self, runner):
         result = runner.invoke(main, [

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from artifact import experiments
 from artifact.experiments import (
     ExperimentConfig,
     ResultRecord,
@@ -163,6 +164,18 @@ class TestRowsAndSummaries:
         assert math.isclose(
             meta["accept_fraction"],
             sum(r["accepted"] for r in record.rows) / 2, abs_tol=1e-12)
+
+    def test_protocol_run_computes_the_reference_law_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reference_run(*args)
+
+        monkeypatch.setattr(experiments, "reference_run", counted)
+        run_experiment(_cfg("protocol", trials=2,
+                            options={"delta": 0.1, "n_rounds": 12}))
+        assert len(calls) == 1
 
     def test_bounds_record_lists_formulas(self):
         record = run_experiment(_cfg("bounds"))

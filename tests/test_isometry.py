@@ -9,14 +9,17 @@ import oracles
 from artifact import bounds
 from artifact.graphs import complete_graph, triangle_strip
 from artifact.graphstate import build_graph_state
+from artifact import isometry
 from artifact.isometry import (
     EquivalenceReport,
     IsometryOutput,
     JunkDegenerateError,
     ancilla_pair,
     anticommutator_norm,
+    apply_kernels,
     apply_phi,
     apply_phi_state,
+    conjugated_kernels,
     constructed_junk,
     controlled_unitary,
     equivalence_distance,
@@ -25,6 +28,7 @@ from artifact.isometry import (
     label_name,
     measured_epsilon,
     parse_label,
+    _label_entry,
     phi_vertex_unitary,
     rtheta_epsilon,
 )
@@ -312,3 +316,183 @@ class TestEquivalenceDistance:
         assert math.isclose(
             by_label["Z(0)"], bounds.thm2_bound(eps, 3, graph.edge_count, 1),
             rel_tol=1e-12)
+
+
+def _label_operators(p, label):
+    """{vertex: M'_v} for a parsed label, built from the prover observables."""
+    head = label[0]
+    if head == "I":
+        return {}
+    if head != "XZ":
+        return {label[1]: p.observable(label[1], head).matrix}
+    ops = {}
+    for v, (q, z) in enumerate(zip(label[1], label[2])):
+        if q or z:
+            ops[v] = ((p.observable(v, "X").matrix if q else np.eye(2))
+                      @ (p.observable(v, "Z").matrix if z else np.eye(2)))
+    return ops
+
+
+def _ideal_vector(graph, params, label):
+    """M |G> for a parsed label, by dense operators."""
+    g = build_graph_state(graph).state.amplitudes
+    head = label[0]
+    if head == "I":
+        return g
+    if head in ("X", "Z"):
+        terms = {label[1]: X if head == "X" else Z}
+    elif head in ("R+", "R-"):
+        t = 1 if head == "R+" else -1
+        terms = {label[1]: oracles.rotation_xz(t * params.theta[label[1]])}
+    else:
+        terms = {v: (X if q else np.eye(2)) @ (Z if z else np.eye(2))
+                 for v, (q, z) in enumerate(zip(label[1], label[2])) if q or z}
+    return oracles.full_operator(graph.n, terms) @ g
+
+
+def _direct_matrix(p, label):
+    """grouped_matrix(apply_phi_state(p, M'_S psi')): one circuit run."""
+    state = p.shared_state
+    ops = _label_operators(p, label)
+    amps = oracles.full_operator(state.n_qubits, ops) @ state.amplitudes
+    return grouped_matrix(apply_phi_state(
+        p, StateVector(state.n_qubits, amps, _validate=False)))
+
+
+def _private_qubit_provers(graph, rng):
+    """X-Z-plane provers on a random shared state with one private qubit."""
+    m = graph.n + 1
+    vec = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    angles = [{"X": rng.normal(0, 0.1), "Z": math.pi / 2 + rng.normal(0, 0.1),
+               "R+": math.pi / 4, "R-": -math.pi / 4} for _ in range(graph.n)]
+    return xz_plane_provers(StateVector(m, vec / np.linalg.norm(vec)), angles)
+
+
+def _labels(n):
+    labels = ["I"] + [(h, v) for v in range(n) for h in ("X", "Z", "R+", "R-")]
+    both = tuple(1 if v == 0 else 0 for v in range(n))
+    labels.append(("XZ", both, both))  # X and Z on vertex 0
+    labels.append(("XZ", tuple(v % 2 for v in range(n)),
+                   tuple(1 - v % 2 for v in range(n))))
+    labels.append(("XZ", (1,) * n, (1,) * n))
+    return [parse_label(l) for l in labels]
+
+
+def _provers(kind, graph, rng):
+    honest, params = _honest(graph)
+    if kind == "perturbed":
+        return perturbed_provers(honest, 0.08, rng), params
+    return _private_qubit_provers(graph, rng), params
+
+
+class TestConjugation:
+    @pytest.mark.parametrize("kind", ["perturbed", "private"])
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
+    def test_label_matrices_match_a_circuit_run_per_label(self, graph, kind):
+        p, params = _provers(kind, graph, np.random.default_rng(41))
+        mat0 = grouped_matrix(apply_phi(p))
+        g_amps = build_graph_state(graph).state.amplitudes
+        for label in _labels(graph.n):
+            _, factors, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
+            got = apply_kernels(mat0, conjugated_kernels(p, factors))
+            assert np.abs(got - _direct_matrix(p, label)).max() < 1e-12, label
+            assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12
+
+
+def _direct_distances(p, params, labels, junks):
+    """Per-source label distances from one circuit run per label."""
+    graph = params.graph
+    mats = [_direct_matrix(p, l) for l in labels]
+    ideals = [_ideal_vector(graph, params, l) for l in labels]
+    return {source: [np.linalg.norm(m - np.outer(i, junk))
+                     for m, i in zip(mats, ideals)]
+            for source, junk in junks(mats, ideals).items()}
+
+
+def _standard_junks(p, graph):
+    """The three junk candidates of a report, built from direct matrices."""
+    g_amps = build_graph_state(graph).state.amplitudes
+    raw = np.conj(g_amps) @ _direct_matrix(p, parse_label("I"))
+
+    def junks(mats, ideals):
+        aligned = sum(np.conj(i) @ m for i, m in zip(ideals, mats))
+        return {"identity-extraction": raw / np.linalg.norm(raw),
+                "best-aligned": aligned / np.linalg.norm(aligned),
+                "constructed": constructed_junk(p, graph)}
+    return junks
+
+
+def _bound_labels(monkeypatch, bound_by_name):
+    """Give each label the bound named for it in ``bound_by_name``."""
+    real_entry = isometry._label_entry
+
+    def entry(*args):
+        label, factors, ideal, kind, _ = real_entry(*args)
+        return label, factors, ideal, kind, bound_by_name[label_name(label)]
+
+    monkeypatch.setattr(isometry, "_label_entry", entry)
+
+
+class TestForcedFallback:
+    """Reports whose identity-extraction junk fails a bound, so the label
+    matrices are rebuilt for the fallback junks; every returned distance is
+    checked against one circuit run per label."""
+
+    ORDER = ["identity-extraction", "best-aligned", "constructed"]
+
+    @pytest.mark.parametrize("kind", ["perturbed", "private"])
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
+    def test_zero_bounds_pick_the_smallest_worst_distance(self, graph, kind,
+                                                          monkeypatch):
+        p, params = _provers(kind, graph, np.random.default_rng(43))
+        labels = _labels(graph.n)
+        direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
+        monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
+        monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
+        # nothing satisfies zero bounds: the smallest worst distance wins,
+        # the earlier source on a tie
+        want = min(self.ORDER,
+                   key=lambda src: (max(direct[src]), self.ORDER.index(src)))
+        report = equivalence_distance(p, params, labels)
+        assert report.junk_source == want
+        assert not report.all_satisfied
+        got = [r.distance for r in report.labels]
+        assert np.allclose(got, direct[want], rtol=0, atol=1e-12)
+
+    def test_best_aligned_wins_at_its_own_distances(self, monkeypatch):
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(47))
+        labels = _labels(graph.n)
+        direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
+        own = direct["best-aligned"]
+        assert any(d > b + 1e-6 for d, b in zip(direct["identity-extraction"], own))
+        _bound_labels(monkeypatch, dict(zip(map(label_name, labels), own)))
+        report = equivalence_distance(p, params, labels)
+        assert report.junk_source == "best-aligned"
+        assert report.all_satisfied
+        got = [r.distance for r in report.labels]
+        assert np.allclose(got, own, rtol=0, atol=1e-12)
+
+    def test_constructed_junk_wins_when_only_it_fits(self, monkeypatch):
+        # the factorization's junk never beats the other two on perturbed
+        # provers, so stand in the junk that is optimal for the first label
+        # alone and bound only that label tightly
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(47))
+        labels = [parse_label(("X", 1)), parse_label(("R+", 2))]
+        fit = (np.conj(_ideal_vector(graph, params, labels[0]))
+               @ _direct_matrix(p, labels[0]))
+        fit /= np.linalg.norm(fit)
+        standard = _standard_junks(p, graph)
+        direct = _direct_distances(
+            p, params, labels,
+            lambda mats, ideals: {**standard(mats, ideals), "constructed": fit})
+        monkeypatch.setattr(isometry, "constructed_junk", lambda *a: fit)
+        tight = direct["constructed"][0]
+        for earlier in self.ORDER[:2]:
+            assert direct[earlier][0] > tight + 1e-6
+        _bound_labels(monkeypatch, {"X(1)": tight, "R+(2)": 10.0})
+        report = equivalence_distance(p, params, labels)
+        assert report.junk_source == "constructed"
+        got = [r.distance for r in report.labels]
+        assert np.allclose(got, direct["constructed"], rtol=0, atol=1e-12)

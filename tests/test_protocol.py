@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from artifact.bounds import DomainError
+from artifact.bounds import DomainError, hoeffding_n
 from artifact.graphs import complete_graph, triangle_strip
 from artifact.mbqc import MeasurementPattern, PatternStep, reference_run
 from artifact.protocol import (
@@ -72,8 +72,32 @@ class TestChooseQ:
 class TestProtocolConfig:
     def test_default_threshold(self):
         *_, cfg, _ = _setup(n_rounds=20)
-        assert math.isclose(cfg.threshold, 20 * (0.8 - 0.2) / 2,
+        assert math.isclose(cfg.threshold, 20 * (0.8 + 0.2) / 2,
                             rel_tol=1e-15)
+
+    @pytest.mark.parametrize("c_ip,s_ip", [(0.6, 0.4), (0.9, 0.75),
+                                           (0.5, 0.35)])
+    def test_default_threshold_decides_at_the_hoeffding_count(self, c_ip,
+                                                              s_ip):
+        # s_ip > (c_ip - s_ip) / 2 on this grid, where N (c_ip - s_ip) / 2
+        # lies below the cheater's mean count and accepts it
+        assert s_ip > (c_ip - s_ip) / 2
+        _, params, pattern, _, _ = _setup()
+        n_rounds = hoeffding_n(c_ip - s_ip)
+        cfg = ProtocolConfig(q=0.3, params=params, pattern=pattern,
+                             n_rounds=n_rounds, c_ip=c_ip, s_ip=s_ip)
+        rng = np.random.default_rng(31)
+        meta = 150
+        rejected = accepted = 0
+        for _ in range(meta):
+            rejected += not run_amplified_rounds(
+                lambda child: child.random() < s_ip, n_rounds, cfg.threshold,
+                rng)[0]
+            accepted += run_amplified_rounds(
+                lambda child: child.random() < c_ip, n_rounds, cfg.threshold,
+                rng)[0]
+        assert rejected / meta >= 2 / 3
+        assert accepted / meta >= 2 / 3
 
     def test_explicit_threshold_kept(self):
         graph, params, pattern, _, _ = _setup()
