@@ -147,6 +147,18 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
 
+    @classmethod
+    def _collapsed(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
+        """Wrap a normalized branch of an existing ``n_qubits`` state.
+
+        Skips the cap and norm checks the parent state already passed; the
+        per-measurement hot path in ``measure`` and ``project``.
+        """
+        state = cls.__new__(cls)
+        state.n_qubits = n_qubits
+        state.amplitudes = amplitudes
+        return state
+
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy(), _validate=False)
 
@@ -162,12 +174,10 @@ class StateVector:
 
 def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Apply a 2x2 matrix to one qubit of a length-2^n vector."""
-    # axis n-1-qubit of the [2]*n tensor is the qubit (little-endian)
-    t = amps.reshape([2] * n)
-    axis = n - 1 - qubit
-    t = np.moveaxis(t, axis, -1)
-    t = t @ m.T
-    return np.moveaxis(t, -1, axis).reshape(-1)
+    # little-endian: the qubit's bit has stride 2^qubit, so the middle axis of
+    # (high bits, qubit, low bits) is the qubit; one broadcast matmul, no axis moves
+    t = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
+    return (m @ t).reshape(-1)
 
 
 def apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
@@ -237,13 +247,17 @@ def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
         raise IndexError(f"qubit {qubit} out of range")
     applied = apply_single(state.amplitudes, obs.matrix, qubit, n)
     plus = 0.5 * (state.amplitudes + applied)
-    p_plus = float(np.real(np.vdot(plus, plus)))
+    p_plus = np.vdot(plus, plus).real
     outcome = 1 if rng.random() < p_plus else -1
-    branch = plus if outcome == 1 else 0.5 * (state.amplitudes - applied)
-    norm = float(np.linalg.norm(branch))
+    if outcome == 1:
+        branch, p = plus, p_plus
+    else:
+        branch = 0.5 * (state.amplitudes - applied)
+        p = np.vdot(branch, branch).real
+    norm = math.sqrt(p)
     if norm < 1e-12:
         raise NormUnderflowError("measured an impossible branch")
-    return outcome, StateVector(n, branch / norm, _validate=False)
+    return outcome, StateVector._collapsed(n, branch / norm)
 
 
 def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
@@ -255,4 +269,4 @@ def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
     p = float(np.real(np.vdot(branch, branch)))
     if p < 1e-24:
         return 0.0, None
-    return p, StateVector(n, branch / math.sqrt(p), _validate=False)
+    return p, StateVector._collapsed(n, branch / math.sqrt(p))
