@@ -206,20 +206,25 @@ def isometry_check(graph_src, strategy_src, theta, trials, seed, jobs, out,
 def bounds_cmd(kind, params, out):
     """Evaluate closed-form error bounds."""
     opts = _parse_options(params)
-    if kind is not None:
-        value = bounds.evaluate(kind, **opts)
-        key = kind.lower().replace("_", "").replace("-", "")
-        text = json.dumps({"kind": kind, "value": value,
-                           "formula": bounds.FORMULAS[key],
-                           "inputs": opts}, sort_keys=True)
-        if out is None or out == "-":
-            click.echo(text)
+    try:
+        if kind is None:
+            record = run_experiment(ExperimentConfig(kind="bounds", options=opts))
         else:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
+            value = bounds.evaluate(kind, **opts)
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+    if kind is None:
+        _emit(record, out, False)
         return
-    cfg = ExperimentConfig(kind="bounds", options=opts)
-    _emit(run_experiment(cfg), out, False)
+    key = kind.lower().replace("_", "").replace("-", "")
+    text = json.dumps({"kind": kind, "value": value,
+                       "formula": bounds.FORMULAS[key],
+                       "inputs": opts}, sort_keys=True)
+    if out is None or out == "-":
+        click.echo(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
 
 
 @main.command()

@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -305,7 +306,7 @@ def _bounds_record(cfg: ExperimentConfig) -> ResultRecord:
     return ResultRecord(cfg.digest(), cfg.kind, (), summary)
 
 
-def _summarize(cfg: ExperimentConfig, rows: list[dict], setup: tuple | None) -> dict:
+def _summarize(cfg: ExperimentConfig, rows: list[dict], meta: dict) -> dict:
     summary = {"kind": cfg.kind, "trials": cfg.trials, "prng": _prng_stamp(cfg)}
     if cfg.kind == "selftest":
         params = _params_for(cfg)
@@ -333,7 +334,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict], setup: tuple | None) -> 
             "max_worst_excess": max(r["worst_excess"] for r in rows),
             "max_epsilon": max(r["epsilon"] for r in rows)})
     elif cfg.kind == "protocol":
-        summary.update(setup[2])
+        summary.update(meta)
         summary["accept_fraction"] = sum(r["accepted"] for r in rows) / len(rows)
     return summary
 
@@ -346,8 +347,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
     """
     if cfg.kind == "bounds":
         return _bounds_record(cfg)
-    # the protocol setup runs reference_run; build it once for rows and summary
-    setup = _protocol_setup(cfg) if cfg.kind == "protocol" else None
+    rows_for, meta = _ROW_FNS[cfg.kind], {}
+    if cfg.kind == "protocol":
+        # the setup runs reference_run; build it once for rows and summary
+        setup = _protocol_setup(cfg)
+        rows_for, meta = partial(_protocol_rows, setup=setup), setup[2]
     if jobs > 1 and cfg.trials > 1:
         cfg_json = json.dumps(cfg.to_json())
         n_chunks = min(jobs, cfg.trials)
@@ -358,12 +362,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
                        for a, b in zip(edges[:-1], edges[1:]) if a < b]
             for fut in futures:
                 rows.extend(fut.result())
-    elif setup is not None:
-        rows = _protocol_rows(cfg, range(cfg.trials), setup)
     else:
-        rows = _ROW_FNS[cfg.kind](cfg, range(cfg.trials))
+        rows = rows_for(cfg, range(cfg.trials))
     return ResultRecord(cfg.digest(), cfg.kind, tuple(rows),
-                        _summarize(cfg, rows, setup))
+                        _summarize(cfg, rows, meta))
 
 
 def write_json_lines(record: ResultRecord, stream) -> None:

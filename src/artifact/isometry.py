@@ -271,20 +271,23 @@ def parse_label(spec) -> tuple:
         if spec.upper() == "I":
             return ("I",)
         raise ValueError(f"unknown label {spec!r}")
-    spec = tuple(spec)
-    if not spec or not isinstance(spec[0], str):
+    if not isinstance(spec, (list, tuple)) or not spec or not isinstance(spec[0], str):
         raise ValueError(f"malformed label {spec!r}")
+    spec = tuple(spec)
     head = spec[0].upper()
     if head == "I" and len(spec) == 1:
         return ("I",)
-    if head in ("X", "Z", "R+", "R-") and len(spec) == 2:
-        return (head, int(spec[1]))
-    if head == "XZ" and len(spec) == 3:
-        q = tuple(int(b) for b in spec[1])
-        pz = tuple(int(b) for b in spec[2])
-        if any(b not in (0, 1) for b in q + pz):
-            raise ValueError("XZ label exponents must be 0/1 vectors")
-        return ("XZ", q, pz)
+    try:
+        if head in ("X", "Z", "R+", "R-") and len(spec) == 2:
+            return (head, int(spec[1]))
+        if head == "XZ" and len(spec) == 3:
+            q = tuple(int(b) for b in spec[1])
+            pz = tuple(int(b) for b in spec[2])
+            if any(b not in (0, 1) for b in q + pz):
+                raise ValueError("XZ label exponents must be 0/1 vectors")
+            return ("XZ", q, pz)
+    except TypeError:
+        raise ValueError(f"malformed label {spec!r}") from None
     raise ValueError(f"malformed label {spec!r}")
 
 

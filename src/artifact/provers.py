@@ -253,6 +253,32 @@ def classical_product(p: ProverSet, q: Query) -> int:
     return product
 
 
+def _number(value, what: str, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _per_vertex(spec: dict, key: str, graph: Graph, cast) -> dict[tuple[int, str], float]:
+    """``spec[key]`` read as {vertex: {label: value}} into (vertex, label) keys."""
+    entries = spec[key]
+    if not isinstance(entries, dict):
+        raise ValueError(f"\"{key}\" must map vertices to objects")
+    out = {}
+    for v, per_label in entries.items():
+        vertex = _number(v, f"{key} vertex", int)
+        if not 0 <= vertex < graph.n:
+            raise ValueError(f"{key} given for vertex {v}, outside the graph")
+        if not isinstance(per_label, dict):
+            raise ValueError(f"{key} for vertex {v} must map labels to values")
+        for label, value in per_label.items():
+            if label not in QUERY_LABELS:
+                raise ValueError(f"{key} for vertex {v} has unknown label {label!r}")
+            out[(vertex, label)] = _number(value, f"{key}[{v}][{label}]", cast)
+    return out
+
+
 def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
                        rng: np.random.Generator) -> ProverSet:
     """Build a ProverSet from a JSON strategy description.
@@ -261,7 +287,10 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
     {"kind": "classical", "value": 1} or {"kind": "classical",
     "table": {"0": {"X": 1, ...}, ...}}; {"kind": "xz", "angles":
     {"0": {"X": 0.1, ...}, ...}} measured on the ideal graph state.
+    A description of the wrong shape raises ValueError.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("a strategy must be a JSON object")
     kind = spec.get("kind")
     if kind == "honest":
         return honest_provers(graph, theta)
@@ -269,21 +298,17 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
         if "eta" not in spec:
             raise ValueError("a perturbed strategy needs an \"eta\"")
         return perturbed_provers(honest_provers(graph, theta),
-                                 float(spec["eta"]), rng)
+                                 _number(spec["eta"], "eta"), rng)
     if kind == "classical":
         if "table" in spec:
-            table = {(int(v), label): int(r)
-                     for v, per_label in spec["table"].items()
-                     for label, r in per_label.items()}
-            return classical_provers(graph.n, table)
-        return constant_classical_provers(graph.n, int(spec.get("value", 1)))
+            return classical_provers(graph.n, _per_vertex(spec, "table", graph, int))
+        return constant_classical_provers(
+            graph.n, _number(spec.get("value", 1), "value", int))
     if kind == "xz":
         if "angles" not in spec:
             raise ValueError("an xz strategy needs \"angles\"")
         angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
-        for v, per_label in spec["angles"].items():
-            if not 0 <= int(v) < graph.n:
-                raise ValueError(f"xz angles given for vertex {v}, outside the graph")
-            angles[int(v)].update({k: float(a) for k, a in per_label.items()})
+        for (v, label), a in _per_vertex(spec, "angles", graph, float).items():
+            angles[v][label] = a
         return xz_plane_provers(build_graph_state(graph).state, angles)
     raise ValueError(f"unknown strategy kind {kind!r}")

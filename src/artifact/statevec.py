@@ -135,10 +135,13 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray, _validate: bool = True):
-        cap = qubit_cap()
-        if n_qubits > cap:
-            raise QubitCapError(f"{n_qubits} qubits exceeds cap {cap} "
-                                f"(override with {QUBIT_CAP_ENV})")
+        # _validate=False wraps a vector derived from a state of the same
+        # n_qubits, which already passed the cap and norm checks
+        if _validate:
+            cap = qubit_cap()
+            if n_qubits > cap:
+                raise QubitCapError(f"{n_qubits} qubits exceeds cap {cap} "
+                                    f"(override with {QUBIT_CAP_ENV})")
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (2 ** n_qubits,):
             raise ValueError("amplitude vector has wrong length")
@@ -146,18 +149,6 @@ class StateVector:
             raise ValueError("state is not normalized")
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
-
-    @classmethod
-    def _collapsed(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
-        """Wrap a normalized branch of an existing ``n_qubits`` state.
-
-        Skips the cap and norm checks the parent state already passed; the
-        per-measurement hot path in ``measure`` and ``project``.
-        """
-        state = cls.__new__(cls)
-        state.n_qubits = n_qubits
-        state.amplitudes = amplitudes
-        return state
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy(), _validate=False)
@@ -257,7 +248,7 @@ def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
     norm = math.sqrt(p)
     if norm < 1e-12:
         raise NormUnderflowError("measured an impossible branch")
-    return outcome, StateVector._collapsed(n, branch / norm)
+    return outcome, StateVector(n, branch / norm, _validate=False)
 
 
 def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
@@ -269,4 +260,4 @@ def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
     p = float(np.real(np.vdot(branch, branch)))
     if p < 1e-24:
         return 0.0, None
-    return p, StateVector._collapsed(n, branch / math.sqrt(p))
+    return p, StateVector(n, branch / math.sqrt(p), _validate=False)

@@ -146,8 +146,17 @@ class TestBadInput:
         ["mbqc", "--pattern", BAD_PATTERN],
         ["prove", "--pattern", BAD_PATTERN],
         ["selftest", "--jobs", "2", "--strategy", json.dumps({"kind": "perturbed"})],
+        ["selftest", "--strategy", json.dumps({"kind": "xz", "angles": {"0": 1}})],
+        ["selftest", "--strategy", json.dumps({"kind": "xz", "angles": [1]})],
+        ["selftest", "--strategy", json.dumps({"kind": "classical", "table": [1]})],
+        ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": None})],
+        ["selftest", "--strategy", "[1]"],
+        ["isometry-check", "--labels", "[1]"],
     ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
-            "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2"])
+            "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2",
+            "xz-angles-entry-not-object", "xz-angles-not-object",
+            "classical-table-not-object", "perturbed-eta-null",
+            "strategy-not-object", "label-not-a-list"])
     def test_one_error_line(self, runner, args):
         command, *rest = args
         trials = [] if command == "prove" else ["--trials", "4"]
@@ -178,6 +187,17 @@ class TestBoundsCommand:
     def test_unknown_kind_fails(self, runner):
         result = runner.invoke(main, ["bounds", "--kind", "lemma99"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "lemma99"],
+        ["--kind", "thm2", "--param", "eps=abc"],
+        ["--param", "eps=[1]"],
+    ], ids=["unknown-kind", "missing-parameter", "table-eps-not-a-number"])
+    def test_bad_input_is_one_error_line(self, runner, args):
+        result = runner.invoke(main, ["bounds", *args])
+        assert result.exit_code == 2, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
 
 
 class TestProveCommand:
