@@ -2,7 +2,7 @@
 
 Qubit ordering is little-endian throughout the package: qubit 0 is the
 least significant bit of a basis index.  Gates are applied with
-stride-based kernels (reshape/moveaxis), never by building the full
+stride-based kernels (reshape/transpose), never by building the full
 2^n x 2^n matrix, so states up to the configured cap stay cheap.
 
 Tolerances are centralized here: states must be normalized to
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,12 +164,23 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes - other.amplitudes))
 
 
+@lru_cache(maxsize=None)
+def _qubit_axis_last(qubit: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders of the [2]*n tensor that move the qubit's axis last, and back."""
+    # axis n-1-qubit of the [2]*n tensor is the qubit (little-endian)
+    axis = n - 1 - qubit
+    there = tuple(a for a in range(n) if a != axis) + (axis,)
+    back = tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))
+    return there, back
+
+
 def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Apply a 2x2 matrix to one qubit of a length-2^n vector."""
-    # little-endian: the qubit's bit has stride 2^qubit, so the middle axis of
-    # (high bits, qubit, low bits) is the qubit; one broadcast matmul, no axis moves
-    t = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    return (m @ t).reshape(-1)
+    # np.moveaxis's transposes with cached axis orders: the same matmul, so
+    # every amplitude, and every sampled row, is bit-identical to moveaxis
+    there, back = _qubit_axis_last(qubit, n)
+    t = amps.reshape((2,) * n).transpose(there) @ m.T
+    return t.transpose(back).reshape(-1)
 
 
 def apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
