@@ -12,16 +12,12 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import bounds
-from .experiments import (ExperimentConfig, run_experiment, write_csv,
+from .experiments import (ExperimentConfig, prepare, run_experiment, write_csv,
                           write_json_lines)
 from .graphs import Graph, complete_graph, triangle_strip, triangular_lattice
 from .mbqc import MeasurementPattern
-from .protocol import run_amplified
-from .provers import strategy_from_json
-from .selftest import default_parameters
 
 
 class InputError(click.ClickException):
@@ -241,9 +237,11 @@ def bounds_cmd(kind, params, out):
 @click.option("--option", "extra", multiple=True, help="key=value overrides")
 def prove(graph_src, pattern_src, strategy_src, theta, delta, q, rounds, seed,
           extra):
-    """One amplified protocol run; exit 0 on accept, 1 on reject."""
-    from .experiments import _protocol_setup
+    """One amplified protocol run; exit 0 on accept, 1 on reject.
 
+    The run is trial 0 of a one-trial protocol experiment, so its decision
+    matches row 0 of ``run_experiment`` on the same config.
+    """
     options = _parse_options(extra)
     options.setdefault("delta", delta)
     if q is not None:
@@ -253,16 +251,12 @@ def prove(graph_src, pattern_src, strategy_src, theta, delta, q, rounds, seed,
     cfg = _experiment_config("protocol", graph_src, strategy_src, pattern_src,
                              theta=theta, trials=1, seed=seed, options=options)
     try:
-        params, proto_cfg, meta = _protocol_setup(cfg)
-        rng = np.random.default_rng([seed, 0])
-        spec = cfg.strategy or {"kind": "honest"}
-        theta_map = {v: params.theta[v] for v in range(len(params.theta))}
-        p = strategy_from_json(spec, cfg.graph, theta_map, rng)
+        setup = prepare(cfg)
+        _, result = setup.trial(0)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    result = run_amplified(p, proto_cfg, rng)
     payload = result.to_json()
-    payload["setup"] = meta
+    payload["setup"] = setup.meta
     click.echo(json.dumps(payload, sort_keys=True))
     sys.exit(0 if result.accepted else 1)
 

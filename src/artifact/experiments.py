@@ -5,6 +5,13 @@ Every stochastic experiment draws trial ``i`` from its own PRNG stream
 given seed and independent of execution order or worker count.  Rows stream
 as JSON lines; a single summary object closes the file.  The summary pins
 the PRNG family so other implementations can replay the streams.
+
+Every trial takes one path: ``prepare`` builds a run's ``TrialSetup`` once
+(test parameters, the prover set of a deterministic strategy, and for
+protocol runs the ProtocolConfig with its meta), and ``TrialSetup.trial(i)``
+returns trial ``i``'s row together with the kind's result object.  Serial
+runs, ``jobs > 1`` worker chunks (which receive the built setup) and
+``gsip prove`` (trial 0 of a one-trial protocol run) all call it.
 """
 
 from __future__ import annotations
@@ -15,14 +22,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import bounds
 from .graphs import Graph
 from .isometry import equivalence_distance
-from .mbqc import MeasurementPattern, reference_run, run_distribution, run_pattern, total_variation
+from .mbqc import MeasurementPattern, reference_run, run_pattern, total_variation
 from .protocol import ProtocolConfig, choose_q, gap_case_lines, run_amplified
 from .provers import ProverSet, strategy_from_json
 from .selftest import TestParameters, c_test, default_parameters, run_oneshot
@@ -140,78 +146,8 @@ def _prng_stamp(cfg: ExperimentConfig) -> dict:
             "seed": cfg.seed}
 
 
-def _params_for(cfg: ExperimentConfig) -> TestParameters:
-    return default_parameters(cfg.graph, theta=cfg.theta)
-
-
-def _strategy_spec(cfg: ExperimentConfig) -> dict:
-    return cfg.strategy or {"kind": "honest"}
-
-
-def _theta_map(params: TestParameters) -> dict[int, float]:
-    return {v: params.theta[v] for v in range(len(params.theta))}
-
-
-class _ProverFactory:
-    """Builds the prover set for a trial, caching deterministic strategies."""
-
-    def __init__(self, cfg: ExperimentConfig, params: TestParameters):
-        self.spec = _strategy_spec(cfg)
-        self.graph = cfg.graph
-        self.theta = _theta_map(params)
-        self.stochastic = self.spec.get("kind") in STOCHASTIC_STRATEGIES
-        self._cached: ProverSet | None = None
-
-    def provers(self, rng: np.random.Generator) -> ProverSet:
-        if self.stochastic:
-            return strategy_from_json(self.spec, self.graph, self.theta, rng)
-        if self._cached is None:
-            self._cached = strategy_from_json(self.spec, self.graph,
-                                              self.theta, rng)
-        return self._cached.clone()
-
-
-def _selftest_rows(cfg: ExperimentConfig, trials: range) -> list[dict]:
-    params = _params_for(cfg)
-    factory = _ProverFactory(cfg, params)
-    rows = []
-    for i in trials:
-        rng = trial_rng(cfg.seed, i)
-        outcome = run_oneshot(factory.provers(rng), params, rng)
-        rows.append({"trial": i, "subtest": outcome.subtest.kind,
-                     "accepted": bool(outcome.accepted)})
-    return rows
-
-
-def _mbqc_rows(cfg: ExperimentConfig, trials: range) -> list[dict]:
-    params = _params_for(cfg)
-    factory = _ProverFactory(cfg, params)
-    rows = []
-    for i in trials:
-        rng = trial_rng(cfg.seed, i)
-        bit, _ = run_pattern(factory.provers(rng), cfg.pattern, rng)
-        rows.append({"trial": i, "output": int(bit)})
-    return rows
-
-
-def _isometry_rows(cfg: ExperimentConfig, trials: range) -> list[dict]:
-    params = _params_for(cfg)
-    factory = _ProverFactory(cfg, params)
-    labels = cfg.labels or DEFAULT_LABELS
-    rows = []
-    for i in trials:
-        rng = trial_rng(cfg.seed, i)
-        report = equivalence_distance(factory.provers(rng), params, labels)
-        rows.append({"trial": i, "epsilon": report.epsilon,
-                     "junk_norm": report.junk_norm,
-                     "junk_source": report.junk_source,
-                     "all_satisfied": report.all_satisfied,
-                     "worst_excess": report.worst_excess,
-                     "labels": [r.to_json() for r in report.labels]})
-    return rows
-
-
-def _protocol_setup(cfg: ExperimentConfig) -> tuple[TestParameters, ProtocolConfig, dict]:
+def _protocol_setup(cfg: ExperimentConfig,
+                    params: TestParameters) -> tuple[ProtocolConfig, dict]:
     """Assemble a ProtocolConfig from options plus desk-scale defaults.
 
     The true dishonest-test ceiling sits within 1e-30 of the honest rate
@@ -221,7 +157,6 @@ def _protocol_setup(cfg: ExperimentConfig) -> tuple[TestParameters, ProtocolConf
     s_test, q, or c_ip/s_ip pair overrides it.  The calculation branch's
     honest rate comes from the pattern's exact reference distribution.
     """
-    params = _params_for(cfg)
     opts = cfg.options
     accept_output = int(opts.get("accept_output", 0))
     delta = float(opts.get("delta", 0.1))
@@ -255,29 +190,79 @@ def _protocol_setup(cfg: ExperimentConfig) -> tuple[TestParameters, ProtocolConf
             "c_calc": c_calc, "s_calc": s_calc,
             "c_ip": c_ip, "s_ip": s_ip, "n_rounds": n_rounds,
             "threshold": proto_cfg.threshold}
-    return params, proto_cfg, meta
+    return proto_cfg, meta
 
 
-def _protocol_rows(cfg: ExperimentConfig, trials: range,
-                   setup: tuple | None = None) -> list[dict]:
-    params, proto_cfg, _ = setup or _protocol_setup(cfg)
-    factory = _ProverFactory(cfg, params)
-    rows = []
-    for i in trials:
+@dataclass(frozen=True)
+class TrialSetup:
+    """Everything the trials of one run share, built once by ``prepare``.
+
+    ``provers`` is the prover set of a deterministic strategy, cloned for
+    every trial; it is None for a stochastic strategy, which is rebuilt
+    from ``cfg.strategy`` on each trial's stream.  ``protocol`` and
+    ``meta`` are set for protocol runs only.
+    """
+
+    cfg: ExperimentConfig
+    params: TestParameters
+    provers: ProverSet | None
+    protocol: ProtocolConfig | None
+    meta: dict
+
+    def trial(self, i: int) -> tuple[dict, object]:
+        """Trial ``i`` on the stream ``trial_rng(seed, i)``: its row and result.
+
+        The result is the kind's own object: the TestOutcome, the pattern's
+        RunTranscript, the EquivalenceReport or the ProtocolResult.
+        """
+        cfg = self.cfg
         rng = trial_rng(cfg.seed, i)
-        result = run_amplified(factory.provers(rng), proto_cfg, rng)
-        rows.append({"trial": i, "accepted": bool(result.accepted),
-                     "accept_count": int(result.accept_count)})
-    return rows
+        if self.provers is None:
+            p = strategy_from_json(cfg.strategy, cfg.graph,
+                                   dict(enumerate(self.params.theta)), rng)
+        else:
+            p = self.provers.clone()
+        if cfg.kind == "selftest":
+            outcome = run_oneshot(p, self.params, rng)
+            return {"trial": i, "subtest": outcome.subtest.kind,
+                    "accepted": bool(outcome.accepted)}, outcome
+        if cfg.kind == "mbqc":
+            bit, transcript = run_pattern(p, cfg.pattern, rng)
+            return {"trial": i, "output": int(bit)}, transcript
+        if cfg.kind == "isometry":
+            report = equivalence_distance(p, self.params,
+                                          cfg.labels or DEFAULT_LABELS)
+            return {"trial": i, "epsilon": report.epsilon,
+                    "junk_norm": report.junk_norm,
+                    "junk_source": report.junk_source,
+                    "all_satisfied": report.all_satisfied,
+                    "worst_excess": report.worst_excess,
+                    "labels": [r.to_json() for r in report.labels]}, report
+        result = run_amplified(p, self.protocol, rng)
+        return {"trial": i, "accepted": bool(result.accepted),
+                "accept_count": int(result.accept_count)}, result
+
+    def rows(self, trials: range) -> list[dict]:
+        """The rows of a range of trials: a whole serial run or one --jobs chunk."""
+        return [self.trial(i)[0] for i in trials]
 
 
-_ROW_FNS = {"selftest": _selftest_rows, "mbqc": _mbqc_rows,
-            "isometry": _isometry_rows, "protocol": _protocol_rows}
+def prepare(cfg: ExperimentConfig) -> TrialSetup:
+    """Build the shared setup of a trial run (any kind but bounds).
 
-
-def _chunk_worker(cfg_json: str, start: int, stop: int) -> list[dict]:
-    cfg = ExperimentConfig.from_json(json.loads(cfg_json))
-    return _ROW_FNS[cfg.kind](cfg, range(start, stop))
+    For a protocol run this computes the ProtocolConfig, and with it the
+    pattern's reference law, once; a deterministic strategy is built here
+    too, a stochastic one per trial.
+    """
+    params = default_parameters(cfg.graph, theta=cfg.theta)
+    protocol, meta = (_protocol_setup(cfg, params) if cfg.kind == "protocol"
+                      else (None, {}))
+    spec = cfg.strategy or {"kind": "honest"}
+    provers = None
+    if spec.get("kind") not in STOCHASTIC_STRATEGIES:
+        provers = strategy_from_json(spec, cfg.graph,
+                                     dict(enumerate(params.theta)), None)
+    return TrialSetup(cfg, params, provers, protocol, meta)
 
 
 def _bounds_record(cfg: ExperimentConfig) -> ResultRecord:
@@ -306,16 +291,16 @@ def _bounds_record(cfg: ExperimentConfig) -> ResultRecord:
     return ResultRecord(cfg.digest(), cfg.kind, (), summary)
 
 
-def _summarize(cfg: ExperimentConfig, rows: list[dict], meta: dict) -> dict:
+def _summarize(setup: TrialSetup, rows: list[dict]) -> dict:
+    cfg = setup.cfg
     summary = {"kind": cfg.kind, "trials": cfg.trials, "prng": _prng_stamp(cfg)}
     if cfg.kind == "selftest":
-        params = _params_for(cfg)
         accepted = sum(r["accepted"] for r in rows)
         rate = accepted / len(rows)
         summary.update({
             "accept_rate": rate,
             "stderr": math.sqrt(rate * (1 - rate) / len(rows)),
-            "c_test": c_test(params)})
+            "c_test": c_test(setup.params)})
     elif cfg.kind == "mbqc":
         counts = {0: 0, 1: 0}
         for r in rows:
@@ -334,7 +319,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict], meta: dict) -> dict:
             "max_worst_excess": max(r["worst_excess"] for r in rows),
             "max_epsilon": max(r["epsilon"] for r in rows)})
     elif cfg.kind == "protocol":
-        summary.update(meta)
+        summary.update(setup.meta)
         summary["accept_fraction"] = sum(r["accepted"] for r in rows) / len(rows)
     return summary
 
@@ -342,30 +327,26 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict], meta: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
     """Execute the configured trials and summarize them.
 
-    With ``jobs > 1`` contiguous trial chunks run in worker processes; the
-    per-trial PRNG streams make the merged rows identical to a serial run.
+    With ``jobs > 1`` contiguous trial chunks run in worker processes on the
+    setup built here; the per-trial PRNG streams make the merged rows
+    identical to a serial run.
     """
     if cfg.kind == "bounds":
         return _bounds_record(cfg)
-    rows_for, meta = _ROW_FNS[cfg.kind], {}
-    if cfg.kind == "protocol":
-        # the setup runs reference_run; build it once for rows and summary
-        setup = _protocol_setup(cfg)
-        rows_for, meta = partial(_protocol_rows, setup=setup), setup[2]
+    setup = prepare(cfg)
     if jobs > 1 and cfg.trials > 1:
-        cfg_json = json.dumps(cfg.to_json())
         n_chunks = min(jobs, cfg.trials)
         edges = np.linspace(0, cfg.trials, n_chunks + 1, dtype=int)
         rows: list[dict] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_chunk_worker, cfg_json, int(a), int(b))
+            futures = [pool.submit(setup.rows, range(int(a), int(b)))
                        for a, b in zip(edges[:-1], edges[1:]) if a < b]
             for fut in futures:
                 rows.extend(fut.result())
     else:
-        rows = rows_for(cfg, range(cfg.trials))
+        rows = setup.rows(range(cfg.trials))
     return ResultRecord(cfg.digest(), cfg.kind, tuple(rows),
-                        _summarize(cfg, rows, meta))
+                        _summarize(setup, rows))
 
 
 def write_json_lines(record: ResultRecord, stream) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DomainError, hoeffding_n
+from .bounds import hoeffding_n, lemma6_gap, lemma6_q
 from .mbqc import MeasurementPattern, run_distribution, run_pattern
 from .provers import ProverSet
 from .selftest import TestParameters, exact_pass_probability, run_oneshot
@@ -31,18 +31,11 @@ def choose_q(c_test: float, s_test: float, s_calc: float, delta: float,
              c_calc: float = 2 / 3) -> tuple[float, float]:
     """Optimal CALCULATE weight and the composite gap it guarantees.
 
-    q = (c_test - s_test) / (1 + c_test - s_calc - s_test - delta) makes the
-    two adversarial case lines cross; the returned gap is
-    (c_calc - s_calc - delta)(c_test - s_test) / (same denominator).
+    The weight is ``bounds.lemma6_q``, where the two adversarial case lines
+    cross, and the gap is ``bounds.lemma6_gap`` at that weight.
     """
-    if not 0 < delta <= 1 / 6:
-        raise DomainError("delta must lie in (0, 1/6]")
-    if c_test <= s_test:
-        raise DomainError("need c_test > s_test")
-    denom = 1 + c_test - s_calc - s_test - delta
-    q = (c_test - s_test) / denom
-    gap = (c_calc - s_calc - delta) * (c_test - s_test) / denom
-    return q, gap
+    return (lemma6_q(c_test, s_test, s_calc, delta),
+            lemma6_gap(c_calc, s_calc, c_test, s_test, delta))
 
 
 def midpoint_threshold(n_rounds: int, c_ip: float, s_ip: float) -> float:

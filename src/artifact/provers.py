@@ -280,14 +280,15 @@ def _per_vertex(spec: dict, key: str, graph: Graph, cast) -> dict[tuple[int, str
 
 
 def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
-                       rng: np.random.Generator) -> ProverSet:
+                       rng: np.random.Generator | None) -> ProverSet:
     """Build a ProverSet from a JSON strategy description.
 
     Kinds: {"kind": "honest"}; {"kind": "perturbed", "eta": 0.1};
     {"kind": "classical", "value": 1} or {"kind": "classical",
     "table": {"0": {"X": 1, ...}, ...}}; {"kind": "xz", "angles":
     {"0": {"X": 0.1, ...}, ...}} measured on the ideal graph state.
-    A description of the wrong shape raises ValueError.
+    A description of the wrong shape raises ValueError.  Only the
+    perturbed kind draws from ``rng``; the others accept None.
     """
     if not isinstance(spec, dict):
         raise ValueError("a strategy must be a JSON object")

@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from artifact.cli import main
+from artifact.experiments import ExperimentConfig, run_experiment
 from artifact.graphs import Graph, complete_graph
+from artifact.mbqc import MeasurementPattern
 
 THETA = math.pi / 4
 K3_JSON = json.dumps(complete_graph(3).to_json())
@@ -247,6 +249,28 @@ class TestProveCommand:
             "prove", "--graph", graph_file, "--pattern", pattern_file,
             "--seed", "5", "--delta", "0.5"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("strategy", [
+        None, {"kind": "perturbed", "eta": 0.3},
+        {"kind": "classical", "value": -1},
+    ], ids=["honest", "perturbed", "classical"])
+    def test_decision_is_row_zero_of_a_one_trial_batch(self, runner, graph_file,
+                                                       pattern_file, strategy):
+        extra = [] if strategy is None else ["--strategy", json.dumps(strategy)]
+        result = runner.invoke(main, [
+            "prove", "--graph", graph_file, "--pattern", pattern_file,
+            "--seed", "13", "--rounds", "30", *extra])
+        payload = json.loads(result.output.strip().split("\n")[-1])
+        record = run_experiment(ExperimentConfig(
+            kind="protocol", graph=complete_graph(3), theta=THETA,
+            strategy=strategy,
+            pattern=MeasurementPattern.from_json(json.loads(PATTERN_JSON)),
+            trials=1, seed=13, options={"delta": 0.1, "n_rounds": 30}))
+        row = record.rows[0]
+        assert payload["accepted"] is row["accepted"]
+        assert payload["accept_count"] == row["accept_count"]
+        assert result.exit_code == (0 if row["accepted"] else 1)
+        assert payload["setup"] == {k: record.summary[k] for k in payload["setup"]}
 
     def test_same_seed_same_transcript(self, runner, graph_file,
                                        pattern_file):

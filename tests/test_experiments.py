@@ -91,8 +91,13 @@ class TestDeterminism:
         second = run_experiment(_cfg(kind))
         assert first.to_json() == second.to_json()
 
-    def test_parallel_matches_serial(self):
-        cfg = _cfg("selftest", trials=8)
+    @pytest.mark.parametrize("kind,options", [
+        ("selftest", {}),
+        ("mbqc", {}),
+        ("protocol", {"delta": 0.1, "n_rounds": 12}),
+    ], ids=["selftest", "mbqc", "protocol"])
+    def test_parallel_matches_serial(self, kind, options):
+        cfg = _cfg(kind, trials=8, options=options)
         assert run_experiment(cfg, jobs=2).to_json() == \
             run_experiment(cfg, jobs=1).to_json()
 
@@ -165,17 +170,33 @@ class TestRowsAndSummaries:
             meta["accept_fraction"],
             sum(r["accepted"] for r in record.rows) / 2, abs_tol=1e-12)
 
-    def test_protocol_run_computes_the_reference_law_once(self, monkeypatch):
-        calls = []
+    def test_protocol_run_computes_the_reference_law_once(self, monkeypatch,
+                                                          tmp_path):
+        # calls go to a file so that calls in worker processes count too
+        log = tmp_path / "calls"
+        log.write_text("")
 
         def counted(*args):
-            calls.append(args)
+            with open(log, "a") as fh:
+                fh.write("x")
             return reference_run(*args)
 
         monkeypatch.setattr(experiments, "reference_run", counted)
-        run_experiment(_cfg("protocol", trials=2,
-                            options={"delta": 0.1, "n_rounds": 12}))
-        assert len(calls) == 1
+        run_experiment(_cfg("protocol", trials=4,
+                            options={"delta": 0.1, "n_rounds": 12}), jobs=2)
+        assert log.read_text() == "x"
+
+    def test_each_trial_draws_its_stream_through_trial_rng(self, monkeypatch):
+        # a per-trial hook on the module global sees every trial exactly once
+        seen = []
+
+        def counted(seed, trial):
+            seen.append(trial)
+            return trial_rng(seed, trial)
+
+        monkeypatch.setattr(experiments, "trial_rng", counted)
+        run_experiment(_cfg("selftest", trials=5))
+        assert seen == [0, 1, 2, 3, 4]
 
     def test_bounds_record_lists_formulas(self):
         record = run_experiment(_cfg("bounds"))
