@@ -67,6 +67,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} experiments need a graph")
         if self.strategy is not None and not isinstance(self.strategy, dict):
             raise ValueError("a strategy must be a JSON object")
+        if self.kind == "isometry" and (self.strategy or {}).get("kind") == "classical":
+            raise ValueError("the swap isometry is defined for quantum provers only, "
+                             "not a classical strategy")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed is None:

@@ -9,16 +9,22 @@ junk (x) M|G> then measures how far a strategy sits from the ideal graph
 state and measurements, and the closed-form bounds in :mod:`.bounds` cap
 that distance in terms of the observed test statistics.
 
-Register layout for a prover set with shared state on m >= n qubits:
+Register layout.  The shared state has m >= n qubits: vertex v's prover
+holds qubit v, and qubits n .. m-1 are private to the provers.  Vertex v
+gets an EPR pair (a1_v, a2_v) and its circuit acts on shared qubit v and
+a2_v.  The output, over m + 2n little-endian qubits, keeps each such pair
+adjacent:
 
-* qubits ``0 .. m-1``  - the shared state (vertex v's prover holds qubit v),
-* qubits ``m+2v, m+2v+1`` - the EPR pair attached to vertex v.
+* bits ``0 .. m-n-1`` - the private shared qubits n .. m-1,
+* bits ``m-n .. m-1`` - the first ancillas a1_0 .. a1_{n-1},
+* bits ``m+2v, m+2v+1`` - shared qubit v and the second ancilla a2_v.
 
-After the circuits run, the second ancillas ``m+2v+1`` form the graph
-register; the junk state lives on the shared-state block plus the first
-ancillas.  ``grouped_matrix`` reorders the output so that bit v is shared
-qubit v, bit m+v the first ancilla and bit m+n+v the second ancilla of
-vertex v.
+so every vertex kernel is one broadcast matmul on a (hi, 4, lo) view
+(``statevec.apply_unitary``).  After the circuits run, the second
+ancillas form the graph register and the junk state lives on every other
+bit.  ``grouped_matrix`` reorders the output into a (graph register) x
+(junk register) matrix whose columns index a1 * 2^m + (shared-state
+index), the order ``constructed_junk`` uses.
 
 A report runs the circuit once.  The vertex circuits U_v are unitary and
 act on disjoint qubits, so a label's prover factors M'_v move through
@@ -32,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +62,6 @@ from .statevec import (
 JUNK_TOL = 1e-6
 BOUND_SLACK = 1e-9
 
-_EPR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
@@ -65,11 +69,6 @@ _I2 = np.eye(2, dtype=complex)
 
 class JunkDegenerateError(ValueError):
     """The identity-label output has no usable overlap with the graph state."""
-
-
-def ancilla_pair(n_shared: int, v: int) -> tuple[int, int]:
-    """Qubit indices of the EPR pair attached to vertex ``v``."""
-    return n_shared + 2 * v, n_shared + 2 * v + 1
 
 
 def controlled_unitary(m: np.ndarray) -> np.ndarray:
@@ -92,15 +91,11 @@ def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class IsometryOutput:
-    """Circuit output over ``n_shared + 2 n_system`` little-endian qubits."""
+    """Circuit output over ``n_shared + 2 n_system`` qubits in the pair layout."""
 
     n_system: int
     n_shared: int
     state: StateVector
-
-    @property
-    def n_total(self) -> int:
-        return self.n_shared + 2 * self.n_system
 
 
 def _require_quantum(p: ProverSet):
@@ -108,85 +103,80 @@ def _require_quantum(p: ProverSet):
         raise TypeError("the swap isometry is defined for quantum provers only")
 
 
-def apply_phi_state(p: ProverSet, state: StateVector) -> IsometryOutput:
-    """Run the per-vertex swap circuits of ``p`` on an explicit input state."""
+def _epr_index(n: int, m: int) -> np.ndarray:
+    """Output index of |a>_{a1} |a>_{a2} |j>_shared at [a, j]."""
+    a = np.arange(1 << n, dtype=np.int64)[:, None]
+    j = np.arange(1 << m, dtype=np.int64)[None, :]
+    idx = (a << (m - n)) | (j >> n)
+    for v in range(n):
+        idx = (idx | (((j >> v) & 1) << (m + 2 * v))
+               | (((a >> v) & 1) << (m + 2 * v + 1)))
+    return idx
+
+
+def apply_phi(p: ProverSet, state: StateVector | None = None) -> IsometryOutput:
+    """Attach EPR ancillas to ``state`` and run every vertex circuit.
+
+    ``state`` defaults to the provers' shared state; any other state on at
+    least n qubits runs through the same circuits.
+    """
     _require_quantum(p)
-    m = state.n_qubits
-    if m < p.n:
+    state = p.shared_state if state is None else state
+    m, n = state.n_qubits, p.n
+    if m < n:
         raise ValueError("input state is smaller than the prover count")
-    total = m + 2 * p.n
+    total = m + 2 * n
     if total > qubit_cap():
         raise QubitCapError(f"{total} qubits exceeds cap {qubit_cap()}")
-    amps = state.amplitudes
-    for _ in range(p.n):
-        amps = np.kron(_EPR, amps)
-    for v in range(p.n):
-        u4 = phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
-                                p.observable(v, Z_LABEL).matrix)
-        amps = apply_unitary(amps, u4, [v, m + 2 * v + 1], total)
-    return IsometryOutput(p.n, m, StateVector(total, amps))
-
-
-def apply_phi(p: ProverSet) -> IsometryOutput:
-    """Attach EPR ancillas to the shared state and run every vertex circuit."""
-    return apply_phi_state(p, p.shared_state)
-
-
-@lru_cache(maxsize=None)
-def _grouped_index(n: int, m: int) -> np.ndarray:
-    """Permutation sending output indices to a2 * 2^(m+n) + a1 * 2^m + sys."""
-    idx = np.arange(1 << (m + 2 * n), dtype=np.int64)
-    sys = idx & ((1 << m) - 1)
-    rest = idx >> m
-    a1 = np.zeros_like(idx)
-    a2 = np.zeros_like(idx)
-    for v in range(n):
-        a1 |= ((rest >> (2 * v)) & 1) << v
-        a2 |= ((rest >> (2 * v + 1)) & 1) << v
-    return (a2 << (m + n)) | (a1 << m) | sys
+    amps = np.zeros(1 << total, dtype=complex)
+    amps[_epr_index(n, m)] = state.amplitudes * 2.0 ** (-n / 2)
+    kernels = [(phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
+                                   p.observable(v, Z_LABEL).matrix), m + 2 * v)
+               for v in range(n)]
+    # the input is free once the first kernel has read it
+    amps = apply_kernels(amps, kernels, (np.empty_like(amps), amps))
+    return IsometryOutput(n, m, StateVector(total, amps))
 
 
 def grouped_matrix(out: IsometryOutput) -> np.ndarray:
     """Output amplitudes as a (graph register) x (junk register) matrix.
 
-    Rows index the second-ancilla block, columns the first-ancilla block
-    tensored with the shared-state block (little-endian within each block).
+    Rows index the second ancillas (bit v = a2_v); columns index
+    a1 * 2^m + (shared-state index), little-endian within each block.
     """
-    perm = _grouped_index(out.n_system, out.n_shared)
-    flat = np.empty_like(out.state.amplitudes)
-    flat[perm] = out.state.amplitudes
-    return flat.reshape(1 << out.n_system, 1 << (out.n_shared + out.n_system))
+    n, m = out.n_system, out.n_shared
+    # axes a2_{n-1}, s_{n-1}, ..., a2_0, s_0, then the a1/private block
+    t = out.state.amplitudes.reshape((2,) * (2 * n) + (1 << m,))
+    order = tuple(range(0, 2 * n, 2)) + (2 * n,) + tuple(range(1, 2 * n, 2))
+    return t.transpose(order).reshape(1 << n, 1 << (m + n))
 
 
 def conjugated_kernels(p: ProverSet, factors: dict[int, np.ndarray]) -> list:
     """The 4x4 kernels W_v = U_v (I (x) M'_v) U_v^dagger of a label's factors.
 
     ``factors`` maps vertex v -> M'_v on shared qubit v.  Each kernel comes
-    with the grouped-layout bits it acts on: v (the system qubit) and
-    m+n+v (the second ancilla of vertex v).
+    with the low bit of the pair it acts on, m+2v (shared qubit v; the
+    second ancilla of vertex v sits just above it).
     """
-    m, n = p.shared_state.n_qubits, p.n
+    m = p.shared_state.n_qubits
     kernels = []
     for v, f in factors.items():
         u = phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
                                p.observable(v, Z_LABEL).matrix)
-        kernels.append((u @ np.kron(_I2, f) @ u.conj().T, [v, m + n + v]))
+        kernels.append((u @ np.kron(_I2, f) @ u.conj().T, m + 2 * v))
     return kernels
 
 
-def apply_kernels(grouped: np.ndarray, kernels) -> np.ndarray:
-    """A label's grouped output matrix from the grouped identity-run output."""
-    total = grouped.size.bit_length() - 1
-    amps = grouped.reshape(-1)
-    for w, qubits in kernels:
-        amps = apply_unitary(amps, w, qubits, total)
-    return amps.reshape(grouped.shape)
+def apply_kernels(amps: np.ndarray, kernels, scratch) -> np.ndarray:
+    """Pair-layout amplitudes with each (4x4, low bit) kernel applied in turn.
 
-
-def extract_junk(out: IsometryOutput, graph: Graph) -> np.ndarray:
-    """Unnormalized junk: overlap of the graph register with |G>."""
-    g_amps = build_graph_state(graph).state.amplitudes
-    return np.conj(g_amps) @ grouped_matrix(out)
+    The kernels alternate between the two ``scratch`` vectors, and the
+    result is one of them, or ``amps`` itself when there are no kernels.
+    """
+    total = amps.size.bit_length() - 1
+    for i, (w, bit) in enumerate(kernels):
+        amps = apply_unitary(amps, w, bit, total, out=scratch[i % 2])
+    return amps
 
 
 def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
@@ -407,33 +397,34 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
 
     The swap circuit runs once, on |psi'> itself.  A label's output then
     follows by conjugation: the vertex circuits U_v act on disjoint qubits
-    (v, m+2v+1) and are unitary, so a factor M'_v on shared qubit v
-    commutes with every U_w, w != v, and
+    (shared qubit v and a2_v) and are unitary, so a factor M'_v on shared
+    qubit v commutes with every U_w, w != v, and
 
         Phi(M'_S |psi'>) = prod_{v in S} W_v Phi(|psi'>),
         W_v = U_v (I (x) M'_v) U_v^dagger,
 
-    which costs |S| 4x4 kernels on the grouped identity-run output (where
-    the pair sits on bits v and m+n+v).  Label matrices are rebuilt from
-    their kernels whenever they are needed and never stored.
+    which costs |S| adjacent-pair 4x4 kernels on the identity-run output.
+    Label outputs are rebuilt from their kernels in two scratch vectors
+    whenever they are needed and never stored.
 
     The junk is extracted from the identity-label run (normalized overlap of
     the output against |G> on the graph register).  If any label then
     exceeds its bound, two fallback junk choices are tried before reporting:
-    the closed-form best-aligned state for the measured outputs, summed
-    during the first pass, and the factorization's constructed junk; the
-    label matrices are recomputed once for both.  The first fully
-    satisfying report wins; otherwise the one with the smallest worst
-    excess.  Each distance is the direct residual norm, which keeps honest
-    distances at rounding level (the expanded inner-product form loses
-    them to cancellation near 1e-8).
+    the closed-form best-aligned state for the measured outputs and the
+    factorization's constructed junk.  The fallback recomputes the label
+    outputs to sum the best-aligned junk and the constructed distances, and
+    once more for the best-aligned distances.  The first fully satisfying
+    report wins; otherwise the one with the smallest worst excess.  Each
+    distance is the direct residual norm, which keeps honest distances at
+    rounding level (the expanded inner-product form loses them to
+    cancellation near 1e-8).
     """
     _require_quantum(p)
     graph = params.graph
     eps = measured_epsilon(p, params)
     g_amps = build_graph_state(graph).state.amplitudes
-    mat0 = grouped_matrix(apply_phi(p))
-    raw = np.conj(g_amps) @ mat0
+    out0 = apply_phi(p)
+    raw = np.conj(g_amps) @ grouped_matrix(out0)
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < JUNK_TOL:
         raise JunkDegenerateError(
@@ -447,43 +438,54 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
         entries.append((label_name(label), kind, conjugated_kernels(p, factors),
                         ideal, bound))
 
-    def label_matrices():
+    n, m = out0.n_system, out0.n_shared
+    amps0 = out0.state.amplitudes
+    scratch = (np.empty_like(amps0), np.empty_like(amps0))
+
+    def label_outputs():
         for _, _, kernels, ideal, _ in entries:
-            yield apply_kernels(mat0, kernels), ideal
+            yield apply_kernels(amps0, kernels, scratch), ideal
 
-    residual = np.empty_like(mat0)
+    def pair_junk(junk):
+        """A junk vector with its system bits spread onto the pair axes."""
+        return np.ascontiguousarray(junk.reshape(1 << m, 1 << n).T).reshape(
+            (1, 2) * n + (1 << m,))
 
-    def distance(mat, ideal, junk) -> float:
-        np.multiply.outer(ideal, junk, out=residual)
-        np.subtract(mat, residual, out=residual)
-        return float(np.linalg.norm(residual))
+    def distance(amps, ideal, junk) -> float:
+        # the residual goes in the scratch vector that does not hold amps
+        residual = scratch[amps is scratch[0]]
+        np.multiply(ideal.reshape((2, 1) * n + (1,)), junk,
+                    out=residual.reshape((2,) * (2 * n) + (1 << m,)))
+        np.subtract(amps, residual, out=residual)
+        return math.sqrt(np.vdot(residual, residual).real)
 
     def report(dists, source: str) -> EquivalenceReport:
         reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
                      for (name, kind, _, _, bound), dist in zip(entries, dists))
         return EquivalenceReport(eps, raw_norm, source, reps)
 
-    junk0 = raw / raw_norm
-    aligned = np.zeros_like(raw)
-    dists0 = []
-    for mat, ideal in label_matrices():
-        aligned += np.conj(ideal) @ mat
-        dists0.append(distance(mat, ideal, junk0))
-    best = report(dists0, "identity-extraction")
+    junk0 = pair_junk(raw / raw_norm)
+    best = report([distance(a, i, junk0) for a, i in label_outputs()],
+                  "identity-extraction")
     if best.all_satisfied:
         return best
 
+    constructed = pair_junk(constructed_junk(p, graph))
+    aligned = np.zeros_like(raw)
+    constructed_dists = []
+    for amps, ideal in label_outputs():
+        state = StateVector(out0.state.n_qubits, amps, _validate=False)
+        aligned += np.conj(ideal) @ grouped_matrix(IsometryOutput(n, m, state))
+        constructed_dists.append(distance(amps, ideal, constructed))
     fallbacks = []
     aligned_norm = np.linalg.norm(aligned)
     if aligned_norm >= JUNK_TOL:
-        fallbacks.append((aligned / aligned_norm, "best-aligned"))
-    fallbacks.append((constructed_junk(p, graph), "constructed"))
-    dists = [[] for _ in fallbacks]
-    for mat, ideal in label_matrices():
-        for d, (junk, _) in zip(dists, fallbacks):
-            d.append(distance(mat, ideal, junk))
-    for d, (_, source) in zip(dists, fallbacks):
-        cand = report(d, source)
+        junk = pair_junk(aligned / aligned_norm)
+        fallbacks.append(([distance(a, i, junk) for a, i in label_outputs()],
+                          "best-aligned"))
+    fallbacks.append((constructed_dists, "constructed"))
+    for dists, source in fallbacks:
+        cand = report(dists, source)
         if cand.all_satisfied:
             return cand
         if cand.worst_excess < best.worst_excess:

@@ -183,22 +183,23 @@ def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndar
     return t.transpose(back).reshape(-1)
 
 
-def apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to ``qubits`` (qubits[0] = least significant)."""
-    k = len(qubits)
-    if u.shape != (2 ** k, 2 ** k):
-        raise ValueError("matrix size does not match qubit count")
-    if len(set(qubits)) != k:
-        raise ValueError("duplicate qubits")
-    t = amps.reshape([2] * n)
-    # Our axis for qubit q is n-1-q; u's index packs qubits[k-1]..qubits[0]
-    # most-to-least significant, so order the moved axes the same way.
-    axes = [n - 1 - q for q in reversed(qubits)]
-    t = np.moveaxis(t, axes, range(n - k, n))
-    t = t.reshape(-1, 2 ** k) @ u.T
-    t = t.reshape([2] * n)
-    t = np.moveaxis(t, range(n - k, n), axes)
-    return t.reshape(-1)
+def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Apply a 4x4 matrix to the adjacent qubits ``qubit`` and ``qubit + 1``.
+
+    ``qubit`` is the low bit of u's index.  The pair is the middle axis of a
+    (hi, 4, lo) view, so the kernel is one broadcast matmul with no
+    transposes.  The result goes into ``out``, a vector other than ``amps``
+    that the caller reuses, so no call pays for faulting in a fresh 2^n
+    vector.
+    """
+    if u.shape != (4, 4):
+        raise ValueError("two-qubit kernels are 4x4")
+    if not 0 <= qubit < n - 1:
+        raise IndexError(f"qubit pair ({qubit}, {qubit + 1}) out of range")
+    lo = 1 << qubit
+    np.matmul(u, amps.reshape(-1, 4, lo), out=out.reshape(-1, 4, lo))
+    return out
 
 
 def plus_state(n: int) -> StateVector:

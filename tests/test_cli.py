@@ -161,11 +161,12 @@ class TestBadInput:
         ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": None})],
         ["selftest", "--strategy", "[1]"],
         ["isometry-check", "--labels", "[1]"],
+        ["isometry-check", "--strategy", json.dumps({"kind": "classical", "value": 1})],
     ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
             "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2",
             "xz-angles-entry-not-object", "xz-angles-not-object",
             "classical-table-not-object", "perturbed-eta-null",
-            "strategy-not-object", "label-not-a-list"])
+            "strategy-not-object", "label-not-a-list", "isometry-classical"])
     def test_one_error_line(self, runner, args):
         command, *rest = args
         trials = [] if command == "prove" else ["--trials", "4"]

@@ -1,6 +1,8 @@
 """Tests for the swap isometry, junk extraction, and closeness reports."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +16,13 @@ from artifact.isometry import (
     EquivalenceReport,
     IsometryOutput,
     JunkDegenerateError,
-    ancilla_pair,
     anticommutator_norm,
     apply_kernels,
     apply_phi,
-    apply_phi_state,
     conjugated_kernels,
     constructed_junk,
     controlled_unitary,
     equivalence_distance,
-    extract_junk,
     grouped_matrix,
     label_name,
     measured_epsilon,
@@ -95,10 +94,13 @@ class TestCircuitPieces:
         u = phi_vertex_unitary(mx, mz)
         assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
-    def test_ancilla_pair_layout(self):
-        assert ancilla_pair(3, 0) == (3, 4)
-        assert ancilla_pair(3, 2) == (7, 8)
-        assert ancilla_pair(5, 1) == (7, 8)
+    def test_pair_layout_matches_index_arithmetic(self):
+        for kind in ("perturbed", "private"):
+            p = _provers(kind, complete_graph(3), np.random.default_rng(29))[0]
+            grouped, pos = _phi_by_index_arithmetic(p)
+            out = apply_phi(p)
+            assert np.abs(out.state.amplitudes[pos] - grouped).max() < 1e-12
+            assert np.abs(grouped_matrix(out) - grouped.reshape(8, -1)).max() < 1e-12
 
 
 class TestApplyPhi:
@@ -114,14 +116,14 @@ class TestApplyPhi:
         assert isinstance(out, IsometryOutput)
         assert out.n_system == 3
         assert out.n_shared == 3
-        assert out.n_total == 9
+        assert out.n_shared + 2 * out.n_system == 9
         assert out.state.n_qubits == 9
         assert math.isclose(out.state.norm(), 1.0, abs_tol=1e-12)
 
     def test_input_state_smaller_than_prover_count_rejected(self):
         provers, _ = _honest(complete_graph(3))
         with pytest.raises(ValueError):
-            apply_phi_state(provers, StateVector(
+            apply_phi(provers, StateVector(
                 2, np.full(4, 0.5, dtype=complex)))
 
     def test_qubit_cap_enforced(self, monkeypatch):
@@ -137,7 +139,7 @@ class TestApplyPhi:
         out = apply_phi(provers)
         mat = grouped_matrix(out)
         g_amps = build_graph_state(graph).state.amplitudes
-        junk = extract_junk(out, graph)
+        junk = np.conj(g_amps) @ mat
         residual = np.linalg.norm(mat - np.outer(g_amps, junk))
         assert residual < 1e-12
 
@@ -162,7 +164,8 @@ class TestJunk:
         graph = complete_graph(3)
         provers, _ = _honest(graph)
         out = apply_phi(provers)
-        extracted = extract_junk(out, graph)
+        g_amps = build_graph_state(graph).state.amplitudes
+        extracted = np.conj(g_amps) @ grouped_matrix(out)
         extracted = extracted / np.linalg.norm(extracted)
         built = constructed_junk(provers, graph)
         phase = np.vdot(built, extracted)
@@ -350,13 +353,16 @@ def _ideal_vector(graph, params, label):
     return oracles.full_operator(graph.n, terms) @ g
 
 
-def _direct_matrix(p, label):
-    """grouped_matrix(apply_phi_state(p, M'_S psi')): one circuit run."""
+def _direct_output(p, label):
+    """apply_phi(p, M'_S psi'): one circuit run."""
     state = p.shared_state
     ops = _label_operators(p, label)
     amps = oracles.full_operator(state.n_qubits, ops) @ state.amplitudes
-    return grouped_matrix(apply_phi_state(
-        p, StateVector(state.n_qubits, amps, _validate=False)))
+    return apply_phi(p, StateVector(state.n_qubits, amps, _validate=False))
+
+
+def _direct_matrix(p, label):
+    return grouped_matrix(_direct_output(p, label))
 
 
 def _private_qubit_provers(graph, rng):
@@ -366,6 +372,38 @@ def _private_qubit_provers(graph, rng):
     angles = [{"X": rng.normal(0, 0.1), "Z": math.pi / 2 + rng.normal(0, 0.1),
                "R+": math.pi / 4, "R-": -math.pi / 4} for _ in range(graph.n)]
     return xz_plane_provers(StateVector(m, vec / np.linalg.norm(vec)), angles)
+
+
+def _phi_by_index_arithmetic(p):
+    """The swap circuit's output in the grouped order (shared | a1 << m |
+    a2 << (m+n)), and the documented pair-layout position of each index."""
+    n, m = p.n, p.shared_state.n_qubits
+    total = m + 2 * n
+    vec = np.zeros(1 << total, dtype=complex)
+    for j, amp in enumerate(p.shared_state.amplitudes):
+        for a in range(1 << n):
+            vec[j | (a << m) | (a << (m + n))] = amp / 2 ** (n / 2)
+    for v in range(n):
+        u = phi_vertex_unitary(p.observable(v, "X").matrix,
+                               p.observable(v, "Z").matrix)
+        lo, hi = v, m + n + v
+        out = np.zeros_like(vec)
+        for idx, amp in enumerate(vec):
+            col = (((idx >> hi) & 1) << 1) | ((idx >> lo) & 1)
+            base = idx & ~((1 << lo) | (1 << hi))
+            for row in range(4):
+                out[base | ((row & 1) << lo) | ((row >> 1) << hi)] += u[row, col] * amp
+        vec = out
+    # private qubits lowest, then the first ancillas, then (shared v, a2_v) pairs
+    pos = np.zeros(1 << total, dtype=np.int64)
+    for idx in range(1 << total):
+        bit = lambda b: (idx >> b) & 1
+        k = sum(bit(n + q) << q for q in range(m - n))
+        k |= sum(bit(m + v) << (m - n + v) for v in range(n))
+        k |= sum((bit(v) << (m + 2 * v)) | (bit(m + n + v) << (m + 2 * v + 1))
+                 for v in range(n))
+        pos[idx] = k
+    return vec, pos
 
 
 def _labels(n):
@@ -390,12 +428,14 @@ class TestConjugation:
     @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
     def test_label_matrices_match_a_circuit_run_per_label(self, graph, kind):
         p, params = _provers(kind, graph, np.random.default_rng(41))
-        mat0 = grouped_matrix(apply_phi(p))
+        amps0 = apply_phi(p).state.amplitudes
         g_amps = build_graph_state(graph).state.amplitudes
         for label in _labels(graph.n):
             _, factors, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
-            got = apply_kernels(mat0, conjugated_kernels(p, factors))
-            assert np.abs(got - _direct_matrix(p, label)).max() < 1e-12, label
+            got = apply_kernels(amps0, conjugated_kernels(p, factors),
+                                (np.empty_like(amps0), np.empty_like(amps0)))
+            direct = _direct_output(p, label).state.amplitudes
+            assert np.abs(got - direct).max() < 1e-12, label
             assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12
 
 
@@ -496,3 +536,42 @@ class TestForcedFallback:
         assert report.junk_source == "constructed"
         got = [r.distance for r in report.labels]
         assert np.allclose(got, direct["constructed"], rtol=0, atol=1e-12)
+
+
+GOLDEN = Path(__file__).with_name("isometry_golden.json")
+
+
+def _golden_case(name):
+    """The prover set, parameters and labels of one pinned report."""
+    if name == "perturbed-n7":
+        graph = triangle_strip(7)
+        rng = np.random.default_rng(6007)
+        honest, params = _honest(graph)
+        p = perturbed_provers(honest, 0.06, rng)
+    else:
+        graph = triangle_strip(4)
+        rng = np.random.default_rng(6004)
+        p = _private_qubit_provers(graph, rng)
+        params = default_parameters(graph, theta=math.pi / 4)
+    n = graph.n
+    labels = ["I"] + [(h, v) for v in range(n) for h in ("X", "Z", "R+", "R-")]
+    for _ in range(3):
+        q, z = rng.integers(0, 2, size=(2, n))
+        labels.append(("XZ", tuple(int(b) for b in q), tuple(int(b) for b in z)))
+    return p, params, labels
+
+
+class TestGoldenReports:
+    """Reports pinned from the grouped-layout implementation: distances
+    to 1e-13, and epsilon, bounds and junk source exactly."""
+
+    @pytest.mark.parametrize("name", ["perturbed-n7", "private-n4"])
+    def test_report_matches_the_pinned_values(self, name):
+        want = json.loads(GOLDEN.read_text())[name]
+        report = equivalence_distance(*_golden_case(name))
+        assert report.epsilon == want["epsilon"]
+        assert report.junk_source == want["junk_source"]
+        assert [r.label for r in report.labels] == want["labels"]
+        assert [r.bound for r in report.labels] == want["bounds"]
+        got = np.array([r.distance for r in report.labels])
+        assert np.abs(got - want["distances"]).max() <= 1e-13

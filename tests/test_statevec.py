@@ -48,25 +48,33 @@ class TestKernelsAgainstDense:
                 moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
                 assert np.array_equal(apply_single(amps, m, q, n), moved)
 
-    def test_apply_unitary_two_qubit_matches_index_arithmetic(self):
+    def test_adjacent_pair_kernel_matches_index_arithmetic(self):
         rng = np.random.default_rng(2)
-        n = 4
-        for qubits in ((0, 1), (1, 3), (3, 0), (2, 1)):
-            state = random_state(n, rng)
-            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            u = np.linalg.qr(raw)[0]
-            # qubits[0] is the low bit of the 4x4 index, qubits[1] the high
-            fast = apply_unitary(state.amplitudes, u, list(qubits), n)
-            slow = np.zeros_like(state.amplitudes)
-            for idx, amp in enumerate(state.amplitudes):
-                b0 = (idx >> qubits[0]) & 1
-                b1 = (idx >> qubits[1]) & 1
-                col = (b1 << 1) | b0
-                base = idx & ~((1 << qubits[0]) | (1 << qubits[1]))
+        for n in (2, 3, 12):
+            idx = np.arange(2 ** n)
+            for q in range(n - 1):
+                amps = random_state(n, rng).amplitudes
+                raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                u = np.linalg.qr(raw)[0]
+                # bit q is the low bit of the 4x4 index, bit q+1 the high
+                col = (((idx >> (q + 1)) & 1) << 1) | ((idx >> q) & 1)
+                base = idx & ~(3 << q)
+                slow = np.zeros_like(amps)
                 for row in range(4):
-                    tgt = base | ((row & 1) << qubits[0]) | ((row >> 1) << qubits[1])
-                    slow[tgt] += u[row, col] * amp
-            assert np.allclose(fast, slow, atol=1e-12)
+                    np.add.at(slow, base | (row << q), u[row, col] * amps)
+                out = np.empty_like(amps)
+                assert apply_unitary(amps, u, q, n, out) is out
+                assert np.abs(out - slow).max() < 1e-14
+
+    def test_apply_unitary_rejects_bad_pairs_and_shapes(self):
+        amps = random_state(3, np.random.default_rng(5)).amplitudes
+        out = np.empty_like(amps)
+        with pytest.raises(IndexError):
+            apply_unitary(amps, np.eye(4, dtype=complex), 2, 3, out)
+        with pytest.raises(IndexError):
+            apply_unitary(amps, np.eye(4, dtype=complex), -1, 3, out)
+        with pytest.raises(ValueError):
+            apply_unitary(amps, np.eye(8, dtype=complex), 0, 3, out)
 
     def test_apply_cz_matches_dense(self):
         rng = np.random.default_rng(3)
