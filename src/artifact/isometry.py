@@ -114,11 +114,21 @@ def _epr_index(n: int, m: int) -> np.ndarray:
     return idx
 
 
-def apply_phi(p: ProverSet, state: StateVector | None = None) -> IsometryOutput:
+def vertex_unitaries(p: ProverSet) -> list[np.ndarray]:
+    """Every vertex circuit U_v = phi_vertex_unitary(X'_v, Z'_v), by vertex."""
+    _require_quantum(p)
+    return [phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
+                               p.observable(v, Z_LABEL).matrix)
+            for v in range(p.n)]
+
+
+def apply_phi(p: ProverSet, state: StateVector | None = None,
+              unitaries: list[np.ndarray] | None = None) -> IsometryOutput:
     """Attach EPR ancillas to ``state`` and run every vertex circuit.
 
     ``state`` defaults to the provers' shared state; any other state on at
-    least n qubits runs through the same circuits.
+    least n qubits runs through the same circuits.  ``unitaries`` are p's
+    ``vertex_unitaries``, built here when the caller has not built them.
     """
     _require_quantum(p)
     state = p.shared_state if state is None else state
@@ -130,9 +140,9 @@ def apply_phi(p: ProverSet, state: StateVector | None = None) -> IsometryOutput:
         raise QubitCapError(f"{total} qubits exceeds cap {qubit_cap()}")
     amps = np.zeros(1 << total, dtype=complex)
     amps[_epr_index(n, m)] = state.amplitudes * 2.0 ** (-n / 2)
-    kernels = [(phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
-                                   p.observable(v, Z_LABEL).matrix), m + 2 * v)
-               for v in range(n)]
+    if unitaries is None:
+        unitaries = vertex_unitaries(p)
+    kernels = [(u, m + 2 * v) for v, u in enumerate(unitaries)]
     # the input is free once the first kernel has read it
     amps = apply_kernels(amps, kernels, (np.empty_like(amps), amps))
     return IsometryOutput(n, m, StateVector(total, amps))
@@ -151,20 +161,17 @@ def grouped_matrix(out: IsometryOutput) -> np.ndarray:
     return t.transpose(order).reshape(1 << n, 1 << (m + n))
 
 
-def conjugated_kernels(p: ProverSet, factors: dict[int, np.ndarray]) -> list:
+def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarray],
+                       m: int) -> list:
     """The 4x4 kernels W_v = U_v (I (x) M'_v) U_v^dagger of a label's factors.
 
-    ``factors`` maps vertex v -> M'_v on shared qubit v.  Each kernel comes
-    with the low bit of the pair it acts on, m+2v (shared qubit v; the
-    second ancilla of vertex v sits just above it).
+    ``unitaries`` are the provers' ``vertex_unitaries``, ``factors`` maps
+    vertex v -> M'_v on shared qubit v, and m is the shared state's qubit
+    count.  Each kernel comes with the low bit of the pair it acts on, m+2v
+    (shared qubit v; the second ancilla of vertex v sits just above it).
     """
-    m = p.shared_state.n_qubits
-    kernels = []
-    for v, f in factors.items():
-        u = phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
-                               p.observable(v, Z_LABEL).matrix)
-        kernels.append((u @ np.kron(_I2, f) @ u.conj().T, m + 2 * v))
-    return kernels
+    return [(unitaries[v] @ np.kron(_I2, f) @ unitaries[v].conj().T, m + 2 * v)
+            for v, f in factors.items()]
 
 
 def apply_kernels(amps: np.ndarray, kernels, scratch) -> np.ndarray:
@@ -423,7 +430,8 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     graph = params.graph
     eps = measured_epsilon(p, params)
     g_amps = build_graph_state(graph).state.amplitudes
-    out0 = apply_phi(p)
+    unitaries = vertex_unitaries(p)
+    out0 = apply_phi(p, unitaries=unitaries)
     raw = np.conj(g_amps) @ grouped_matrix(out0)
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < JUNK_TOL:
@@ -431,14 +439,14 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
             f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
             "test conditions fail too badly for the distance bound to apply")
 
+    n, m = out0.n_system, out0.n_shared
     entries = []
     for spec in labels:
         label, factors, ideal, kind, bound = _label_entry(p, params, parse_label(spec),
                                                           eps, g_amps)
-        entries.append((label_name(label), kind, conjugated_kernels(p, factors),
+        entries.append((label_name(label), kind, conjugated_kernels(unitaries, factors, m),
                         ideal, bound))
 
-    n, m = out0.n_system, out0.n_shared
     amps0 = out0.state.amplitudes
     scratch = (np.empty_like(amps0), np.empty_like(amps0))
 

@@ -176,12 +176,6 @@ def c_test(params: TestParameters) -> float:
     return (2 * params.graph.n + len(params.cover.triangles) + total) / params.n_g
 
 
-def c_test_vertex(params: TestParameters, v: int) -> float:
-    """Ceiling for the rotation subtest conditioned on vertex v."""
-    th = params.theta[v]
-    return 0.5 + 1 / (2 * (math.cos(th) + abs(math.sin(th))))
-
-
 def s_test(params: TestParameters, delta: float) -> float:
     """Ceiling for provers delta-far from honest (simplified constant)."""
     return c_test(params) - bounds.cor3_gap(delta, params.graph.n)

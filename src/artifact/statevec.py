@@ -1,9 +1,10 @@
 """Dense complex state-vector simulator.
 
 Qubit ordering is little-endian throughout the package: qubit 0 is the
-least significant bit of a basis index.  Gates are applied with
-stride-based kernels (reshape/transpose), never by building the full
-2^n x 2^n matrix, so states up to the configured cap stay cheap.
+least significant bit of a basis index.  Gates are applied to views of
+the vector, never by building the full 2^n x 2^n matrix: a single-qubit
+matrix is one gemm over the contiguous amplitude pairs of its qubit, and
+a two-qubit matrix one broadcast matmul over an adjacent pair.
 
 Tolerances are centralized here: states must be normalized to
 ``NORM_TOL``; observables must be Hermitian to ``HERM_TOL``.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -164,23 +164,20 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes - other.amplitudes))
 
 
-@lru_cache(maxsize=None)
-def _qubit_axis_last(qubit: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders of the [2]*n tensor that move the qubit's axis last, and back."""
-    # axis n-1-qubit of the [2]*n tensor is the qubit (little-endian)
-    axis = n - 1 - qubit
-    there = tuple(a for a in range(n) if a != axis) + (axis,)
-    back = tuple(range(axis)) + (n - 1,) + tuple(range(axis, n - 1))
-    return there, back
-
-
 def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a length-2^n vector."""
-    # np.moveaxis's transposes with cached axis orders: the same matmul, so
-    # every amplitude, and every sampled row, is bit-identical to moveaxis
-    there, back = _qubit_axis_last(qubit, n)
-    t = amps.reshape((2,) * n).transpose(there) @ m.T
-    return t.transpose(back).reshape(-1)
+    """Apply a 2x2 matrix to one qubit of a length-2^n vector.
+
+    One gemm over contiguous amplitude pairs: the (hi, 2, lo) view is
+    copied to (hi, lo, 2) (qubit 0 needs no copy), multiplied by ``m.T``
+    as one (2^(n-1), 2) matrix and transposed back.  Each amplitude is the
+    same two-term OpenBLAS ``zgemm`` sum as in the per-block matmul that
+    ``np.moveaxis`` sets up, so the result is bit for bit that kernel's
+    (``test_apply_single_is_the_moveaxis_matmul_bit_for_bit`` pins it); a
+    broadcast ``m @ amps.reshape(hi, 2, lo)`` rounds differently.
+    """
+    lo = 1 << qubit
+    pairs = amps.reshape(-1, 2, lo).transpose(0, 2, 1).reshape(-1, 2) @ m.T
+    return pairs.reshape(-1, lo, 2).transpose(0, 2, 1).reshape(-1)
 
 
 def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,

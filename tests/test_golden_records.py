@@ -1,0 +1,93 @@
+"""Golden digests: seeded records and exact laws must not move by one bit.
+
+Each case is a fixed-seed ``run_experiment`` record (or a list of exact
+laws) hashed with sha256 over its sorted-key JSON.  The digests in
+``golden_records.json`` were generated before the single-qubit kernel was
+rewritten as one gemm, so any change to a sampled row, a summary value or
+an exact probability, down to the last bit of a float, fails here.
+
+Regenerate (only for a change that means to move records, and say so):
+``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``
+"""
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from artifact.experiments import ExperimentConfig, run_experiment
+from artifact.graphs import complete_graph, triangular_lattice
+from artifact.mbqc import MeasurementPattern, PatternStep, run_distribution
+from artifact.provers import honest_provers, strategy_from_json
+from artifact.selftest import default_parameters, exact_pass_probability
+
+GOLDEN = Path(__file__).with_name("golden_records.json")
+
+QUARTER = math.pi / 4
+LATTICE = triangular_lattice(3, 4)
+K3 = complete_graph(3)
+# four unconditioned pi/4 measurements on the lattice, and K3's
+# adaptive chain; both have non-uniform output laws
+LATTICE_PATTERN = MeasurementPattern(
+    tuple(PatternStep(v, QUARTER) for v in (0, 1, 4, 5)), output_bits=(0, 1, 4, 5))
+K3_PATTERN = MeasurementPattern(
+    (PatternStep(0, QUARTER), PatternStep(1, QUARTER, x_deps=(0,)),
+     PatternStep(2, QUARTER, x_deps=(1,), z_deps=(0,))),
+    output_bits=(0, 1, 2))
+STRATEGIES = {"honest": {"kind": "honest"},
+              "perturbed": {"kind": "perturbed", "eta": 0.05}}
+XZ_ANGLES = {str(v): {"X": 0.1 * v, "Z": 1.5, "R+": 0.7, "R-": -0.9}
+             for v in range(LATTICE.n)}
+
+
+def _config(name: str, strategy: str) -> ExperimentConfig:
+    common = dict(theta=QUARTER, strategy=STRATEGIES[strategy], seed=20240607)
+    if name == "selftest":
+        return ExperimentConfig(kind="selftest", graph=LATTICE, trials=48, **common)
+    if name == "mbqc":
+        return ExperimentConfig(kind="mbqc", graph=LATTICE, pattern=LATTICE_PATTERN,
+                                trials=24, **common)
+    if name == "protocol":
+        return ExperimentConfig(kind="protocol", graph=K3, pattern=K3_PATTERN,
+                                trials=2, options={"n_rounds": 150}, **common)
+    return ExperimentConfig(kind="isometry", graph=K3, trials=2,
+                            labels=("I", ("X", 0), ("Z", 1), ("R+", 2), ("R-", 0)),
+                            **common)
+
+
+def _exact_laws() -> list:
+    """Exact ceilings and pattern laws on the lattice, honest and X-Z-plane."""
+    params = default_parameters(LATTICE, theta=QUARTER)
+    honest = honest_provers(LATTICE, dict(enumerate(params.theta)))
+    xz = strategy_from_json({"kind": "xz", "angles": XZ_ANGLES}, LATTICE, {}, None)
+    return [[exact_pass_probability(p, params),
+             {str(b): v for b, v in run_distribution(p, LATTICE_PATTERN).items()}]
+            for p in (honest, xz)]
+
+
+CASES = {f"{name}-{strategy}": (lambda n=name, s=strategy: run_experiment(_config(n, s)).to_json())
+         for name in ("selftest", "mbqc", "protocol", "isometry")
+         for strategy in STRATEGIES}
+CASES["exact-laws"] = _exact_laws
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_every_case_has_a_golden_digest():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_record_matches_golden_digest(case):
+    assert _digest(CASES[case]()) == json.loads(GOLDEN.read_text())[case]
+
+
+if __name__ == "__main__":
+    json.dump({case: _digest(make()) for case, make in sorted(CASES.items())},
+              sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

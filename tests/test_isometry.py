@@ -30,6 +30,7 @@ from artifact.isometry import (
     _label_entry,
     phi_vertex_unitary,
     rtheta_epsilon,
+    vertex_unitaries,
 )
 from artifact.provers import (
     classical_provers,
@@ -432,11 +433,28 @@ class TestConjugation:
         g_amps = build_graph_state(graph).state.amplitudes
         for label in _labels(graph.n):
             _, factors, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
-            got = apply_kernels(amps0, conjugated_kernels(p, factors),
+            kernels = conjugated_kernels(vertex_unitaries(p), factors,
+                                         p.shared_state.n_qubits)
+            got = apply_kernels(amps0, kernels,
                                 (np.empty_like(amps0), np.empty_like(amps0)))
             direct = _direct_output(p, label).state.amplitudes
             assert np.abs(got - direct).max() < 1e-12, label
             assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12
+
+    def test_a_report_builds_each_vertex_unitary_once(self, monkeypatch):
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(43))
+        calls = []
+        real = isometry.phi_vertex_unitary
+
+        def counted(x_matrix, z_matrix):
+            calls.append(1)
+            return real(x_matrix, z_matrix)
+
+        monkeypatch.setattr(isometry, "phi_vertex_unitary", counted)
+        # 25 label factors on 4 vertices: one U_v per vertex, not one per factor
+        equivalence_distance(p, params, _labels(graph.n))
+        assert len(calls) == graph.n
 
 
 def _direct_distances(p, params, labels, junks):

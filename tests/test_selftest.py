@@ -18,7 +18,6 @@ from artifact.selftest import (
     TestParameters as OneShotParameters,
     best_classical_rtheta,
     c_test,
-    c_test_vertex,
     default_parameters,
     empirical_pass_rate,
     exact_pass_probability,
@@ -149,9 +148,10 @@ class TestRotationSubtest:
     def test_conditional_ceiling_formula(self):
         theta = {0: 0.25, 1: 1.2, 2: 0.8}
         params = default_parameters(complete_graph(3), theta=theta)
+        honest = honest_provers(params.graph, params.theta)
         for v, th in theta.items():
             expected = 0.5 + 1 / (2 * (math.cos(th) + abs(math.sin(th))))
-            assert math.isclose(c_test_vertex(params, v), expected,
+            assert math.isclose(rtheta_success(honest, params, v), expected,
                                 abs_tol=1e-15)
 
     def test_classical_optimum_at_quarter_pi(self):
@@ -159,7 +159,8 @@ class TestRotationSubtest:
         value, table = best_classical_rtheta(params, 0)
         assert math.isclose(value, oracles.CHSH_CLASSICAL, abs_tol=1e-12)
         assert set(table) == {"a", "b", "c", "d"}
-        assert value < c_test_vertex(params, 0)
+        assert value < rtheta_success(honest_provers(params.graph, params.theta),
+                                      params, 0)
 
     @pytest.mark.parametrize("theta_v", [0.15, 0.5, 0.9, 1.3])
     def test_classical_optimum_matches_oracle_at_other_angles(self, theta_v):

@@ -37,16 +37,17 @@ class TestKernelsAgainstDense:
                 assert np.allclose(fast, slow, atol=1e-12)
 
     def test_apply_single_is_the_moveaxis_matmul_bit_for_bit(self):
-        # sampled rows depend on every amplitude; the cached axis orders must
-        # give exactly the matmul that np.moveaxis sets up
+        # sampled rows depend on every amplitude; the one-gemm kernel must
+        # give exactly the per-block matmul that np.moveaxis sets up.  At
+        # n = 16 OpenBLAS may split the gemm across threads.
         rng = np.random.default_rng(11)
-        for n in (1, 3, 12):
+        for n in (1, 3, 12, 16):
             for q in range(n):
                 amps = random_state(n, rng).amplitudes
-                m = random_2x2(rng)
-                t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
-                moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
-                assert np.array_equal(apply_single(amps, m, q, n), moved)
+                for m in (random_2x2(rng), rotation_matrix(0.3 + q)):
+                    t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
+                    moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
+                    assert np.array_equal(apply_single(amps, m, q, n), moved)
 
     def test_adjacent_pair_kernel_matches_index_arithmetic(self):
         rng = np.random.default_rng(2)
