@@ -64,7 +64,7 @@ def _experiment_config(kind: str, graph_src: str, strategy_src: str | None = Non
             labels=_parse_labels(labels_src), **fields)
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 

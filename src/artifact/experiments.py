@@ -201,8 +201,11 @@ class TrialSetup:
     """Everything the trials of one run share, built once by ``prepare``.
 
     ``provers`` is the prover set of a deterministic strategy, cloned for
-    every trial; it is None for a stochastic strategy, which is rebuilt
-    from ``cfg.strategy`` on each trial's stream.  ``protocol`` and
+    every trial; a clone shares the set's outcome tree, so each trial
+    samples from the Born probabilities earlier trials cached (in this
+    process: a ``--jobs`` worker fills its own copy).  It is None for a
+    stochastic strategy, which is rebuilt from ``cfg.strategy`` on each
+    trial's stream.  ``protocol`` and
     ``meta`` are set for protocol runs only.
     """
 

@@ -149,7 +149,11 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        return cls.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
+        for x in (n, *(v for e in edges for v in e)):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"graph size and vertices must be integers, got {x!r}")
+        return cls.from_edges(n, edges)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

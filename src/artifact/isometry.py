@@ -283,7 +283,7 @@ def parse_label(spec) -> tuple:
             if any(b not in (0, 1) for b in q + pz):
                 raise ValueError("XZ label exponents must be 0/1 vectors")
             return ("XZ", q, pz)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ValueError(f"malformed label {spec!r}") from None
     raise ValueError(f"malformed label {spec!r}")
 

@@ -6,10 +6,11 @@ prover as an R+ or R- label), and the step's reported outcome is the raw
 outcome flipped by the parity of ``z_deps``.  The run's output bit is
 the parity of the corrected outcomes over ``output_bits``.
 
-``reference_run`` executes the same semantics against the ideal graph
-state by exact branch enumeration; ``run_distribution`` does the same
-through a prover set's actual observables, so the two can be compared
-without sampling noise.
+``run_distribution`` gives the exact output law by enumerating every
+outcome branch through a prover set's observables; ``reference_run`` is
+that law for honest provers measuring at the pattern's own angles on the
+ideal graph state, so the two can be compared without sampling noise.
+Sampled runs and exact laws walk the prover set's outcome tree.
 
 The cascaded-teleportation check lives here too.  It uses the X-Y-plane
 rotation R(a) = cos(a) X + sin(a) Y and the diagonal U(a) = exp(i a Z/2),
@@ -27,14 +28,13 @@ import numpy as np
 
 from .graphs import Graph
 from .graphstate import build_graph_state
-from .provers import ProverSet, R_MINUS, R_PLUS
+from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 from .statevec import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
     SingleQubitObservable,
     StateVector,
-    measure,
     project,
 )
 
@@ -65,6 +65,8 @@ class MeasurementPattern:
     def __post_init__(self):
         measured: set[int] = set()
         for k, step in enumerate(self.steps):
+            if step.vertex < 0:
+                raise ValueError(f"step {k} has negative vertex {step.vertex}")
             if step.vertex in measured:
                 raise DependencyError(f"vertex {step.vertex} measured twice")
             if not 0 <= step.theta <= math.pi / 2:
@@ -143,64 +145,65 @@ def _output_bit(pattern: MeasurementPattern, raw: dict[int, int]) -> int:
 
 def run_pattern(p: ProverSet, pattern: MeasurementPattern,
                 rng: np.random.Generator) -> tuple[int, RunTranscript]:
-    """Execute the pattern against a prover set, one query per step."""
+    """Execute the pattern against a prover set, one query per step.
+
+    A quantum set's outcomes come from a walk of its outcome tree, drawn
+    as a chain of ``measure`` calls would draw them (see
+    ``provers.TreeWalk.sample``).
+    """
     for step in pattern.steps:
         if step.vertex >= p.n:
             raise MissingAngleSupportError(
                 f"no prover for pattern vertex {step.vertex}")
     raw: dict[int, int] = {}
     records = []
-    state = p.shared_state
+    walk = None if p.is_classical else p.tree.walk()
     for step in pattern.steps:
         t = _parity(raw, step.x_deps)
         label = R_PLUS if t == 1 else R_MINUS
-        if p.is_classical:
+        if walk is None:
             outcome = p.strategy.table[step.vertex][label]
         else:
-            outcome, state = measure(state, p.observable(step.vertex, label),
-                                     step.vertex, rng)
+            outcome = walk.sample(step.vertex, label, rng)
         raw[step.vertex] = outcome
         records.append(StepRecord(step.vertex, t, outcome,
                                   outcome * _parity(raw, step.z_deps)))
     return _output_bit(pattern, raw), RunTranscript(tuple(records))
 
 
-def _branch_distribution(state: StateVector, pattern: MeasurementPattern,
-                         observable_for) -> dict[int, float]:
-    """Exact output law by enumerating every outcome branch."""
+def _branch_distribution(walk: TreeWalk, pattern: MeasurementPattern
+                         ) -> dict[int, float]:
+    """Exact output law by enumerating every outcome branch of the tree."""
     dist = {0: 0.0, 1: 0.0}
 
-    def walk(current: StateVector, k: int, raw: dict[int, int], weight: float):
+    def visit(position: TreeWalk, k: int, raw: dict[int, int], weight: float):
         if k == len(pattern.steps):
             dist[_output_bit(pattern, raw)] += weight
             return
         step = pattern.steps[k]
-        t = _parity(raw, step.x_deps)
-        obs = observable_for(step, t)
-        for outcome in (1, -1):
-            prob, collapsed = project(current, obs, step.vertex, outcome)
-            if collapsed is None:
-                continue
+        label = R_PLUS if _parity(raw, step.x_deps) == 1 else R_MINUS
+        for outcome, prob, child in position.branches(step.vertex, label):
             raw[step.vertex] = outcome
-            walk(collapsed, k + 1, raw, weight * prob)
+            visit(child, k + 1, raw, weight * prob)
             del raw[step.vertex]
 
-    walk(state, 0, {}, 1.0)
+    visit(walk, 0, {}, 1.0)
     return dist
 
 
 def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]:
-    """Ideal output distribution: the pattern on |G> with exact rotations."""
+    """Ideal output distribution: the pattern on |G> with exact rotations.
+
+    That is ``run_distribution`` for honest provers whose R+- angles are the
+    pattern's (other vertices are never measured and get angle 0).
+    """
     for step in pattern.steps:
         if step.vertex >= graph.n:
             raise MissingAngleSupportError(
                 f"pattern vertex {step.vertex} outside the graph")
-    state = build_graph_state(graph).state
-
-    def observable_for(step: PatternStep, t: int) -> SingleQubitObservable:
-        return SingleQubitObservable.rotation(t * step.theta)
-
-    return _branch_distribution(state, pattern, observable_for)
+    theta = dict.fromkeys(range(graph.n), 0.0)
+    theta.update((step.vertex, step.theta) for step in pattern.steps)
+    return run_distribution(honest_provers(graph, theta), pattern)
 
 
 def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, float]:
@@ -217,11 +220,7 @@ def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, flo
             raw[step.vertex] = p.strategy.table[step.vertex][label]
         bit = _output_bit(pattern, raw)
         return {bit: 1.0, 1 - bit: 0.0}
-
-    def observable_for(step: PatternStep, t: int) -> SingleQubitObservable:
-        return p.observable(step.vertex, R_PLUS if t == 1 else R_MINUS)
-
-    return _branch_distribution(p.shared_state, pattern, observable_for)
+    return _branch_distribution(p.tree.walk(), pattern)
 
 
 def total_variation(a: dict[int, float], b: dict[int, float]) -> float:

@@ -139,11 +139,16 @@ def run_round(p: ProverSet, cfg: ProtocolConfig,
 
 def run_amplified(p: ProverSet, cfg: ProtocolConfig,
                   rng: np.random.Generator) -> ProtocolResult:
-    """N rounds with fresh randomness and a fresh prover clone per round."""
+    """N rounds, each on its own child stream of ``rng``.
+
+    Every round queries the same prover set, which nothing mutates; its
+    outcome tree carries the Born probabilities one round caches to the
+    next.
+    """
     records = []
     count = 0
     for child in rng.spawn(cfg.n_rounds):
-        accepted, record = run_round(p.clone(), cfg, child)
+        accepted, record = run_round(p, cfg, child)
         records.append(record)
         count += accepted
     return ProtocolResult(count > cfg.threshold, count, cfg.threshold,

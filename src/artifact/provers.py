@@ -9,26 +9,36 @@ reply is taken to be +1.
 Prover v owns qubit v of the shared state.  The state may carry extra
 unmeasured qubits beyond the provers' own (indices >= n), which models
 private ancillas without changing the reply interface.
+
+A quantum prover set never changes: its shared state is read-only from
+construction on, and its observables are fixed.  So every time the set
+sees the same measurements with the same outcome prefix it reaches the
+same Born probabilities, and its ``OutcomeTree`` caches them.  Sampled
+queries, sampled pattern runs and exact pattern laws all walk that tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graphs import Graph
 from .graphstate import build_graph_state
 from .statevec import (
+    MIN_BRANCH_P,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    NormUnderflowError,
     ProductObservable,
     SingleQubitObservable,
     StateVector,
     measure,
+    project,
 )
 
 X_LABEL = "X"
@@ -105,13 +115,134 @@ class ClassicalStrategy:
         return len(self.table)
 
 
+class _Branching:
+    """One measurement from a tree node: the Born probability of each
+    outcome once computed, and the child node of each branch known to be
+    possible."""
+
+    __slots__ = ("p", "child")
+
+    def __init__(self, p: dict[int, float]):
+        self.p = p
+        self.child: dict[int, dict] = {}
+
+
+class OutcomeTree:
+    """Cached Born probabilities of one prover set's measurement sequences.
+
+    A node stands for the state reached from the shared state by a path of
+    (vertex, label, outcome) measurements, and maps each next (vertex,
+    label) to a ``_Branching``.  The tree holds no state vector but the
+    root: a walk keeps its last materialized state plus the steps taken
+    since, and rebuilds with ``project`` (bit for bit ``measure``'s
+    collapsed vector) only on reaching an uncached node.  Every path from
+    the root gives the same bits, so a cached probability is exactly the
+    one ``measure`` would compute there.
+    """
+
+    def __init__(self, state: StateVector,
+                 observables: tuple[dict[str, SingleQubitObservable], ...]):
+        self.state = state
+        self.observables = observables
+        self.root: dict = {}
+
+    def walk(self) -> "TreeWalk":
+        return TreeWalk(self, self.root, self.state, [])
+
+
+class TreeWalk:
+    """A position in an outcome tree: its node, the last materialized
+    state, and the (vertex, label, outcome) steps taken since."""
+
+    __slots__ = ("tree", "node", "state", "pending")
+
+    def __init__(self, tree: OutcomeTree, node: dict, state: StateVector,
+                 pending: list):
+        self.tree = tree
+        self.node = node
+        self.state = state
+        self.pending = pending
+
+    def _materialize(self) -> StateVector:
+        for v, label, outcome in self.pending:
+            self.state = project(self.state, self.tree.observables[v][label],
+                                 v, outcome)[1]
+        self.pending = []
+        return self.state
+
+    def _enter(self, b: _Branching, v: int, label: str, outcome: int
+               ) -> "TreeWalk | None":
+        """A new walk into ``outcome``'s branch of ``b`` from here, or None
+        if that branch is impossible.  An uncached probability is computed
+        with ``project``, whose collapsed state the new walk keeps."""
+        p = b.p.get(outcome)
+        if p is None:
+            p, state = project(self._materialize(), self.tree.observables[v][label],
+                               v, outcome)
+            b.p[outcome] = p
+            if state is None:
+                return None
+            return TreeWalk(self.tree, b.child.setdefault(outcome, {}), state, [])
+        if p < MIN_BRANCH_P:
+            return None
+        return TreeWalk(self.tree, b.child.setdefault(outcome, {}), self.state,
+                        [*self.pending, (v, label, outcome)])
+
+    def sample(self, v: int, label: str, rng: np.random.Generator) -> int:
+        """Measure ``label`` on qubit v and step into the drawn branch.
+
+        One ``rng.random()`` compared with the +1 probability, the draw
+        ``measure`` makes, so the stream and the outcomes are those of a
+        chain of ``measure`` calls.  An uncached measurement goes through
+        ``measure`` itself; an impossible branch raises NormUnderflowError.
+        """
+        key = (v, label)
+        b = self.node.get(key)
+        if b is None:
+            outcome, self.state, p_plus = measure(
+                self._materialize(), self.tree.observables[v][label], v, rng)
+            b = self.node[key] = _Branching({1: p_plus})
+            self.node = b.child[outcome] = {}
+            return outcome
+        outcome = 1 if rng.random() < b.p[1] else -1
+        node = b.child.get(outcome)
+        if node is None:
+            walk = self._enter(b, v, label, outcome)
+            if walk is None:
+                raise NormUnderflowError("measured an impossible branch")
+            self.node, self.state, self.pending = walk.node, walk.state, walk.pending
+            return outcome
+        self.pending.append((v, label, outcome))
+        self.node = node
+        return outcome
+
+    def branches(self, v: int, label: str) -> Iterator[tuple[int, float, "TreeWalk"]]:
+        """Every possible outcome of measuring ``label`` on qubit v, +1
+        first, with its probability and a walk into its branch.  Lazy, so
+        an enumeration holds one collapsed state per level, not two."""
+        b = self.node.get((v, label))
+        if b is None:
+            b = self.node[(v, label)] = _Branching({})
+        for outcome in (1, -1):
+            walk = self._enter(b, v, label, outcome)
+            if walk is not None:
+                yield outcome, b.p[outcome], walk
+
+
 @dataclass(frozen=True)
 class ProverSet:
-    """A strategy bound to its shared state (None for classical)."""
+    """A strategy bound to its shared state (None for classical).
+
+    A quantum set marks its state's amplitudes read-only and owns an
+    ``OutcomeTree``; ``clone()`` shares the tree, a new strategy gets its
+    own.
+    """
 
     n: int
     strategy: QuantumStrategy | ClassicalStrategy
     shared_state: StateVector | None
+    tree: OutcomeTree | None = field(init=False, default=None, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         if self.strategy.n != self.n:
@@ -121,6 +252,9 @@ class ProverSet:
                 raise ValueError("quantum strategy needs a shared state")
             if self.shared_state.n_qubits < self.n:
                 raise ValueError("shared state too small for prover count")
+            self.shared_state.amplitudes.setflags(write=False)
+            object.__setattr__(self, "tree", OutcomeTree(
+                self.shared_state, self.strategy.observables))
         elif self.shared_state is not None:
             raise ValueError("classical strategy does not use a shared state")
 
@@ -132,8 +266,11 @@ class ProverSet:
         return self.strategy.observables[v][label]
 
     def clone(self) -> "ProverSet":
+        """An equal set on a separate copy of the state, sharing the tree."""
         state = None if self.shared_state is None else self.shared_state.copy()
-        return replace(self, shared_state=state)
+        copy = replace(self, shared_state=state)
+        object.__setattr__(copy, "tree", self.tree)
+        return copy
 
 
 def honest_provers(graph: Graph, theta: dict[int, float]) -> ProverSet:
@@ -166,8 +303,8 @@ def _xz_angle(m: np.ndarray) -> float:
 
 def perturbed_provers(base: ProverSet, eta: float, rng: np.random.Generator) -> ProverSet:
     """Rotate every observable's X-Z axis by an independent U(-eta, eta)."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be nonnegative and finite")
     if base.is_classical:
         raise ValueError("cannot perturb classical provers")
     per_prover = []
@@ -216,8 +353,12 @@ def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
                   ) -> tuple[dict[int, int], int]:
     """Measure the queried qubits in ascending order; return replies, product.
 
-    The product includes the query's verifier-side sign; ignored provers
-    contribute +1.  The caller's ProverSet is never mutated.
+    A quantum set's replies come from a walk of its outcome tree: one
+    ``rng.random()`` per queried qubit, the same draws and replies as a
+    chain of ``measure`` calls, and a ``measure`` only where the tree has
+    not yet cached the probability.  The product includes the query's
+    verifier-side sign; ignored provers contribute +1.  The caller's
+    ProverSet is never mutated.
     """
     if len(q.bases) != p.n:
         raise ValueError("query length does not match prover count")
@@ -229,9 +370,9 @@ def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
             replies[v] = r
             product *= r
         return replies, product
-    state = p.shared_state
+    walk = p.tree.walk()
     for v in q.queried():
-        outcome, state = measure(state, p.observable(v, q.bases[v]), v, rng)
+        outcome = walk.sample(v, q.bases[v], rng)
         replies[v] = outcome
         product *= outcome
     return replies, product
@@ -256,7 +397,7 @@ def classical_product(p: ProverSet, q: Query) -> int:
 def _number(value, what: str, cast=float):
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -58,7 +59,7 @@ class Subtest:
     t: int | None = None
     triangle: tuple[int, int, int] | None = None
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.kind == VERTEX:
             return f"vertex({self.vertex})"
@@ -79,6 +80,8 @@ class TestParameters:
 
     def __post_init__(self):
         g = self.graph
+        if g.n < 1:
+            raise ValueError("the test needs a graph with at least one vertex")
         if len(self.theta) != g.n or len(self.u_choice) != g.n:
             raise ValueError("theta and u_choice must cover every vertex")
         for v, th in enumerate(self.theta):
@@ -89,8 +92,10 @@ class TestParameters:
                 raise ValueError(f"u_choice[{v}] = {u} is not a neighbor")
         TriangleCover.validate(g, self.cover.triangles)
         object.__setattr__(self, "subtests", _build_subtests(self))
-        object.__setattr__(self, "_weights", np.array(
-            [s.weight for s in self.subtests]))
+        weights = np.array([s.weight for s in self.subtests])
+        object.__setattr__(self, "_weights", weights)
+        # the sampling law, normalized once: the array every draw passes
+        object.__setattr__(self, "_law", weights / weights.sum())
 
     @property
     def n_g(self) -> int:
@@ -163,8 +168,7 @@ def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
 def run_oneshot(p: ProverSet, params: TestParameters,
                 rng: np.random.Generator) -> TestOutcome:
     """Sample one subtest per the test's law and execute it."""
-    weights = params.weight_vector()
-    idx = rng.choice(len(weights), p=weights / weights.sum())
+    idx = rng.choice(len(params._law), p=params._law)
     subtest = params.subtests[idx]
     replies, product = execute_query(p, subtest.query, rng)
     return TestOutcome(subtest, product == subtest.target, replies)
@@ -186,8 +190,7 @@ def empirical_pass_rate(p: ProverSet, params: TestParameters, trials: int,
     """Monte-Carlo pass rate with binomial standard error."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    weights = params.weight_vector()
-    indices = rng.choice(len(weights), size=trials, p=weights / weights.sum())
+    indices = rng.choice(len(params._law), size=trials, p=params._law)
     hits = 0
     for idx in indices:
         subtest = params.subtests[idx]

@@ -7,7 +7,8 @@ matrix is one gemm over the contiguous amplitude pairs of its qubit, and
 a two-qubit matrix one broadcast matmul over an adjacent pair.
 
 Tolerances are centralized here: states must be normalized to
-``NORM_TOL``; observables must be Hermitian to ``HERM_TOL``.
+``NORM_TOL``; observables must be Hermitian to ``HERM_TOL``; a measurement
+branch whose Born probability is below ``MIN_BRANCH_P`` is impossible.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 NORM_TOL = 1e-10
 HERM_TOL = 1e-12
+MIN_BRANCH_P = 1e-24
 
 QUBIT_CAP_ENV = "GSIP_QUBIT_CAP"
 DEFAULT_QUBIT_CAP = 24
@@ -66,9 +68,10 @@ class SingleQubitObservable:
         m = self.matrix
         if m.shape != (2, 2):
             raise ValueError("single-qubit observables are 2x2")
-        if np.abs(m - m.conj().T).max() > HERM_TOL:
+        # written so that a NaN entry fails the checks
+        if not np.abs(m - m.conj().T).max() <= HERM_TOL:
             raise ValueError("observable is not Hermitian")
-        if np.abs(m @ m - PAULI_I).max() > 1e-10:
+        if not np.abs(m @ m - PAULI_I).max() <= 1e-10:
             raise ValueError("observable does not square to identity")
         m.setflags(write=False)
 
@@ -236,10 +239,13 @@ def expectation(state: StateVector, obs: ProductObservable) -> float:
 
 
 def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
-            rng: np.random.Generator) -> tuple[int, StateVector]:
+            rng: np.random.Generator) -> tuple[int, StateVector, float]:
     """Projective measurement of a +-1 observable on one qubit.
 
-    Returns (outcome, collapsed state); Born probabilities (1 +- <o>)/2.
+    Returns (outcome, collapsed state, p_plus): Born probabilities
+    (1 +- <o>)/2, the outcome +1 when one ``rng.random()`` falls below
+    p_plus.  Drawing into a branch below ``MIN_BRANCH_P`` raises
+    NormUnderflowError.
     """
     if obs.is_identity:
         raise ValueError("cannot measure the identity")
@@ -248,26 +254,30 @@ def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
         raise IndexError(f"qubit {qubit} out of range")
     applied = apply_single(state.amplitudes, obs.matrix, qubit, n)
     plus = 0.5 * (state.amplitudes + applied)
-    p_plus = np.vdot(plus, plus).real
+    p_plus = float(np.vdot(plus, plus).real)
     outcome = 1 if rng.random() < p_plus else -1
     if outcome == 1:
         branch, p = plus, p_plus
     else:
         branch = 0.5 * (state.amplitudes - applied)
         p = np.vdot(branch, branch).real
-    norm = math.sqrt(p)
-    if norm < 1e-12:
+    if p < MIN_BRANCH_P:
         raise NormUnderflowError("measured an impossible branch")
-    return outcome, StateVector(n, branch / norm, _validate=False)
+    return outcome, StateVector(n, branch / math.sqrt(p), _validate=False), p_plus
 
 
 def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
             outcome: int) -> tuple[float, StateVector | None]:
-    """Deterministic branch of ``measure``: (probability, collapsed|None)."""
+    """Deterministic branch of ``measure``: (probability, collapsed|None).
+
+    The probability and the collapsed vector are bit for bit those
+    ``measure`` computes for the same outcome; a branch below
+    ``MIN_BRANCH_P`` gives (0.0, None).
+    """
     n = state.n_qubits
     applied = apply_single(state.amplitudes, obs.matrix, qubit, n)
     branch = 0.5 * (state.amplitudes + outcome * applied)
     p = float(np.real(np.vdot(branch, branch)))
-    if p < 1e-24:
+    if p < MIN_BRANCH_P:
         return 0.0, None
     return p, StateVector(n, branch / math.sqrt(p), _validate=False)

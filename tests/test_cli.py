@@ -5,6 +5,7 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact.cli import main
 from artifact.experiments import ExperimentConfig, run_experiment
@@ -162,11 +163,27 @@ class TestBadInput:
         ["selftest", "--strategy", "[1]"],
         ["isometry-check", "--labels", "[1]"],
         ["isometry-check", "--strategy", json.dumps({"kind": "classical", "value": 1})],
+        ["selftest", "--graph", json.dumps({"n": 0, "edges": []})],
+        ["selftest", "--graph", json.dumps({"n": math.inf, "edges": []})],
+        ["selftest", "--graph", json.dumps({"n": 3, "edges": [[0, 1], [0, 2.5], [1, 2]]})],
+        ["mbqc", "--pattern", json.dumps({"steps": [{"v": -1, "theta": 0}],
+                                          "output_bits": [-1]})],
+        ["mbqc", "--pattern", json.dumps({"steps": [], "output_bits": [math.inf]})],
+        ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": math.inf})],
+        ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": math.nan})],
+        ["selftest", "--strategy", json.dumps({"kind": "classical", "value": math.inf})],
+        ["selftest", "--strategy",
+         json.dumps({"kind": "xz", "angles": {"0": {"X": math.nan}}})],
+        ["isometry-check", "--labels", json.dumps([["X", math.inf]])],
     ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
             "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2",
             "xz-angles-entry-not-object", "xz-angles-not-object",
             "classical-table-not-object", "perturbed-eta-null",
-            "strategy-not-object", "label-not-a-list", "isometry-classical"])
+            "strategy-not-object", "label-not-a-list", "isometry-classical",
+            "graph-without-vertices", "graph-size-infinite", "graph-vertex-not-integer",
+            "pattern-vertex-negative", "pattern-output-infinite", "perturbed-eta-infinite",
+            "perturbed-eta-nan", "classical-value-infinite", "xz-angle-nan",
+            "label-vertex-infinite"])
     def test_one_error_line(self, runner, args):
         command, *rest = args
         trials = [] if command == "prove" else ["--trials", "4"]
@@ -293,3 +310,80 @@ class TestAcceptCommand:
     def test_unknown_criterion_number(self, runner):
         result = runner.invoke(main, ["accept", "--only", "99"])
         assert result.exit_code != 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed JSON input: a run either succeeds or ends in one ``Error:`` line
+# ---------------------------------------------------------------------------
+
+# small numbers only: a fuzzed graph size must never ask for a large state
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6)
+            | st.floats(-4, 4) | st.sampled_from([math.inf, -math.inf, math.nan])
+            | st.sampled_from(["", "0", "1", "X", "Z", "R+", "R-", "I", "XZ", "honest",
+                               "perturbed", "classical", "xz", "ignore"]))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_SCALARS.map(str), inner, max_size=4),
+                     max_leaves=12)
+_VERTEX_MAP = st.dictionaries(st.sampled_from(["0", "1", "2", "3", "-1", "x"]),
+                              st.dictionaries(st.sampled_from(["X", "Z", "R+", "R-", "Q"]),
+                                              _SCALARS, max_size=4) | _JSON, max_size=3)
+_GRAPHS = _JSON | st.fixed_dictionaries(
+    {"n": _SCALARS, "edges": st.lists(st.lists(_SCALARS, max_size=3), max_size=4) | _JSON})
+_STEPS = st.fixed_dictionaries({"v": _SCALARS, "theta": _SCALARS},
+                               optional={"x_deps": st.lists(_SCALARS, max_size=2) | _JSON,
+                                         "z_deps": st.lists(_SCALARS, max_size=2) | _JSON})
+_PATTERNS = _JSON | st.fixed_dictionaries(
+    {"steps": st.lists(_STEPS | _JSON, max_size=3) | _JSON,
+     "output_bits": st.lists(_SCALARS, max_size=3) | _JSON})
+_STRATEGIES = _JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["honest", "perturbed", "classical", "xz", "quantum"]) | _SCALARS},
+    optional={"eta": _SCALARS, "value": _SCALARS, "table": _VERTEX_MAP,
+              "angles": _VERTEX_MAP})
+_LABELS = _JSON | st.lists(
+    st.sampled_from(["I", "X"])
+    | st.tuples(st.sampled_from(["X", "Z", "R+", "R-", "XZ", "Q"]), _SCALARS).map(list)
+    | st.tuples(st.just("XZ"), st.lists(_SCALARS, max_size=4),
+                st.lists(_SCALARS, max_size=4)).map(list)
+    | _JSON, max_size=3)
+
+
+def _run_fuzzed(runner, command, **inputs):
+    args = {"--graph": K3_JSON, "--trials": "2", "--seed": "1"}
+    if command == "mbqc":
+        args["--pattern"] = PATTERN_JSON
+    for flag, value in inputs.items():
+        args[f"--{flag}"] = json.dumps(value)
+    result = runner.invoke(main, [command, *(x for kv in args.items() for x in kv)])
+    if result.exit_code == 0:
+        return
+    assert result.exit_code == 2, (args, result.output, result.exception)
+    _assert_input_error(result)
+
+
+class TestFuzzedInput:
+    """Any graph, pattern, strategy or label JSON either runs or is refused
+    with exit code 2 and one ``Error:`` line, never a traceback."""
+
+    FUZZ = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                           HealthCheck.too_slow])
+
+    @FUZZ
+    @given(graph=_GRAPHS)
+    def test_graph(self, runner, graph):
+        _run_fuzzed(runner, "selftest", graph=graph)
+
+    @FUZZ
+    @given(pattern=_PATTERNS)
+    def test_pattern(self, runner, pattern):
+        _run_fuzzed(runner, "mbqc", pattern=pattern)
+
+    @FUZZ
+    @given(strategy=_STRATEGIES)
+    def test_strategy(self, runner, strategy):
+        _run_fuzzed(runner, "selftest", strategy=strategy)
+
+    @FUZZ
+    @given(labels=_LABELS)
+    def test_labels(self, runner, labels):
+        _run_fuzzed(runner, "isometry-check", labels=labels)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from artifact.graphs import complete_graph, triangle_strip
+from artifact import provers
+from artifact.graphs import complete_graph, triangle_strip, triangular_lattice
+from artifact.graphstate import build_graph_state
 from artifact.mbqc import (
     DependencyError,
     MeasurementPattern,
@@ -21,7 +23,9 @@ from artifact.mbqc import (
     total_variation,
     u_diag,
 )
-from artifact.provers import classical_provers, honest_provers, xz_plane_provers
+from artifact.provers import (QUERY_LABELS, classical_provers, honest_provers,
+                              perturbed_provers, xz_plane_provers)
+from artifact.statevec import SingleQubitObservable, measure, project
 
 THETA = math.pi / 4
 
@@ -233,3 +237,115 @@ class TestTeleportChain:
         theta = 0.7
         expected = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
         assert np.allclose(u_diag(theta), expected)
+
+
+def _adaptive_pattern(graph):
+    """Four adaptive steps with X and Z dependencies on ``graph``."""
+    v = (0, 1, 2) if graph.n == 3 else (0, 1, 4, 5)
+    steps = [PatternStep(v[0], THETA), PatternStep(v[1], math.pi / 8, x_deps=(v[0],)),
+             PatternStep(v[2], math.pi / 3, x_deps=(v[1],), z_deps=(v[0],))]
+    if len(v) == 4:
+        steps.append(PatternStep(v[3], THETA, x_deps=(v[2], v[0]), z_deps=(v[1],)))
+    return MeasurementPattern(tuple(steps), output_bits=v)
+
+
+def _prover_sets(graph, seed):
+    """Honest (at the adaptive pattern's angles), perturbed and X-Z-plane sets."""
+    rng = np.random.default_rng(seed)
+    honest = honest_provers(graph, _angles_for(_adaptive_pattern(graph), graph.n))
+    angles = [{label: rng.uniform(-math.pi, math.pi) for label in QUERY_LABELS}
+              for _ in range(graph.n)]
+    return {"honest": honest,
+            "perturbed": perturbed_provers(honest, 0.1, rng),
+            "xz": xz_plane_provers(build_graph_state(graph).state, angles)}
+
+
+def _measure_chain(p, pattern, rng):
+    """run_pattern's raw outcomes written as a plain chain of ``measure`` calls."""
+    raw, state = {}, p.shared_state
+    for step in pattern.steps:
+        label = "R+" if math.prod(raw[d] for d in step.x_deps) == 1 else "R-"
+        raw[step.vertex], state, _ = measure(state, p.observable(step.vertex, label),
+                                             step.vertex, rng)
+    return raw
+
+
+def _closure_law(graph, pattern):
+    """reference_run as it was before prover sets had outcome trees: branch
+    enumeration by ``project`` with R(t theta) built per step."""
+    dist = {0: 0.0, 1: 0.0}
+
+    def walk(current, k, raw, weight):
+        if k == len(pattern.steps):
+            product = math.prod(raw[v] * math.prod(raw[d] for d in pattern.step_for(v).z_deps)
+                                for v in pattern.output_bits)
+            dist[(1 - product) // 2] += weight
+            return
+        step = pattern.steps[k]
+        t = math.prod(raw[d] for d in step.x_deps)
+        obs = SingleQubitObservable.rotation(t * step.theta)
+        for outcome in (1, -1):
+            prob, collapsed = project(current, obs, step.vertex, outcome)
+            if collapsed is None:
+                continue
+            raw[step.vertex] = outcome
+            walk(collapsed, k + 1, raw, weight * prob)
+            del raw[step.vertex]
+
+    walk(build_graph_state(graph).state, 0, {}, 1.0)
+    return dist
+
+
+GRAPHS = pytest.mark.parametrize("graph", [complete_graph(3), triangular_lattice(3, 4)],
+                                 ids=["k3", "lattice"])
+
+
+class TestOutcomeTree:
+    @GRAPHS
+    @pytest.mark.parametrize("kind", ["honest", "perturbed", "xz"])
+    def test_runs_and_stream_match_a_measure_chain(self, graph, kind):
+        p = _prover_sets(graph, 21)[kind]
+        pattern = _adaptive_pattern(graph)
+        tree_rng, chain_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(40):
+            _, transcript = run_pattern(p.clone(), pattern, tree_rng)
+            assert transcript.raw() == _measure_chain(p, pattern, chain_rng)
+            assert tree_rng.bit_generator.state == chain_rng.bit_generator.state
+
+    @GRAPHS
+    @pytest.mark.parametrize("kind", ["honest", "perturbed", "xz"])
+    def test_exact_law_is_the_same_on_a_cold_a_sampled_and_a_full_tree(self, graph, kind):
+        pattern = _adaptive_pattern(graph)
+        cold = run_distribution(_prover_sets(graph, 22)[kind], pattern)
+        p = _prover_sets(graph, 22)[kind]
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            run_pattern(p, pattern, rng)
+        assert run_distribution(p, pattern) == cold
+        assert run_distribution(p, pattern) == cold
+        chain_rng = np.random.default_rng(4)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            assert run_pattern(p, pattern, rng)[1].raw() == _measure_chain(
+                p, pattern, chain_rng)
+
+    def test_a_second_pass_is_all_hits(self, monkeypatch):
+        graph = triangular_lattice(3, 4)
+        p = _prover_sets(graph, 23)["xz"]
+        pattern = _adaptive_pattern(graph)
+        first = [run_pattern(p, pattern, np.random.default_rng(i)) for i in range(30)]
+        calls = []
+        monkeypatch.setattr(provers, "measure", lambda *a: calls.append(a) or measure(*a))
+        monkeypatch.setattr(provers, "project", lambda *a: calls.append(a) or project(*a))
+        second = [run_pattern(p.clone(), pattern, np.random.default_rng(i)) for i in range(30)]
+        assert second == first
+        assert calls == []
+
+    @pytest.mark.parametrize("graph,pattern", [
+        (complete_graph(3), _k3_pattern()),
+        (triangle_strip(5), _strip_pattern()),
+        (complete_graph(3), _adaptive_pattern(complete_graph(3))),
+        (triangular_lattice(3, 4), _adaptive_pattern(triangular_lattice(3, 4))),
+    ])
+    def test_reference_run_is_the_closure_law_exactly(self, graph, pattern):
+        assert reference_run(graph, pattern) == _closure_law(graph, pattern)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from artifact.graphs import complete_graph, triangle_strip
+from artifact import provers
+from artifact.graphs import complete_graph, triangle_strip, triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
                               classical_provers, classical_product,
@@ -15,7 +16,7 @@ from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
                               query_observable, strategy_from_json,
                               xz_plane_provers, QUERY_LABELS)
 from artifact.selftest import default_parameters, exact_pass_probability
-from artifact.statevec import expectation
+from artifact.statevec import NormUnderflowError, expectation, measure
 
 THETA = {v: math.pi / 4 for v in range(8)}
 
@@ -74,6 +75,23 @@ class TestHonestProvers:
         assert q.shared_state is not p.shared_state
         assert np.array_equal(q.shared_state.amplitudes,
                               p.shared_state.amplitudes)
+
+    def test_shared_state_is_read_only(self):
+        p = honest_k3()
+        with pytest.raises(ValueError):
+            p.shared_state.amplitudes[0] = 0
+        q = p.clone()
+        assert not np.shares_memory(q.shared_state.amplitudes,
+                                    p.shared_state.amplitudes)
+        assert np.array_equal(q.shared_state.amplitudes,
+                              p.shared_state.amplitudes)
+        with pytest.raises(ValueError):
+            q.shared_state.amplitudes[0] = 0
+
+    def test_clone_shares_the_tree_and_a_new_strategy_does_not(self):
+        p = honest_k3()
+        assert p.clone().tree is p.tree
+        assert perturbed_provers(p, 0.1, np.random.default_rng(0)).tree is not p.tree
 
 
 class TestPerturbedProvers:
@@ -246,3 +264,87 @@ class TestStrategyFromJson:
         with pytest.raises(ValueError):
             strategy_from_json({"kind": "nope"}, complete_graph(3), THETA,
                                np.random.default_rng(0))
+
+
+def _strategies(graph, seed):
+    """Honest, perturbed and X-Z-plane prover sets on ``graph``."""
+    rng = np.random.default_rng(seed)
+    honest = honest_provers(graph, dict.fromkeys(range(graph.n), math.pi / 4))
+    angles = [{label: rng.uniform(-math.pi, math.pi) for label in QUERY_LABELS}
+              for _ in range(graph.n)]
+    return {"honest": honest,
+            "perturbed": perturbed_provers(honest, 0.1, rng),
+            "xz": xz_plane_provers(build_graph_state(graph).state, angles)}
+
+
+def _measure_chain(p, q, rng):
+    """execute_query written as a plain chain of ``measure`` calls."""
+    replies, product, state = {}, q.sign, p.shared_state
+    for v in q.queried():
+        replies[v], state, _ = measure(state, p.observable(v, q.bases[v]), v, rng)
+        product *= replies[v]
+    return replies, product
+
+
+class ForcedRng:
+    """Hands out fixed draws: -1.0 forces +1 and 2.0 forces -1 on any branch."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+@pytest.fixture
+def measure_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return measure(*args)
+
+    monkeypatch.setattr(provers, "measure", counted)
+    return calls
+
+
+class TestOutcomeTree:
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangular_lattice(3, 4)],
+                             ids=["k3", "lattice"])
+    @pytest.mark.parametrize("kind", ["honest", "perturbed", "xz"])
+    def test_replies_and_stream_match_a_measure_chain(self, graph, kind):
+        p = _strategies(graph, 11)[kind]
+        queries = [s.query for s in default_parameters(graph).subtests]
+        tree_rng, chain_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            for q in queries:
+                assert execute_query(p.clone(), q, tree_rng) == _measure_chain(p, q, chain_rng)
+                assert tree_rng.bit_generator.state == chain_rng.bit_generator.state
+
+    def test_a_second_pass_is_all_hits(self, measure_calls):
+        p = _strategies(triangular_lattice(3, 4), 12)["perturbed"]
+        queries = [s.query for s in default_parameters(triangular_lattice(3, 4)).subtests]
+        first = [execute_query(p, q, np.random.default_rng(8)) for q in queries]
+        assert measure_calls
+        measure_calls.clear()
+        second = [execute_query(p.clone(), q, np.random.default_rng(8)) for q in queries]
+        assert second == first
+        assert measure_calls == []
+
+    # X0 Z1 Z2 stabilizes |K3>: after X0 = Z1 = +1 the Z2 reply is +1 for sure,
+    # after X0 = +1, Z1 = -1 it is -1 for sure
+    @pytest.mark.parametrize("allowed,forced", [((-1.0, -1.0, -1.0), (-1.0, -1.0, 2.0)),
+                                                ((-1.0, 2.0, 2.0), (-1.0, 2.0, -1.0))],
+                             ids=["minus-branch", "plus-branch"])
+    def test_an_impossible_branch_raises_on_miss_and_on_hit(self, allowed, forced,
+                                                            measure_calls):
+        q = Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"})
+        with pytest.raises(NormUnderflowError):
+            execute_query(honest_k3(), q, ForcedRng(forced))
+        assert measure_calls == [0, 1, 2]
+        p = honest_k3()
+        execute_query(p, q, ForcedRng(allowed))
+        measure_calls.clear()
+        with pytest.raises(NormUnderflowError):
+            execute_query(p, q, ForcedRng(forced))
+        assert measure_calls == []

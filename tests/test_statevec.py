@@ -212,6 +212,17 @@ class TestMeasurementLaw:
         p, collapsed = project(state, SingleQubitObservable.z(), 0, -1)
         assert p == 0.0 and collapsed is None
 
+    @given(st.integers(0, 10 ** 6), st.floats(-math.pi, math.pi), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_measure_is_project_bit_for_bit(self, seed, theta, qubit):
+        rng = np.random.default_rng(seed)
+        state = random_state(4, rng)
+        obs = SingleQubitObservable.rotation(theta)
+        outcome, collapsed, p_plus = measure(state, obs, qubit, rng)
+        assert p_plus == project(state, obs, qubit, 1)[0]
+        assert np.array_equal(collapsed.amplitudes,
+                              project(state, obs, qubit, outcome)[1].amplitudes)
+
     def test_measure_statistics(self):
         rng = np.random.default_rng(7)
         state = plus_state(1)

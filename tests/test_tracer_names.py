@@ -1,17 +1,30 @@
 """The benchmark tracer's dotted names must resolve to package callables.
 
 ``perfbench/tracer.py`` patches functions by dotted name; a rename in the
-package would otherwise surface only in a traced benchmark run.  The file
-is parsed, not imported or installed.
+package would otherwise surface only in a traced benchmark run.  Each
+workload in ``perfbench/workloads.py`` also names the layers a traced run
+must see called (its ``required`` tuple, else the run reads
+``correct: false``); those names must be traced, and a short K3 protocol
+run must call every one that ``protocol-k3`` requires.  Both files are
+parsed, not imported or installed.
 """
 
 import ast
 import importlib
+import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from artifact import experiments
+from artifact.graphs import complete_graph
+from artifact.mbqc import MeasurementPattern, PatternStep
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _tracer_names() -> list[str]:
@@ -33,3 +46,60 @@ def test_traced_name_is_a_package_callable(dotted):
     for part in path:
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _required_layers() -> dict[str, tuple[str, ...]]:
+    """Workload name -> the ``required`` tuple of its class."""
+    out = {}
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        values = {}
+        for stmt in node.body:
+            if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and stmt.targets[0].id in ("name", "required")):
+                values[stmt.targets[0].id] = ast.literal_eval(stmt.value)
+        if "required" in values:
+            out[values["name"]] = values["required"]
+    return out
+
+
+def test_every_required_layer_is_traced():
+    required = _required_layers()
+    assert set(required) == {"protocol-k3", "lattice-12", "isometry-n7"}
+    traced = set(_tracer_names())
+    for workload, names in required.items():
+        assert set(names) <= traced, workload
+
+
+def test_a_short_k3_protocol_run_calls_every_protocol_layer(monkeypatch):
+    """Count calls the way the tracer sees them: on every package module
+    attribute that binds the original function, or on the class."""
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "artifact" or name.startswith("artifact."))]
+    for dotted in _required_layers()["protocol-k3"]:
+        mod_name, *path = dotted.split(".")
+        owner = importlib.import_module(f"artifact.{mod_name}")
+        for part in path[:-1]:
+            owner = getattr(owner, part)
+        original = getattr(owner, path[-1])
+
+        def counted(*args, _name=dotted, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        owners = [owner] if len(path) > 1 else [
+            m for m in modules if getattr(m, path[-1], None) is original]
+        for target in owners:
+            monkeypatch.setattr(target, path[-1], counted)
+    quarter = math.pi / 4
+    pattern = MeasurementPattern((PatternStep(0, quarter), PatternStep(1, quarter, (0,)),
+                                  PatternStep(2, quarter, (1,), (0,))), output_bits=(0, 1, 2))
+    experiments.run_experiment(experiments.ExperimentConfig(
+        kind="protocol", graph=complete_graph(3), pattern=pattern,
+        strategy={"kind": "honest"}, trials=1, seed=3, options={"n_rounds": 40}))
+    missing = [name for name in _required_layers()["protocol-k3"] if not calls[name]]
+    assert missing == []
+    assert calls["provers.ProverSet.clone"] == 1
