@@ -40,6 +40,17 @@ def unit(n: int, v: int) -> np.ndarray:
     return out
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int if it is one (JSON or numpy integer).
+
+    Input parsers use this instead of ``int()``, which would read 1.7 as 1
+    and ``true`` as 1; anything else raises ValueError naming ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def dot(s: np.ndarray, t: np.ndarray) -> int:
     """s . t over the integers."""
     if len(s) != len(t):
@@ -149,11 +160,9 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
-        for x in (n, *(v for e in edges for v in e)):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"graph size and vertices must be integers, got {x!r}")
-        return cls.from_edges(n, edges)
+        return cls.from_edges(as_int(obj["n"], "the graph size"),
+                              [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))
+                               for u, v in obj["edges"]])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .graphs import Graph, bits
+from .graphs import Graph, as_int, bits
 from .graphstate import build_graph_state
 from .provers import ProverSet, R_MINUS, R_PLUS, X_LABEL, Z_LABEL, query_observable
 from .selftest import RTHETA_X, RTHETA_Z, TRIANGLE, VERTEX, TestParameters
@@ -276,14 +276,14 @@ def parse_label(spec) -> tuple:
         return ("I",)
     try:
         if head in ("X", "Z", "R+", "R-") and len(spec) == 2:
-            return (head, int(spec[1]))
+            return (head, as_int(spec[1], "a label vertex"))
         if head == "XZ" and len(spec) == 3:
-            q = tuple(int(b) for b in spec[1])
-            pz = tuple(int(b) for b in spec[2])
+            q = tuple(as_int(b, "an XZ exponent") for b in spec[1])
+            pz = tuple(as_int(b, "an XZ exponent") for b in spec[2])
             if any(b not in (0, 1) for b in q + pz):
                 raise ValueError("XZ label exponents must be 0/1 vectors")
             return ("XZ", q, pz)
-    except (TypeError, OverflowError):
+    except TypeError:
         raise ValueError(f"malformed label {spec!r}") from None
     raise ValueError(f"malformed label {spec!r}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, as_int
 from .graphstate import build_graph_state
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 from .statevec import (
@@ -101,12 +101,12 @@ class MeasurementPattern:
     @classmethod
     def from_json(cls, obj: dict) -> "MeasurementPattern":
         steps = tuple(
-            PatternStep(int(s["v"]), float(s["theta"]),
-                        tuple(int(d) for d in s.get("x_deps", ())),
-                        tuple(int(d) for d in s.get("z_deps", ())))
+            PatternStep(as_int(s["v"], "a step vertex"), float(s["theta"]),
+                        tuple(as_int(d, "a dependency") for d in s.get("x_deps", ())),
+                        tuple(as_int(d, "a dependency") for d in s.get("z_deps", ())))
             for s in obj["steps"]
         )
-        return cls(steps, tuple(int(v) for v in obj["output_bits"]))
+        return cls(steps, tuple(as_int(v, "an output bit") for v in obj["output_bits"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, as_int
 from .graphstate import build_graph_state
 from .statevec import (
     MIN_BRANCH_P,
@@ -401,8 +401,9 @@ def _number(value, what: str, cast=float):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
-def _per_vertex(spec: dict, key: str, graph: Graph, cast) -> dict[tuple[int, str], float]:
-    """``spec[key]`` read as {vertex: {label: value}} into (vertex, label) keys."""
+def _per_vertex(spec: dict, key: str, graph: Graph, parse) -> dict[tuple[int, str], float]:
+    """``spec[key]`` read as {vertex: {label: value}} into (vertex, label) keys,
+    each value read by ``parse(value, what)``."""
     entries = spec[key]
     if not isinstance(entries, dict):
         raise ValueError(f"\"{key}\" must map vertices to objects")
@@ -416,7 +417,7 @@ def _per_vertex(spec: dict, key: str, graph: Graph, cast) -> dict[tuple[int, str
         for label, value in per_label.items():
             if label not in QUERY_LABELS:
                 raise ValueError(f"{key} for vertex {v} has unknown label {label!r}")
-            out[(vertex, label)] = _number(value, f"{key}[{v}][{label}]", cast)
+            out[(vertex, label)] = parse(value, f"{key}[{v}][{label}]")
     return out
 
 
@@ -443,14 +444,13 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
                                  _number(spec["eta"], "eta"), rng)
     if kind == "classical":
         if "table" in spec:
-            return classical_provers(graph.n, _per_vertex(spec, "table", graph, int))
-        return constant_classical_provers(
-            graph.n, _number(spec.get("value", 1), "value", int))
+            return classical_provers(graph.n, _per_vertex(spec, "table", graph, as_int))
+        return constant_classical_provers(graph.n, as_int(spec.get("value", 1), "value"))
     if kind == "xz":
         if "angles" not in spec:
             raise ValueError("an xz strategy needs \"angles\"")
         angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
-        for (v, label), a in _per_vertex(spec, "angles", graph, float).items():
+        for (v, label), a in _per_vertex(spec, "angles", graph, _number).items():
             angles[v][label] = a
         return xz_plane_provers(build_graph_state(graph).state, angles)
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -175,6 +175,12 @@ class TestBadInput:
         ["selftest", "--strategy",
          json.dumps({"kind": "xz", "angles": {"0": {"X": math.nan}}})],
         ["isometry-check", "--labels", json.dumps([["X", math.inf]])],
+        ["selftest", "--graph", json.dumps({"n": 3.9, "edges": [[0, 1], [0, 2], [1, 2]]})],
+        ["mbqc", "--pattern", json.dumps({"steps": [{"v": 1.7, "theta": 0.5}],
+                                          "output_bits": [1]})],
+        ["isometry-check", "--labels", json.dumps([["X", 0.9]])],
+        ["selftest", "--strategy", json.dumps({"kind": "classical", "value": 1.5})],
+        ["selftest", "--strategy", json.dumps({"kind": "classical", "value": True})],
     ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
             "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2",
             "xz-angles-entry-not-object", "xz-angles-not-object",
@@ -183,7 +189,9 @@ class TestBadInput:
             "graph-without-vertices", "graph-size-infinite", "graph-vertex-not-integer",
             "pattern-vertex-negative", "pattern-output-infinite", "perturbed-eta-infinite",
             "perturbed-eta-nan", "classical-value-infinite", "xz-angle-nan",
-            "label-vertex-infinite"])
+            "label-vertex-infinite", "graph-size-not-integer", "pattern-vertex-not-integer",
+            "label-vertex-not-integer", "classical-value-not-integer",
+            "classical-reply-boolean"])
     def test_one_error_line(self, runner, args):
         command, *rest = args
         trials = [] if command == "prove" else ["--trials", "4"]
