@@ -70,6 +70,8 @@ class ExperimentConfig:
         if self.kind == "isometry" and (self.strategy or {}).get("kind") == "classical":
             raise ValueError("the swap isometry is defined for quantum provers only, "
                              "not a classical strategy")
+        if self.labels is not None and not self.labels:
+            raise ValueError("labels must name at least one label")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed is None:

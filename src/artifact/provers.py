@@ -303,8 +303,9 @@ def _xz_angle(m: np.ndarray) -> float:
 
 def perturbed_provers(base: ProverSet, eta: float, rng: np.random.Generator) -> ProverSet:
     """Rotate every observable's X-Z axis by an independent U(-eta, eta)."""
-    if not 0 <= eta < math.inf:
-        raise ValueError("eta must be nonnegative and finite")
+    # rng.uniform(-eta, eta) needs the width 2 eta to be a finite float
+    if not 0 <= 2 * eta < math.inf:
+        raise ValueError(f"eta must be nonnegative with 2 eta finite, got {eta!r}")
     if base.is_classical:
         raise ValueError("cannot perturb classical provers")
     per_prover = []

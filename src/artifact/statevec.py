@@ -191,7 +191,8 @@ def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,
     (hi, 4, lo) view, so the kernel is one broadcast matmul with no
     transposes.  The result goes into ``out``, a vector other than ``amps``
     that the caller reuses, so no call pays for faulting in a fresh 2^n
-    vector.
+    vector.  Any dtype works; ``out`` holds the result type of u and amps,
+    float64 for the real isometry reports.
     """
     if u.shape != (4, 4):
         raise ValueError("two-qubit kernels are 4x4")

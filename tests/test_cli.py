@@ -181,6 +181,7 @@ class TestBadInput:
         ["isometry-check", "--labels", json.dumps([["X", 0.9]])],
         ["selftest", "--strategy", json.dumps({"kind": "classical", "value": 1.5})],
         ["selftest", "--strategy", json.dumps({"kind": "classical", "value": True})],
+        ["isometry-check", "--labels", "[]"],
     ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
             "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2",
             "xz-angles-entry-not-object", "xz-angles-not-object",
@@ -191,12 +192,24 @@ class TestBadInput:
             "perturbed-eta-nan", "classical-value-infinite", "xz-angle-nan",
             "label-vertex-infinite", "graph-size-not-integer", "pattern-vertex-not-integer",
             "label-vertex-not-integer", "classical-value-not-integer",
-            "classical-reply-boolean"])
+            "classical-reply-boolean", "labels-empty"])
     def test_one_error_line(self, runner, args):
         command, *rest = args
         trials = [] if command == "prove" else ["--trials", "4"]
         _assert_input_error(runner.invoke(
             main, [command, "--graph", K3_JSON, "--seed", "1", *trials, *rest]))
+
+    @pytest.mark.parametrize("command", ["selftest", "mbqc", "isometry-check", "prove"])
+    def test_eta_whose_draw_width_overflows(self, runner, command):
+        # rng.uniform(-eta, eta) overflows once 2 eta exceeds the largest float
+        args = [command, "--graph", K3_JSON, "--seed", "1",
+                "--strategy", json.dumps({"kind": "perturbed", "eta": 1e308})]
+        if command in ("mbqc", "prove"):
+            args += ["--pattern", PATTERN_JSON]
+        args += ["--rounds", "10"] if command == "prove" else ["--trials", "2"]
+        result = runner.invoke(main, args)
+        _assert_input_error(result)
+        assert "eta" in result.output
 
 
 class TestBoundsCommand:
@@ -326,7 +339,8 @@ class TestAcceptCommand:
 
 # small numbers only: a fuzzed graph size must never ask for a large state
 _SCALARS = (st.none() | st.booleans() | st.integers(-3, 6)
-            | st.floats(-4, 4) | st.sampled_from([math.inf, -math.inf, math.nan])
+            | st.floats(-4, 4)
+            | st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308])
             | st.sampled_from(["", "0", "1", "X", "Z", "R+", "R-", "I", "XZ", "honest",
                                "perturbed", "classical", "xz", "ignore"]))
 _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)

@@ -68,6 +68,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg(**kwargs)
 
+    def test_isometry_refuses_an_empty_label_list(self):
+        # an empty list used to fall back to the default label "I"
+        with pytest.raises(ValueError, match="at least one label"):
+            _cfg("isometry", labels=())
+
     def test_mbqc_requires_a_pattern(self):
         with pytest.raises(ValueError):
             _cfg("mbqc", pattern=None)

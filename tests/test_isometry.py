@@ -100,7 +100,7 @@ class TestCircuitPieces:
             p = _provers(kind, complete_graph(3), np.random.default_rng(29))[0]
             grouped, pos = _phi_by_index_arithmetic(p)
             out = apply_phi(p)
-            assert np.abs(out.state.amplitudes[pos] - grouped).max() < 1e-12
+            assert np.abs(out.amplitudes[pos] - grouped).max() < 1e-12
             assert np.abs(grouped_matrix(out) - grouped.reshape(8, -1)).max() < 1e-12
 
 
@@ -118,8 +118,8 @@ class TestApplyPhi:
         assert out.n_system == 3
         assert out.n_shared == 3
         assert out.n_shared + 2 * out.n_system == 9
-        assert out.state.n_qubits == 9
-        assert math.isclose(out.state.norm(), 1.0, abs_tol=1e-12)
+        assert out.amplitudes.shape == (1 << 9,)
+        assert math.isclose(np.linalg.norm(out.amplitudes), 1.0, abs_tol=1e-12)
 
     def test_input_state_smaller_than_prover_count_rejected(self):
         provers, _ = _honest(complete_graph(3))
@@ -418,18 +418,27 @@ def _labels(n):
 
 
 def _provers(kind, graph, rng):
+    """Prover sets whose reports run in float64 (honest, perturbed, xz) or,
+    with a complex shared state, in complex128 (private)."""
     honest, params = _honest(graph)
+    if kind == "honest":
+        return honest, params
     if kind == "perturbed":
         return perturbed_provers(honest, 0.08, rng), params
+    if kind == "xz":
+        angles = [{"X": rng.normal(0, 0.1), "Z": math.pi / 2 + rng.normal(0, 0.1),
+                   "R+": math.pi / 4 + rng.normal(0, 0.1),
+                   "R-": -math.pi / 4 + rng.normal(0, 0.1)} for _ in range(graph.n)]
+        return xz_plane_provers(build_graph_state(graph).state, angles), params
     return _private_qubit_provers(graph, rng), params
 
 
 class TestConjugation:
-    @pytest.mark.parametrize("kind", ["perturbed", "private"])
+    @pytest.mark.parametrize("kind", ["perturbed", "xz", "private"])
     @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
     def test_label_matrices_match_a_circuit_run_per_label(self, graph, kind):
         p, params = _provers(kind, graph, np.random.default_rng(41))
-        amps0 = apply_phi(p).state.amplitudes
+        amps0 = apply_phi(p).amplitudes
         g_amps = build_graph_state(graph).state.amplitudes
         for label in _labels(graph.n):
             _, factors, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
@@ -437,7 +446,7 @@ class TestConjugation:
                                          p.shared_state.n_qubits)
             got = apply_kernels(amps0, kernels,
                                 (np.empty_like(amps0), np.empty_like(amps0)))
-            direct = _direct_output(p, label).state.amplitudes
+            direct = _direct_output(p, label).amplitudes
             assert np.abs(got - direct).max() < 1e-12, label
             assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12
 
@@ -497,8 +506,10 @@ class TestForcedFallback:
     checked against one circuit run per label."""
 
     ORDER = ["identity-extraction", "best-aligned", "constructed"]
+    # float64 (perturbed, xz) and complex128 (private) reports
+    KINDS = ("perturbed", "xz", "private")
 
-    @pytest.mark.parametrize("kind", ["perturbed", "private"])
+    @pytest.mark.parametrize("kind", ["perturbed", "xz", "private"])
     @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
     def test_zero_bounds_pick_the_smallest_worst_distance(self, graph, kind,
                                                           monkeypatch):
@@ -519,41 +530,117 @@ class TestForcedFallback:
 
     def test_best_aligned_wins_at_its_own_distances(self, monkeypatch):
         graph = triangle_strip(4)
-        p, params = _provers("perturbed", graph, np.random.default_rng(47))
-        labels = _labels(graph.n)
-        direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
-        own = direct["best-aligned"]
-        assert any(d > b + 1e-6 for d, b in zip(direct["identity-extraction"], own))
-        _bound_labels(monkeypatch, dict(zip(map(label_name, labels), own)))
-        report = equivalence_distance(p, params, labels)
-        assert report.junk_source == "best-aligned"
-        assert report.all_satisfied
-        got = [r.distance for r in report.labels]
-        assert np.allclose(got, own, rtol=0, atol=1e-12)
+        for kind in self.KINDS:
+            p, params = _provers(kind, graph, np.random.default_rng(47))
+            labels = _labels(graph.n)
+            direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
+            own = direct["best-aligned"]
+            assert any(d > b + 1e-6 for d, b in zip(direct["identity-extraction"], own))
+            with monkeypatch.context() as mp:
+                _bound_labels(mp, dict(zip(map(label_name, labels), own)))
+                report = equivalence_distance(p, params, labels)
+            assert report.junk_source == "best-aligned", kind
+            assert report.all_satisfied
+            got = [r.distance for r in report.labels]
+            assert np.allclose(got, own, rtol=0, atol=1e-12), kind
 
     def test_constructed_junk_wins_when_only_it_fits(self, monkeypatch):
         # the factorization's junk never beats the other two on perturbed
         # provers, so stand in the junk that is optimal for the first label
         # alone and bound only that label tightly
         graph = triangle_strip(4)
-        p, params = _provers("perturbed", graph, np.random.default_rng(47))
-        labels = [parse_label(("X", 1)), parse_label(("R+", 2))]
-        fit = (np.conj(_ideal_vector(graph, params, labels[0]))
-               @ _direct_matrix(p, labels[0]))
-        fit /= np.linalg.norm(fit)
-        standard = _standard_junks(p, graph)
-        direct = _direct_distances(
-            p, params, labels,
-            lambda mats, ideals: {**standard(mats, ideals), "constructed": fit})
-        monkeypatch.setattr(isometry, "constructed_junk", lambda *a: fit)
-        tight = direct["constructed"][0]
-        for earlier in self.ORDER[:2]:
-            assert direct[earlier][0] > tight + 1e-6
-        _bound_labels(monkeypatch, {"X(1)": tight, "R+(2)": 10.0})
+        for kind in self.KINDS:
+            p, params = _provers(kind, graph, np.random.default_rng(47))
+            labels = [parse_label(("X", 1)), parse_label(("R+", 2))]
+            fit = (np.conj(_ideal_vector(graph, params, labels[0]))
+                   @ _direct_matrix(p, labels[0]))
+            fit /= np.linalg.norm(fit)
+            if not fit.imag.any():
+                # constructed_junk is float64 for real provers; so is its stand-in
+                fit = fit.real
+            standard = _standard_junks(p, graph)
+            direct = _direct_distances(
+                p, params, labels,
+                lambda mats, ideals: {**standard(mats, ideals), "constructed": fit})
+            tight = direct["constructed"][0]
+            for earlier in self.ORDER[:2]:
+                assert direct[earlier][0] > tight + 1e-6
+            with monkeypatch.context() as mp:
+                mp.setattr(isometry, "constructed_junk", lambda *a: fit)
+                _bound_labels(mp, {"X(1)": tight, "R+(2)": 10.0})
+                report = equivalence_distance(p, params, labels)
+            assert report.junk_source == "constructed", kind
+            got = [r.distance for r in report.labels]
+            assert np.allclose(got, direct["constructed"], rtol=0, atol=1e-12), kind
+
+
+class TestDtype:
+    """A report runs in float64 when the shared state and every observable
+    it reads are real, and in complex128 otherwise."""
+
+    WANT = {"honest": np.float64, "perturbed": np.float64, "xz": np.float64,
+            "private": np.complex128}
+
+    @pytest.mark.parametrize("kind", sorted(WANT))
+    def test_every_vector_of_a_report_takes_the_dtype(self, kind, monkeypatch):
+        graph = triangle_strip(4)
+        p, params = _provers(kind, graph, np.random.default_rng(53))
+        seen = []
+        real_unitary, real_junk = isometry.apply_unitary, isometry.constructed_junk
+
+        def unitary(amps, u, qubit, n, out):
+            seen.extend((amps.dtype, u.dtype, out.dtype))
+            return real_unitary(amps, u, qubit, n, out)
+
+        def junk(*args):
+            seen.append(real_junk(*args).dtype)
+            return real_junk(*args)
+
+        monkeypatch.setattr(isometry, "apply_unitary", unitary)
+        monkeypatch.setattr(isometry, "constructed_junk", junk)
+        # zero bounds fail every junk, so both fallbacks run too
+        monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
+        monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
+        equivalence_distance(p, params, _labels(graph.n))
+        assert set(seen) == {np.dtype(self.WANT[kind])}
+        assert apply_phi(p).amplitudes.dtype == self.WANT[kind]
+
+    @pytest.mark.parametrize("kind", sorted(WANT))
+    def test_identity_extraction_distances_match_the_dense_oracle(self, kind,
+                                                                  monkeypatch):
+        graph = triangle_strip(4)
+        p, params = _provers(kind, graph, np.random.default_rng(59))
+        labels = _labels(graph.n)
+        direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
+        _bound_labels(monkeypatch, dict.fromkeys(map(label_name, labels), math.inf))
         report = equivalence_distance(p, params, labels)
-        assert report.junk_source == "constructed"
+        assert report.junk_source == "identity-extraction"
         got = [r.distance for r in report.labels]
-        assert np.allclose(got, direct["constructed"], rtol=0, atol=1e-12)
+        assert np.allclose(got, direct["identity-extraction"], rtol=0, atol=1e-12)
+
+    def test_one_complex_label_factor_makes_the_report_complex(self, monkeypatch):
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(61))
+        y = np.array([[0, -1j], [1j, 0]])
+        real_entry = isometry._label_entry
+
+        def entry(p, params, label, *rest):
+            out = real_entry(p, params, label, *rest)
+            if label == ("X", 2):
+                return (out[0], {2: y}) + out[2:]
+            return out
+
+        seen = []
+        real_unitary = isometry.apply_unitary
+
+        def unitary(amps, u, qubit, n, out):
+            seen.append(out.dtype)
+            return real_unitary(amps, u, qubit, n, out)
+
+        monkeypatch.setattr(isometry, "_label_entry", entry)
+        monkeypatch.setattr(isometry, "apply_unitary", unitary)
+        equivalence_distance(p, params, ["I", ("X", 2)])
+        assert set(seen) == {np.dtype(np.complex128)}
 
 
 GOLDEN = Path(__file__).with_name("isometry_golden.json")
