@@ -11,6 +11,7 @@ and ``t_dot_at`` for the corresponding integer products.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 
@@ -59,7 +60,7 @@ def lemma3_bound(eps: float, delta: float) -> float:
     return math.sqrt(2 * (eps + 2 * delta))
 
 
-def lemma4_bound(delta: float, n: int, m: int) -> float:
+def lemma4_bound(delta: float, n: int, m: int = 4) -> float:
     """Adaptive-sequence deviation (2 n m + 1) delta in state norm."""
     if delta < 0:
         raise DomainError("delta must be nonnegative")
@@ -84,8 +85,13 @@ def lemma5_delta_of_eps(eps: float, n: int) -> float:
     return math.sqrt(22 + 25 * math.sqrt(n)) * eps ** 0.125
 
 
-def lemma5_gap(delta: float, n: int, n_g: int) -> float:
-    """Pass-probability deficit (1 / 2 N_G) (delta^2 / (22 + 25 sqrt(n)))^4."""
+def lemma5_gap(delta: float, n: int, n_g: int | None = None) -> float:
+    """Pass-probability deficit (1 / 2 N_G) (delta^2 / (22 + 25 sqrt(n)))^4.
+
+    N_G defaults to its ceiling 4 n.
+    """
+    if n_g is None:
+        n_g = 4 * n
     if n_g <= 0:
         raise DomainError("n_g must be positive")
     return lemma5_eps_of_delta(delta, n) / (2 * n_g)
@@ -108,8 +114,6 @@ def cor3_chain(delta: float, n: int, n_g: int | None = None) -> dict[str, float]
     The middle inequality line2 <= line1 needs n >= 7; for smaller n the
     chain is reported as-is and the comparison left to the caller.
     """
-    if n_g is None:
-        n_g = 4 * n
     delta_prime = delta / (2 * (8 * n + 1))
     exact = lemma5_gap(delta_prime, n, n_g)
     line1 = (1 / (4 * n)) * (delta ** 2 / (8 * (8 * n + 1) ** 2
@@ -200,67 +204,49 @@ def _check_eps(eps: float):
         raise DomainError("eps must be nonnegative")
 
 
-_REGISTRY: dict[str, tuple] = {
-    "thm2": (thm2_bound, ("eps", "n", "edges", "p")),
-    "lemma1": (lemma1_anticommutator, ("eps",)),
-    "cor1": (cor1_bound, ("eps", "s_dot_t")),
-    "lemma2": (lemma2_bound, ("eps", "t_dot_at", "t_dot_t")),
-    "lemma3": (lemma3_bound, ("eps", "delta")),
-    "lemma4": (lemma4_bound, ("delta", "n", "m")),
-    "cor2": (cor2_bound, ("delta", "n", "m")),
-    "lemma5gap": (lemma5_gap, ("delta", "n", "n_g")),
-    "lemma5eps": (lemma5_eps_of_delta, ("delta", "n")),
-    "lemma5delta": (lemma5_delta_of_eps, ("eps", "n")),
-    "cor3gap": (cor3_gap, ("delta", "n")),
-    "lemma6q": (lemma6_q, ("c_test", "s_test", "s_calc", "delta")),
-    "lemma6gap": (lemma6_gap, ("c_calc", "s_calc", "c_test", "s_test", "delta")),
-    "lemma6gapfloor": (lemma6_gap_floor, ("delta", "n")),
-    "hoeffdingn": (hoeffding_n, ("gap", "error")),
-    "thm1n": (thm1_n, ("n", "delta")),
+# kind -> (bound function, its formula); evaluate reads the parameter names
+# and defaults from the function's signature
+_REGISTRY = {
+    "thm2": (thm2_bound, "(2*sqrt(p) + 2*sqrt(2*n) + sqrt(edges + n)) * (2*eps)**(1/4)"),
+    "lemma1": (lemma1_anticommutator, "4*sqrt(2*eps)"),
+    "cor1": (cor1_bound, "4*s_dot_t*sqrt(2*eps)"),
+    "lemma2": (lemma2_bound, "(2*t_dot_at + t_dot_t)*sqrt(2*eps)"),
+    "lemma3": (lemma3_bound, "sqrt(2*(eps + 2*delta))"),
+    "lemma4": (lemma4_bound, "(2*n*m + 1)*delta"),
+    "cor2": (cor2_bound, "2*(2*n*m + 1)*delta"),
+    "lemma5gap": (lemma5_gap, "(delta**2/(22 + 25*sqrt(n)))**4 / (2*n_g)"),
+    "lemma5eps": (lemma5_eps_of_delta, "(delta**2/(22 + 25*sqrt(n)))**4"),
+    "lemma5delta": (lemma5_delta_of_eps, "sqrt(22 + 25*sqrt(n)) * eps**(1/8)"),
+    "cor3gap": (cor3_gap, "delta**8 / (10**17.7 * n**11)"),
+    "lemma6q": (lemma6_q, "(c_test - s_test)/(1 + c_test - s_calc - s_test - delta)"),
+    "lemma6gap": (lemma6_gap, "(c_calc - s_calc - delta)*(c_test - s_test)"
+                              "/(1 + c_test - s_calc - s_test - delta)"),
+    "lemma6gapfloor": (lemma6_gap_floor, "delta**8 / (10**18.8 * n**11)"),
+    "hoeffdingn": (hoeffding_n, "ceil(2*ln(1/error)/gap**2)"),
+    "thm1n": (thm1_n, "10**37.9 * n**22 / delta**16"),
 }
 
-FORMULAS = {
-    "thm2": "(2*sqrt(p) + 2*sqrt(2*n) + sqrt(edges + n)) * (2*eps)**(1/4)",
-    "lemma1": "4*sqrt(2*eps)",
-    "cor1": "4*s_dot_t*sqrt(2*eps)",
-    "lemma2": "(2*t_dot_at + t_dot_t)*sqrt(2*eps)",
-    "lemma3": "sqrt(2*(eps + 2*delta))",
-    "lemma4": "(2*n*m + 1)*delta",
-    "cor2": "2*(2*n*m + 1)*delta",
-    "lemma5gap": "(delta**2/(22 + 25*sqrt(n)))**4 / (2*n_g)",
-    "lemma5eps": "(delta**2/(22 + 25*sqrt(n)))**4",
-    "lemma5delta": "sqrt(22 + 25*sqrt(n)) * eps**(1/8)",
-    "cor3gap": "delta**8 / (10**17.7 * n**11)",
-    "lemma6q": "(c_test - s_test)/(1 + c_test - s_calc - s_test - delta)",
-    "lemma6gap": "(c_calc - s_calc - delta)*(c_test - s_test)"
-                 "/(1 + c_test - s_calc - s_test - delta)",
-    "lemma6gapfloor": "delta**8 / (10**18.8 * n**11)",
-    "hoeffdingn": "ceil(2*ln(1/error)/gap**2)",
-    "thm1n": "10**37.9 * n**22 / delta**16",
-}
-
+FORMULAS = {kind: formula for kind, (_, formula) in _REGISTRY.items()}
 KINDS = tuple(sorted(_REGISTRY))
 
 
-def evaluate(kind: str, **params) -> float:
-    """Evaluate a bound by kind name (case-insensitive)."""
+def kind_key(kind: str) -> str:
+    """The registry key of a bound name: case, "_" and "-" are ignored."""
     key = kind.lower().replace("_", "").replace("-", "")
     if key not in _REGISTRY:
         raise ValueError(f"unknown bound kind {kind!r}; choose from {KINDS}")
-    fn, names = _REGISTRY[key]
-    args = []
-    for name in names:
-        if name in params:
-            args.append(params[name])
-        elif name == "m":
-            args.append(4)
-        elif name == "error":
-            args.append(1 / 3)
-        elif name == "n_g" and "n" in params:
-            args.append(4 * params["n"])
-        else:
+    return key
+
+
+def evaluate(kind: str, **params) -> float:
+    """Evaluate a bound by kind name (see ``kind_key``) with the parameter
+    names and defaults of its function."""
+    fn = _REGISTRY[kind_key(kind)][0]
+    names = inspect.signature(fn).parameters
+    for name, param in names.items():
+        if name not in params and param.default is param.empty:
             raise MissingParameterError(f"{kind} needs parameter {name!r}")
     extra = set(params) - set(names)
     if extra:
         raise ValueError(f"{kind} does not take {sorted(extra)}")
-    return fn(*args)
+    return fn(**params)

@@ -81,14 +81,19 @@ def _parse_options(pairs: tuple[str, ...]) -> dict:
     return opts
 
 
-def _emit(record, out: str | None, as_csv: bool) -> None:
-    writer = write_csv if as_csv else write_json_lines
+def _write(out: str | None, write) -> None:
+    """``write(stream)`` to stdout, or to the file ``out`` with a note on stderr."""
     if out is None or out == "-":
-        writer(record, sys.stdout)
+        write(sys.stdout)
     else:
         with open(out, "w", newline="") as fh:
-            writer(record, fh)
+            write(fh)
         click.echo(f"wrote {out}", err=True)
+
+
+def _emit(record, out: str | None, as_csv: bool) -> None:
+    writer = write_csv if as_csv else write_json_lines
+    _write(out, lambda stream: writer(record, stream))
 
 
 def _run_and_emit(cfg: ExperimentConfig, jobs: int, out: str | None,
@@ -151,12 +156,7 @@ def gen_graph(family, n, k, rows, cols, out):
             raise click.BadParameter("triangular-lattice needs --rows/--cols")
         g = triangular_lattice(rows, cols)
     text = json.dumps(g.to_json())
-    if out is None or out == "-":
-        click.echo(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-        click.echo(f"wrote {out}", err=True)
+    _write(out, lambda stream: stream.write(text + "\n"))
 
 
 @main.command()
@@ -206,21 +206,16 @@ def bounds_cmd(kind, params, out):
         if kind is None:
             record = run_experiment(ExperimentConfig(kind="bounds", options=opts))
         else:
-            value = bounds.evaluate(kind, **opts)
-    except (TypeError, ValueError) as exc:
+            key = bounds.kind_key(kind)
+            value = bounds.evaluate(key, **opts)
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     if kind is None:
         _emit(record, out, False)
         return
-    key = kind.lower().replace("_", "").replace("-", "")
-    text = json.dumps({"kind": kind, "value": value,
-                       "formula": bounds.FORMULAS[key],
+    text = json.dumps({"kind": kind, "value": value, "formula": bounds.FORMULAS[key],
                        "inputs": opts}, sort_keys=True)
-    if out is None or out == "-":
-        click.echo(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    _write(out, lambda stream: stream.write(text + "\n"))
 
 
 @main.command()

@@ -20,13 +20,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds
-from .graphs import Graph
+from .graphs import Graph, as_int, as_real
 from .isometry import equivalence_distance
 from .mbqc import MeasurementPattern, reference_run, run_pattern, total_variation
 from .protocol import ProtocolConfig, choose_q, gap_case_lines, run_amplified
@@ -39,6 +40,13 @@ KINDS = ("selftest", "mbqc", "isometry", "protocol", "bounds")
 STOCHASTIC_STRATEGIES = {"perturbed"}
 
 DEFAULT_LABELS = ("I",)
+
+# the option keys of the two kinds that read options
+OPTION_KEYS = {
+    "protocol": ("accept_output", "delta", "s_calc", "s_test_gap", "q", "c_ip",
+                 "s_ip", "n_rounds"),
+    "bounds": ("n", "edges", "eps", "m", "delta"),
+}
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,11 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"expected one of {KINDS}")
+        known = OPTION_KEYS.get(self.kind)
+        if known is not None and not set(self.options) <= set(known):
+            raise ValueError(f"unknown {self.kind} options "
+                             f"{sorted(set(self.options) - set(known))}; "
+                             f"expected any of {list(known)}")
         if self.kind == "bounds":
             if self.trials:
                 raise ValueError("bounds experiments take no trials")
@@ -95,27 +108,6 @@ class ExperimentConfig:
             "options": self.options,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        theta = obj.get("theta")
-        if isinstance(theta, dict):
-            theta = {int(v): float(a) for v, a in theta.items()}
-        graph = obj.get("graph")
-        pattern = obj.get("pattern")
-        labels = obj.get("labels")
-        return cls(
-            kind=obj["kind"],
-            graph=None if graph is None else Graph.from_json(graph),
-            theta=theta,
-            strategy=obj.get("strategy"),
-            pattern=None if pattern is None else MeasurementPattern.from_json(pattern),
-            labels=None if labels is None else tuple(
-                tuple(l) if isinstance(l, list) else l for l in labels),
-            trials=obj.get("trials", 0),
-            seed=obj.get("seed"),
-            options=obj.get("options", {}),
-        )
-
     def digest(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
@@ -133,11 +125,6 @@ class ResultRecord:
     def to_json(self) -> dict:
         return {"config_digest": self.config_digest, "kind": self.kind,
                 "rows": list(self.rows), "summary": self.summary}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ResultRecord":
-        return cls(obj["config_digest"], obj["kind"],
-                   tuple(obj["rows"]), obj["summary"])
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -158,39 +145,36 @@ def _protocol_setup(cfg: ExperimentConfig,
     The true dishonest-test ceiling sits within 1e-30 of the honest rate
     for any graph this package can simulate, which makes the optimal coin
     bias formula degenerate in floats.  Desk runs therefore take the test
-    gap from options["s_test_gap"] (default 0.1) unless an explicit
-    s_test, q, or c_ip/s_ip pair overrides it.  The calculation branch's
-    honest rate comes from the pattern's exact reference distribution.
+    gap from options["s_test_gap"] (default 0.1) unless an explicit q or
+    c_ip/s_ip pair overrides it.  The calculation branch's honest rate is
+    the pattern's exact reference law, and the accept threshold is the
+    midpoint rule of ``ProtocolConfig``.
     """
     opts = cfg.options
-    accept_output = int(opts.get("accept_output", 0))
-    delta = float(opts.get("delta", 0.1))
-    s_calc = float(opts.get("s_calc", 1 / 3))
-    if "c_calc" in opts:
-        c_calc = float(opts["c_calc"])
-    else:
-        c_calc = reference_run(cfg.graph, cfg.pattern).get(accept_output, 0.0)
+
+    def option(key: str, default, parse=as_real):
+        return parse(opts[key], key) if key in opts else default
+
+    accept_output = option("accept_output", 0, as_int)
+    delta = option("delta", 0.1)
+    s_calc = option("s_calc", 1 / 3)
+    c_calc = reference_run(cfg.graph, cfg.pattern).get(accept_output, 0.0)
     ct = c_test(params)
-    if "s_test" in opts:
-        st = float(opts["s_test"])
-    else:
-        st = ct - float(opts.get("s_test_gap", 0.1))
+    st = ct - option("s_test_gap", 0.1)
     if "q" in opts:
-        q = float(opts["q"])
+        q = option("q", None)
         gap = min(gap_case_lines(q, c_calc, s_calc, ct, st, delta))
     else:
         q, gap = choose_q(ct, st, s_calc, delta, c_calc)
-    c_ip = float(opts.get("c_ip", q * c_calc + (1 - q) * ct))
-    s_ip = float(opts.get("s_ip", max(c_ip - gap, 0.0)))
+    c_ip = option("c_ip", q * c_calc + (1 - q) * ct)
+    s_ip = option("s_ip", max(c_ip - gap, 0.0))
     if "n_rounds" in opts:
-        n_rounds = int(opts["n_rounds"])
+        n_rounds = option("n_rounds", None, as_int)
     else:
         n_rounds = bounds.hoeffding_n(c_ip - s_ip)
     proto_cfg = ProtocolConfig(
         q=q, params=params, pattern=cfg.pattern, n_rounds=n_rounds,
-        c_ip=c_ip, s_ip=s_ip,
-        threshold=opts.get("threshold"),
-        accept_output=accept_output)
+        c_ip=c_ip, s_ip=s_ip, accept_output=accept_output)
     meta = {"q": q, "gap": gap, "delta": delta, "c_test": ct, "s_test": st,
             "c_calc": c_calc, "s_calc": s_calc,
             "c_ip": c_ip, "s_ip": s_ip, "n_rounds": n_rounds,
@@ -278,11 +262,11 @@ def _bounds_record(cfg: ExperimentConfig) -> ResultRecord:
     if cfg.graph is not None:
         opts.setdefault("n", cfg.graph.n)
         opts.setdefault("edges", cfg.graph.edge_count)
-    n = int(opts.get("n", 3))
-    edges = int(opts.get("edges", 3 * n))
-    eps = float(opts.get("eps", 1e-6))
-    m = int(opts.get("m", 4))
-    delta = float(opts.get("delta", 0.1))
+    n = as_int(opts.get("n", 3), "n")
+    edges = as_int(opts.get("edges", 3 * n), "edges")
+    eps = as_real(opts.get("eps", 1e-6), "eps")
+    m = as_int(opts.get("m", 4), "m")
+    delta = as_real(opts.get("delta", 0.1), "delta")
     table = [{"kind": kind, "formula": bounds.FORMULAS[kind],
               "value": bounds.evaluate(kind, **params), "inputs": params}
              for kind, params in (
@@ -335,8 +319,9 @@ def _summarize(setup: TrialSetup, rows: list[dict]) -> dict:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
     """Execute the configured trials and summarize them.
 
-    With ``jobs > 1`` contiguous trial chunks run in worker processes on the
-    setup built here; the per-trial PRNG streams make the merged rows
+    With ``jobs > 1`` the trials split into min(jobs, trials) contiguous
+    chunks, run on the setup built here by at most one worker process per
+    chunk and per CPU; the per-trial PRNG streams make the merged rows
     identical to a serial run.
     """
     if cfg.kind == "bounds":
@@ -346,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
         n_chunks = min(jobs, cfg.trials)
         edges = np.linspace(0, cfg.trials, n_chunks + 1, dtype=int)
         rows: list[dict] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_chunks, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(setup.rows, range(int(a), int(b)))
                        for a, b in zip(edges[:-1], edges[1:]) if a < b]
             for fut in futures:

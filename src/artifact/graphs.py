@@ -1,15 +1,15 @@
 """Bitstrings over GF(2)/Z and the graph structures built on them.
 
-Bitstrings are numpy uint8 arrays indexed by vertex.  Dot products come
-in two flavours: over the integers (``dot``) and mod 2 (``parity_dot``);
-stabilizer arithmetic needs both.  Graphs carry a symmetric, loop-free
+Bitstrings are numpy uint8 arrays indexed by vertex; ``dot`` is their
+dot product over the integers.  Graphs carry a symmetric, loop-free
 adjacency bit-matrix plus a derived edge list, cross-validated at
 construction.
 """
 
 from __future__ import annotations
 
-import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,16 +51,28 @@ def as_int(value, what: str) -> int:
     return int(value)
 
 
+def as_real(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number (JSON or numpy).
+
+    Input parsers use this instead of ``float()``, which would read ``true``
+    as 1.0 and "0.05" as 0.05; booleans, strings, inf, nan and integers
+    beyond the float range raise ValueError naming ``what``.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 def dot(s: np.ndarray, t: np.ndarray) -> int:
     """s . t over the integers."""
     if len(s) != len(t):
         raise ValueError(f"length mismatch: {len(s)} vs {len(t)}")
     return int(np.dot(s.astype(np.int64), t.astype(np.int64)))
-
-
-def parity_dot(s: np.ndarray, t: np.ndarray) -> int:
-    """s . t mod 2."""
-    return dot(s, t) & 1
 
 
 def xor(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -163,9 +175,6 @@ class Graph:
         return cls.from_edges(as_int(obj["n"], "the graph size"),
                               [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))
                                for u, v in obj["edges"]])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)

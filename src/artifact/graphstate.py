@@ -14,18 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pauli
 from .graphs import Graph, support
-from .pauli import PauliProduct, lc_generator_transform  # noqa: F401  (re-export)
-from .statevec import (
-    PAULI_X,
-    PAULI_Z,
-    ProductObservable,
-    StateVector,
-    apply_cz,
-    expectation,
-    plus_state,
-)
+from .pauli import PauliProduct, stabilizer_generator, stabilizer_product
+from .statevec import ProductObservable, StateVector, apply_cz, expectation, plus_state
 
 
 class NotATriangleError(ValueError):
@@ -57,12 +48,7 @@ def amplitude(graph: Graph, x) -> float:
 
 def stabilizer(graph: Graph, v: int) -> ProductObservable:
     """S_v = X_v Z^{A 1_v} as a measurable product."""
-    if not 0 <= v < graph.n:
-        raise IndexError(f"vertex {v} out of range")
-    terms: dict[int, np.ndarray] = {v: PAULI_X}
-    for u in graph.neighbors(v):
-        terms[u] = PAULI_Z
-    return ProductObservable(terms)
+    return stabilizer_generator(graph, v).observable()
 
 
 def triangle_operator(graph: Graph, tau) -> ProductObservable:
@@ -75,23 +61,9 @@ def triangle_operator(graph: Graph, tau) -> ProductObservable:
     tau = np.asarray(tau, dtype=np.uint8) % 2
     if len(tau) != graph.n:
         raise ValueError("length mismatch")
-    verts = support(tau)
-    if len(verts) != 3:
-        raise NotATriangleError(f"need exactly three vertices, got {len(verts)}")
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if not graph.adjacency[a, b]:
-                raise NotATriangleError(f"vertices {a} and {b} are not adjacent")
-    z_bits = graph.mul(tau)
-    terms: dict[int, np.ndarray] = {}
-    for v in range(graph.n):
-        if tau[v] and z_bits[v]:
-            terms[v] = PAULI_X @ PAULI_Z
-        elif tau[v]:
-            terms[v] = PAULI_X
-        elif z_bits[v]:
-            terms[v] = PAULI_Z
-    return ProductObservable(terms)
+    if not graph.is_triangle(tau):
+        raise NotATriangleError(f"{support(tau)} is not a triangle of the graph")
+    return PauliProduct(0, tau, graph.mul(tau)).observable()
 
 
 def stabilizer_element(graph: Graph, t) -> ProductObservable:
@@ -101,12 +73,7 @@ def stabilizer_element(graph: Graph, t) -> ProductObservable:
     quadratic form over the integers; the rendered sign used here also
     accounts for XZ pairs collapsing to Y letters.
     """
-    prod = pauli.stabilizer_product(graph, t)
-    terms: dict[int, np.ndarray] = {}
-    for v, letter in enumerate(prod.letters()):
-        if letter != "I":
-            terms[v] = pauli.letter_matrix(letter)
-    return ProductObservable(terms, sign=prod.sign())
+    return stabilizer_product(graph, t).observable()
 
 
 def stabilizer_expectations(gs: GraphState) -> np.ndarray:

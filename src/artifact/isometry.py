@@ -47,7 +47,6 @@ faster; its distances agree with the complex path's to rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -372,37 +371,23 @@ class EquivalenceReport:
                 "junk_source": self.junk_source, "all_satisfied": self.all_satisfied,
                 "labels": [r.to_json() for r in self.labels]}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def _label_entry(p: ProverSet, params: TestParameters, label: tuple,
                  eps: float, g_amps: np.ndarray):
     """Prover-side factors M'_v, ideal target vector, and bound for a label.
 
     The factors map vertex -> the 2x2 matrix the label applies to that
-    prover's qubit of the shared state; the identity label has none.
+    prover's qubit of the shared state; the identity label has none.  I,
+    X(v) and Z(v) are the XZ labels with exponents (0, 0), (1_v, 0) and
+    (0, 1_v).
     """
     graph = params.graph
     n = graph.n
     head = label[0]
-    ideal = g_amps
-    if head == "I":
-        return label, {}, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, 0)
-    if head in ("X", "Z"):
-        v = label[1]
-        if not 0 <= v < n:
-            raise ValueError(f"label vertex {v} out of range")
-        pauli = PAULI_X if head == "X" else PAULI_Z
-        prover_label = X_LABEL if head == "X" else Z_LABEL
-        factors = {v: p.observable(v, prover_label).matrix}
-        ideal = apply_single(g_amps, pauli, v, n)
-        p_dot = 0 if head == "X" else 1
-        return label, factors, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, p_dot)
+    if head in ("X", "Z", "R+", "R-") and not 0 <= label[1] < n:
+        raise ValueError(f"label vertex {label[1]} out of range")
     if head in ("R+", "R-"):
         v = label[1]
-        if not 0 <= v < n:
-            raise ValueError(f"label vertex {v} out of range")
         t = 1 if head == "R+" else -1
         theta = params.theta[v]
         factors = {v: p.observable(v, R_PLUS if t == 1 else R_MINUS).matrix}
@@ -412,24 +397,25 @@ def _label_entry(p: ProverSet, params: TestParameters, label: tuple,
         delta = bounds.thm2_bound(eps, n, graph.edge_count, p_dot)
         eps_r = rtheta_epsilon(p, params, v, t)
         return label, factors, ideal, "lemma3", bounds.lemma3_bound(eps_r, delta)
-    q, pz = label[1], label[2]
-    if len(q) != n or len(pz) != n:
-        raise ValueError("XZ label exponents must have one bit per vertex")
+    if head == "XZ":
+        q, pz = label[1], label[2]
+        if len(q) != n or len(pz) != n:
+            raise ValueError("XZ label exponents must have one bit per vertex")
+    else:
+        q, pz = [0] * n, [0] * n
+        if head != "I":
+            (q if head == "X" else pz)[label[1]] = 1
     factors = {}
+    ideal = g_amps
     for v in range(n):
-        mats_prover = []
-        mats_ideal = []
-        if q[v]:
-            mats_prover.append(p.observable(v, X_LABEL).matrix)
-            mats_ideal.append(PAULI_X)
-        if pz[v]:
-            mats_prover.append(p.observable(v, Z_LABEL).matrix)
-            mats_ideal.append(PAULI_Z)
-        if not mats_prover:
+        if q[v] and pz[v]:
+            factors[v] = p.observable(v, X_LABEL).matrix @ p.observable(v, Z_LABEL).matrix
+            ideal_m = PAULI_X @ PAULI_Z
+        elif q[v] or pz[v]:
+            factors[v] = p.observable(v, X_LABEL if q[v] else Z_LABEL).matrix
+            ideal_m = PAULI_X if q[v] else PAULI_Z
+        else:
             continue
-        prover_m = mats_prover[0] if len(mats_prover) == 1 else mats_prover[0] @ mats_prover[1]
-        ideal_m = mats_ideal[0] if len(mats_ideal) == 1 else mats_ideal[0] @ mats_ideal[1]
-        factors[v] = prover_m
         ideal = apply_single(ideal, ideal_m, v, n)
     return label, factors, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, sum(pz))
 

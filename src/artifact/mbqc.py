@@ -20,13 +20,12 @@ Z R(a) Z = -R(a) hold exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, as_int
+from .graphs import Graph, as_int, as_real
 from .graphstate import build_graph_state
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 from .statevec import (
@@ -101,15 +100,12 @@ class MeasurementPattern:
     @classmethod
     def from_json(cls, obj: dict) -> "MeasurementPattern":
         steps = tuple(
-            PatternStep(as_int(s["v"], "a step vertex"), float(s["theta"]),
+            PatternStep(as_int(s["v"], "a step vertex"), as_real(s["theta"], "a step angle"),
                         tuple(as_int(d, "a dependency") for d in s.get("x_deps", ())),
                         tuple(as_int(d, "a dependency") for d in s.get("z_deps", ())))
             for s in obj["steps"]
         )
         return cls(steps, tuple(as_int(v, "an output bit") for v in obj["output_bits"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,8 @@ def run_pattern(p: ProverSet, pattern: MeasurementPattern,
 
     A quantum set's outcomes come from a walk of its outcome tree, drawn
     as a chain of ``measure`` calls would draw them (see
-    ``provers.TreeWalk.sample``).
+    ``provers.TreeWalk.sample``); a classical set reads its table and
+    draws nothing, so ``rng`` may be None.
     """
     for step in pattern.steps:
         if step.vertex >= p.n:
@@ -213,12 +210,7 @@ def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, flo
             raise MissingAngleSupportError(
                 f"no prover for pattern vertex {step.vertex}")
     if p.is_classical:
-        raw = {}
-        for step in pattern.steps:
-            t = _parity(raw, step.x_deps)
-            label = R_PLUS if t == 1 else R_MINUS
-            raw[step.vertex] = p.strategy.table[step.vertex][label]
-        bit = _output_bit(pattern, raw)
+        bit, _ = run_pattern(p, pattern, None)
         return {bit: 1.0, 1 - bit: 0.0}
     return _branch_distribution(p.tree.walk(), pattern)
 

@@ -2,9 +2,9 @@
 
 A product is stored in the normal form i^p * prod_v X_v^{x_v} Z_v^{z_v}
 with p mod 4 and GF(2) bit vectors x, z.  Multiplication, commutation,
-Hermiticity, and the letter rendering (I/X/Y/Z per qubit with a global
-i^r) are all exact integer arithmetic; no matrices are involved until
-``matrix`` is called.
+and the letter rendering (I/X/Y/Z per qubit with a global i^r) are all
+exact integer arithmetic; no matrices are involved until ``matrix`` or
+``observable`` is called.
 
 The letter form uses XZ = -iY, so the rendered global phase exponent is
 r = (p + 3 * |x & z|) mod 4.
@@ -17,20 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, dot, unit, xor
+from .statevec import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ProductObservable
 
 _LETTER_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER_MATRIX = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 _PHASE = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
-
-_LETTER_MATRIX = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def letter_matrix(letter: str) -> np.ndarray:
-    return _LETTER_MATRIX[letter]
 
 
 @dataclass(frozen=True)
@@ -60,10 +51,6 @@ class PauliProduct:
     def identity(n: int) -> "PauliProduct":
         zeros = np.zeros(n, dtype=np.uint8)
         return PauliProduct(0, zeros, zeros.copy())
-
-    @staticmethod
-    def from_xz(x, z, phase_pow: int = 0) -> "PauliProduct":
-        return PauliProduct(phase_pow, np.asarray(x), np.asarray(z))
 
     @staticmethod
     def from_letters(letters: str, phase_pow: int = 0) -> "PauliProduct":
@@ -104,9 +91,6 @@ class PauliProduct:
     def letters(self) -> str:
         return "".join("IXZY"[xv + 2 * zv] for xv, zv in zip(self.x, self.z))
 
-    def is_hermitian(self) -> bool:
-        return self.rendered_phase_pow() % 2 == 0
-
     def sign(self) -> int:
         """+1 or -1 in front of the letter rendering; error if imaginary."""
         r = self.rendered_phase_pow()
@@ -114,22 +98,19 @@ class PauliProduct:
             raise ValueError("product has imaginary phase")
         return 1 if r == 0 else -1
 
-    def normal_form_sign(self) -> int:
-        """+1 or -1 in front of X^x Z^z; error if the phase is imaginary.
-
-        Differs from ``sign`` whenever the letter rendering absorbs an
-        odd power of -1 from XZ = -iY pairs.
-        """
-        if self.phase_pow % 2:
-            raise ValueError("product has imaginary phase")
-        return 1 if self.phase_pow == 0 else -1
-
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, little-endian (qubit 0 least significant)."""
         m = np.array([[_PHASE[self.rendered_phase_pow()]]])
         for letter in reversed(self.letters()):
-            m = np.kron(m, letter_matrix(letter))
+            m = np.kron(m, _LETTER_MATRIX[letter])
         return m
+
+    def observable(self) -> ProductObservable:
+        """The letter rendering as a measurable product: one I/X/Y/Z matrix
+        per non-identity qubit and the ``sign`` in front."""
+        terms = {v: _LETTER_MATRIX[letter]
+                 for v, letter in enumerate(self.letters()) if letter != "I"}
+        return ProductObservable(terms, sign=self.sign())
 
     def __str__(self) -> str:
         prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.rendered_phase_pow()]

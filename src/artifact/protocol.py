@@ -12,13 +12,12 @@ this 1/3.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import hoeffding_n, lemma6_gap, lemma6_q
+from .bounds import lemma6_gap, lemma6_q
 from .mbqc import MeasurementPattern, run_distribution, run_pattern
 from .provers import ProverSet
 from .selftest import TestParameters, exact_pass_probability, run_oneshot
@@ -66,8 +65,8 @@ class ProtocolConfig:
     n_rounds: int
     c_ip: float
     s_ip: float
-    threshold: float | None = None
     accept_output: int = 0
+    threshold: float = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.q <= 1:
@@ -82,9 +81,8 @@ class ProtocolConfig:
         for step in self.pattern.steps:
             if step.vertex >= n:
                 raise ValueError(f"pattern vertex {step.vertex} outside graph")
-        if self.threshold is None:
-            object.__setattr__(self, "threshold",
-                               midpoint_threshold(self.n_rounds, self.c_ip, self.s_ip))
+        object.__setattr__(self, "threshold",
+                           midpoint_threshold(self.n_rounds, self.c_ip, self.s_ip))
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,6 @@ class ProtocolResult:
                 "threshold": self.threshold, "n_rounds": len(self.rounds),
                 "rounds": [r.to_json() for r in self.rounds]}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def run_round(p: ProverSet, cfg: ProtocolConfig,
               rng: np.random.Generator) -> tuple[bool, RoundRecord]:
@@ -146,21 +141,23 @@ def run_amplified(p: ProverSet, cfg: ProtocolConfig,
     next.
     """
     records = []
-    count = 0
-    for child in rng.spawn(cfg.n_rounds):
+
+    def round_fn(child: np.random.Generator) -> bool:
         accepted, record = run_round(p, cfg, child)
         records.append(record)
-        count += accepted
-    return ProtocolResult(count > cfg.threshold, count, cfg.threshold,
-                          tuple(records))
+        return accepted
+
+    accepted, count = run_amplified_rounds(round_fn, cfg.n_rounds, cfg.threshold, rng)
+    return ProtocolResult(accepted, count, cfg.threshold, tuple(records))
 
 
 def run_amplified_rounds(round_fn, n_rounds: int, threshold: float,
                          rng: np.random.Generator) -> tuple[bool, int]:
     """Amplify an arbitrary accept/reject round function.
 
-    ``round_fn(rng) -> bool`` consumes a fresh child stream per round; used
-    to exercise the decision rule with synthetic Bernoulli rounds.
+    ``round_fn(rng) -> bool`` consumes a fresh child stream per round.
+    ``run_amplified`` counts its protocol rounds here, and tests exercise
+    the decision rule with synthetic Bernoulli rounds.
     """
     if n_rounds < 1:
         raise ValueError("need at least one round")
@@ -194,11 +191,3 @@ def uncovered_calculate_queries(pattern: MeasurementPattern,
                 rel_tol=0.0, abs_tol=1e-12):
             bad.append(step.vertex)
     return bad
-
-
-__all__ = [
-    "CALCULATE", "TEST", "ProtocolConfig", "ProtocolResult", "RoundRecord",
-    "choose_q", "gap_case_lines", "midpoint_threshold", "run_round", "run_amplified",
-    "run_amplified_rounds", "exact_accept_probability",
-    "uncovered_calculate_queries", "hoeffding_n",
-]

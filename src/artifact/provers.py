@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import Graph, as_int
+from .graphs import Graph, as_int, as_real
 from .graphstate import build_graph_state
 from .statevec import (
     MIN_BRANCH_P,
@@ -358,8 +358,9 @@ def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
     ``rng.random()`` per queried qubit, the same draws and replies as a
     chain of ``measure`` calls, and a ``measure`` only where the tree has
     not yet cached the probability.  The product includes the query's
-    verifier-side sign; ignored provers contribute +1.  The caller's
-    ProverSet is never mutated.
+    verifier-side sign; ignored provers contribute +1.  A classical set
+    reads its table and draws nothing, so ``rng`` may be None.  The
+    caller's ProverSet is never mutated.
     """
     if len(q.bases) != p.n:
         raise ValueError("query length does not match prover count")
@@ -387,21 +388,6 @@ def query_observable(p: ProverSet, q: Query) -> ProductObservable:
     return ProductObservable(terms, sign=q.sign)
 
 
-def classical_product(p: ProverSet, q: Query) -> int:
-    """Closed-form reply product for a deterministic strategy."""
-    product = q.sign
-    for v in q.queried():
-        product *= p.strategy.table[v][q.bases[v]]
-    return product
-
-
-def _number(value, what: str, cast=float):
-    try:
-        return cast(value)
-    except (OverflowError, TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-
-
 def _per_vertex(spec: dict, key: str, graph: Graph, parse) -> dict[tuple[int, str], float]:
     """``spec[key]`` read as {vertex: {label: value}} into (vertex, label) keys,
     each value read by ``parse(value, what)``."""
@@ -410,7 +396,7 @@ def _per_vertex(spec: dict, key: str, graph: Graph, parse) -> dict[tuple[int, st
         raise ValueError(f"\"{key}\" must map vertices to objects")
     out = {}
     for v, per_label in entries.items():
-        vertex = _number(v, f"{key} vertex", int)
+        vertex = int(v) if str(v).isdecimal() else -1
         if not 0 <= vertex < graph.n:
             raise ValueError(f"{key} given for vertex {v}, outside the graph")
         if not isinstance(per_label, dict):
@@ -442,7 +428,7 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
         if "eta" not in spec:
             raise ValueError("a perturbed strategy needs an \"eta\"")
         return perturbed_provers(honest_provers(graph, theta),
-                                 _number(spec["eta"], "eta"), rng)
+                                 as_real(spec["eta"], "eta"), rng)
     if kind == "classical":
         if "table" in spec:
             return classical_provers(graph.n, _per_vertex(spec, "table", graph, as_int))
@@ -451,7 +437,7 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
         if "angles" not in spec:
             raise ValueError("an xz strategy needs \"angles\"")
         angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
-        for (v, label), a in _per_vertex(spec, "angles", graph, _number).items():
+        for (v, label), a in _per_vertex(spec, "angles", graph, as_real).items():
             angles[v][label] = a
         return xz_plane_provers(build_graph_state(graph).state, angles)
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -27,14 +27,12 @@ import numpy as np
 from . import bounds
 from .graphs import Graph, TriangleCover, support, triangle_cover, unit, xor
 from .provers import (
-    IGNORE,
     ProverSet,
     Query,
     R_MINUS,
     R_PLUS,
     X_LABEL,
     Z_LABEL,
-    classical_product,
     classical_provers,
     execute_query,
     query_observable,
@@ -93,16 +91,12 @@ class TestParameters:
         TriangleCover.validate(g, self.cover.triangles)
         object.__setattr__(self, "subtests", _build_subtests(self))
         weights = np.array([s.weight for s in self.subtests])
-        object.__setattr__(self, "_weights", weights)
         # the sampling law, normalized once: the array every draw passes
         object.__setattr__(self, "_law", weights / weights.sum())
 
     @property
     def n_g(self) -> int:
         return 3 * self.graph.n + len(self.cover.triangles)
-
-    def weight_vector(self) -> np.ndarray:
-        return self._weights
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ def subtest_breakdown(p: ProverSet, params: TestParameters
     out = []
     for subtest in params.subtests:
         if p.is_classical:
-            accept = float(classical_product(p, subtest.query) == subtest.target)
+            accept = float(execute_query(p, subtest.query, None)[1] == subtest.target)
         else:
             value = expectation(p.shared_state, query_observable(p, subtest.query))
             accept = (1 + subtest.target * value) / 2

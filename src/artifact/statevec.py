@@ -120,9 +120,6 @@ class ProductObservable:
         self.terms = cleaned
         self.sign = sign
 
-    def qubits(self) -> list[int]:
-        return sorted(self.terms)
-
     def apply(self, state: "StateVector") -> "StateVector":
         """M |psi> as a raw (possibly unnormalized) vector wrapper."""
         amps = state.amplitudes
@@ -157,14 +154,8 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy(), _validate=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def distance(self, other: "StateVector") -> float:
-        return float(np.linalg.norm(self.amplitudes - other.amplitudes))
 
 
 def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:

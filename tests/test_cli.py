@@ -212,6 +212,45 @@ class TestBadInput:
         assert "eta" in result.output
 
 
+    @pytest.mark.parametrize("args", [
+        ["prove", "--option", "n_rounds=7.9"],
+        ["prove", "--option", "n_rounds=true"],
+        ["prove", "--option", "accept_output=0.5"],
+        ["prove", "--option", "n_rounds=1e400"],
+        ["prove", "--option", "q=[0.2]"],
+        ["prove", "--option", "delta={}"],
+        ["prove", "--option", "c_ip=[1]"],
+        ["prove", "--option", 'threshold="abc"'],
+        ["prove", "--option", "n_round=5"],
+        ["bounds", "--param", "n=3.7"],
+        ["bounds", "--param", "n=true"],
+        ["bounds", "--param", "edges=1e400"],
+        ["bounds", "--param", "nn=4"],
+        ["bounds", "--param", "n=0"],
+        ["bounds", "--param", "eps=1e308"],
+        ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": True})],
+        ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": "0.05"})],
+        ["selftest", "--strategy", json.dumps({"kind": "xz", "angles": {"0": {"X": True}}})],
+        ["selftest", "--strategy", json.dumps({"kind": "xz", "angles": {"0": {"X": "0.05"}}})],
+        ["mbqc", "--pattern", json.dumps({"steps": [{"v": 0, "theta": True}],
+                                          "output_bits": [0]})],
+        ["mbqc", "--pattern", json.dumps({"steps": [{"v": 0, "theta": "0.05"}],
+                                          "output_bits": [0]})],
+    ], ids=["rounds-fraction", "rounds-boolean", "accept-output-fraction",
+            "rounds-overflow", "q-list", "delta-object", "c-ip-list", "threshold-not-read",
+            "option-unknown", "bounds-n-fraction", "bounds-n-boolean",
+            "bounds-edges-overflow", "param-unknown", "bounds-n-zero",
+            "bounds-eps-overflows", "eta-boolean", "eta-string", "xz-angle-boolean",
+            "xz-angle-string", "theta-boolean", "theta-string"])
+    def test_numeric_value_is_read_strictly(self, runner, args):
+        command, *rest = args
+        if command == "prove":
+            rest = ["--graph", K3_JSON, "--pattern", PATTERN_JSON, "--seed", "1", *rest]
+        elif command != "bounds":
+            rest = ["--graph", K3_JSON, "--trials", "2", "--seed", "1", *rest]
+        _assert_input_error(runner.invoke(main, [command, *rest]))
+
+
 class TestBoundsCommand:
     def test_single_kind(self, runner):
         result = runner.invoke(main, [
@@ -382,6 +421,26 @@ def _run_fuzzed(runner, command, **inputs):
     _assert_input_error(result)
 
 
+# an option value is a JSON value or the text 1e400, which JSON reads as inf;
+# integers come from _SCALARS, so a fuzzed n_rounds is at most 6
+_OPTION_VALUES = _JSON.map(json.dumps) | st.just("1e400")
+_PROTOCOL_KEYS = ("accept_output", "delta", "s_calc", "s_test_gap", "q", "c_ip", "s_ip",
+                  "n_rounds", "threshold")
+_BOUNDS_KEYS = ("n", "edges", "eps", "m", "delta", "nn")
+
+
+def _run_fuzzed_option(runner, args):
+    """A run exits 0 or 1 with one JSON line, or 2 with one ``Error:`` line."""
+    result = runner.invoke(main, args)
+    if result.exit_code == 2:
+        _assert_input_error(result)
+        return
+    assert result.exit_code in (0, 1), (args, result.output, result.exception)
+    assert isinstance(result.exception, (SystemExit, type(None))), (args, result.exception)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (args, result.output)
+
+
 class TestFuzzedInput:
     """Any graph, pattern, strategy or label JSON either runs or is refused
     with exit code 2 and one ``Error:`` line, never a traceback."""
@@ -409,3 +468,15 @@ class TestFuzzedInput:
     @given(labels=_LABELS)
     def test_labels(self, runner, labels):
         _run_fuzzed(runner, "isometry-check", labels=labels)
+
+    @FUZZ
+    @given(key=st.sampled_from(_PROTOCOL_KEYS), value=_OPTION_VALUES)
+    def test_protocol_option(self, runner, key, value):
+        rounds = [] if key == "n_rounds" else ["--rounds", "5"]
+        _run_fuzzed_option(runner, ["prove", "--graph", K3_JSON, "--pattern", PATTERN_JSON,
+                                    "--seed", "1", *rounds, "--option", f"{key}={value}"])
+
+    @FUZZ
+    @given(key=st.sampled_from(_BOUNDS_KEYS), value=_OPTION_VALUES)
+    def test_bounds_param(self, runner, key, value):
+        _run_fuzzed_option(runner, ["bounds", "--param", f"{key}={value}"])

@@ -4,13 +4,13 @@ import csv
 import io
 import json
 import math
+from concurrent.futures import Future
 
 import pytest
 
 from artifact import experiments
 from artifact.experiments import (
     ExperimentConfig,
-    ResultRecord,
     run_experiment,
     trial_rng,
     write_csv,
@@ -43,7 +43,8 @@ class TestConfig:
     def test_round_trip_and_digest_stability(self):
         cfg = _cfg("isometry", labels=("I", ("X", 0)),
                    strategy={"kind": "perturbed", "eta": 0.05})
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = _cfg("isometry", labels=("I", ("X", 0)),
+                     strategy={"kind": "perturbed", "eta": 0.05})
         assert again.to_json() == cfg.to_json()
         assert again.digest() == cfg.digest()
         assert len(cfg.digest()) == 12
@@ -54,9 +55,7 @@ class TestConfig:
 
     def test_json_survives_a_real_serializer(self):
         cfg = _cfg("protocol", options={"delta": 0.1})
-        text = json.dumps(cfg.to_json())
-        again = ExperimentConfig.from_json(json.loads(text))
-        assert again.digest() == cfg.digest()
+        assert json.loads(json.dumps(cfg.to_json())) == cfg.to_json()
 
     @pytest.mark.parametrize("kwargs", [
         {"kind": "unknown"},
@@ -113,10 +112,37 @@ class TestDeterminism:
         assert run_experiment(cfg, jobs=2).to_json() == \
             run_experiment(cfg, jobs=1).to_json()
 
+    @pytest.mark.parametrize("trials,cpus,workers", [(2, 4, 2), (8, 4, 4), (8, None, 1)])
+    def test_pool_has_at_most_one_worker_per_chunk_and_cpu(self, monkeypatch, trials,
+                                                            cpus, workers):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each submitted chunk at once, in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = _cfg("selftest", trials=trials)
+        assert run_experiment(cfg, jobs=64).rows == run_experiment(cfg).rows
+        assert sizes == [workers]
+
     def test_record_round_trip(self):
         record = run_experiment(_cfg("selftest"))
-        again = ResultRecord.from_json(record.to_json())
-        assert again.to_json() == record.to_json()
+        assert json.loads(json.dumps(record.to_json())) == record.to_json()
 
 
 class TestRowsAndSummaries:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from artifact.graphs import (Graph, TriangleCover, UncoverableVertexError,
                              bits, complete_graph, dot, local_complement,
-                             parity_dot, support, triangle_cover,
+                             support, triangle_cover,
                              triangle_strip, triangles_containing,
                              triangular_lattice, unit, xor)
 
@@ -84,10 +84,6 @@ class TestBitHelpers:
     def test_dot_is_integer_valued(self):
         assert dot(bits([1, 1, 0]), bits([1, 0, 1])) == 1
         assert dot(bits([1, 1]), bits([1, 1])) == 2
-
-    def test_parity_dot(self):
-        assert parity_dot(bits([1, 1]), bits([1, 1])) == 0
-        assert parity_dot(bits([1, 0]), bits([1, 1])) == 1
 
     def test_xor(self):
         assert list(xor(bits([1, 1, 0]), bits([0, 1, 1]))) == [1, 0, 1]

@@ -284,7 +284,7 @@ class TestEquivalenceDistance:
                                 "all_satisfied", "labels"}
         assert len(payload["labels"]) == 2
         assert payload["labels"][0]["label"] == "I"
-        assert "distance" in report.dumps()
+        assert "distance" in json.dumps(payload)
 
     def test_label_vertex_out_of_range_rejected(self):
         provers, params = _honest(complete_graph(3))

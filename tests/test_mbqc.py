@@ -73,7 +73,7 @@ class TestPatternValidation:
 
     def test_json_round_trip(self):
         pattern = _strip_pattern()
-        again = MeasurementPattern.from_json(json.loads(pattern.dumps()))
+        again = MeasurementPattern.from_json(json.loads(json.dumps(pattern.to_json())))
         assert again == pattern
         assert again.to_json() == pattern.to_json()
 

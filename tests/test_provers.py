@@ -10,8 +10,7 @@ from artifact import provers
 from artifact.graphs import complete_graph, triangle_strip, triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
-                              classical_provers, classical_product,
-                              constant_classical_provers, execute_query,
+                              classical_provers, constant_classical_provers, execute_query,
                               honest_provers, perturbed_provers,
                               query_observable, strategy_from_json,
                               xz_plane_provers, QUERY_LABELS)
@@ -140,21 +139,21 @@ class TestClassicalProvers:
         p = constant_classical_provers(3, 1)
         assert p.is_classical and p.shared_state is None
         q = Query.from_assignments(3, {0: "X", 1: "Z"})
-        assert classical_product(p, q) == 1
+        assert execute_query(p, q, None)[1] == 1
 
     def test_sign_propagates(self):
         p = constant_classical_provers(3, 1)
         q = Query.from_assignments(3, {0: "X"}, sign=-1)
-        assert classical_product(p, q) == -1
+        assert execute_query(p, q, None)[1] == -1
 
     def test_table_provers(self):
         table = {(v, label): (-1 if label == "X" else 1)
                  for v in range(2) for label in QUERY_LABELS}
         p = classical_provers(2, table)
         q = Query.from_assignments(2, {0: "X", 1: "X"})
-        assert classical_product(p, q) == 1
+        assert execute_query(p, q, None)[1] == 1
         q = Query.from_assignments(2, {0: "X", 1: "Z"})
-        assert classical_product(p, q) == -1
+        assert execute_query(p, q, None)[1] == -1
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(IncompleteTableError):

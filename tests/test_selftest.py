@@ -36,7 +36,7 @@ class TestWeights:
     ])
     def test_weight_vector_is_a_distribution(self, graph):
         params = default_parameters(graph)
-        w = params.weight_vector()
+        w = np.array([s.weight for s in params.subtests])
         assert np.all(w > 0)
         assert math.isclose(w.sum(), 1.0, abs_tol=1e-12)
 

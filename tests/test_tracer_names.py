@@ -5,7 +5,9 @@ package would otherwise surface only in a traced benchmark run.  Each
 workload in ``perfbench/workloads.py`` also names the layers a traced run
 must see called (its ``required`` tuple, else the run reads
 ``correct: false``); those names must be traced, and a short K3 protocol
-run must call every one that ``protocol-k3`` requires.  Both files are
+run must call every one that ``protocol-k3`` requires.  Every package
+module attribute the workloads read must resolve, so that a deletion in
+the package cannot break the benchmark only at run time.  Both files are
 parsed, not imported or installed.
 """
 
@@ -46,6 +48,29 @@ def test_traced_name_is_a_package_callable(dotted):
     for part in path:
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _workload_package_reads() -> list[str]:
+    """Every ``<module>.<attr>`` the workloads read on a package module
+    they import with ``from artifact import ...``."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "artifact"
+               for alias in node.names}
+    return sorted({f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
+def test_the_parser_finds_the_workloads_package_reads():
+    reads = set(_workload_package_reads())
+    assert {"provers.xz_plane_provers", "selftest.c_test", "mbqc.PatternStep"} <= reads
+
+
+@pytest.mark.parametrize("dotted", _workload_package_reads())
+def test_workload_package_read_resolves(dotted):
+    mod_name, attr = dotted.split(".")
+    assert hasattr(importlib.import_module(f"artifact.{mod_name}"), attr)
 
 
 def _required_layers() -> dict[str, tuple[str, ...]]:
