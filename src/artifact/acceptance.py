@@ -334,10 +334,10 @@ def criterion_11(fast: bool = False) -> tuple[bool, str]:
     errors = {"completeness": 0, "soundness": 0}
     for _ in range(meta):
         accepted, _ = run_amplified_rounds(
-            lambda child: child.random() < c_ip, n_rounds, threshold, rng)
+            lambda r: r.random() < c_ip, n_rounds, threshold, rng)
         errors["completeness"] += not accepted
         accepted, _ = run_amplified_rounds(
-            lambda child: child.random() < s_ip, n_rounds, threshold, rng)
+            lambda r: r.random() < s_ip, n_rounds, threshold, rng)
         errors["soundness"] += accepted
     comp = errors["completeness"] / meta
     sound = errors["soundness"] / meta

@@ -14,6 +14,8 @@ from __future__ import annotations
 import inspect
 import math
 
+from .graphs import as_int, as_real
+
 
 class MissingParameterError(ValueError):
     pass
@@ -238,9 +240,16 @@ def kind_key(kind: str) -> str:
     return key
 
 
+# a parameter's annotation (a string: annotations are postponed here) -> its reader
+_READERS = {"int": as_int, "float": as_real,
+            "int | None": lambda v, what: None if v is None else as_int(v, what)}
+
+
 def evaluate(kind: str, **params) -> float:
     """Evaluate a bound by kind name (see ``kind_key``) with the parameter
-    names and defaults of its function."""
+    names and defaults of its function.  Each value is read by its
+    parameter's annotation, and a result that is not finite raises DomainError.
+    """
     fn = _REGISTRY[kind_key(kind)][0]
     names = inspect.signature(fn).parameters
     for name, param in names.items():
@@ -249,4 +258,8 @@ def evaluate(kind: str, **params) -> float:
     extra = set(params) - set(names)
     if extra:
         raise ValueError(f"{kind} does not take {sorted(extra)}")
-    return fn(**params)
+    value = fn(**{name: _READERS[names[name].annotation](value, name)
+                  for name, value in params.items()})
+    if not math.isfinite(value):
+        raise DomainError(f"{kind} evaluates to {value} at {params}")
+    return value

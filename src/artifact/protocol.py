@@ -7,7 +7,8 @@ count exceeds the midpoint N (c_ip + s_ip) / 2 amplifies the
 completeness/soundness gap via Hoeffding's inequality: an honest count
 falls below it, and a cheating count rises above it, with probability at
 most exp(-N (c_ip - s_ip)^2 / 2); ``hoeffding_n`` picks the N that makes
-this 1/3.
+this 1/3.  The rounds draw in sequence from one generator: in an experiment,
+the trial's stream after any draws that built a ``perturbed`` strategy.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def run_round(p: ProverSet, cfg: ProtocolConfig,
 
 def run_amplified(p: ProverSet, cfg: ProtocolConfig,
                   rng: np.random.Generator) -> ProtocolResult:
-    """N rounds, each on its own child stream of ``rng``.
+    """N rounds drawn in sequence from ``rng``, and the decision.
 
     Every round queries the same prover set, which nothing mutates; its
     outcome tree carries the Born probabilities one round caches to the
@@ -142,8 +143,8 @@ def run_amplified(p: ProverSet, cfg: ProtocolConfig,
     """
     records = []
 
-    def round_fn(child: np.random.Generator) -> bool:
-        accepted, record = run_round(p, cfg, child)
+    def round_fn(rng: np.random.Generator) -> bool:
+        accepted, record = run_round(p, cfg, rng)
         records.append(record)
         return accepted
 
@@ -155,15 +156,13 @@ def run_amplified_rounds(round_fn, n_rounds: int, threshold: float,
                          rng: np.random.Generator) -> tuple[bool, int]:
     """Amplify an arbitrary accept/reject round function.
 
-    ``round_fn(rng) -> bool`` consumes a fresh child stream per round.
-    ``run_amplified`` counts its protocol rounds here, and tests exercise
-    the decision rule with synthetic Bernoulli rounds.
+    ``round_fn(rng) -> bool`` runs N times on the one ``rng``, each round
+    drawing where the last stopped.  ``run_amplified`` counts its protocol
+    rounds here, and tests exercise the rule with synthetic Bernoulli rounds.
     """
     if n_rounds < 1:
         raise ValueError("need at least one round")
-    count = 0
-    for child in rng.spawn(n_rounds):
-        count += bool(round_fn(child))
+    count = sum(bool(round_fn(rng)) for _ in range(n_rounds))
     return count > threshold, count
 
 

@@ -91,8 +91,8 @@ class TestParameters:
         TriangleCover.validate(g, self.cover.triangles)
         object.__setattr__(self, "subtests", _build_subtests(self))
         weights = np.array([s.weight for s in self.subtests])
-        # the sampling law, normalized once: the array every draw passes
-        object.__setattr__(self, "_law", weights / weights.sum())
+        cdf = (weights / weights.sum()).cumsum()  # as Generator.choice(p=law) builds it
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
 
     @property
     def n_g(self) -> int:
@@ -161,8 +161,9 @@ def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
 
 def run_oneshot(p: ProverSet, params: TestParameters,
                 rng: np.random.Generator) -> TestOutcome:
-    """Sample one subtest per the test's law and execute it."""
-    idx = rng.choice(len(params._law), p=params._law)
+    """Sample one subtest per the test's law and execute it.  The draw is
+    ``Generator.choice``'s own CDF lookup, without its per-call check of p."""
+    idx = int(params._cdf.searchsorted(rng.random(), side="right"))
     subtest = params.subtests[idx]
     replies, product = execute_query(p, subtest.query, rng)
     return TestOutcome(subtest, product == subtest.target, replies)
@@ -184,7 +185,7 @@ def empirical_pass_rate(p: ProverSet, params: TestParameters, trials: int,
     """Monte-Carlo pass rate with binomial standard error."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    indices = rng.choice(len(params._law), size=trials, p=params._law)
+    indices = params._cdf.searchsorted(rng.random(trials), side="right")
     hits = 0
     for idx in indices:
         subtest = params.subtests[idx]

@@ -1,11 +1,13 @@
 """Tests for the closed-form bounds: arithmetic, domains, composition."""
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from artifact import bounds
 from artifact.bounds import (
     FORMULAS,
     KINDS,
@@ -235,6 +237,22 @@ class TestEvaluate:
         assert evaluate("hoeffdingn", gap=0.2) == 55
         assert evaluate("lemma5gap", delta=0.1, n=4) == lemma5_gap(0.1, 4, 16)
 
+    def test_values_are_read_by_annotation(self):
+        assert evaluate("lemma5gap", delta=0.1, n=4, n_g=None) == lemma5_gap(0.1, 4, 16)
+        assert evaluate("lemma5gap", delta=0.1, n=4, n_g=16) == lemma5_gap(0.1, 4, 16)
+        for kind, params in (("lemma5gap", {"delta": 0.1, "n": None}),
+                             ("lemma5gap", {"delta": None, "n": 4}),
+                             ("lemma4", {"delta": 0.1, "n": 3, "m": 2.5}),
+                             ("hoeffdingn", {"gap": True}),
+                             ("lemma1", {"eps": "0.1"}),
+                             ("lemma1", {"eps": math.inf})):
+            with pytest.raises(ValueError):
+                evaluate(kind, **params)
+
+    def test_a_result_that_is_not_finite_is_refused(self):
+        with pytest.raises(DomainError):
+            evaluate("thm2", eps=1e308, n=3, edges=3, p=1)
+
     def test_missing_parameter(self):
         with pytest.raises(MissingParameterError):
             evaluate("thm2", eps=0.01, n=5)
@@ -250,3 +268,8 @@ class TestEvaluate:
     def test_formula_table_covers_every_kind(self):
         assert set(FORMULAS) == set(KINDS)
         assert all(isinstance(v, str) and v for v in FORMULAS.values())
+
+    def test_every_parameter_annotation_has_a_reader(self):
+        for fn, _ in bounds._REGISTRY.values():
+            for param in inspect.signature(fn).parameters.values():
+                assert param.annotation in bounds._READERS, (fn.__name__, param)

@@ -228,6 +228,13 @@ class TestBadInput:
         ["bounds", "--param", "nn=4"],
         ["bounds", "--param", "n=0"],
         ["bounds", "--param", "eps=1e308"],
+        ["bounds", "--kind", "hoeffding_n", "--param", "gap=true"],
+        ["bounds", "--kind", "lemma4", "--param", "delta=0.1", "--param", "n=3",
+         "--param", "m=2.5"],
+        ["bounds", "--kind", "thm2", "--param", "eps=1e400", "--param", "n=3",
+         "--param", "edges=3", "--param", "p=1"],
+        ["bounds", "--kind", "thm2", "--param", "eps=1e308", "--param", "n=3",
+         "--param", "edges=3", "--param", "p=1"],
         ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": True})],
         ["selftest", "--strategy", json.dumps({"kind": "perturbed", "eta": "0.05"})],
         ["selftest", "--strategy", json.dumps({"kind": "xz", "angles": {"0": {"X": True}}})],
@@ -240,8 +247,9 @@ class TestBadInput:
             "rounds-overflow", "q-list", "delta-object", "c-ip-list", "threshold-not-read",
             "option-unknown", "bounds-n-fraction", "bounds-n-boolean",
             "bounds-edges-overflow", "param-unknown", "bounds-n-zero",
-            "bounds-eps-overflows", "eta-boolean", "eta-string", "xz-angle-boolean",
-            "xz-angle-string", "theta-boolean", "theta-string"])
+            "bounds-eps-overflows", "kind-gap-boolean", "kind-m-fraction",
+            "kind-eps-overflow", "kind-value-not-finite", "eta-boolean", "eta-string",
+            "xz-angle-boolean", "xz-angle-string", "theta-boolean", "theta-string"])
     def test_numeric_value_is_read_strictly(self, runner, args):
         command, *rest = args
         if command == "prove":

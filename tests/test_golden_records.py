@@ -6,7 +6,9 @@ laws) hashed with sha256 over its sorted-key JSON.  The digests in
 rewritten as one gemm, so any change to a sampled row, a summary value or
 an exact probability, down to the last bit of a float, fails here.  The two
 isometry digests were regenerated when real reports moved to float64: their
-distances moved at the rounding level (at most 1.4e-17).
+distances moved at the rounding level (at most 1.4e-17).  The two protocol
+digests were regenerated when the rounds of a decision began to draw in
+sequence from the trial's stream instead of one spawned child each.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``

@@ -22,10 +22,15 @@ from artifact.protocol import (
     run_round,
     uncovered_calculate_queries,
 )
-from artifact.provers import honest_provers
+from artifact.provers import honest_provers, strategy_from_json
 from artifact.selftest import c_test, default_parameters, exact_pass_probability
 
 THETA = math.pi / 4
+HONEST = {"kind": "honest"}
+# X at angle 0, Z and both rotations at pi/2, measured on |K3>
+XZ_CHEATER = {"kind": "xz", "angles": {
+    str(v): {"X": 0.0, "Z": math.pi / 2, "R+": math.pi / 2, "R-": math.pi / 2}
+    for v in range(3)}}
 
 
 def _setup(q=0.3, n_rounds=20):
@@ -92,11 +97,9 @@ class TestProtocolConfig:
         rejected = accepted = 0
         for _ in range(meta):
             rejected += not run_amplified_rounds(
-                lambda child: child.random() < s_ip, n_rounds, cfg.threshold,
-                rng)[0]
+                lambda r: r.random() < s_ip, n_rounds, cfg.threshold, rng)[0]
             accepted += run_amplified_rounds(
-                lambda child: child.random() < c_ip, n_rounds, cfg.threshold,
-                rng)[0]
+                lambda r: r.random() < c_ip, n_rounds, cfg.threshold, rng)[0]
         assert rejected / meta >= 2 / 3
         assert accepted / meta >= 2 / 3
 
@@ -194,7 +197,7 @@ class TestAmplification:
     def test_synthetic_rounds_count_and_decide(self):
         rng = np.random.default_rng(5)
 
-        def always(child):
+        def always(rng):
             return True
 
         accepted, count = run_amplified_rounds(always, 10, 5.0, rng)
@@ -203,21 +206,40 @@ class TestAmplification:
                                                np.random.default_rng(5))
         assert not accepted and count == 0
 
-    def test_synthetic_rounds_consume_child_streams(self):
+    def test_rounds_draw_in_sequence_from_the_one_stream(self):
         seen = []
 
-        def record(child):
-            seen.append(child.random())
+        def record(rng):
+            seen.append(rng.random())
             return seen[-1] < 0.5
 
         rng = np.random.default_rng(77)
         run_amplified_rounds(record, 8, 4.0, rng)
-        assert len(seen) == len(set(seen)) == 8
+        expected = np.random.default_rng(77).random(16)
+        assert seen == list(expected[:8])
+        run_amplified_rounds(record, 8, 4.0, rng)
+        assert seen == list(expected)
 
     def test_synthetic_rounds_reject_zero_rounds(self):
         with pytest.raises(ValueError):
             run_amplified_rounds(lambda c: True, 0, 0.0,
                                  np.random.default_rng(1))
+
+    @pytest.mark.parametrize("spec,seed", [(HONEST, 4101), (XZ_CHEATER, 4102)],
+                             ids=["honest", "xz-cheater"])
+    def test_accept_fraction_matches_the_exact_rate(self, spec, seed):
+        # the exact rates are 0.788 (honest) and 0.640 (cheater), about 19
+        # sigma apart at 4,000 rounds, so rounds that ran the wrong provers or
+        # a skewed stream would fail here
+        graph, params, pattern, _, _ = _setup()
+        n_rounds = 4000
+        cfg = ProtocolConfig(q=0.3, params=params, pattern=pattern,
+                             n_rounds=n_rounds, c_ip=0.8, s_ip=0.2)
+        p = strategy_from_json(spec, graph, dict(enumerate(params.theta)), None)
+        rate = exact_accept_probability(p, cfg)
+        result = run_amplified(p, cfg, np.random.default_rng(seed))
+        sigma = math.sqrt(n_rounds * rate * (1 - rate))
+        assert abs(result.accept_count - n_rounds * rate) <= 5 * sigma
 
     def test_honest_amplified_run_accepts(self):
         graph, params, pattern, _, honest = _setup()

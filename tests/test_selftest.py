@@ -272,6 +272,55 @@ class TestSampling:
         assert seen_structural > 0
 
 
+def _law(params):
+    weights = np.array([s.weight for s in params.subtests])
+    return weights / weights.sum()
+
+
+def _cdf_cases():
+    """Default K3 and lattice laws, then random positive weight vectors:
+    every random angle vector in (0, pi/2) splits each rotation subtest's
+    weight by a different cos : sin ratio."""
+    yield default_parameters(complete_graph(3))
+    yield default_parameters(triangular_lattice(3, 4))
+    rng = np.random.default_rng(2611)
+    for graph in (complete_graph(3), triangle_strip(5), triangular_lattice(3, 4)):
+        for _ in range(3):
+            theta = rng.uniform(1e-3, math.pi / 2 - 1e-3, graph.n)
+            yield default_parameters(graph, theta=theta)
+
+
+class TestSubtestDraw:
+    """The stored CDF draws what ``Generator.choice`` draws on a twin stream."""
+
+    def test_stored_cdf_is_the_one_choice_builds(self):
+        for params in _cdf_cases():
+            cdf = _law(params).cumsum()
+            cdf /= cdf[-1]
+            assert np.array_equal(params._cdf, cdf)
+
+    @pytest.mark.parametrize("seed", [0, 1, 77, 20240607])
+    def test_one_draw_at_a_time_is_choice(self, seed):
+        for params in _cdf_cases():
+            law = _law(params)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours = [int(params._cdf.searchsorted(rng.random(), side="right"))
+                    for _ in range(500)]
+            theirs = [int(twin.choice(len(law), p=law)) for _ in range(500)]
+            assert ours == theirs
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 77, 20240607])
+    def test_vectorized_draw_is_choice(self, seed):
+        for params in _cdf_cases():
+            law = _law(params)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours = params._cdf.searchsorted(rng.random(2000), side="right")
+            theirs = twin.choice(len(law), size=2000, p=law)
+            assert np.array_equal(ours, theirs)
+            assert rng.random() == twin.random()
+
+
 class TestPerturbedOrdering:
     @given(eta=st.floats(min_value=0.01, max_value=0.12))
     @settings(max_examples=15, deadline=None)
