@@ -106,26 +106,6 @@ def cor3_gap(delta: float, n: int) -> float:
     return delta ** 8 / (10 ** 17.7 * n ** 11)
 
 
-def cor3_chain(delta: float, n: int, n_g: int | None = None) -> dict[str, float]:
-    """The estimate chain behind cor3_gap, stage by stage.
-
-    exact: lemma5_gap at the composed delta' = delta / (2 (8 n + 1));
-    line1: N_G replaced by its ceiling 4 n;
-    line2: 8 n + 1 and the angle constant coarsened to 9 n and 47 sqrt(n);
-    line3: the numeric constants collapsed into 10^{17.7}.
-    The middle inequality line2 <= line1 needs n >= 7; for smaller n the
-    chain is reported as-is and the comparison left to the caller.
-    """
-    delta_prime = delta / (2 * (8 * n + 1))
-    exact = lemma5_gap(delta_prime, n, n_g)
-    line1 = (1 / (4 * n)) * (delta ** 2 / (8 * (8 * n + 1) ** 2
-                                           * (22 + 25 * math.sqrt(n)))) ** 4
-    line2 = (1 / (8 * n)) * (delta ** 2 / (4 * (9 * n) ** 2
-                                           * (47 * math.sqrt(n)))) ** 4
-    line3 = delta ** 8 / (10 ** 17.7 * n ** 11)
-    return {"exact": exact, "line1": line1, "line2": line2, "line3": line3}
-
-
 def lemma6_q(c_test: float, s_test: float, s_calc: float, delta: float) -> float:
     """Optimal coin weight q = (c_test - s_test) / (1 + c_test - s_calc - s_test - delta).
 
@@ -179,25 +159,22 @@ def bound_chain_report(n: int, edges: int, eps: float, m: int = 4,
 
     Stages: the equivalence distance for X^q Z^p labels, the rotation
     label distance that feeds adaptive runs, the sequence and outcome
-    deviations, and the honesty-test deficits at the implied delta.
+    deviations, and the honesty-test deficits at the implied delta.  Each
+    stage is read through ``evaluate``, so its inputs meet the same checks.
     """
-    _check_eps(eps)
     stages = []
-    d_thm2 = thm2_bound(eps, n, edges, p)
-    stages.append({"stage": "thm2", "value": d_thm2,
-                   "inputs": {"eps": eps, "n": n, "edges": edges, "p": p}})
-    d_rot = lemma3_bound(eps, d_thm2)
-    stages.append({"stage": "lemma3", "value": d_rot,
-                   "inputs": {"eps": eps, "delta": d_thm2}})
-    stages.append({"stage": "lemma4", "value": lemma4_bound(d_rot, n, m),
-                   "inputs": {"delta": d_rot, "n": n, "m": m}})
-    stages.append({"stage": "cor2", "value": cor2_bound(d_rot, n, m),
-                   "inputs": {"delta": d_rot, "n": n, "m": m}})
-    delta5 = lemma5_delta_of_eps(eps, n)
-    stages.append({"stage": "lemma5_delta", "value": delta5,
-                   "inputs": {"eps": eps, "n": n}})
-    stages.append({"stage": "cor3_gap", "value": cor3_gap(delta5, n),
-                   "inputs": {"delta": delta5, "n": n}})
+
+    def stage(name: str, kind: str, **inputs) -> float:
+        value = evaluate(kind, **inputs)
+        stages.append({"stage": name, "value": value, "inputs": inputs})
+        return value
+
+    d_thm2 = stage("thm2", "thm2", eps=eps, n=n, edges=edges, p=p)
+    d_rot = stage("lemma3", "lemma3", eps=eps, delta=d_thm2)
+    stage("lemma4", "lemma4", delta=d_rot, n=n, m=m)
+    stage("cor2", "cor2", delta=d_rot, n=n, m=m)
+    delta5 = stage("lemma5_delta", "lemma5delta", eps=eps, n=n)
+    stage("cor3_gap", "cor3gap", delta=delta5, n=n)
     return stages
 
 
@@ -244,11 +221,16 @@ def kind_key(kind: str) -> str:
 _READERS = {"int": as_int, "float": as_real,
             "int | None": lambda v, what: None if v is None else as_int(v, what)}
 
+# the least value of each size parameter: the counts n, m and edges, and p = p.p
+_FLOORS = {"n": 1, "m": 1, "edges": 0, "p": 0}
+
 
 def evaluate(kind: str, **params) -> float:
     """Evaluate a bound by kind name (see ``kind_key``) with the parameter
     names and defaults of its function.  Each value is read by its
-    parameter's annotation, and a result that is not finite raises DomainError.
+    parameter's annotation, a size below its floor (n and m at least 1,
+    edges and p at least 0) raises DomainError, and so does a result that
+    is not finite.
     """
     fn = _REGISTRY[kind_key(kind)][0]
     names = inspect.signature(fn).parameters
@@ -258,8 +240,12 @@ def evaluate(kind: str, **params) -> float:
     extra = set(params) - set(names)
     if extra:
         raise ValueError(f"{kind} does not take {sorted(extra)}")
-    value = fn(**{name: _READERS[names[name].annotation](value, name)
-                  for name, value in params.items()})
+    read = {name: _READERS[names[name].annotation](value, name)
+            for name, value in params.items()}
+    for name, least in _FLOORS.items():
+        if name in read and read[name] < least:
+            raise DomainError(f"{name} must be at least {least}, got {read[name]}")
+    value = fn(**read)
     if not math.isfinite(value):
         raise DomainError(f"{kind} evaluates to {value} at {params}")
     return value

@@ -35,14 +35,6 @@ def _load_json_arg(value: str):
         return json.load(fh)
 
 
-def _load_graph(value: str) -> Graph:
-    return Graph.from_json(_load_json_arg(value))
-
-
-def _load_pattern(value: str) -> MeasurementPattern:
-    return MeasurementPattern.from_json(_load_json_arg(value))
-
-
 def _parse_labels(value: str | None) -> tuple | None:
     if value is None:
         return None
@@ -58,9 +50,10 @@ def _experiment_config(kind: str, graph_src: str, strategy_src: str | None = Non
     """Parse every JSON input of a run into its config, in one place."""
     try:
         return ExperimentConfig(
-            kind=kind, graph=_load_graph(graph_src),
+            kind=kind, graph=Graph.from_json(_load_json_arg(graph_src)),
             strategy=None if strategy_src is None else _load_json_arg(strategy_src),
-            pattern=None if pattern_src is None else _load_pattern(pattern_src),
+            pattern=None if pattern_src is None
+            else MeasurementPattern.from_json(_load_json_arg(pattern_src)),
             labels=_parse_labels(labels_src), **fields)
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from exc

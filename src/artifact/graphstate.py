@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, support
-from .pauli import PauliProduct, stabilizer_generator, stabilizer_product
+from .pauli import PauliProduct, stabilizer_generator
 from .statevec import ProductObservable, StateVector, apply_cz, expectation, plus_state
 
 
@@ -37,15 +37,6 @@ def build_graph_state(graph: Graph) -> GraphState:
     return GraphState(graph, state)
 
 
-def amplitude(graph: Graph, x) -> float:
-    """<x|G> = (-1)^{edges induced by x} / 2^{n/2}, always real."""
-    x = np.asarray(x, dtype=np.uint8) % 2
-    if len(x) != graph.n:
-        raise ValueError("length mismatch")
-    sign = -1.0 if graph.induced_edge_count(x) % 2 else 1.0
-    return sign * 2.0 ** (-graph.n / 2)
-
-
 def stabilizer(graph: Graph, v: int) -> ProductObservable:
     """S_v = X_v Z^{A 1_v} as a measurable product."""
     return stabilizer_generator(graph, v).observable()
@@ -64,16 +55,6 @@ def triangle_operator(graph: Graph, tau) -> ProductObservable:
     if not graph.is_triangle(tau):
         raise NotATriangleError(f"{support(tau)} is not a triangle of the graph")
     return PauliProduct(0, tau, graph.mul(tau)).observable()
-
-
-def stabilizer_element(graph: Graph, t) -> ProductObservable:
-    """prod_{t_v=1} S_v as a measurable product (expectation +1 on |G>).
-
-    In normal form the element is (-1)^{(t.At)/2} X^t Z^{At} with the
-    quadratic form over the integers; the rendered sign used here also
-    accounts for XZ pairs collapsing to Y letters.
-    """
-    return stabilizer_product(graph, t).observable()
 
 
 def stabilizer_expectations(gs: GraphState) -> np.ndarray:

@@ -55,7 +55,7 @@ import numpy as np
 from . import bounds
 from .graphs import Graph, as_int, bits
 from .graphstate import build_graph_state
-from .provers import ProverSet, R_MINUS, R_PLUS, X_LABEL, Z_LABEL, query_observable
+from .provers import ProverSet, R_MINUS, R_PLUS, X_LABEL, Z_LABEL, query_expectation
 from .selftest import RTHETA_X, RTHETA_Z, TRIANGLE, VERTEX, TestParameters
 from .statevec import (
     HADAMARD,
@@ -65,7 +65,6 @@ from .statevec import (
     StateVector,
     apply_single,
     apply_unitary,
-    expectation,
     qubit_cap,
     rotation_matrix,
 )
@@ -256,8 +255,7 @@ def measured_epsilon(p: ProverSet, params: TestParameters) -> float:
     for st in params.subtests:
         if st.kind not in (VERTEX, TRIANGLE):
             continue
-        value = expectation(p.shared_state, query_observable(p, st.query))
-        worst = max(worst, 1.0 - st.target * value)
+        worst = max(worst, 1.0 - st.target * query_expectation(p, st.query))
     return worst
 
 
@@ -274,9 +272,9 @@ def rtheta_epsilon(p: ProverSet, params: TestParameters, v: int, t: int) -> floa
         if st.vertex != v or st.t != t:
             continue
         if st.kind == RTHETA_X:
-            e_x = expectation(p.shared_state, query_observable(p, st.query))
+            e_x = query_expectation(p, st.query)
         elif st.kind == RTHETA_Z:
-            e_z = expectation(p.shared_state, query_observable(p, st.query))
+            e_z = query_expectation(p, st.query)
     if e_x is None or e_z is None:
         raise ValueError(f"no rotation subtests for vertex {v}, sign {t}")
     return max(0.0, 1.0 - (math.cos(theta) * e_x + math.sin(theta) * e_z))
@@ -436,17 +434,18 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     Label outputs are rebuilt from their kernels in two scratch vectors
     whenever they are needed and never stored.
 
-    The junk is extracted from the identity-label run (normalized overlap of
-    the output against |G> on the graph register).  If any label then
-    exceeds its bound, two fallback junk choices are tried before reporting:
-    the closed-form best-aligned state for the measured outputs and the
-    factorization's constructed junk.  The fallback recomputes the label
-    outputs to sum the best-aligned junk and the constructed distances, and
-    once more for the best-aligned distances.  The first fully satisfying
-    report wins; otherwise the one with the smallest worst excess.  Each
-    distance is the direct residual norm, which keeps honest distances at
-    rounding level (the expanded inner-product form loses them to
-    cancellation near 1e-8).
+    Junk candidates, in order: identity-extraction (the identity run's
+    normalized overlap with |G> on the graph register); best-aligned (the
+    normalized sum of every label output's overlap with its ideal vector,
+    when that sum's norm is at least JUNK_TOL); constructed
+    (``constructed_junk``).  The first candidate under which every label
+    meets its bound is reported, else the one with the smallest worst
+    excess, the earlier on a tie.  The fallbacks are built only when
+    identity-extraction fails, the constructed junk before best-aligned is
+    scored, so a degenerate one raises JunkDegenerateError.  Each distance
+    is the direct residual norm, which keeps honest distances at rounding
+    level (the expanded inner-product form loses them to cancellation near
+    1e-8).
 
     The report runs in float64 when the shared state and every observable
     it reads (X'_v and Z'_v for the circuits, the labels' prover factors)
@@ -502,29 +501,29 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
                      for (name, kind, _, _, bound), dist in zip(entries, dists))
         return EquivalenceReport(eps, raw_norm, source, reps)
 
-    junk0 = pair_junk(raw / raw_norm)
-    best = report([distance(a, i, junk0) for a, i in label_outputs()],
-                  "identity-extraction")
-    if best.all_satisfied:
-        return best
+    def candidates():
+        """(distances, junk source) per candidate junk, in the order above;
+        one pass over the label outputs sums the best-aligned junk and
+        takes the constructed distances."""
+        junk = pair_junk(raw / raw_norm)
+        yield [distance(a, i, junk) for a, i in label_outputs()], "identity-extraction"
+        constructed = pair_junk(constructed_junk(p, graph))
+        aligned = np.zeros_like(raw)
+        constructed_dists = []
+        for amps, ideal in label_outputs():
+            aligned += ideal @ grouped_matrix(IsometryOutput(n, m, amps))
+            constructed_dists.append(distance(amps, ideal, constructed))
+        aligned_norm = np.linalg.norm(aligned)
+        if aligned_norm >= JUNK_TOL:
+            junk = pair_junk(aligned / aligned_norm)
+            yield [distance(a, i, junk) for a, i in label_outputs()], "best-aligned"
+        yield constructed_dists, "constructed"
 
-    constructed = pair_junk(constructed_junk(p, graph))
-    aligned = np.zeros_like(raw)
-    constructed_dists = []
-    for amps, ideal in label_outputs():
-        aligned += ideal @ grouped_matrix(IsometryOutput(n, m, amps))
-        constructed_dists.append(distance(amps, ideal, constructed))
-    fallbacks = []
-    aligned_norm = np.linalg.norm(aligned)
-    if aligned_norm >= JUNK_TOL:
-        junk = pair_junk(aligned / aligned_norm)
-        fallbacks.append(([distance(a, i, junk) for a, i in label_outputs()],
-                          "best-aligned"))
-    fallbacks.append((constructed_dists, "constructed"))
-    for dists, source in fallbacks:
+    best = None
+    for dists, source in candidates():
         cand = report(dists, source)
         if cand.all_satisfied:
             return cand
-        if cand.worst_excess < best.worst_excess:
+        if best is None or cand.worst_excess < best.worst_excess:
             best = cand
     return best

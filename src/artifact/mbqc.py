@@ -120,9 +120,6 @@ class StepRecord:
 class RunTranscript:
     steps: tuple[StepRecord, ...]
 
-    def raw(self) -> dict[int, int]:
-        return {r.vertex: r.outcome for r in self.steps}
-
 
 def _parity(raw: dict[int, int], deps) -> int:
     sign = 1
@@ -139,6 +136,14 @@ def _output_bit(pattern: MeasurementPattern, raw: dict[int, int]) -> int:
     return (1 - product) // 2
 
 
+def require_support(pattern: MeasurementPattern, n: int) -> None:
+    """Refuse a pattern that measures a vertex outside 0 .. n-1."""
+    for step in pattern.steps:
+        if step.vertex >= n:
+            raise MissingAngleSupportError(
+                f"no prover for pattern vertex {step.vertex}")
+
+
 def run_pattern(p: ProverSet, pattern: MeasurementPattern,
                 rng: np.random.Generator) -> tuple[int, RunTranscript]:
     """Execute the pattern against a prover set, one query per step.
@@ -148,10 +153,7 @@ def run_pattern(p: ProverSet, pattern: MeasurementPattern,
     ``provers.TreeWalk.sample``); a classical set reads its table and
     draws nothing, so ``rng`` may be None.
     """
-    for step in pattern.steps:
-        if step.vertex >= p.n:
-            raise MissingAngleSupportError(
-                f"no prover for pattern vertex {step.vertex}")
+    require_support(pattern, p.n)
     raw: dict[int, int] = {}
     records = []
     walk = None if p.is_classical else p.tree.walk()
@@ -194,10 +196,6 @@ def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]
     That is ``run_distribution`` for honest provers whose R+- angles are the
     pattern's (other vertices are never measured and get angle 0).
     """
-    for step in pattern.steps:
-        if step.vertex >= graph.n:
-            raise MissingAngleSupportError(
-                f"pattern vertex {step.vertex} outside the graph")
     theta = dict.fromkeys(range(graph.n), 0.0)
     theta.update((step.vertex, step.theta) for step in pattern.steps)
     return run_distribution(honest_provers(graph, theta), pattern)
@@ -205,10 +203,7 @@ def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]
 
 def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, float]:
     """Exact output distribution through the prover set's observables."""
-    for step in pattern.steps:
-        if step.vertex >= p.n:
-            raise MissingAngleSupportError(
-                f"no prover for pattern vertex {step.vertex}")
+    require_support(pattern, p.n)
     if p.is_classical:
         bit, _ = run_pattern(p, pattern, None)
         return {bit: 1.0, 1 - bit: 0.0}

@@ -112,10 +112,6 @@ class PauliProduct:
                  for v, letter in enumerate(self.letters()) if letter != "I"}
         return ProductObservable(terms, sign=self.sign())
 
-    def __str__(self) -> str:
-        prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.rendered_phase_pow()]
-        return prefix + self.letters()
-
 
 def stabilizer_generator(graph: Graph, v: int) -> PauliProduct:
     """S_v = X_v Z^{A 1_v}."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import lemma6_gap, lemma6_q
-from .mbqc import MeasurementPattern, run_distribution, run_pattern
+from .mbqc import MeasurementPattern, require_support, run_distribution, run_pattern
 from .provers import ProverSet
 from .selftest import TestParameters, exact_pass_probability, run_oneshot
 
@@ -78,10 +78,7 @@ class ProtocolConfig:
             raise ValueError("need 0 <= s_ip < c_ip <= 1")
         if self.accept_output not in (0, 1):
             raise ValueError("accept_output is a bit")
-        n = self.params.graph.n
-        for step in self.pattern.steps:
-            if step.vertex >= n:
-                raise ValueError(f"pattern vertex {step.vertex} outside graph")
+        require_support(self.pattern, self.params.graph.n)
         object.__setattr__(self, "threshold",
                            midpoint_threshold(self.n_rounds, self.c_ip, self.s_ip))
 

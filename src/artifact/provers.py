@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .statevec import (
     ProductObservable,
     SingleQubitObservable,
     StateVector,
+    expectation,
     measure,
     project,
 )
@@ -74,8 +76,17 @@ class Query:
             bases[v] = label
         return Query(tuple(bases), sign)
 
-    def queried(self) -> list[int]:
-        return [v for v, b in enumerate(self.bases) if b != IGNORE]
+    @cached_property
+    def queried(self) -> tuple[int, ...]:
+        """The vertices the query sends a label to, ascending."""
+        return tuple(v for v, b in enumerate(self.bases) if b != IGNORE)
+
+
+def _require_every_label(per_prover: tuple[dict, ...]) -> None:
+    for v, per_label in enumerate(per_prover):
+        missing = [l for l in QUERY_LABELS if l not in per_label]
+        if missing:
+            raise IncompleteTableError(f"prover {v} missing labels {missing}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +96,7 @@ class QuantumStrategy:
     observables: tuple[dict[str, SingleQubitObservable], ...]
 
     def __post_init__(self):
-        for v, per_label in enumerate(self.observables):
-            missing = [l for l in QUERY_LABELS if l not in per_label]
-            if missing:
-                raise IncompleteTableError(f"prover {v} missing labels {missing}")
+        _require_every_label(self.observables)
 
     @property
     def n(self) -> int:
@@ -102,10 +110,8 @@ class ClassicalStrategy:
     table: tuple[dict[str, int], ...]
 
     def __post_init__(self):
+        _require_every_label(self.table)
         for v, per_label in enumerate(self.table):
-            missing = [l for l in QUERY_LABELS if l not in per_label]
-            if missing:
-                raise IncompleteTableError(f"prover {v} missing labels {missing}")
             bad = [l for l, r in per_label.items() if r not in (1, -1)]
             if bad:
                 raise ValueError(f"prover {v} has non +-1 replies for {bad}")
@@ -320,29 +326,22 @@ def perturbed_provers(base: ProverSet, eta: float, rng: np.random.Generator) -> 
                      base.shared_state.copy())
 
 
-def xz_plane_provers(state: StateVector, angles: list[dict[str, float]],
-                     n: int | None = None) -> ProverSet:
-    """Adversarial strategy from arbitrary per-label X-Z angles."""
-    n = len(angles) if n is None else n
+def xz_plane_provers(state: StateVector, angles: list[dict[str, float]]) -> ProverSet:
+    """Adversarial strategy from arbitrary per-label X-Z angles, one prover
+    per entry of ``angles``."""
     per_prover = tuple(
         {label: SingleQubitObservable.rotation(per_label[label])
          for label in QUERY_LABELS}
         for per_label in angles
     )
-    return ProverSet(n, QuantumStrategy(per_prover), state)
+    return ProverSet(len(angles), QuantumStrategy(per_prover), state)
 
 
 def classical_provers(n: int, table: dict[tuple[int, str], int]) -> ProverSet:
     """Deterministic provers; the table must cover every (vertex, label)."""
-    per_prover = []
-    for v in range(n):
-        per_label = {}
-        for label in QUERY_LABELS:
-            if (v, label) not in table:
-                raise IncompleteTableError(f"table missing ({v}, {label})")
-            per_label[label] = table[(v, label)]
-        per_prover.append(per_label)
-    return ProverSet(n, ClassicalStrategy(tuple(per_prover)), None)
+    per_prover = tuple({label: table[(v, label)] for label in QUERY_LABELS
+                        if (v, label) in table} for v in range(n))
+    return ProverSet(n, ClassicalStrategy(per_prover), None)
 
 
 def constant_classical_provers(n: int, value: int = 1) -> ProverSet:
@@ -367,25 +366,29 @@ def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
     replies: dict[int, int] = {}
     product = q.sign
     if p.is_classical:
-        for v in q.queried():
+        for v in q.queried:
             r = p.strategy.table[v][q.bases[v]]
             replies[v] = r
             product *= r
         return replies, product
     walk = p.tree.walk()
-    for v in q.queried():
+    for v in q.queried:
         outcome = walk.sample(v, q.bases[v], rng)
         replies[v] = outcome
         product *= outcome
     return replies, product
 
 
-def query_observable(p: ProverSet, q: Query) -> ProductObservable:
-    """The joint +-1 observable a query measures (quantum strategies)."""
+def query_expectation(p: ProverSet, q: Query) -> float:
+    """The exact mean of the reply product ``execute_query`` samples.
+
+    A quantum set's is <psi'| the query's joint +-1 observable |psi'>; a
+    classical set's product is fixed, and its mean is that product.
+    """
     if p.is_classical:
-        raise ValueError("classical strategies have no joint observable")
-    terms = {v: p.observable(v, q.bases[v]).matrix for v in q.queried()}
-    return ProductObservable(terms, sign=q.sign)
+        return float(execute_query(p, q, None)[1])
+    terms = {v: p.observable(v, q.bases[v]).matrix for v in q.queried}
+    return expectation(p.shared_state, ProductObservable(terms, sign=q.sign))
 
 
 def _per_vertex(spec: dict, key: str, graph: Graph, parse) -> dict[tuple[int, str], float]:

@@ -35,9 +35,8 @@ from .provers import (
     Z_LABEL,
     classical_provers,
     execute_query,
-    query_observable,
+    query_expectation,
 )
-from .statevec import expectation
 
 VERTEX = "vertex"
 TRIANGLE = "triangle"
@@ -106,8 +105,7 @@ class TestOutcome:
     replies: dict[int, int]
 
 
-def default_parameters(graph: Graph, theta=None,
-                       cover: TriangleCover | None = None) -> TestParameters:
+def default_parameters(graph: Graph, theta=None) -> TestParameters:
     """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor."""
     if theta is None:
         theta = math.pi / 4
@@ -115,10 +113,8 @@ def default_parameters(graph: Graph, theta=None,
         theta_t = (float(theta),) * graph.n
     else:
         theta_t = tuple(float(theta[v]) for v in range(graph.n))
-    if cover is None:
-        cover = triangle_cover(graph)
     u_choice = tuple(min(graph.neighbors(v)) for v in range(graph.n))
-    return TestParameters(graph, cover, theta_t, u_choice)
+    return TestParameters(graph, triangle_cover(graph), theta_t, u_choice)
 
 
 def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
@@ -199,15 +195,8 @@ def empirical_pass_rate(p: ProverSet, params: TestParameters, trials: int,
 def subtest_breakdown(p: ProverSet, params: TestParameters
                       ) -> list[tuple[Subtest, float]]:
     """Exact accept probability of every subtest, no sampling."""
-    out = []
-    for subtest in params.subtests:
-        if p.is_classical:
-            accept = float(execute_query(p, subtest.query, None)[1] == subtest.target)
-        else:
-            value = expectation(p.shared_state, query_observable(p, subtest.query))
-            accept = (1 + subtest.target * value) / 2
-        out.append((subtest, accept))
-    return out
+    return [(s, (1 + s.target * query_expectation(p, s.query)) / 2)
+            for s in params.subtests]
 
 
 def exact_pass_probability(p: ProverSet, params: TestParameters) -> float:

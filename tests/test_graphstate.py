@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from artifact.graphs import Graph, bits, complete_graph, triangle_strip, triangular_lattice, xor
-from artifact.graphstate import (NotATriangleError, amplitude,
-                                 build_graph_state, stabilizer,
-                                 stabilizer_element, stabilizer_expectations,
-                                 triangle_operator)
+from artifact.graphstate import (NotATriangleError, build_graph_state, stabilizer,
+                                 stabilizer_expectations, triangle_operator)
+from artifact.pauli import stabilizer_product
 from artifact.statevec import expectation
 
 
@@ -37,17 +36,17 @@ class TestAmplitudes:
 
     def test_amplitude_formula(self):
         # amplitude of |x> is (-1)^{edges inside x} / 2^{n/2}
-        g = complete_graph(3)
-        oracle = oracles.graph_state_by_circuit(3, g.edges)
-        for idx in range(8):
-            x = [(idx >> v) & 1 for v in range(3)]
-            assert math.isclose(amplitude(g, x), oracle[idx].real,
-                                abs_tol=1e-12)
+        for g in (complete_graph(3), triangle_strip(5), triangular_lattice(2, 3)):
+            amps = build_graph_state(g).state.amplitudes
+            for idx in range(2 ** g.n):
+                inside = sum(1 for u, v in g.edges if (idx >> u) & 1 and (idx >> v) & 1)
+                assert amps[idx] == (-1) ** inside * 2 ** (-g.n / 2)
 
     def test_amplitude_sign_example(self):
-        g = complete_graph(3)
-        assert amplitude(g, [1, 1, 0]) < 0  # one edge inside {0,1}
-        assert amplitude(g, [1, 1, 1]) < 0  # three edges inside
+        amps = build_graph_state(complete_graph(3)).state.amplitudes.real
+        assert amps[0b011] < 0  # one edge inside {0,1}
+        assert amps[0b111] < 0  # three edges inside
+        assert amps[0b000] > 0 and amps[0b001] > 0  # no edge inside
 
 
 class TestStabilizers:
@@ -71,7 +70,7 @@ class TestStabilizers:
             g = random_graph(rng, 5)
             state = build_graph_state(g).state
             t = rng.integers(0, 2, size=5).astype(np.uint8)
-            obs = stabilizer_element(g, t)
+            obs = stabilizer_product(g, t).observable()
             assert expectation(state, obs) == pytest.approx(1.0, abs=1e-10)
 
     def test_stabilizer_element_matches_generator_product(self):
@@ -79,7 +78,7 @@ class TestStabilizers:
         state = build_graph_state(g).state
         for t_idx in range(2 ** g.n):
             t = bits([(t_idx >> v) & 1 for v in range(g.n)])
-            obs = stabilizer_element(g, t)
+            obs = stabilizer_product(g, t).observable()
             assert expectation(state, obs) == pytest.approx(1.0, abs=1e-10)
 
     def test_out_of_range_vertex(self):

@@ -44,6 +44,11 @@ def _strip_pattern():
         output_bits=(2, 0))
 
 
+def _raw(transcript):
+    """Vertex -> raw outcome of a run."""
+    return {r.vertex: r.outcome for r in transcript.steps}
+
+
 def _angles_for(pattern, n):
     theta = {v: THETA for v in range(n)}
     for step in pattern.steps:
@@ -175,7 +180,7 @@ class TestRunPattern:
         honest = honest_provers(graph, _angles_for(pattern, graph.n))
         rng = np.random.default_rng(7)
         bit, transcript = run_pattern(honest.clone(), pattern, rng)
-        raw = transcript.raw()
+        raw = _raw(transcript)
         assert set(raw) == {0, 1, 2}
         for record, step in zip(transcript.steps, pattern.steps):
             assert record.vertex == step.vertex
@@ -309,7 +314,7 @@ class TestOutcomeTree:
         tree_rng, chain_rng = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(40):
             _, transcript = run_pattern(p.clone(), pattern, tree_rng)
-            assert transcript.raw() == _measure_chain(p, pattern, chain_rng)
+            assert _raw(transcript) == _measure_chain(p, pattern, chain_rng)
             assert tree_rng.bit_generator.state == chain_rng.bit_generator.state
 
     @GRAPHS
@@ -326,7 +331,7 @@ class TestOutcomeTree:
         chain_rng = np.random.default_rng(4)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            assert run_pattern(p, pattern, rng)[1].raw() == _measure_chain(
+            assert _raw(run_pattern(p, pattern, rng)[1]) == _measure_chain(
                 p, pattern, chain_rng)
 
     def test_a_second_pass_is_all_hits(self, monkeypatch):

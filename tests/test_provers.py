@@ -12,10 +12,10 @@ from artifact.graphstate import build_graph_state
 from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
                               classical_provers, constant_classical_provers, execute_query,
                               honest_provers, perturbed_provers,
-                              query_observable, strategy_from_json,
+                              query_expectation, strategy_from_json,
                               xz_plane_provers, QUERY_LABELS)
 from artifact.selftest import default_parameters, exact_pass_probability
-from artifact.statevec import NormUnderflowError, expectation, measure
+from artifact.statevec import NormUnderflowError, measure
 
 THETA = {v: math.pi / 4 for v in range(8)}
 
@@ -28,7 +28,7 @@ class TestQuery:
     def test_from_assignments(self):
         q = Query.from_assignments(4, {1: "X", 3: "Z"}, sign=-1)
         assert q.bases == ("ignore", "X", "ignore", "Z")
-        assert q.queried() == [1, 3]
+        assert q.queried == (1, 3)
         assert q.sign == -1
 
     def test_rejects_unknown_label(self):
@@ -45,17 +45,14 @@ class TestHonestProvers:
         p = honest_k3()
         graph = complete_graph(3)
         q = Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"})
-        obs = query_observable(p, q)
-        assert expectation(p.shared_state, obs) == pytest.approx(1.0, abs=1e-12)
+        assert query_expectation(p, q) == pytest.approx(1.0, abs=1e-12)
         del graph
 
     def test_triangle_observable_expectation(self):
         p = honest_k3()
         q = Query.from_assignments(3, {0: "X", 1: "X", 2: "X"})
         # X tau Z^{A tau} on K3: A tau = (2,2,2) = 0 mod 2, so all X
-        obs = query_observable(p, q)
-        assert expectation(p.shared_state, obs) == pytest.approx(-1.0,
-                                                                 abs=1e-12)
+        assert query_expectation(p, q) == pytest.approx(-1.0, abs=1e-12)
 
     def test_rotation_labels_use_both_signs(self):
         p = honest_k3()
@@ -159,6 +156,22 @@ class TestClassicalProvers:
         with pytest.raises(IncompleteTableError):
             ClassicalStrategy(({"X": 1},))
 
+    def test_incomplete_table_names_the_prover_and_its_missing_labels(self):
+        table = {(v, label): 1 for v in range(2) for label in QUERY_LABELS}
+        del table[(1, "R-")], table[(1, "X")]
+        with pytest.raises(IncompleteTableError, match=r"prover 1 missing labels \['X', 'R-'\]"):
+            classical_provers(2, table)
+
+    def test_query_expectation_is_the_fixed_product(self):
+        table = {(v, label): (-1 if label == "X" else 1)
+                 for v in range(2) for label in QUERY_LABELS}
+        p = classical_provers(2, table)
+        for assigned, sign in [({0: "X", 1: "X"}, 1), ({0: "X", 1: "Z"}, 1),
+                               ({0: "X"}, -1), ({1: "R+"}, 1)]:
+            q = Query.from_assignments(2, assigned, sign=sign)
+            value = query_expectation(p, q)
+            assert type(value) is float and value == execute_query(p, q, None)[1]
+
     def test_non_unit_reply_rejected(self):
         with pytest.raises(ValueError):
             constant_classical_provers(2, 0)
@@ -195,8 +208,7 @@ class TestExecuteQuery:
         rng = np.random.default_rng(7)
         p = honest_k3()
         q = Query.from_assignments(3, {0: "R+", 1: "Z", 2: "Z"})
-        obs = query_observable(p, q)
-        exact = expectation(p.shared_state, obs)
+        exact = query_expectation(p, q)
         trials = 4000
         total = sum(execute_query(p.clone(), q, rng)[1] for _ in range(trials))
         assert abs(total / trials - exact) < 4 / math.sqrt(trials)
@@ -221,7 +233,7 @@ class TestXZPlaneProvers:
         from artifact.statevec import StateVector
         state = StateVector(4, vec / np.linalg.norm(vec))
         angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(3)]
-        p = xz_plane_provers(state, angles, n=3)
+        p = xz_plane_provers(state, angles)
         assert p.n == 3 and p.shared_state.n_qubits == 4
 
 
@@ -279,7 +291,7 @@ def _strategies(graph, seed):
 def _measure_chain(p, q, rng):
     """execute_query written as a plain chain of ``measure`` calls."""
     replies, product, state = {}, q.sign, p.shared_state
-    for v in q.queried():
+    for v in q.queried:
         replies[v], state, _ = measure(state, p.observable(v, q.bases[v]), v, rng)
         product *= replies[v]
     return replies, product

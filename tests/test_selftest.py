@@ -255,7 +255,7 @@ class TestSampling:
         rng = np.random.default_rng(5)
         for _ in range(20):
             out = run_oneshot(honest.clone(), params, rng)
-            assert set(out.replies) == set(out.subtest.query.queried())
+            assert set(out.replies) == set(out.subtest.query.queried)
             assert all(r in (1, -1) for r in out.replies.values())
 
     def test_honest_structural_subtests_always_accept(self):

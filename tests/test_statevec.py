@@ -230,11 +230,6 @@ class TestMeasurementLaw:
                    for _ in range(4000))
         assert abs(hits / 4000 - 0.5) < 0.05
 
-    def test_measure_rejects_identity(self):
-        with pytest.raises(ValueError):
-            measure(plus_state(1), SingleQubitObservable.identity(), 0,
-                    np.random.default_rng(0))
-
     def test_measure_impossible_branch_raises(self):
         state = StateVector(1, np.array([1, 0], dtype=complex))
 
