@@ -18,6 +18,7 @@ from .experiments import (ExperimentConfig, prepare, run_experiment, write_csv,
                           write_json_lines)
 from .graphs import Graph, complete_graph, triangle_strip, triangular_lattice
 from .mbqc import MeasurementPattern
+from .statevec import qubit_cap
 
 
 class InputError(click.ClickException):
@@ -122,6 +123,12 @@ def _with_common(fn):
 @click.group()
 def main():
     """Graph-state interactive-proof simulator."""
+    # read the cap here, so a bad value is one Error: line for every
+    # subcommand, `accept` included
+    try:
+        qubit_cap()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 @main.command("gen-graph")

@@ -32,17 +32,7 @@ them by conjugation, Phi(M'_S|psi'>) = prod_{v in S} U_v M'_v U_v^dagger
 Phi(|psi'>), and each label costs |S| 4x4 kernels on the identity-run
 output instead of a second circuit run.
 
-Dtype.  The protocol's observables (X, Z and R(theta) = cos(theta) X +
-sin(theta) Z) lie in the X-Z plane and |G> has real amplitudes, so for
-honest, perturbed and X-Z-plane provers every vector of a report is real.
-A report therefore runs in float64 when the shared state's amplitudes and
-every observable matrix it reads (X'_v and Z'_v of the vertex circuits,
-and each label's prover factors) have imaginary parts exactly 0, and in
-complex128 otherwise.  The ideal vectors M|G> and |G> are always real.
-Real inputs are narrowed to float64 (``_real_if_exact``), and numpy's type
-promotion carries the dtype through every kernel and scratch vector.  The
-real path holds half the memory and runs each 4x4 kernel several times
-faster; its distances agree with the complex path's to rounding.
+Dtype.  See ``statevec``: a report runs in the result type of its inputs.
 """
 
 from __future__ import annotations
@@ -72,8 +62,8 @@ from .statevec import (
 JUNK_TOL = 1e-6
 BOUND_SLACK = 1e-9
 
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
+_P0 = np.diag([1.0, 0.0])
+_P1 = np.diag([0.0, 1.0])
 _I2 = np.eye(2)
 
 
@@ -81,19 +71,9 @@ class JunkDegenerateError(ValueError):
     """The identity-label output has no usable overlap with the graph state."""
 
 
-def _is_real(a: np.ndarray) -> bool:
-    """Whether every imaginary part of ``a`` is exactly 0."""
-    return not (np.iscomplexobj(a) and a.imag.any())
-
-
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """``a`` as float64 when ``_is_real(a)``, else ``a`` itself."""
-    return np.ascontiguousarray(a.real) if _is_real(a) else a
-
-
 def controlled_unitary(m: np.ndarray) -> np.ndarray:
     """4x4 controlled-m with the control on the higher-order qubit."""
-    return np.kron(_P0, np.eye(2, dtype=complex)) + np.kron(_P1, np.asarray(m, dtype=complex))
+    return np.kron(_P0, _I2) + np.kron(_P1, m)
 
 
 def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray:
@@ -103,7 +83,7 @@ def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray
     ancilla carrying the control and the Hadamards.  For exact Paulis this
     returns the SWAP matrix.
     """
-    h2 = np.kron(HADAMARD, np.eye(2, dtype=complex))
+    h2 = np.kron(HADAMARD, _I2)
     cx = controlled_unitary(x_matrix)
     cz = controlled_unitary(z_matrix)
     return cx @ h2 @ cz @ h2 @ cx
@@ -112,7 +92,7 @@ def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray
 @dataclass(frozen=True)
 class IsometryOutput:
     """Circuit output amplitudes over ``n_shared + 2 n_system`` qubits in the
-    pair layout, float64 or complex128 by the module's dtype rule."""
+    pair layout, in the result type of the input state and the circuits."""
 
     n_system: int
     n_shared: int
@@ -138,15 +118,11 @@ def _epr_index(n: int, m: int) -> np.ndarray:
 def vertex_unitaries(p: ProverSet) -> list[np.ndarray]:
     """Every vertex circuit U_v = phi_vertex_unitary(X'_v, Z'_v), by vertex.
 
-    U_v is float64 when X'_v and Z'_v are real, complex128 otherwise.
+    U_v is float64 when X'_v and Z'_v are, complex128 otherwise.
     """
     _require_quantum(p)
-    out = []
-    for v in range(p.n):
-        x, z = p.observable(v, X_LABEL).matrix, p.observable(v, Z_LABEL).matrix
-        u = phi_vertex_unitary(x, z)
-        out.append(np.ascontiguousarray(u.real) if _is_real(x) and _is_real(z) else u)
-    return out
+    return [phi_vertex_unitary(p.observable(v, X_LABEL).matrix,
+                               p.observable(v, Z_LABEL).matrix) for v in range(p.n)]
 
 
 def apply_phi(p: ProverSet, state: StateVector | None = None,
@@ -156,9 +132,7 @@ def apply_phi(p: ProverSet, state: StateVector | None = None,
     ``state`` defaults to the provers' shared state; any other state on at
     least n qubits runs through the same circuits.  ``unitaries`` are p's
     ``vertex_unitaries``, built here when the caller has not built them.
-    The output is float64 when the state's amplitudes have imaginary parts
-    exactly 0 and every U_v is float64 (X'_v and Z'_v real), and
-    complex128 otherwise.
+    The output takes the result type of the state and every U_v.
     """
     _require_quantum(p)
     state = p.shared_state if state is None else state
@@ -170,9 +144,8 @@ def apply_phi(p: ProverSet, state: StateVector | None = None,
         raise QubitCapError(f"{total} qubits exceeds cap {qubit_cap()}")
     if unitaries is None:
         unitaries = vertex_unitaries(p)
-    psi = _real_if_exact(state.amplitudes)
-    amps = np.zeros(1 << total, dtype=np.result_type(psi, *unitaries))
-    amps[_epr_index(n, m)] = psi * 2.0 ** (-n / 2)
+    amps = np.zeros(1 << total, dtype=np.result_type(state.amplitudes, *unitaries))
+    amps[_epr_index(n, m)] = state.amplitudes * 2.0 ** (-n / 2)
     kernels = [(u, m + 2 * v) for v, u in enumerate(unitaries)]
     # the input is free once the first kernel has read it
     amps = apply_kernels(amps, kernels, (np.empty_like(amps), amps))
@@ -200,9 +173,9 @@ def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarra
     vertex v -> M'_v on shared qubit v, and m is the shared state's qubit
     count.  Each kernel comes with the low bit of the pair it acts on, m+2v
     (shared qubit v; the second ancilla of vertex v sits just above it).
-    W_v is float64 when U_v is and M'_v is real, complex128 otherwise.
+    W_v takes the result type of U_v and M'_v.
     """
-    return [(unitaries[v] @ np.kron(_I2, _real_if_exact(f)) @ unitaries[v].conj().T,
+    return [(unitaries[v] @ np.kron(_I2, f) @ unitaries[v].conj().T,
              m + 2 * v)
             for v, f in factors.items()]
 
@@ -225,13 +198,13 @@ def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
     junk = 2^{-n} sum_{s,t} (-1)^{t.s} (-1)^{(s.As)/2} Z'^t |psi'> |s>, where
     the inner sum collapses to a product of (I + (-1)^{s_v} Z'_v) factors.
     For exact Paulis on |G> this reduces to one EPR pair per vertex.  The
-    junk is float64 when |psi'> and every Z'_v are real, complex128 otherwise.
+    junk takes the result type of |psi'> and every Z'_v.
     """
     _require_quantum(p)
-    psi = _real_if_exact(p.shared_state.amplitudes)
+    psi = p.shared_state.amplitudes
     m = p.shared_state.n_qubits
     n = p.n
-    zs = [_real_if_exact(p.observable(v, Z_LABEL).matrix) for v in range(n)]
+    zs = [p.observable(v, Z_LABEL).matrix for v in range(n)]
     junk = np.zeros((1 << n) * (1 << m), dtype=np.result_type(psi, *zs))
     for s in range(1 << n):
         s_bits = bits([(s >> v) & 1 for v in range(n)])
@@ -447,22 +420,22 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     level (the expanded inner-product form loses them to cancellation near
     1e-8).
 
-    The report runs in float64 when the shared state and every observable
-    it reads (X'_v and Z'_v for the circuits, the labels' prover factors)
-    are real, and in complex128 otherwise: one dtype for the identity run,
-    the label kernels, the scratch vectors, the extracted and best-aligned
-    junk, and the residuals.  |G> and the ideal vectors M|G> are real.
+    The report runs in one dtype, the result type of the shared state and
+    every observable it reads (X'_v and Z'_v for the circuits, the labels'
+    prover factors): float64 when all are, complex128 otherwise.  The
+    identity run, the label kernels, the scratch vectors, the extracted and
+    best-aligned junk and the residuals all take it.  |G> and the ideal
+    vectors M|G> are real.
     """
     _require_quantum(p)
     graph = params.graph
     eps = measured_epsilon(p, params)
-    g_amps = build_graph_state(graph).state.amplitudes.real
+    g_amps = build_graph_state(graph).state.amplitudes
     parsed = [_label_entry(p, params, parse_label(spec), eps, g_amps) for spec in labels]
     unitaries = vertex_unitaries(p)
-    inputs = [p.shared_state.amplitudes, *unitaries,
-              *(f for _, factors, _, _, _ in parsed for f in factors.values())]
-    if not all(map(_is_real, inputs)):
-        unitaries = [u.astype(complex) for u in unitaries]
+    dtype = np.result_type(p.shared_state.amplitudes, *unitaries,
+                           *(f for _, factors, _, _, _ in parsed for f in factors.values()))
+    unitaries = [u.astype(dtype, copy=False) for u in unitaries]
     out0 = apply_phi(p, unitaries=unitaries)
     raw = g_amps @ grouped_matrix(out0)
     raw_norm = float(np.linalg.norm(raw))
@@ -473,7 +446,7 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
 
     n, m = out0.n_system, out0.n_shared
     entries = [(label_name(label), kind, conjugated_kernels(unitaries, factors, m),
-                np.ascontiguousarray(ideal.real), bound)
+                ideal, bound)
                for label, factors, ideal, kind, bound in parsed]
 
     amps0 = out0.amplitudes

@@ -1,10 +1,29 @@
-"""Dense complex state-vector simulator.
+"""Dense state-vector simulator, real where the values are real.
 
 Qubit ordering is little-endian throughout the package: qubit 0 is the
 least significant bit of a basis index.  Gates are applied to views of
 the vector, never by building the full 2^n x 2^n matrix: a single-qubit
 matrix is one gemm over the contiguous amplitude pairs of its qubit, and
 a two-qubit matrix one broadcast matmul over an adjacent pair.
+
+Dtype.  This module is the one place where a dtype is decided.  A
+``StateVector``, ``SingleQubitObservable`` or ``ProductObservable`` holds
+float64 when every value it is built from has imaginary part exactly 0,
+and complex128 otherwise; the validated constructors narrow their input,
+and nothing else does.  Every kernel (``apply_single``, ``apply_unitary``,
+``apply_cz``, ``measure``, ``project``, ``expectation``) keeps numpy's
+result type, so a complex operand promotes the result and real operands
+stay real.  The protocol's observables (X, Z and R(theta) = cos(theta) X
++ sin(theta) Z) lie in the X-Z plane and |G> has real amplitudes, so
+honest, perturbed and X-Z-plane provers, their sampled runs, exact laws
+and isometry reports all run in float64, which moves half the bytes of
+complex128; Y, ``mbqc.rotation_xy`` and complex states promote.  An
+isometry report runs in one dtype, the result type of the shared state
+and every observable matrix it reads (X'_v and Z'_v of the vertex
+circuits, each label's prover factors); |G> and the ideal vectors M|G>
+are real.  A float64 kernel gives the real part of the complex kernel's
+result bit for bit; only inner products (``np.vdot``) sum in another
+order and move by an ulp.
 
 Tolerances are centralized here: states must be normalized to
 ``NORM_TOL``; observables must be Hermitian to ``HERM_TOL``; a measurement
@@ -28,11 +47,11 @@ DEFAULT_QUBIT_CAP = 24
 
 SQRT2_INV = 1 / math.sqrt(2)
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
+PAULI_I = np.eye(2)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
 
 
 class QubitCapError(ValueError):
@@ -48,8 +67,23 @@ class NormUnderflowError(ValueError):
 
 
 def qubit_cap() -> int:
+    """The largest qubit count a state may have: ``GSIP_QUBIT_CAP`` when set,
+    read as a decimal integer of at least 1, else ``DEFAULT_QUBIT_CAP``."""
     raw = os.environ.get(QUBIT_CAP_ENV)
-    return int(raw) if raw else DEFAULT_QUBIT_CAP
+    if not raw:
+        return DEFAULT_QUBIT_CAP
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"{QUBIT_CAP_ENV} must be an integer of at least 1, got {raw!r}")
+    return int(raw)
+
+
+def _exact_dtype(a) -> np.ndarray:
+    """``a`` as float64 when its imaginary parts are exactly 0, else as
+    complex128: the module's one dtype rule."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and a.imag.any():
+        return a.astype(complex, copy=False)
+    return np.ascontiguousarray(a.real, dtype=float)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -65,7 +99,8 @@ class SingleQubitObservable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self.matrix
+        m = _exact_dtype(self.matrix)
+        object.__setattr__(self, "matrix", m)
         if m.shape != (2, 2):
             raise ValueError("single-qubit observables are 2x2")
         # written so that a NaN entry fails the checks
@@ -101,7 +136,7 @@ class ProductObservable:
             raise ValueError("sign must be +-1")
         cleaned = {}
         for q, m in terms.items():
-            m = np.asarray(m, dtype=complex)
+            m = _exact_dtype(m)
             if m.shape != (2, 2):
                 raise ValueError("terms must be 2x2 matrices")
             if int(q) in cleaned:
@@ -126,17 +161,19 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray, _validate: bool = True):
-        # _validate=False wraps a vector derived from a state of the same
-        # n_qubits, which already passed the cap and norm checks
+        # _validate=False wraps a kernel's result, derived from a state of
+        # the same n_qubits that already passed the cap and norm checks, in
+        # the dtype the kernel gave it
         if _validate:
             cap = qubit_cap()
             if n_qubits > cap:
                 raise QubitCapError(f"{n_qubits} qubits exceeds cap {cap} "
                                     f"(override with {QUBIT_CAP_ENV})")
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+            amplitudes = _exact_dtype(amplitudes)
         if amplitudes.shape != (2 ** n_qubits,):
             raise ValueError("amplitude vector has wrong length")
-        if _validate and abs(np.linalg.norm(amplitudes) - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails
+        if _validate and not abs(np.linalg.norm(amplitudes) - 1.0) <= NORM_TOL:
             raise ValueError("state is not normalized")
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
@@ -154,8 +191,9 @@ def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndar
     One gemm over contiguous amplitude pairs: the (hi, 2, lo) view is
     copied to (hi, lo, 2) (qubit 0 needs no copy), multiplied by ``m.T``
     as one (2^(n-1), 2) matrix and transposed back.  Each amplitude is the
-    same two-term OpenBLAS ``zgemm`` sum as in the per-block matmul that
-    ``np.moveaxis`` sets up, so the result is bit for bit that kernel's
+    same two-term OpenBLAS gemm sum (``dgemm`` when both operands are real,
+    ``zgemm`` otherwise) as in the per-block matmul that ``np.moveaxis``
+    sets up, so the result is bit for bit that kernel's
     (``test_apply_single_is_the_moveaxis_matmul_bit_for_bit`` pins it); a
     broadcast ``m @ amps.reshape(hi, 2, lo)`` rounds differently.
     """
@@ -172,8 +210,7 @@ def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,
     (hi, 4, lo) view, so the kernel is one broadcast matmul with no
     transposes.  The result goes into ``out``, a vector other than ``amps``
     that the caller reuses, so no call pays for faulting in a fresh 2^n
-    vector.  Any dtype works; ``out`` holds the result type of u and amps,
-    float64 for the real isometry reports.
+    vector; ``out`` must hold the result type of u and amps.
     """
     if u.shape != (4, 4):
         raise ValueError("two-qubit kernels are 4x4")
@@ -188,7 +225,7 @@ def plus_state(n: int) -> StateVector:
     """|+>^n, the uniform real-positive superposition."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    amps = np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
+    amps = np.full(2 ** n, 2 ** (-n / 2))
     return StateVector(n, amps)
 
 

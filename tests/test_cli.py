@@ -258,6 +258,15 @@ class TestBadInput:
             rest = ["--graph", K3_JSON, "--trials", "2", "--seed", "1", *rest]
         _assert_input_error(runner.invoke(main, [command, *rest]))
 
+    @pytest.mark.parametrize("cap", ["abc", "2.5", "0", "-3"])
+    @pytest.mark.parametrize("command", ["selftest", "accept"])
+    def test_qubit_cap_is_read_strictly(self, runner, cap, command):
+        args = (["accept", "--only", "1", "--fast"] if command == "accept" else
+                ["selftest", "--graph", K3_JSON, "--trials", "2", "--seed", "1"])
+        result = runner.invoke(main, args, env={"GSIP_QUBIT_CAP": cap})
+        _assert_input_error(result)
+        assert "GSIP_QUBIT_CAP must be an integer of at least 1" in result.output
+
     @pytest.mark.parametrize("args,name", [
         (["--kind", "lemma4", "--param", "delta=0.1", "--param", "n=-5"], "n"),
         (["--kind", "cor3gap", "--param", "delta=0.1", "--param", "n=-2"], "n"),

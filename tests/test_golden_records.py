@@ -8,7 +8,12 @@ an exact probability, down to the last bit of a float, fails here.  The two
 isometry digests were regenerated when real reports moved to float64: their
 distances moved at the rounding level (at most 1.4e-17).  The two protocol
 digests were regenerated when the rounds of a decision began to draw in
-sequence from the trial's stream instead of one spawned child each.
+sequence from the trial's stream instead of one spawned child each.  The
+exact-laws, mbqc and isometry-perturbed digests were regenerated when real
+states and observables moved to float64: exact laws and epsilon are inner
+products, which float64 sums in another order, so they moved by at most
+1.1e-15 (the isometry bounds, which amplify epsilon, by 2.5e-14), and no
+sampled field moved.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``

@@ -9,13 +9,14 @@ import oracles
 from artifact import provers
 from artifact.graphs import complete_graph, triangle_strip, triangular_lattice
 from artifact.graphstate import build_graph_state
+from artifact.mbqc import MeasurementPattern, PatternStep, run_distribution
 from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
                               classical_provers, constant_classical_provers, execute_query,
                               honest_provers, perturbed_provers,
                               query_expectation, strategy_from_json,
                               xz_plane_provers, QUERY_LABELS)
 from artifact.selftest import default_parameters, exact_pass_probability
-from artifact.statevec import NormUnderflowError, measure
+from artifact.statevec import NormUnderflowError, StateVector, measure
 
 THETA = {v: math.pi / 4 for v in range(8)}
 
@@ -359,3 +360,51 @@ class TestOutcomeTree:
         with pytest.raises(NormUnderflowError):
             execute_query(p, q, ForcedRng(forced))
         assert measure_calls == []
+
+
+# the golden records' patterns: K3's adaptive chain and four unconditioned
+# pi/4 measurements on the lattice, both with non-uniform laws
+PATTERNS = {
+    3: MeasurementPattern(
+        (PatternStep(0, math.pi / 4), PatternStep(1, math.pi / 4, x_deps=(0,)),
+         PatternStep(2, math.pi / 4, x_deps=(1,), z_deps=(0,))), output_bits=(0, 1, 2)),
+    12: MeasurementPattern(tuple(PatternStep(v, math.pi / 4) for v in (0, 1, 4, 5)),
+                           output_bits=(0, 1, 4, 5)),
+}
+
+
+class TestRealDtype:
+    """X-Z-plane prover sets on |G> hold float64 states and observables, and
+    their exact values agree with a complex128 twin to rounding."""
+
+    @staticmethod
+    def _complex_twin(p):
+        # a complex state promotes every kernel, so the twin's walks, laws
+        # and inner products all run in complex128
+        amps = p.shared_state.amplitudes.astype(complex)
+        return provers.ProverSet(p.n, p.strategy,
+                                 StateVector(p.shared_state.n_qubits, amps, _validate=False))
+
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangular_lattice(3, 4)],
+                             ids=["k3", "lattice"])
+    def test_sets_and_their_observables_are_float64(self, graph):
+        assert build_graph_state(graph).state.amplitudes.dtype == np.float64
+        for kind, p in _strategies(graph, 13).items():
+            assert p.shared_state.amplitudes.dtype == np.float64, kind
+            for v in range(p.n):
+                for label in QUERY_LABELS:
+                    assert p.observable(v, label).matrix.dtype == np.float64, (kind, v)
+
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangular_lattice(3, 4)],
+                             ids=["k3", "lattice"])
+    @pytest.mark.parametrize("kind", ["honest", "perturbed", "xz"])
+    def test_exact_values_match_a_complex_twin(self, graph, kind):
+        p = _strategies(graph, 17)[kind]
+        twin = self._complex_twin(p)
+        params = default_parameters(graph)
+        assert abs(exact_pass_probability(p, params)
+                   - exact_pass_probability(twin, params)) <= 1e-14
+        law = run_distribution(p, PATTERNS[graph.n])
+        twin_law = run_distribution(twin, PATTERNS[graph.n])
+        assert sorted(law) == sorted(twin_law)
+        assert max(abs(law[b] - twin_law[b]) for b in law) <= 1e-14

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from artifact.statevec import (ImaginaryResidueError, NormUnderflowError,
-                               ProductObservable, QubitCapError,
+from artifact.graphs import triangular_lattice
+from artifact.graphstate import build_graph_state
+from artifact.mbqc import rotation_xy
+from artifact.statevec import (PAULI_X, PAULI_Y, PAULI_Z, ImaginaryResidueError,
+                               NormUnderflowError, ProductObservable, QubitCapError,
                                SingleQubitObservable, StateVector,
                                apply_cz, apply_single, apply_unitary,
                                expectation, measure, plus_state, project,
@@ -43,11 +46,12 @@ class TestKernelsAgainstDense:
         rng = np.random.default_rng(11)
         for n in (1, 3, 12, 16):
             for q in range(n):
-                amps = random_state(n, rng).amplitudes
-                for m in (random_2x2(rng), rotation_matrix(0.3 + q)):
-                    t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
-                    moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
-                    assert np.array_equal(apply_single(amps, m, q, n), moved)
+                real = rng.normal(size=2 ** n)
+                for amps in (random_state(n, rng).amplitudes, real / np.linalg.norm(real)):
+                    for m in (random_2x2(rng), rotation_matrix(0.3 + q)):
+                        t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
+                        moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
+                        assert np.array_equal(apply_single(amps, m, q, n), moved)
 
     def test_adjacent_pair_kernel_matches_index_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -103,6 +107,12 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amps", [[math.nan, 0], [math.inf, 0], [1, complex(0, math.nan)]],
+                             ids=["nan", "inf", "nan-imaginary"])
+    def test_rejects_amplitudes_that_are_not_finite(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array(amps))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -239,3 +249,50 @@ class TestMeasurementLaw:
 
         with pytest.raises(NormUnderflowError):
             measure(state, SingleQubitObservable.z(), 0, ForcedRng())
+
+
+class TestDtypeRule:
+    """Exactly real inputs are held in float64; complex ones promote."""
+
+    def test_constructors_narrow_exactly_real_input(self):
+        assert StateVector(1, np.array([1, 0], dtype=complex)).amplitudes.dtype == np.float64
+        assert StateVector(1, np.array([1, 1j]) / math.sqrt(2)).amplitudes.dtype == np.complex128
+        assert SingleQubitObservable("X", PAULI_X.astype(complex)).matrix.dtype == np.float64
+        assert SingleQubitObservable("Y", PAULI_Y).matrix.dtype == np.complex128
+        terms = ProductObservable({0: PAULI_X.astype(complex), 1: PAULI_Y}).terms
+        assert (terms[0].dtype, terms[1].dtype) == (np.float64, np.complex128)
+        for m in (PAULI_X, PAULI_Z, rotation_matrix(0.3)):
+            assert m.dtype == np.float64
+        assert plus_state(3).amplitudes.dtype == np.float64
+        assert apply_cz(plus_state(3), 0, 2).amplitudes.dtype == np.float64
+
+    def test_float64_apply_single_is_the_complex_kernels_real_part(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 17):
+            for q in range(n):
+                amps = rng.normal(size=2 ** n)
+                amps /= np.linalg.norm(amps)
+                for m in (PAULI_X, PAULI_Z, rotation_matrix(0.3 + q),
+                          rotation_matrix(-1.1 * n)):
+                    real = apply_single(amps, m, q, n)
+                    full = apply_single(amps.astype(complex), m.astype(complex), q, n)
+                    assert real.dtype == np.float64
+                    assert not full.imag.any()
+                    assert np.array_equal(real, full.real), (n, q)
+
+    @pytest.mark.parametrize("matrix,real_result", [(PAULI_Y, np.complex128),
+                                                    (rotation_xy(0.7), np.complex128),
+                                                    (rotation_matrix(0.7), np.float64)],
+                             ids=["Y", "rotation-xy", "rotation-xz"])
+    def test_measure_is_project_bit_for_bit_on_both_dtypes(self, matrix, real_result):
+        real = build_graph_state(triangular_lattice(2, 3)).state
+        twin = StateVector(real.n_qubits, real.amplitudes.astype(complex), _validate=False)
+        obs = SingleQubitObservable("M", matrix)
+        for state, dtype in ((real, real_result), (twin, np.complex128)):
+            for qubit in range(state.n_qubits):
+                outcome, collapsed, p_plus = measure(state, obs, qubit,
+                                                     np.random.default_rng(qubit))
+                assert p_plus == project(state, obs, qubit, 1)[0]
+                projected = project(state, obs, qubit, outcome)[1]
+                assert np.array_equal(collapsed.amplitudes, projected.amplitudes)
+                assert collapsed.amplitudes.dtype == projected.amplitudes.dtype == dtype
