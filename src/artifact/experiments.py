@@ -229,6 +229,7 @@ class TrialSetup:
                     "junk_source": report.junk_source,
                     "all_satisfied": report.all_satisfied,
                     "worst_excess": report.worst_excess,
+                    "tightest_label": report.tightest.label,
                     "labels": [r.to_json() for r in report.labels]}, report
         result = run_amplified(p, self.protocol, rng)
         return {"trial": i, "accepted": bool(result.accepted),

@@ -30,7 +30,10 @@ A report runs the circuit once.  The vertex circuits U_v are unitary and
 act on disjoint qubits, so a label's prover factors M'_v move through
 them by conjugation, Phi(M'_S|psi'>) = prod_{v in S} U_v M'_v U_v^dagger
 Phi(|psi'>), and each label costs |S| 4x4 kernels on the identity-run
-output instead of a second circuit run.
+output instead of a second circuit run.  A label's distance
+(``residual_norm``) then reads its output once, one graph-register value
+a at a time: the strided slice where a2 = a, less ideal[a] * junk, in a
+2^(n+m) buffer, with one junk product per distinct ideal value.
 
 Dtype.  See ``statevec``: a report runs in the result type of its inputs.
 """
@@ -192,6 +195,31 @@ def apply_kernels(amps: np.ndarray, kernels, scratch) -> np.ndarray:
     return amps
 
 
+def residual_norm(amps: np.ndarray, ideal: np.ndarray, junk: np.ndarray) -> float:
+    """|| amps - ideal (x) junk || for pair-layout amplitudes ``amps``, one
+    graph-register value a at a time (see ``equivalence_distance``).
+
+    ``ideal`` is a vector on the graph register (bit v = a2_v), and ``junk``
+    has shape (2,)*n + (2^m,): axes s_{n-1} .. s_0 (shared qubits n-1 .. 0),
+    then the a1/private block.
+    """
+    n, block = junk.ndim - 1, junk.shape[-1]
+    # axes a2_{n-1} .. a2_0, s_{n-1} .. s_0, block: merging the a2 axes with
+    # a reshape would copy the whole vector
+    by_a2 = amps.reshape((2,) * (2 * n) + (block,)).transpose(
+        tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,))
+    values, which = np.unique(ideal, return_inverse=True)
+    products = values.reshape((-1,) + (1,) * (n + 1)) * junk
+    residual = np.empty(junk.shape, np.result_type(amps, products))
+    total = 0.0
+    # C order over the a2 axes is a = 0, 1, 2, ...
+    for a2, k in zip(np.ndindex(by_a2.shape[:n]), which):
+        np.copyto(residual, by_a2[a2])
+        np.subtract(residual, products[k], out=residual)
+        total += np.vdot(residual, residual).real
+    return math.sqrt(total)
+
+
 def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
     """The factorization's closed-form junk state on the junk register.
 
@@ -334,8 +362,13 @@ class EquivalenceReport:
         return all(r.satisfied for r in self.labels)
 
     @property
+    def tightest(self) -> LabelReport:
+        """The label with the largest distance - bound, the first on a tie."""
+        return max(self.labels, key=lambda r: r.distance - r.bound)
+
+    @property
     def worst_excess(self) -> float:
-        return max(r.distance - r.bound for r in self.labels)
+        return self.tightest.distance - self.tightest.bound
 
     def to_json(self) -> dict:
         return {"epsilon": self.epsilon, "junk_norm": self.junk_norm,
@@ -415,10 +448,16 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     meets its bound is reported, else the one with the smallest worst
     excess, the earlier on a tie.  The fallbacks are built only when
     identity-extraction fails, the constructed junk before best-aligned is
-    scored, so a degenerate one raises JunkDegenerateError.  Each distance
-    is the direct residual norm, which keeps honest distances at rounding
-    level (the expanded inner-product form loses them to cancellation near
-    1e-8).
+    scored, so a degenerate one raises JunkDegenerateError.  Each distance,
+    fallbacks included, is the direct residual norm (``residual_norm``),
+    which keeps honest distances at rounding level (the expanded
+    inner-product form loses them to cancellation near 1e-8).  It loops
+    over the 2^n graph-register values a: the slice of the label output
+    where a2 = a, a transpose view read once, less ideal[a] * junk, goes
+    into a 2^(n+m) buffer whose squared norm adds to the total.  The junk
+    products are formed once per distinct value of the ideal vector (two
+    for a Pauli label, at most four for a rotation label), never as a
+    2^(m+2n) broadcast.
 
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
@@ -457,17 +496,9 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
             yield apply_kernels(amps0, kernels, scratch), ideal
 
     def pair_junk(junk):
-        """A junk vector with its system bits spread onto the pair axes."""
+        """A junk vector in ``residual_norm``'s (s, a1/private block) order."""
         return np.ascontiguousarray(junk.reshape(1 << m, 1 << n).T).reshape(
-            (1, 2) * n + (1 << m,))
-
-    def distance(amps, ideal, junk) -> float:
-        # the residual goes in the scratch vector that does not hold amps
-        residual = scratch[amps is scratch[0]]
-        np.multiply(ideal.reshape((2, 1) * n + (1,)), junk,
-                    out=residual.reshape((2,) * (2 * n) + (1 << m,)))
-        np.subtract(amps, residual, out=residual)
-        return math.sqrt(np.vdot(residual, residual).real)
+            (2,) * n + (1 << m,))
 
     def report(dists, source: str) -> EquivalenceReport:
         reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
@@ -479,17 +510,17 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
         one pass over the label outputs sums the best-aligned junk and
         takes the constructed distances."""
         junk = pair_junk(raw / raw_norm)
-        yield [distance(a, i, junk) for a, i in label_outputs()], "identity-extraction"
+        yield [residual_norm(a, i, junk) for a, i in label_outputs()], "identity-extraction"
         constructed = pair_junk(constructed_junk(p, graph))
         aligned = np.zeros_like(raw)
         constructed_dists = []
         for amps, ideal in label_outputs():
             aligned += ideal @ grouped_matrix(IsometryOutput(n, m, amps))
-            constructed_dists.append(distance(amps, ideal, constructed))
+            constructed_dists.append(residual_norm(amps, ideal, constructed))
         aligned_norm = np.linalg.norm(aligned)
         if aligned_norm >= JUNK_TOL:
             junk = pair_junk(aligned / aligned_norm)
-            yield [distance(a, i, junk) for a, i in label_outputs()], "best-aligned"
+            yield [residual_norm(a, i, junk) for a, i in label_outputs()], "best-aligned"
         yield constructed_dists, "constructed"
 
     best = None

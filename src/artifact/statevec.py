@@ -91,9 +91,13 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return math.cos(theta) * PAULI_X + math.sin(theta) * PAULI_Z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleQubitObservable:
-    """A 2x2 Hermitian involution (eigenvalues exactly +-1)."""
+    """A 2x2 Hermitian involution (eigenvalues exactly +-1).
+
+    Compares and hashes by identity: a generated ``==`` over the ndarray
+    ``matrix`` would raise instead of answering.
+    """
 
     kind: str
     matrix: np.ndarray

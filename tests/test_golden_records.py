@@ -13,7 +13,11 @@ exact-laws, mbqc and isometry-perturbed digests were regenerated when real
 states and observables moved to float64: exact laws and epsilon are inner
 products, which float64 sums in another order, so they moved by at most
 1.1e-15 (the isometry bounds, which amplify epsilon, by 2.5e-14), and no
-sampled field moved.
+sampled field moved.  The two isometry digests were regenerated again when
+the residual norm began to sum one graph-register slice at a time: each
+residual element is the same subtract of the same product, but the sum of
+squares runs in another order, so distances moved by at most 2e-31
+(honest) and 7e-18 (perturbed); the rows also gained ``tightest_label``.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``

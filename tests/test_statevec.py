@@ -11,6 +11,7 @@ import oracles
 from artifact.graphs import triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.mbqc import rotation_xy
+from artifact.provers import QUERY_LABELS, QuantumStrategy
 from artifact.statevec import (PAULI_X, PAULI_Y, PAULI_Z, ImaginaryResidueError,
                                NormUnderflowError, ProductObservable, QubitCapError,
                                SingleQubitObservable, StateVector,
@@ -159,6 +160,21 @@ class TestObservables:
         with pytest.raises(ValueError):
             SingleQubitObservable("bad", np.array([[0, 1], [0, 0]],
                                                   dtype=complex))
+
+    def test_observables_compare_and_hash_by_identity(self):
+        x, other = SingleQubitObservable.x(), SingleQubitObservable.x()
+        assert x == x and x != other
+        assert hash(x) == hash(x) and len({x, other}) == 2
+
+        def strategy():
+            observables = (SingleQubitObservable.x(), SingleQubitObservable.z(),
+                           SingleQubitObservable.rotation(0.5),
+                           SingleQubitObservable.rotation(-0.5))
+            return QuantumStrategy((dict(zip(QUERY_LABELS, observables)),))
+
+        # equal but distinct observables: the strategies differ, and say so
+        a = strategy()
+        assert a == a and a != strategy()
 
     def test_product_observable_rejects_bad_sign(self):
         with pytest.raises(ValueError):
