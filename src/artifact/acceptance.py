@@ -466,16 +466,20 @@ def run_criterion(number: int, fast: bool = False) -> CriterionResult:
     raise ValueError(f"no criterion numbered {number}")
 
 
+def suite_numbers(selected=None) -> list[int]:
+    """The (selected) criterion numbers in suite order; ValueError on an
+    unknown one."""
+    numbers = [num for num, _, _ in CRITERIA]
+    unknown = set(selected or ()) - set(numbers)
+    if unknown:
+        raise ValueError(f"unknown criteria {sorted(unknown)}")
+    return numbers if selected is None else [n for n in numbers if n in set(selected)]
+
+
 def run_suite(selected=None, fast: bool = False, stream=None) -> bool:
     """Run the (selected) criteria, print one line each, return overall pass."""
-    numbers = [num for num, _, _ in CRITERIA]
-    if selected is not None:
-        unknown = set(selected) - set(numbers)
-        if unknown:
-            raise ValueError(f"unknown criteria {sorted(unknown)}")
-        numbers = [n for n in numbers if n in set(selected)]
     all_ok = True
-    for number in numbers:
+    for number in suite_numbers(selected):
         result = run_criterion(number, fast=fast)
         all_ok &= result.passed
         if stream is not None:

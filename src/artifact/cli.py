@@ -141,20 +141,23 @@ def main():
 @click.option("--out", default=None)
 def gen_graph(family, n, k, rows, cols, out):
     """Write a graph from a named family as JSON."""
-    if family == "k3":
-        g = complete_graph(3)
-    elif family == "complete":
-        if n is None:
-            raise click.BadParameter("complete needs --n")
-        g = complete_graph(n)
-    elif family == "triangle-strip":
-        if k is None:
-            raise click.BadParameter("triangle-strip needs -k")
-        g = triangle_strip(k)
-    else:
-        if rows is None or cols is None:
-            raise click.BadParameter("triangular-lattice needs --rows/--cols")
-        g = triangular_lattice(rows, cols)
+    try:
+        if family == "k3":
+            g = complete_graph(3)
+        elif family == "complete":
+            if n is None:
+                raise click.BadParameter("complete needs --n")
+            g = complete_graph(n)
+        elif family == "triangle-strip":
+            if k is None:
+                raise click.BadParameter("triangle-strip needs -k")
+            g = triangle_strip(k)
+        else:
+            if rows is None or cols is None:
+                raise click.BadParameter("triangular-lattice needs --rows/--cols")
+            g = triangular_lattice(rows, cols)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     text = json.dumps(g.to_json())
     _write(out, lambda stream: stream.write(text + "\n"))
 
@@ -263,11 +266,14 @@ def prove(graph_src, pattern_src, strategy_src, theta, delta, q, rounds, seed,
               help="shrink trial counts for a quick smoke pass")
 def accept(only, fast):
     """Run the acceptance suite; one pass/fail line per criterion."""
-    from .acceptance import run_suite
+    from .acceptance import run_suite, suite_numbers
 
     selected = None
     if only:
-        selected = [int(tok) for tok in only.split(",") if tok.strip()]
+        try:
+            selected = suite_numbers([int(tok) for tok in only.split(",") if tok.strip()])
+        except ValueError as exc:
+            raise InputError(f"--only {only!r}: {exc}") from exc
     ok = run_suite(selected=selected, fast=fast, stream=sys.stdout)
     sys.exit(0 if ok else 1)
 

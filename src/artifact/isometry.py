@@ -22,9 +22,11 @@ adjacent:
 so every vertex kernel is one broadcast matmul on a (hi, 4, lo) view
 (``statevec.apply_unitary``).  After the circuits run, the second
 ancillas form the graph register and the junk state lives on every other
-bit.  ``grouped_matrix`` reorders the output into a (graph register) x
-(junk register) matrix whose columns index a1 * 2^m + (shared-state
-index), the order ``constructed_junk`` uses.
+bit.  ``grouped_matrix`` alone fixes the junk register's order: it views
+the output, without a copy, with axes a2_{n-1} .. a2_0 (the graph
+register), then s_{n-1} .. s_0 (shared qubits n-1 .. 0), then the low
+block of m bits (private qubits, then a1).  Every junk vector has shape
+(2,)*n + (2^m,) in that s, block order.
 
 A report runs the circuit once.  The vertex circuits U_v are unitary and
 act on disjoint qubits, so a label's prover factors M'_v move through
@@ -55,7 +57,6 @@ from .statevec import (
     PAULI_X,
     PAULI_Z,
     QubitCapError,
-    StateVector,
     apply_single,
     apply_unitary,
     qubit_cap,
@@ -92,30 +93,9 @@ def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray
     return cx @ h2 @ cz @ h2 @ cx
 
 
-@dataclass(frozen=True)
-class IsometryOutput:
-    """Circuit output amplitudes over ``n_shared + 2 n_system`` qubits in the
-    pair layout, in the result type of the input state and the circuits."""
-
-    n_system: int
-    n_shared: int
-    amplitudes: np.ndarray
-
-
 def _require_quantum(p: ProverSet):
     if p.is_classical:
         raise TypeError("the swap isometry is defined for quantum provers only")
-
-
-def _epr_index(n: int, m: int) -> np.ndarray:
-    """Output index of |a>_{a1} |a>_{a2} |j>_shared at [a, j]."""
-    a = np.arange(1 << n, dtype=np.int64)[:, None]
-    j = np.arange(1 << m, dtype=np.int64)[None, :]
-    idx = (a << (m - n)) | (j >> n)
-    for v in range(n):
-        idx = (idx | (((j >> v) & 1) << (m + 2 * v))
-               | (((a >> v) & 1) << (m + 2 * v + 1)))
-    return idx
 
 
 def vertex_unitaries(p: ProverSet) -> list[np.ndarray]:
@@ -128,44 +108,50 @@ def vertex_unitaries(p: ProverSet) -> list[np.ndarray]:
                                p.observable(v, Z_LABEL).matrix) for v in range(p.n)]
 
 
-def apply_phi(p: ProverSet, state: StateVector | None = None,
-              unitaries: list[np.ndarray] | None = None) -> IsometryOutput:
-    """Attach EPR ancillas to ``state`` and run every vertex circuit.
+def apply_phi(p: ProverSet, unitaries: list[np.ndarray]) -> np.ndarray:
+    """Attach EPR ancillas to the shared state and run every vertex circuit.
 
-    ``state`` defaults to the provers' shared state; any other state on at
-    least n qubits runs through the same circuits.  ``unitaries`` are p's
-    ``vertex_unitaries``, built here when the caller has not built them.
-    The output takes the result type of the state and every U_v.
+    ``unitaries`` are p's ``vertex_unitaries``.  The pair-layout output
+    takes the result type of the shared state and every U_v.
     """
     _require_quantum(p)
-    state = p.shared_state if state is None else state
-    m, n = state.n_qubits, p.n
-    if m < n:
-        raise ValueError("input state is smaller than the prover count")
+    psi, m, n = p.shared_state.amplitudes, p.shared_state.n_qubits, p.n
     total = m + 2 * n
     if total > qubit_cap():
         raise QubitCapError(f"{total} qubits exceeds cap {qubit_cap()}")
-    if unitaries is None:
-        unitaries = vertex_unitaries(p)
-    amps = np.zeros(1 << total, dtype=np.result_type(state.amplitudes, *unitaries))
-    amps[_epr_index(n, m)] = state.amplitudes * 2.0 ** (-n / 2)
+    amps = np.zeros(1 << total, dtype=np.result_type(psi, *unitaries))
+    # the shared index is private * 2^n + s, the block private + a1 * 2^(m-n)
+    width = 1 << (m - n)
+    psi = (psi * 2.0 ** (-n / 2)).reshape(width, 1 << n).T.reshape((2,) * n + (width,))
+    view = grouped_matrix(amps, n)
+    # |a>_{a1} |a>_{a2} |psi'>
+    for a, a2 in enumerate(np.ndindex(view.shape[:n])):
+        view[a2][..., a * width:(a + 1) * width] = psi
     kernels = [(u, m + 2 * v) for v, u in enumerate(unitaries)]
     # the input is free once the first kernel has read it
-    amps = apply_kernels(amps, kernels, (np.empty_like(amps), amps))
-    return IsometryOutput(n, m, amps)
+    return apply_kernels(amps, kernels, (np.empty_like(amps), amps))
 
 
-def grouped_matrix(out: IsometryOutput) -> np.ndarray:
-    """Output amplitudes as a (graph register) x (junk register) matrix.
+def grouped_matrix(amps: np.ndarray, n: int) -> np.ndarray:
+    """Pair-layout amplitudes viewed (graph register) x (junk register).
 
-    Rows index the second ancillas (bit v = a2_v); columns index
-    a1 * 2^m + (shared-state index), little-endian within each block.
+    The view, which copies nothing, has axes a2_{n-1} .. a2_0, then
+    s_{n-1} .. s_0 (shared qubits n-1 .. 0), then the low block of m bits
+    (the private qubits, then a1).
     """
-    n, m = out.n_system, out.n_shared
-    # axes a2_{n-1}, s_{n-1}, ..., a2_0, s_0, then the a1/private block
-    t = out.amplitudes.reshape((2,) * (2 * n) + (1 << m,))
-    order = tuple(range(0, 2 * n, 2)) + (2 * n,) + tuple(range(1, 2 * n, 2))
-    return t.transpose(order).reshape(1 << n, 1 << (m + n))
+    t = amps.reshape((2,) * (2 * n) + (amps.size >> (2 * n),))
+    return t.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,))
+
+
+def overlap(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
+    """sum_a ideal[a] * (the junk-register slice of ``amps`` where a2 = a),
+    one slice of the ``grouped_matrix`` view at a time."""
+    view = grouped_matrix(amps, n)
+    total = np.zeros(view.shape[n:], np.result_type(ideal, amps))
+    # C order over the a2 axes is a = 0, 1, 2, ...
+    for a2, c in zip(np.ndindex(view.shape[:n]), ideal):
+        total += c * view[a2]
+    return total
 
 
 def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarray],
@@ -200,14 +186,10 @@ def residual_norm(amps: np.ndarray, ideal: np.ndarray, junk: np.ndarray) -> floa
     graph-register value a at a time (see ``equivalence_distance``).
 
     ``ideal`` is a vector on the graph register (bit v = a2_v), and ``junk``
-    has shape (2,)*n + (2^m,): axes s_{n-1} .. s_0 (shared qubits n-1 .. 0),
-    then the a1/private block.
+    a junk-register vector of shape (2,)*n + (2^m,) (see ``grouped_matrix``).
     """
-    n, block = junk.ndim - 1, junk.shape[-1]
-    # axes a2_{n-1} .. a2_0, s_{n-1} .. s_0, block: merging the a2 axes with
-    # a reshape would copy the whole vector
-    by_a2 = amps.reshape((2,) * (2 * n) + (block,)).transpose(
-        tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,))
+    n = junk.ndim - 1
+    by_a2 = grouped_matrix(amps, n)
     values, which = np.unique(ideal, return_inverse=True)
     products = values.reshape((-1,) + (1,) * (n + 1)) * junk
     residual = np.empty(junk.shape, np.result_type(amps, products))
@@ -225,15 +207,19 @@ def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
 
     junk = 2^{-n} sum_{s,t} (-1)^{t.s} (-1)^{(s.As)/2} Z'^t |psi'> |s>, where
     the inner sum collapses to a product of (I + (-1)^{s_v} Z'_v) factors.
-    For exact Paulis on |G> this reduces to one EPR pair per vertex.  The
-    junk takes the result type of |psi'> and every Z'_v.
+    For exact Paulis on |G> this reduces to one EPR pair per vertex.  |s>
+    lives on a1, and the junk has shape (2,)*n + (2^m,) in
+    ``grouped_matrix``'s order.  It takes the result type of |psi'> and
+    every Z'_v.
     """
     _require_quantum(p)
     psi = p.shared_state.amplitudes
     m = p.shared_state.n_qubits
     n = p.n
+    width = 1 << (m - n)
     zs = [p.observable(v, Z_LABEL).matrix for v in range(n)]
-    junk = np.zeros((1 << n) * (1 << m), dtype=np.result_type(psi, *zs))
+    # rows: shared qubits n-1 .. 0; columns: private qubits + a1 * 2^(m-n)
+    junk = np.zeros((1 << n, 1 << m), dtype=np.result_type(psi, *zs))
     for s in range(1 << n):
         s_bits = bits([(s >> v) & 1 for v in range(n)])
         block = psi
@@ -241,12 +227,12 @@ def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
             sign = -1.0 if s_bits[v] else 1.0
             block = apply_single(block, _I2 + sign * zs[v], v, m)
         phase = -1.0 if graph.induced_edge_count(s_bits) % 2 else 1.0
-        junk[s << m:(s + 1) << m] = phase * block
+        junk[:, s * width:(s + 1) * width] = phase * block.reshape(width, 1 << n).T
     junk /= float(1 << n)
     nrm = np.linalg.norm(junk)
     if nrm < JUNK_TOL:
         raise JunkDegenerateError(f"constructed junk norm {nrm:.3e} is degenerate")
-    return junk / nrm
+    return (junk / nrm).reshape((2,) * n + (1 << m,))
 
 
 def measured_epsilon(p: ProverSet, params: TestParameters) -> float:
@@ -441,23 +427,24 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     whenever they are needed and never stored.
 
     Junk candidates, in order: identity-extraction (the identity run's
-    normalized overlap with |G> on the graph register); best-aligned (the
-    normalized sum of every label output's overlap with its ideal vector,
-    when that sum's norm is at least JUNK_TOL); constructed
-    (``constructed_junk``).  The first candidate under which every label
-    meets its bound is reported, else the one with the smallest worst
-    excess, the earlier on a tie.  The fallbacks are built only when
-    identity-extraction fails, the constructed junk before best-aligned is
-    scored, so a degenerate one raises JunkDegenerateError.  Each distance,
-    fallbacks included, is the direct residual norm (``residual_norm``),
-    which keeps honest distances at rounding level (the expanded
-    inner-product form loses them to cancellation near 1e-8).  It loops
-    over the 2^n graph-register values a: the slice of the label output
-    where a2 = a, a transpose view read once, less ideal[a] * junk, goes
-    into a 2^(n+m) buffer whose squared norm adds to the total.  The junk
-    products are formed once per distinct value of the ideal vector (two
-    for a Pauli label, at most four for a rotation label), never as a
-    2^(m+2n) broadcast.
+    normalized ``overlap`` with |G>); best-aligned (the normalized sum of
+    every label output's ``overlap`` with its ideal vector, when that
+    sum's norm is at least JUNK_TOL); constructed (``constructed_junk``).
+    Each is a junk-register vector in ``grouped_matrix``'s order.  The
+    first candidate under which every label meets its bound is reported,
+    else the one with the smallest worst excess, the earlier on a tie.
+    The fallbacks are built only when identity-extraction fails, the
+    constructed junk before best-aligned is scored, so a degenerate one
+    raises JunkDegenerateError.  Each distance, fallbacks included, is the
+    direct residual norm (``residual_norm``), which keeps honest distances
+    at rounding level (the expanded inner-product form loses them to
+    cancellation near 1e-8).  Overlaps and residuals read a label output
+    through the ``grouped_matrix`` view, one graph-register value a (the
+    slice where a2 = a) at a time, and never copy it to reorder it; a
+    residual puts the slice less ideal[a] * junk in a 2^(n+m) buffer whose
+    squared norm adds to the total.  The junk products are formed once per
+    distinct value of the ideal vector (two for a Pauli label, at most four
+    for a rotation label), never as a 2^(m+2n) broadcast.
 
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
@@ -475,30 +462,24 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     dtype = np.result_type(p.shared_state.amplitudes, *unitaries,
                            *(f for _, factors, _, _, _ in parsed for f in factors.values()))
     unitaries = [u.astype(dtype, copy=False) for u in unitaries]
-    out0 = apply_phi(p, unitaries=unitaries)
-    raw = g_amps @ grouped_matrix(out0)
+    amps0 = apply_phi(p, unitaries)
+    n, m = p.n, p.shared_state.n_qubits
+    raw = overlap(g_amps, amps0, n)
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < JUNK_TOL:
         raise JunkDegenerateError(
             f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
             "test conditions fail too badly for the distance bound to apply")
 
-    n, m = out0.n_system, out0.n_shared
     entries = [(label_name(label), kind, conjugated_kernels(unitaries, factors, m),
                 ideal, bound)
                for label, factors, ideal, kind, bound in parsed]
 
-    amps0 = out0.amplitudes
     scratch = (np.empty_like(amps0), np.empty_like(amps0))
 
     def label_outputs():
         for _, _, kernels, ideal, _ in entries:
             yield apply_kernels(amps0, kernels, scratch), ideal
-
-    def pair_junk(junk):
-        """A junk vector in ``residual_norm``'s (s, a1/private block) order."""
-        return np.ascontiguousarray(junk.reshape(1 << m, 1 << n).T).reshape(
-            (2,) * n + (1 << m,))
 
     def report(dists, source: str) -> EquivalenceReport:
         reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
@@ -509,17 +490,17 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
         """(distances, junk source) per candidate junk, in the order above;
         one pass over the label outputs sums the best-aligned junk and
         takes the constructed distances."""
-        junk = pair_junk(raw / raw_norm)
+        junk = raw / raw_norm
         yield [residual_norm(a, i, junk) for a, i in label_outputs()], "identity-extraction"
-        constructed = pair_junk(constructed_junk(p, graph))
+        constructed = constructed_junk(p, graph)
         aligned = np.zeros_like(raw)
         constructed_dists = []
         for amps, ideal in label_outputs():
-            aligned += ideal @ grouped_matrix(IsometryOutput(n, m, amps))
+            aligned += overlap(ideal, amps, n)
             constructed_dists.append(residual_norm(amps, ideal, constructed))
         aligned_norm = np.linalg.norm(aligned)
         if aligned_norm >= JUNK_TOL:
-            junk = pair_junk(aligned / aligned_norm)
+            junk = aligned / aligned_norm
             yield [residual_norm(a, i, junk) for a, i in label_outputs()], "best-aligned"
         yield constructed_dists, "constructed"
 

@@ -68,6 +68,16 @@ class TestGenGraph:
         result = runner.invoke(main, ["gen-graph", "--family", "petersen"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "complete", "--n", "-1"],
+        ["--family", "triangle-strip", "-k", "2"],
+        ["--family", "triangular-lattice", "--rows", "1", "--cols", "3"],
+    ], ids=["complete-negative", "strip-too-short", "lattice-one-row"])
+    def test_a_size_out_of_range_is_one_error_line(self, runner, args):
+        result = runner.invoke(main, ["gen-graph", *args])
+        _assert_input_error(result)
+        assert "Traceback" not in result.output
+
 
 class TestSelftestCommand:
     def test_inline_graph_json_lines(self, runner):
@@ -403,7 +413,13 @@ class TestAcceptCommand:
 
     def test_unknown_criterion_number(self, runner):
         result = runner.invoke(main, ["accept", "--only", "99"])
-        assert result.exit_code != 0
+        _assert_input_error(result)
+        assert "unknown criteria [99]" in result.output
+
+    def test_non_integer_criterion_rejected(self, runner):
+        result = runner.invoke(main, ["accept", "--only", "x"])
+        _assert_input_error(result)
+        assert "'x'" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from artifact.graphstate import build_graph_state
 from artifact import isometry
 from artifact.isometry import (
     EquivalenceReport,
-    IsometryOutput,
     JunkDegenerateError,
     anticommutator_norm,
     apply_kernels,
@@ -26,6 +25,7 @@ from artifact.isometry import (
     grouped_matrix,
     label_name,
     measured_epsilon,
+    overlap,
     parse_label,
     _label_entry,
     phi_vertex_unitary,
@@ -34,6 +34,7 @@ from artifact.isometry import (
     vertex_unitaries,
 )
 from artifact.provers import (
+    ProverSet,
     classical_provers,
     honest_provers,
     perturbed_provers,
@@ -99,10 +100,18 @@ class TestCircuitPieces:
     def test_pair_layout_matches_index_arithmetic(self):
         for kind in ("perturbed", "private"):
             p = _provers(kind, complete_graph(3), np.random.default_rng(29))[0]
+            n, m = p.n, p.shared_state.n_qubits
             grouped, pos = _phi_by_index_arithmetic(p)
-            out = apply_phi(p)
-            assert np.abs(out.amplitudes[pos] - grouped).max() < 1e-12
-            assert np.abs(grouped_matrix(out) - grouped.reshape(8, -1)).max() < 1e-12
+            amps = apply_phi(p, vertex_unitaries(p))
+            assert np.abs(amps[pos] - grouped).max() < 1e-12
+            # grouped is indexed j | a1 << m | a2 << (m+n), j the shared index;
+            # the view's axes are a2, then s = j's low n bits, then the block
+            # (j >> n) | a1 << (m-n)
+            a, s, block = np.indices((1 << n, 1 << n, 1 << m))
+            j = s | ((block & ((1 << (m - n)) - 1)) << n)
+            want = grouped[j | ((block >> (m - n)) << m) | (a << (m + n))]
+            got = grouped_matrix(amps, n).reshape(want.shape)
+            assert np.abs(got - want).max() < 1e-12
 
 
 class TestApplyPhi:
@@ -110,36 +119,27 @@ class TestApplyPhi:
         table = {(v, label): 1 for v in range(3)
                  for label in ("X", "Z", "R+", "R-")}
         with pytest.raises(TypeError):
-            apply_phi(classical_provers(3, table))
+            apply_phi(classical_provers(3, table), [])
 
     def test_output_shape(self):
         provers, _ = _honest(complete_graph(3))
-        out = apply_phi(provers)
-        assert isinstance(out, IsometryOutput)
-        assert out.n_system == 3
-        assert out.n_shared == 3
-        assert out.n_shared + 2 * out.n_system == 9
-        assert out.amplitudes.shape == (1 << 9,)
-        assert math.isclose(np.linalg.norm(out.amplitudes), 1.0, abs_tol=1e-12)
-
-    def test_input_state_smaller_than_prover_count_rejected(self):
-        provers, _ = _honest(complete_graph(3))
-        with pytest.raises(ValueError):
-            apply_phi(provers, StateVector(
-                2, np.full(4, 0.5, dtype=complex)))
+        amps = apply_phi(provers, vertex_unitaries(provers))
+        # 3 shared qubits and two ancillas per vertex
+        assert amps.shape == (1 << 9,)
+        assert math.isclose(np.linalg.norm(amps), 1.0, abs_tol=1e-12)
 
     def test_qubit_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("GSIP_QUBIT_CAP", "8")
         provers, _ = _honest(complete_graph(3))
         from artifact.statevec import QubitCapError
         with pytest.raises(QubitCapError):
-            apply_phi(provers)
+            apply_phi(provers, vertex_unitaries(provers))
 
     def test_honest_output_factorizes_exactly(self):
         graph = complete_graph(3)
         provers, _ = _honest(graph)
-        out = apply_phi(provers)
-        mat = grouped_matrix(out)
+        amps = apply_phi(provers, vertex_unitaries(provers))
+        mat = grouped_matrix(amps, graph.n).reshape(1 << graph.n, -1)
         g_amps = build_graph_state(graph).state.amplitudes
         junk = np.conj(g_amps) @ mat
         residual = np.linalg.norm(mat - np.outer(g_amps, junk))
@@ -147,8 +147,31 @@ class TestApplyPhi:
 
     def test_grouped_matrix_preserves_norm(self):
         provers, _ = _honest(triangle_strip(4))
-        mat = grouped_matrix(apply_phi(provers))
+        mat = grouped_matrix(apply_phi(provers, vertex_unitaries(provers)), provers.n)
         assert math.isclose(np.linalg.norm(mat), 1.0, abs_tol=1e-12)
+
+
+class TestGroupedView:
+    """``grouped_matrix`` reads the output in place, and ``overlap``
+    matches the dense product with the matrix built by index arithmetic."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_grouped_matrix_shares_memory_with_the_output(self, m):
+        amps = np.arange(1 << (m + 6), dtype=float)
+        view = grouped_matrix(amps, 3)
+        assert np.shares_memory(view, amps)
+        assert view.shape == (2,) * 6 + (1 << m,)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 3)])
+    def test_overlap_matches_the_dense_product(self, n, m, dtype):
+        rng = np.random.default_rng(83 + 8 * n + m)
+        amps = TestResidualNorm._unit(1 << (m + 2 * n), dtype, rng)
+        ideal = TestResidualNorm._unit(1 << n, float, rng)
+        want = ideal @ _grouped(amps, n, m)
+        got = overlap(ideal, amps, n)
+        assert got.shape == (2,) * n + (1 << m,)
+        assert np.abs(got.reshape(-1) - want).max() <= 1e-15
 
 
 class TestJunk:
@@ -157,17 +180,19 @@ class TestJunk:
         provers, _ = _honest(graph)
         n = graph.n
         junk = constructed_junk(provers, graph)
+        assert junk.shape == (2,) * n + (1 << n,)
+        # shared qubit v and a1_v hold the same bit: s = block
         expected = np.zeros(1 << (2 * n), dtype=complex)
         for s in range(1 << n):
             expected[(s << n) | s] = 2 ** (-n / 2)
-        assert np.allclose(junk, expected, atol=1e-12)
+        assert np.allclose(junk.reshape(-1), expected, atol=1e-12)
 
     def test_extracted_junk_matches_constructed_for_honest(self):
         graph = complete_graph(3)
         provers, _ = _honest(graph)
-        out = apply_phi(provers)
+        amps = apply_phi(provers, vertex_unitaries(provers))
         g_amps = build_graph_state(graph).state.amplitudes
-        extracted = np.conj(g_amps) @ grouped_matrix(out)
+        extracted = overlap(np.conj(g_amps), amps, graph.n)
         extracted = extracted / np.linalg.norm(extracted)
         built = constructed_junk(provers, graph)
         phase = np.vdot(built, extracted)
@@ -188,9 +213,15 @@ def _pair_index(n, m, a, s, block):
     = block (private qubits, then the first ancillas), bit by bit."""
     idx = block
     for v in range(n):
-        idx |= ((s >> v) & 1) << (m + 2 * v)
-        idx |= ((a >> v) & 1) << (m + 2 * v + 1)
+        idx = idx | (((s >> v) & 1) << (m + 2 * v)) | (((a >> v) & 1) << (m + 2 * v + 1))
     return idx
+
+
+def _grouped(amps, n, m):
+    """Pair-layout amplitudes as a matrix with rows a2 = a and columns
+    s * 2^m + block, gathered by ``_pair_index``."""
+    a, col = np.indices((1 << n, 1 << (n + m)))
+    return amps[_pair_index(n, m, a, col >> m, col & ((1 << m) - 1))]
 
 
 class TestResidualNorm:
@@ -225,12 +256,12 @@ class TestResidualNorm:
     def test_matches_the_dense_norm(self, n, m, dtype):
         rng = np.random.default_rng(71 + 8 * n + m)
         ideal, junk, target = self._case(n, m, dtype, rng)
-        pair_junk = junk.reshape((2,) * n + (1 << m,))
+        shaped = junk.reshape((2,) * n + (1 << m,))
         for amps in (self._unit(target.size, dtype, rng),
                      target + 0.01 * self._unit(target.size, dtype, rng)):
             amps = amps / np.linalg.norm(amps)
             want = np.linalg.norm(amps - target)
-            assert abs(residual_norm(amps, ideal, pair_junk) - want) <= 1e-15
+            assert abs(residual_norm(amps, ideal, shaped) - want) <= 1e-15
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n,m", [(3, 3), (3, 5)])
@@ -428,15 +459,17 @@ def _ideal_vector(graph, params, label):
 
 
 def _direct_output(p, label):
-    """apply_phi(p, M'_S psi'): one circuit run."""
+    """One circuit run on M'_S psi', by provers with p's strategy that
+    share that state."""
     state = p.shared_state
     ops = _label_operators(p, label)
     amps = oracles.full_operator(state.n_qubits, ops) @ state.amplitudes
-    return apply_phi(p, StateVector(state.n_qubits, amps, _validate=False))
+    q = ProverSet(p.n, p.strategy, StateVector(state.n_qubits, amps, _validate=False))
+    return apply_phi(q, vertex_unitaries(q))
 
 
 def _direct_matrix(p, label):
-    return grouped_matrix(_direct_output(p, label))
+    return _grouped(_direct_output(p, label), p.n, p.shared_state.n_qubits)
 
 
 def _private_qubit_provers(graph, rng):
@@ -449,8 +482,8 @@ def _private_qubit_provers(graph, rng):
 
 
 def _phi_by_index_arithmetic(p):
-    """The swap circuit's output in the grouped order (shared | a1 << m |
-    a2 << (m+n)), and the documented pair-layout position of each index."""
+    """The swap circuit's output indexed shared | a1 << m | a2 << (m+n),
+    and the documented pair-layout position of each index."""
     n, m = p.n, p.shared_state.n_qubits
     total = m + 2 * n
     vec = np.zeros(1 << total, dtype=complex)
@@ -511,7 +544,7 @@ class TestConjugation:
     @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
     def test_label_matrices_match_a_circuit_run_per_label(self, graph, kind):
         p, params = _provers(kind, graph, np.random.default_rng(41))
-        amps0 = apply_phi(p).amplitudes
+        amps0 = apply_phi(p, vertex_unitaries(p))
         g_amps = build_graph_state(graph).state.amplitudes
         for label in _labels(graph.n):
             _, factors, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
@@ -519,7 +552,7 @@ class TestConjugation:
                                          p.shared_state.n_qubits)
             got = apply_kernels(amps0, kernels,
                                 (np.empty_like(amps0), np.empty_like(amps0)))
-            direct = _direct_output(p, label).amplitudes
+            direct = _direct_output(p, label)
             assert np.abs(got - direct).max() < 1e-12, label
             assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12
 
@@ -558,7 +591,7 @@ def _standard_junks(p, graph):
         aligned = sum(np.conj(i) @ m for i, m in zip(ideals, mats))
         return {"identity-extraction": raw / np.linalg.norm(raw),
                 "best-aligned": aligned / np.linalg.norm(aligned),
-                "constructed": constructed_junk(p, graph)}
+                "constructed": constructed_junk(p, graph).reshape(-1)}
     return junks
 
 
@@ -639,7 +672,8 @@ class TestForcedFallback:
             for earlier in self.ORDER[:2]:
                 assert direct[earlier][0] > tight + 1e-6
             with monkeypatch.context() as mp:
-                mp.setattr(isometry, "constructed_junk", lambda *a: fit)
+                mp.setattr(isometry, "constructed_junk",
+                           lambda *a: fit.reshape((2,) * graph.n + (-1,)))
                 _bound_labels(mp, {"X(1)": tight, "R+(2)": 10.0})
                 report = equivalence_distance(p, params, labels)
             assert report.junk_source == "constructed", kind
@@ -676,7 +710,7 @@ class TestDtype:
         monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
         equivalence_distance(p, params, _labels(graph.n))
         assert set(seen) == {np.dtype(self.WANT[kind])}
-        assert apply_phi(p).amplitudes.dtype == self.WANT[kind]
+        assert apply_phi(p, vertex_unitaries(p)).dtype == self.WANT[kind]
 
     @pytest.mark.parametrize("kind", sorted(WANT))
     def test_identity_extraction_distances_match_the_dense_oracle(self, kind,
@@ -747,7 +781,9 @@ class TestGoldenReports:
     (1.1e-16) and the bounds amplify it (at most 4e-14).  Summing the
     residual one graph-register slice at a time moved perturbed-n7's
     distances by at most 1.4e-15 and private-n4's by 4.4e-16, inside the
-    1e-13, so nothing here was regenerated for it."""
+    1e-13, so nothing here was regenerated for it.  Summing the identity
+    overlap one slice at a time (``overlap``) moved them by at most 2.8e-17
+    and 2.2e-16, and nothing was regenerated either."""
 
     @pytest.mark.parametrize("name", ["perturbed-n7", "private-n4"])
     def test_report_matches_the_pinned_values(self, name):

@@ -237,6 +237,13 @@ class TestXZPlaneProvers:
         p = xz_plane_provers(state, angles)
         assert p.n == 3 and p.shared_state.n_qubits == 4
 
+    def test_shared_state_smaller_than_prover_count_rejected(self):
+        # three provers need at least one qubit each; the swap isometry
+        # relies on this check and makes none of its own
+        angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(3)]
+        with pytest.raises(ValueError, match="shared state too small"):
+            xz_plane_provers(StateVector(2, np.full(4, 0.5)), angles)
+
 
 class TestStrategyFromJson:
     def test_honest(self):

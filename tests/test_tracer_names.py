@@ -4,8 +4,9 @@
 package would otherwise surface only in a traced benchmark run.  Each
 workload in ``perfbench/workloads.py`` also names the layers a traced run
 must see called (its ``required`` tuple, else the run reads
-``correct: false``); those names must be traced, and a short K3 protocol
-run must call every one that ``protocol-k3`` requires.  Every package
+``correct: false``); those names must be traced, a short K3 protocol run
+must call every one that ``protocol-k3`` requires, and a short K3
+isometry report every one that ``isometry-n7`` requires.  Every package
 module attribute the workloads read must resolve, so that a deletion in
 the package cannot break the benchmark only at run time.  Both files are
 parsed, not imported or installed.
@@ -98,13 +99,14 @@ def test_every_required_layer_is_traced():
         assert set(names) <= traced, workload
 
 
-def test_a_short_k3_protocol_run_calls_every_protocol_layer(monkeypatch):
-    """Count calls the way the tracer sees them: on every package module
-    attribute that binds the original function, or on the class."""
+def _count_calls(monkeypatch, workload: str) -> Counter:
+    """Count calls to every layer ``workload`` requires the way the tracer
+    sees them: on every package module attribute that binds the original
+    function, or on the class."""
     calls = Counter()
     modules = [m for name, m in list(sys.modules.items())
                if m is not None and (name == "artifact" or name.startswith("artifact."))]
-    for dotted in _required_layers()["protocol-k3"]:
+    for dotted in _required_layers()[workload]:
         mod_name, *path = dotted.split(".")
         owner = importlib.import_module(f"artifact.{mod_name}")
         for part in path[:-1]:
@@ -119,12 +121,29 @@ def test_a_short_k3_protocol_run_calls_every_protocol_layer(monkeypatch):
             m for m in modules if getattr(m, path[-1], None) is original]
         for target in owners:
             monkeypatch.setattr(target, path[-1], counted)
+    return calls
+
+
+def _uncalled(calls: Counter, workload: str) -> list[str]:
+    return [name for name in _required_layers()[workload] if not calls[name]]
+
+
+def test_a_short_k3_protocol_run_calls_every_protocol_layer(monkeypatch):
+    calls = _count_calls(monkeypatch, "protocol-k3")
     quarter = math.pi / 4
     pattern = MeasurementPattern((PatternStep(0, quarter), PatternStep(1, quarter, (0,)),
                                   PatternStep(2, quarter, (1,), (0,))), output_bits=(0, 1, 2))
     experiments.run_experiment(experiments.ExperimentConfig(
         kind="protocol", graph=complete_graph(3), pattern=pattern,
         strategy={"kind": "honest"}, trials=1, seed=3, options={"n_rounds": 40}))
-    missing = [name for name in _required_layers()["protocol-k3"] if not calls[name]]
-    assert missing == []
+    assert _uncalled(calls, "protocol-k3") == []
     assert calls["provers.ProverSet.clone"] == 1
+
+
+def test_a_short_k3_isometry_report_calls_every_isometry_layer(monkeypatch):
+    calls = _count_calls(monkeypatch, "isometry-n7")
+    experiments.run_experiment(experiments.ExperimentConfig(
+        kind="isometry", graph=complete_graph(3), theta=math.pi / 4, trials=1, seed=3,
+        strategy={"kind": "perturbed", "eta": 0.05}, labels=("I", ("X", 0), ("R+", 1))))
+    assert _uncalled(calls, "isometry-n7") == []
+    assert calls["isometry.equivalence_distance"] == 1
