@@ -468,8 +468,10 @@ def run_criterion(number: int, fast: bool = False) -> CriterionResult:
 
 def suite_numbers(selected=None) -> list[int]:
     """The (selected) criterion numbers in suite order; ValueError on an
-    unknown one."""
+    unknown one or an empty selection."""
     numbers = [num for num, _, _ in CRITERIA]
+    if selected is not None and not selected:
+        raise ValueError("no criterion selected")
     unknown = set(selected or ()) - set(numbers)
     if unknown:
         raise ValueError(f"unknown criteria {sorted(unknown)}")

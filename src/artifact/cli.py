@@ -269,7 +269,7 @@ def accept(only, fast):
     from .acceptance import run_suite, suite_numbers
 
     selected = None
-    if only:
+    if only is not None:
         try:
             selected = suite_numbers([int(tok) for tok in only.split(",") if tok.strip()])
         except ValueError as exc:

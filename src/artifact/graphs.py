@@ -263,8 +263,8 @@ def triangle_strip(k: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError(f"complete graph needs n >= 0, not {n}")
+    if n < 1:
+        raise ValueError(f"complete graph needs n >= 1, not {n}")
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 

@@ -2,9 +2,14 @@
 
 Qubit ordering is little-endian throughout the package: qubit 0 is the
 least significant bit of a basis index.  Gates are applied to views of
-the vector, never by building the full 2^n x 2^n matrix: a single-qubit
-matrix is one gemm over the contiguous amplitude pairs of its qubit, and
-a two-qubit matrix one broadcast matmul over an adjacent pair.
+the vector, never by building the full 2^n x 2^n matrix.  A single-qubit
+matrix is one broadcast matmul over the (hi, 2, lo) view of its qubit,
+with no copies, when both operands are float64 and the qubit is not 0;
+at qubit 0 and with a complex operand it is one gemm over the contiguous
+amplitude pairs, the form that keeps the same bits there.  A two-qubit
+matrix is one broadcast matmul over an adjacent pair.  ``measure`` and
+``project`` form and normalize the collapsed branch in place, in the
+single-qubit kernel's fresh output, and never write to their input.
 
 Dtype.  This module is the one place where a dtype is decided.  A
 ``StateVector``, ``SingleQubitObservable`` or ``ProductObservable`` holds
@@ -46,6 +51,7 @@ QUBIT_CAP_ENV = "GSIP_QUBIT_CAP"
 DEFAULT_QUBIT_CAP = 24
 
 SQRT2_INV = 1 / math.sqrt(2)
+_FLOAT64 = np.dtype(float)
 
 PAULI_I = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -192,16 +198,23 @@ class StateVector:
 def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Apply a 2x2 matrix to one qubit of a length-2^n vector.
 
-    One gemm over contiguous amplitude pairs: the (hi, 2, lo) view is
-    copied to (hi, lo, 2) (qubit 0 needs no copy), multiplied by ``m.T``
-    as one (2^(n-1), 2) matrix and transposed back.  Each amplitude is the
-    same two-term OpenBLAS gemm sum (``dgemm`` when both operands are real,
-    ``zgemm`` otherwise) as in the per-block matmul that ``np.moveaxis``
-    sets up, so the result is bit for bit that kernel's
-    (``test_apply_single_is_the_moveaxis_matmul_bit_for_bit`` pins it); a
-    broadcast ``m @ amps.reshape(hi, 2, lo)`` rounds differently.
+    Returns a fresh vector that shares no memory with ``amps``, so a
+    caller may write into it (``measure`` and ``project`` do).  Each
+    amplitude is bit for bit the per-block matmul that ``np.moveaxis``
+    sets up (``test_apply_single_is_the_moveaxis_matmul_bit_for_bit`` and
+    ``test_real_kernel_is_the_moveaxis_matmul_bit_for_bit`` pin it).  When
+    ``amps`` and ``m`` are both float64 and ``qubit`` is not 0, ``m``
+    multiplies the (hi, 2, lo) view in one broadcast matmul, with no
+    copies.  Otherwise the view is copied to (hi, lo, 2) (qubit 0 needs no
+    copy), multiplied by ``m.T`` as one (2^(n-1), 2) gemm and transposed
+    back: there the broadcast form would round differently (with a
+    complex operand ``zgemm`` takes the operands in the other order).
     """
     lo = 1 << qubit
+    # ``is``, not ``==``, which costs about 0.5 us a call; a float64 dtype
+    # other than numpy's own instance takes the pairs form, same bits
+    if qubit and amps.dtype is m.dtype is _FLOAT64:
+        return np.matmul(m, amps.reshape(-1, 2, lo)).reshape(-1)
     pairs = amps.reshape(-1, 2, lo).transpose(0, 2, 1).reshape(-1, 2) @ m.T
     return pairs.reshape(-1, lo, 2).transpose(0, 2, 1).reshape(-1)
 
@@ -273,18 +286,22 @@ def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range")
-    applied = apply_single(state.amplitudes, obs.matrix, qubit, n)
-    plus = 0.5 * (state.amplitudes + applied)
+    amps = state.amplitudes
+    applied = apply_single(amps, obs.matrix, qubit, n)
+    plus = np.add(amps, applied)
+    plus *= 0.5
     p_plus = float(np.vdot(plus, plus).real)
     outcome = 1 if rng.random() < p_plus else -1
     if outcome == 1:
         branch, p = plus, p_plus
     else:
-        branch = 0.5 * (state.amplitudes - applied)
+        branch = np.subtract(amps, applied, out=applied)
+        branch *= 0.5
         p = np.vdot(branch, branch).real
     if p < MIN_BRANCH_P:
         raise NormUnderflowError("measured an impossible branch")
-    return outcome, StateVector(n, branch / math.sqrt(p), _validate=False), p_plus
+    branch /= math.sqrt(p)
+    return outcome, StateVector(n, branch, _validate=False), p_plus
 
 
 def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
@@ -296,9 +313,12 @@ def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
     ``MIN_BRANCH_P`` gives (0.0, None).
     """
     n = state.n_qubits
-    applied = apply_single(state.amplitudes, obs.matrix, qubit, n)
-    branch = 0.5 * (state.amplitudes + outcome * applied)
+    amps = state.amplitudes
+    branch = apply_single(amps, obs.matrix, qubit, n)
+    (np.add if outcome == 1 else np.subtract)(amps, branch, out=branch)
+    branch *= 0.5
     p = float(np.real(np.vdot(branch, branch)))
     if p < MIN_BRANCH_P:
         return 0.0, None
-    return p, StateVector(n, branch / math.sqrt(p), _validate=False)
+    branch /= math.sqrt(p)
+    return p, StateVector(n, branch, _validate=False)

@@ -70,9 +70,10 @@ class TestGenGraph:
 
     @pytest.mark.parametrize("args", [
         ["--family", "complete", "--n", "-1"],
+        ["--family", "complete", "--n", "0"],
         ["--family", "triangle-strip", "-k", "2"],
         ["--family", "triangular-lattice", "--rows", "1", "--cols", "3"],
-    ], ids=["complete-negative", "strip-too-short", "lattice-one-row"])
+    ], ids=["complete-negative", "complete-empty", "strip-too-short", "lattice-one-row"])
     def test_a_size_out_of_range_is_one_error_line(self, runner, args):
         result = runner.invoke(main, ["gen-graph", *args])
         _assert_input_error(result)
@@ -420,6 +421,12 @@ class TestAcceptCommand:
         result = runner.invoke(main, ["accept", "--only", "x"])
         _assert_input_error(result)
         assert "'x'" in result.output
+
+    @pytest.mark.parametrize("only", [" , ", ""], ids=["separators-only", "empty"])
+    def test_empty_selection_rejected(self, runner, only):
+        result = runner.invoke(main, ["accept", "--only", only])
+        _assert_input_error(result)
+        assert "no criterion selected" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from artifact.graphs import triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.mbqc import rotation_xy
 from artifact.provers import QUERY_LABELS, QuantumStrategy
-from artifact.statevec import (PAULI_X, PAULI_Y, PAULI_Z, ImaginaryResidueError,
+from artifact.statevec import (HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+                               ImaginaryResidueError,
                                NormUnderflowError, ProductObservable, QubitCapError,
                                SingleQubitObservable, StateVector,
                                apply_cz, apply_single, apply_unitary,
@@ -53,6 +54,27 @@ class TestKernelsAgainstDense:
                         t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
                         moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
                         assert np.array_equal(apply_single(amps, m, q, n), moved)
+
+    def test_real_kernel_is_the_moveaxis_matmul_bit_for_bit(self):
+        # float64 operands on qubit >= 1 take the copy-free broadcast form;
+        # it must give the moveaxis bits for every real matrix the package
+        # applies: Paulis, H, X-Z rotations, X.Z and (I +- M), halved or not
+        rng = np.random.default_rng(29)
+        r = rotation_matrix(0.7)
+        matrices = (PAULI_X, PAULI_Z, HADAMARD, PAULI_X @ PAULI_Z,
+                    rotation_matrix(0.3), rotation_matrix(-2.2),
+                    PAULI_I + r, PAULI_I - r, (PAULI_I + r) / 2, (PAULI_I - r) / 2)
+        for n, qubits in ((2, range(2)), (12, range(12)), (16, range(16)),
+                          (21, (1, 20))):
+            amps = rng.normal(size=2 ** n)
+            amps /= np.linalg.norm(amps)
+            for q in qubits:
+                for m in matrices:
+                    t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
+                    moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
+                    out = apply_single(amps, m, q, n)
+                    assert out.dtype == np.float64
+                    assert np.array_equal(out, moved), (n, q)
 
     def test_adjacent_pair_kernel_matches_index_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -248,6 +270,25 @@ class TestMeasurementLaw:
         assert p_plus == project(state, obs, qubit, 1)[0]
         assert np.array_equal(collapsed.amplitudes,
                               project(state, obs, qubit, outcome)[1].amplitudes)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_collapse_leaves_its_input_untouched(self, dtype):
+        # measure and project write the branch into the kernel's output; the
+        # input may be read-only, as a prover set's shared state is
+        real = build_graph_state(triangular_lattice(3, 4)).state.amplitudes
+        amps = real.astype(dtype)
+        amps.setflags(write=False)
+        state = StateVector(12, amps, _validate=False)
+        before = amps.copy()
+        rng = np.random.default_rng(4)
+        for qubit in (0, 1, 6, 11):
+            obs = SingleQubitObservable.rotation(0.4 + qubit)
+            collapsed = [measure(state, obs, qubit, rng)[1]]
+            collapsed += [project(state, obs, qubit, o)[1] for o in (1, -1)]
+            for c in collapsed:
+                assert c.amplitudes.dtype == amps.dtype
+                assert not np.shares_memory(c.amplitudes, amps)
+        assert np.array_equal(amps, before)
 
     def test_measure_statistics(self):
         rng = np.random.default_rng(7)
