@@ -146,7 +146,9 @@ def _protocol_setup(cfg: ExperimentConfig,
     for any graph this package can simulate, which makes the optimal coin
     bias formula degenerate in floats.  Desk runs therefore take the test
     gap from options["s_test_gap"] (default 0.1) unless an explicit q or
-    c_ip/s_ip pair overrides it.  The calculation branch's honest rate is
+    c_ip/s_ip pair overrides it; an explicit q whose composed gap (the
+    lower of ``gap_case_lines``) is not positive is refused, since no
+    accept threshold is sound there.  The calculation branch's honest rate is
     the pattern's exact reference law, and the accept threshold is the
     midpoint rule of ``ProtocolConfig``.
     """
@@ -164,6 +166,10 @@ def _protocol_setup(cfg: ExperimentConfig,
     if "q" in opts:
         q = option("q", None)
         gap = min(gap_case_lines(q, c_calc, s_calc, ct, st, delta))
+        if gap <= 0:
+            raise ValueError(f"q = {q:g} gives a composed gap of {gap:.4g} <= 0: "
+                             "no accept threshold separates honest provers "
+                             "from cheaters at this coin weight")
     else:
         q, gap = choose_q(ct, st, s_calc, delta, c_calc)
     c_ip = option("c_ip", q * c_calc + (1 - q) * ct)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,6 +117,12 @@ class StepRecord:
     corrected: int
 
 
+# steps with the same outcome share one frozen record: a cache hit costs
+# about a fifth of building the dataclass.  Typed, so replies of another
+# type that compare equal (1.0, True) keep records of their own
+_step_record = lru_cache(maxsize=None, typed=True)(StepRecord)
+
+
 @dataclass(frozen=True)
 class RunTranscript:
     steps: tuple[StepRecord, ...]
@@ -165,8 +172,8 @@ def run_pattern(p: ProverSet, pattern: MeasurementPattern,
         else:
             outcome = walk.sample(step.vertex, label, rng)
         raw[step.vertex] = outcome
-        records.append(StepRecord(step.vertex, t, outcome,
-                                  outcome * _parity(raw, step.z_deps)))
+        records.append(_step_record(step.vertex, t, outcome,
+                                    outcome * _parity(raw, step.z_deps)))
     return _output_bit(pattern, raw), RunTranscript(tuple(records))
 
 

@@ -9,12 +9,18 @@ falls below it, and a cheating count rises above it, with probability at
 most exp(-N (c_ip - s_ip)^2 / 2); ``hoeffding_n`` picks the N that makes
 this 1/3.  The rounds draw in sequence from one generator: in an experiment,
 the trial's stream after any draws that built a ``perturbed`` strategy.
+A round sees a stand-in for that generator that offers ``random()`` only,
+served from blocks of uniforms drawn ahead; when the rounds end, or one
+raises, the generator is rewound to exactly where the uniforms the rounds
+took would have left it, so every drawn value is the one a scalar
+``Generator.random()`` call would have returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +31,11 @@ from .selftest import TestParameters, exact_pass_probability, run_oneshot
 
 CALCULATE = "calculate"
 TEST = "test"
+
+# uniforms a decision draws ahead at a time; a decision of N < 4,096 rounds
+# draws blocks of N, since drawing 4,096 ahead of a few dozen rounds costs
+# more than the scalar draws it replaces
+UNIFORM_BLOCK = 4096
 
 
 def choose_q(c_test: float, s_test: float, s_calc: float, delta: float,
@@ -101,6 +112,12 @@ class RoundRecord:
         return out
 
 
+# rounds with the same outcome share one frozen record: a cache hit costs
+# about a fifth of building the dataclass.  Typed, so replies of another
+# type that compare equal (1.0, True) keep records of their own
+_round_record = lru_cache(maxsize=None, typed=True)(RoundRecord)
+
+
 @dataclass(frozen=True)
 class ProtocolResult:
     """Amplified decision with its per-round records."""
@@ -121,12 +138,10 @@ def run_round(p: ProverSet, cfg: ProtocolConfig,
     """Flip the coin, run one pattern execution or one subtest."""
     if rng.random() < cfg.q:
         bit, _ = run_pattern(p, cfg.pattern, rng)
-        accepted = bit == cfg.accept_output
-        record = RoundRecord(CALCULATE, accepted, output=bit)
+        record = _round_record(CALCULATE, bit == cfg.accept_output, bit, None)
     else:
         outcome = run_oneshot(p, cfg.params, rng)
-        record = RoundRecord(TEST, outcome.accepted,
-                             subtest=outcome.subtest.label)
+        record = _round_record(TEST, outcome.accepted, None, outcome.subtest.label)
     return record.accepted, record
 
 
@@ -140,8 +155,8 @@ def run_amplified(p: ProverSet, cfg: ProtocolConfig,
     """
     records = []
 
-    def round_fn(rng: np.random.Generator) -> bool:
-        accepted, record = run_round(p, cfg, rng)
+    def round_fn(uniforms) -> bool:
+        accepted, record = run_round(p, cfg, uniforms)
         records.append(record)
         return accepted
 
@@ -153,14 +168,54 @@ def run_amplified_rounds(round_fn, n_rounds: int, threshold: float,
                          rng: np.random.Generator) -> tuple[bool, int]:
     """Amplify an arbitrary accept/reject round function.
 
-    ``round_fn(rng) -> bool`` runs N times on the one ``rng``, each round
-    drawing where the last stopped.  ``run_amplified`` counts its protocol
+    ``round_fn(uniforms) -> bool`` runs N times, each round drawing where
+    the last stopped.  ``uniforms`` stands in for ``rng`` and offers
+    ``random()`` only: it serves the values of ``rng.random(k)`` drawn in
+    blocks of k = min(N, ``UNIFORM_BLOCK``), which are the values of k
+    scalar draws.  On return, or when a round raises, ``rng`` is left
+    exactly where the draws the rounds took would have left it, a
+    buffered 32-bit half included.  ``run_amplified`` counts its protocol
     rounds here, and tests exercise the rule with synthetic Bernoulli rounds.
     """
     if n_rounds < 1:
         raise ValueError("need at least one round")
-    count = sum(bool(round_fn(rng)) for _ in range(n_rounds))
+    uniforms = _Uniforms(rng, min(n_rounds, UNIFORM_BLOCK))
+    try:
+        count = sum(bool(round_fn(uniforms)) for _ in range(n_rounds))
+    finally:
+        uniforms.rewind()
     return count > threshold, count
+
+
+class _Uniforms:
+    """``rng.random()`` served from blocks of ``size`` drawn ahead."""
+
+    __slots__ = ("rng", "size", "block", "taken", "state")
+
+    def __init__(self, rng: np.random.Generator, size: int):
+        self.rng, self.size = rng, size
+        self.block: list[float] = []
+        self.taken = 0
+        self.state = rng.bit_generator.state
+
+    def random(self) -> float:
+        try:
+            value = self.block[self.taken]
+        except IndexError:
+            self.state = self.rng.bit_generator.state
+            self.block = self.rng.random(self.size).tolist()
+            self.taken = 0
+            value = self.block[0]
+        self.taken += 1
+        return value
+
+    def rewind(self) -> None:
+        """Put ``rng`` where the draws served so far would have left it:
+        the state before the current block, then the draws taken from it.
+        Restoring a saved state, not ``PCG64.advance``, keeps the buffered
+        32-bit half that ``advance`` would drop."""
+        self.rng.bit_generator.state = self.state
+        self.rng.random(self.taken)
 
 
 def exact_accept_probability(p: ProverSet, cfg: ProtocolConfig) -> float:

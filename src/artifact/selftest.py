@@ -18,6 +18,7 @@ and no quantum strategy can do better.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
@@ -89,9 +90,11 @@ class TestParameters:
                 raise ValueError(f"u_choice[{v}] = {u} is not a neighbor")
         TriangleCover.validate(g, self.cover.triangles)
         object.__setattr__(self, "subtests", _build_subtests(self))
+        # the CDF Generator.choice(p=law) builds, as a tuple of floats, so
+        # one draw is a bisect_right and a vector of draws an np.searchsorted
         weights = np.array([s.weight for s in self.subtests])
-        cdf = (weights / weights.sum()).cumsum()  # as Generator.choice(p=law) builds it
-        object.__setattr__(self, "_cdf", cdf / cdf[-1])
+        cdf = (weights / weights.sum()).cumsum()
+        object.__setattr__(self, "_cdf", tuple((cdf / cdf[-1]).tolist()))
 
     @property
     def n_g(self) -> int:
@@ -158,9 +161,9 @@ def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
 def run_oneshot(p: ProverSet, params: TestParameters,
                 rng: np.random.Generator) -> TestOutcome:
     """Sample one subtest per the test's law and execute it.  The draw is
-    ``Generator.choice``'s own CDF lookup, without its per-call check of p."""
-    idx = int(params._cdf.searchsorted(rng.random(), side="right"))
-    subtest = params.subtests[idx]
+    ``Generator.choice``'s own CDF lookup, one ``rng.random()`` placed by
+    ``bisect_right`` in the stored CDF, without choice's per-call check of p."""
+    subtest = params.subtests[bisect_right(params._cdf, rng.random())]
     replies, product = execute_query(p, subtest.query, rng)
     return TestOutcome(subtest, product == subtest.target, replies)
 
@@ -181,7 +184,7 @@ def empirical_pass_rate(p: ProverSet, params: TestParameters, trials: int,
     """Monte-Carlo pass rate with binomial standard error."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    indices = params._cdf.searchsorted(rng.random(trials), side="right")
+    indices = np.searchsorted(params._cdf, rng.random(trials), side="right")
     hits = 0
     for idx in indices:
         subtest = params.subtests[idx]

@@ -366,6 +366,25 @@ class TestProveCommand:
             "--seed", "5", "--rounds", "10", "--q", "0.9"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("rounds", [[], ["--rounds", "5"]],
+                             ids=["hoeffding-rounds", "explicit-rounds"])
+    def test_q_without_a_positive_gap_names_q_and_the_gap(self, runner, tmp_path,
+                                                          graph_file, rounds):
+        # the three-step K3 pattern with output bits 0, 1, 2: at q = 0.5 the
+        # composed gap is -0.1116, whatever the round count
+        pattern = tmp_path / "three-steps.json"
+        pattern.write_text(json.dumps({
+            "steps": [{"v": 0, "theta": THETA, "x_deps": [], "z_deps": []},
+                      {"v": 1, "theta": THETA, "x_deps": [0], "z_deps": []},
+                      {"v": 2, "theta": THETA, "x_deps": [1], "z_deps": [0]}],
+            "output_bits": [0, 1, 2]}))
+        result = runner.invoke(main, [
+            "prove", "--graph", graph_file, "--pattern", str(pattern),
+            "--seed", "5", "--q", "0.5", *rounds])
+        _assert_input_error(result)
+        assert "q = 0.5" in result.output and "-0.1116" in result.output
+        assert "s_ip" not in result.output
+
     def test_bad_delta_is_a_usage_error(self, runner, graph_file,
                                         pattern_file):
         result = runner.invoke(main, [

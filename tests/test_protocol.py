@@ -22,7 +22,7 @@ from artifact.protocol import (
     run_round,
     uncovered_calculate_queries,
 )
-from artifact.provers import honest_provers, strategy_from_json
+from artifact.provers import QUERY_LABELS, classical_provers, honest_provers, strategy_from_json
 from artifact.selftest import c_test, default_parameters, exact_pass_probability
 
 THETA = math.pi / 4
@@ -148,6 +148,18 @@ class TestRounds:
             assert record.branch == CALCULATE
             assert record.output in (0, 1) and record.subtest is None
 
+    def test_shared_records_keep_the_types_they_are_built_from(self):
+        # 1.0 replies pass the +-1 check and give a float output bit; their
+        # rounds must not be handed the record of an int table's equal bit
+        graph, params, pattern, _, _ = _setup()
+        cfg = ProtocolConfig(q=1.0, params=params, pattern=pattern,
+                             n_rounds=1, c_ip=0.8, s_ip=0.2)
+        for value in (1, 1.0, 1):
+            table = {(v, label): value for v in range(3) for label in QUERY_LABELS}
+            _, record = run_round(classical_provers(3, table), cfg,
+                                  np.random.default_rng(0))
+            assert type(record.output) is type(value) and record.output == 0
+
     def test_round_record_serialization(self):
         graph, params, pattern, cfg, honest = _setup()
         rng = np.random.default_rng(9)
@@ -250,6 +262,59 @@ class TestAmplification:
         # honest accept probability is about 0.93 per round, far above
         # the midpoint threshold 0.7, so 60 rounds decide reliably
         assert result.accepted
+
+
+class TestDrawsAhead:
+    """Uniforms drawn ahead in blocks give what scalar draws on a twin give."""
+
+    @staticmethod
+    def _provers(spec, params):
+        return strategy_from_json(spec, params.graph, dict(enumerate(params.theta)), None)
+
+    def _twin_rounds(self, spec, cfg, twin):
+        p = self._provers(spec, cfg.params)
+        return tuple(run_round(p, cfg, twin)[1] for _ in range(cfg.n_rounds))
+
+    @pytest.mark.parametrize("spec", [HONEST, XZ_CHEATER], ids=["honest", "xz-cheater"])
+    def test_decision_is_the_twin_loop_of_run_round(self, spec):
+        # 3,000 rounds draw 13,192 uniforms: five blocks of 3,000
+        _, params, pattern, _, _ = _setup()
+        cfg = ProtocolConfig(q=0.3, params=params, pattern=pattern,
+                             n_rounds=3000, c_ip=0.8, s_ip=0.2)
+        rng, twin = np.random.default_rng(4301), np.random.default_rng(4301)
+        result = run_amplified(self._provers(spec, params), cfg, rng)
+        records = self._twin_rounds(spec, cfg, twin)
+        assert result.rounds == records
+        assert result.accept_count == sum(r.accepted for r in records)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 4096, 4097, 4098, 10_000])
+    def test_a_raising_round_leaves_the_stream_after_the_draws_taken(self, k):
+        # one uniform per round, and round k raises before it draws
+        seen = []
+
+        def round_fn(uniforms):
+            if len(seen) == k - 1:
+                raise RuntimeError("round k")
+            seen.append(uniforms.random())
+            return True
+
+        rng, twin = np.random.default_rng(4302), np.random.default_rng(4302)
+        with pytest.raises(RuntimeError):
+            run_amplified_rounds(round_fn, 10_000, 5_000.0, rng)
+        assert seen == [twin.random() for _ in range(k - 1)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_a_buffered_half_survives_a_decision(self):
+        *_, cfg, _ = _setup(n_rounds=500)
+        rng, twin = np.random.default_rng(4303), np.random.default_rng(4303)
+        rng.random(dtype=np.float32)
+        twin.random(dtype=np.float32)
+        result = run_amplified(self._provers(HONEST, cfg.params), cfg, rng)
+        assert result.rounds == self._twin_rounds(HONEST, cfg, twin)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
 
 
 class TestQueryCoverage:
