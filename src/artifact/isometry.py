@@ -31,11 +31,16 @@ block of m bits (private qubits, then a1).  Every junk vector has shape
 A report runs the circuit once.  The vertex circuits U_v are unitary and
 act on disjoint qubits, so a label's prover factors M'_v move through
 them by conjugation, Phi(M'_S|psi'>) = prod_{v in S} U_v M'_v U_v^dagger
-Phi(|psi'>), and each label costs |S| 4x4 kernels on the identity-run
-output instead of a second circuit run.  A label's distance
-(``residual_norm``) then reads its output once, one graph-register value
-a at a time: the strided slice where a2 = a, less ideal[a] * junk, in a
-2^(n+m) buffer, with one junk product per distinct ideal value.
+Phi(|psi'>).  A label on one vertex v (X, Z, R+-, most of a report) needs
+no output of its own: its distance follows from 4x4 blocks over the pair
+(s_v, a2_v), built from one pass of pair overlaps (``pair_overlaps``)
+over the identity-run output and the identity label's distance.  A label
+on two or more vertices costs |S| 4x4 kernels on the identity-run output
+instead of a second circuit run.  A direct distance (``residual_norm``)
+reads an output once, one graph-register value a at a time: the strided
+slice where a2 = a, less ideal[a] * junk, in a 2^(n+m) buffer, with one
+junk product per distinct ideal value.  ``equivalence_distance`` gives
+the formula and where memory peaks.
 
 Dtype.  See ``statevec``: a report runs in the result type of its inputs.
 """
@@ -65,6 +70,11 @@ from .statevec import (
 
 JUNK_TOL = 1e-6
 BOUND_SLACK = 1e-9
+# graph-register slices per block of the pair-overlap gemm.  At n = 7 the
+# row buffer, Y and the gemm product then take 120 of x's 128 slices, so
+# they fit in one vector of x's size; blocks of 8 and 32 slices took
+# 2.5x and 1.2x as long
+PAIR_ROWS = 64
 
 _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
@@ -75,9 +85,15 @@ class JunkDegenerateError(ValueError):
     """The identity-label output has no usable overlap with the graph state."""
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices, a on the higher-order qubit, without
+    np.kron's general-shape overhead (a report takes about a hundred)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def controlled_unitary(m: np.ndarray) -> np.ndarray:
     """4x4 controlled-m with the control on the higher-order qubit."""
-    return np.kron(_P0, _I2) + np.kron(_P1, m)
+    return _kron(_P0, _I2) + _kron(_P1, m)
 
 
 def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray:
@@ -87,7 +103,7 @@ def phi_vertex_unitary(x_matrix: np.ndarray, z_matrix: np.ndarray) -> np.ndarray
     ancilla carrying the control and the Hadamards.  For exact Paulis this
     returns the SWAP matrix.
     """
-    h2 = np.kron(HADAMARD, _I2)
+    h2 = _kron(HADAMARD, _I2)
     cx = controlled_unitary(x_matrix)
     cz = controlled_unitary(z_matrix)
     return cx @ h2 @ cz @ h2 @ cx
@@ -154,6 +170,101 @@ def overlap(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
+def pair_overlaps(ideal: np.ndarray, amps: np.ndarray, n: int,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """Y[v, alpha, beta] = sum over a with a_v = beta of ideal[a with bit v
+    set to alpha] * (the junk-register slice of ``amps`` where a2 = a).
+
+    Shape (n, 2, 2) + the junk shape; Y[v, 0, 0] + Y[v, 1, 1] is
+    ``overlap``.  One pass: PAIR_ROWS slices of the ``grouped_matrix`` view
+    at a time are copied into a row buffer, and one gemm with their columns
+    of the (4n, 2^n) weight matrix adds them to every Y.  The row buffer,
+    Y and the gemm product are carved from ``work``, a flat vector of the
+    result dtype, and Y is a view of it; when ``work`` is missing or too
+    short (below n = 7 when it has the size of ``amps``), one is made.
+    """
+    view = grouped_matrix(amps, n)
+    dtype = np.result_type(ideal, amps)
+    r = min(n, PAIR_ROWS.bit_length() - 1)
+    a = np.arange(1 << n)
+    weights = np.zeros((n, 2, 2, 1 << n), dtype)
+    for v in range(n):
+        bit = (a >> v) & 1
+        for alpha in (0, 1):
+            weights[v, alpha, bit, a] = ideal[a ^ ((bit ^ alpha) << v)]
+    weights = weights.reshape(4 * n, 1 << n)
+    width = amps.size >> n
+    used = ((1 << r) + 8 * n) * width
+    if work is None or work.size < used:
+        work = np.empty(used, dtype)
+    rows, y, product = (b.reshape(-1, width) for b in
+                        np.split(work[:used], [width << r, (4 * n + (1 << r)) * width]))
+    y.fill(0)
+    # C order over the high a2 axes is the block index k: rows a = k 2^r ..
+    for k, high in enumerate(np.ndindex(view.shape[:n - r])):
+        block = view[high]
+        np.copyto(rows.reshape(block.shape), block)
+        y += np.matmul(weights[:, k << r:(k + 1) << r], rows, out=product)
+    return y.reshape((n, 2, 2) + view.shape[n:])
+
+
+def _one_bit(t: np.ndarray, v: int, n: int) -> np.ndarray:
+    """``t``, with n leading bit axes (bit n-1 first), as a matrix whose
+    row is bit v and whose column is every other index."""
+    return np.moveaxis(t, n - 1 - v, 0).reshape(2, -1)
+
+
+def _pair_blocks(y: np.ndarray, g_amps: np.ndarray, junk: np.ndarray) -> tuple[list, list]:
+    """Per vertex v, the 4x4 blocks TT = rho_g,v (x) rho_junk,v and
+    TD = TX - TT over the pair index s_v + 2 a2_v, for the target
+    T = g (x) junk and the identity-run output x: TX = sum_r T_r x_r^dagger
+    over every other index r.  ``y`` is x's ``pair_overlaps`` with the real
+    g."""
+    n = junk.ndim - 1
+    g_bits = g_amps.reshape((2,) * n)
+    tt, td = [], []
+    for v in range(n):
+        g_v, j = _one_bit(g_bits, v, n), _one_bit(junk, v, n)
+        # y_v rows (alpha, beta, tau): g's bit alpha, x's bit beta, s_v = tau
+        y_v = np.moveaxis(y[v], 2 + n - 1 - v, 2).reshape(8, -1)
+        tx = (j @ y_v.conj().T).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)
+        tt.append(_kron(g_v @ g_v.T, j @ j.conj().T))
+        td.append(tx - tt[-1])
+    return tt, td
+
+
+def _pair_distance(d0: float, w: np.ndarray, ideal_m: np.ndarray,
+                   tt: np.ndarray, td: np.ndarray) -> float:
+    """|| W x - M T || for one vertex's label kernel W, M = ideal_m (x) I,
+    from the identity distance d0 = || D ||, D = x - T, and the
+    ``_pair_blocks`` TT and TD of its vertex (see ``equivalence_distance``)."""
+    delta = w - _kron(ideal_m, _I2)
+    d2 = (d0 * d0 + np.trace(delta @ tt @ delta.conj().T).real
+          + 2.0 * np.trace(w.conj().T @ delta @ td).real)
+    return math.sqrt(max(d2, 0.0))
+
+
+def _pair_aligned(y: np.ndarray, singles) -> np.ndarray:
+    """sum of ``overlap(M_v g, W_v x)`` over the one-vertex labels
+    (v, W_v, M_v) of ``singles``, from x's ``pair_overlaps`` ``y`` with g.
+
+    With K[beta, alpha] = sum_alpha' M_v[alpha', beta] W_v[(alpha', .),
+    (alpha, .)], a 2x2 on s_v, the sum is sum_{beta, alpha} K Y_v^{beta alpha}.
+    """
+    n = y.shape[0]
+    kernels = {}
+    for v, w, ideal_m in singles:
+        k = np.einsum("pb,psaq->basq", ideal_m, w.reshape(2, 2, 2, 2)).reshape(4, 2, 2)
+        kernels[v] = kernels.get(v, 0) + k
+    total = np.zeros(y.shape[3:], y.dtype)
+    for v, k in kernels.items():
+        axis = n - 1 - v
+        y_v = np.moveaxis(y[v], 2 + axis, 2)
+        part = np.tensordot(k, y_v.reshape(4, 2, -1), axes=([0, 2], [0, 1]))
+        total += np.moveaxis(part.reshape((2,) + y_v.shape[3:]), 0, axis)
+    return total
+
+
 def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarray],
                        m: int) -> list:
     """The 4x4 kernels W_v = U_v (I (x) M'_v) U_v^dagger of a label's factors.
@@ -164,7 +275,7 @@ def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarra
     (shared qubit v; the second ancilla of vertex v sits just above it).
     W_v takes the result type of U_v and M'_v.
     """
-    return [(unitaries[v] @ np.kron(_I2, f) @ unitaries[v].conj().T,
+    return [(unitaries[v] @ _kron(_I2, f) @ unitaries[v].conj().T,
              m + 2 * v)
             for v, f in factors.items()]
 
@@ -364,10 +475,12 @@ class EquivalenceReport:
 
 def _label_entry(p: ProverSet, params: TestParameters, label: tuple,
                  eps: float, g_amps: np.ndarray):
-    """Prover-side factors M'_v, ideal target vector, and bound for a label.
+    """Prover-side factors M'_v, ideal factors M_v, ideal target vector, and
+    bound for a label.
 
-    The factors map vertex -> the 2x2 matrix the label applies to that
-    prover's qubit of the shared state; the identity label has none.  I,
+    Both factor maps go vertex -> 2x2 matrix, over the same vertices: M'_v
+    acts on that prover's qubit of the shared state, M_v on bit v of |G>,
+    and the target is prod_v M_v |G>.  The identity label has none.  I,
     X(v) and Z(v) are the XZ labels with exponents (0, 0), (1_v, 0) and
     (0, 1_v).
     """
@@ -381,76 +494,105 @@ def _label_entry(p: ProverSet, params: TestParameters, label: tuple,
         t = 1 if head == "R+" else -1
         theta = params.theta[v]
         factors = {v: p.observable(v, R_PLUS if t == 1 else R_MINUS).matrix}
-        ideal = apply_single(g_amps, rotation_matrix(t * theta), v, n)
+        ideals = {v: rotation_matrix(t * theta)}
         u = params.u_choice[v]
         p_dot = max(graph.degree(v), graph.degree(u) - 1)
         delta = bounds.thm2_bound(eps, n, graph.edge_count, p_dot)
         eps_r = rtheta_epsilon(p, params, v, t)
-        return label, factors, ideal, "lemma3", bounds.lemma3_bound(eps_r, delta)
-    if head == "XZ":
-        q, pz = label[1], label[2]
-        if len(q) != n or len(pz) != n:
-            raise ValueError("XZ label exponents must have one bit per vertex")
+        kind, bound = "lemma3", bounds.lemma3_bound(eps_r, delta)
     else:
-        q, pz = [0] * n, [0] * n
-        if head != "I":
-            (q if head == "X" else pz)[label[1]] = 1
-    factors = {}
-    ideal = g_amps
-    for v in range(n):
-        if q[v] and pz[v]:
-            factors[v] = p.observable(v, X_LABEL).matrix @ p.observable(v, Z_LABEL).matrix
-            ideal_m = PAULI_X @ PAULI_Z
-        elif q[v] or pz[v]:
-            factors[v] = p.observable(v, X_LABEL if q[v] else Z_LABEL).matrix
-            ideal_m = PAULI_X if q[v] else PAULI_Z
+        if head == "XZ":
+            q, pz = label[1], label[2]
+            if len(q) != n or len(pz) != n:
+                raise ValueError("XZ label exponents must have one bit per vertex")
         else:
-            continue
+            q, pz = [0] * n, [0] * n
+            if head != "I":
+                (q if head == "X" else pz)[label[1]] = 1
+        factors, ideals = {}, {}
+        for v in range(n):
+            if q[v] and pz[v]:
+                factors[v] = p.observable(v, X_LABEL).matrix @ p.observable(v, Z_LABEL).matrix
+                ideals[v] = PAULI_X @ PAULI_Z
+            elif q[v] or pz[v]:
+                factors[v] = p.observable(v, X_LABEL if q[v] else Z_LABEL).matrix
+                ideals[v] = PAULI_X if q[v] else PAULI_Z
+        kind, bound = "thm2", bounds.thm2_bound(eps, n, graph.edge_count, sum(pz))
+    ideal = g_amps
+    for v, ideal_m in ideals.items():
         ideal = apply_single(ideal, ideal_m, v, n)
-    return label, factors, ideal, "thm2", bounds.thm2_bound(eps, n, graph.edge_count, sum(pz))
+    return label, factors, ideals, ideal, kind, bound
 
 
 def equivalence_distance(p: ProverSet, params: TestParameters,
                          labels) -> EquivalenceReport:
     """Distances || Phi(M'|psi'>) - |junk> M|G> || with one shared junk.
 
-    The swap circuit runs once, on |psi'> itself.  A label's output then
-    follows by conjugation: the vertex circuits U_v act on disjoint qubits
-    (shared qubit v and a2_v) and are unitary, so a factor M'_v on shared
-    qubit v commutes with every U_w, w != v, and
+    The swap circuit runs once, on |psi'> itself, and gives x = Phi(|psi'>).
+    A label's output then follows by conjugation: the vertex circuits U_v
+    act on disjoint qubits (shared qubit v and a2_v) and are unitary, so a
+    factor M'_v on shared qubit v commutes with every U_w, w != v, and
 
-        Phi(M'_S |psi'>) = prod_{v in S} W_v Phi(|psi'>),
-        W_v = U_v (I (x) M'_v) U_v^dagger,
+        Phi(M'_S |psi'>) = prod_{v in S} W_v x,   W_v = U_v (I (x) M'_v) U_v^dagger.
 
-    which costs |S| adjacent-pair 4x4 kernels on the identity-run output.
-    Label outputs are rebuilt from their kernels in two scratch vectors
-    whenever they are needed and never stored.
+    The label's target is M_S T, T = g (x) junk, g = |G>.  How a distance
+    is taken depends on the size of the label's support S:
 
-    Junk candidates, in order: identity-extraction (the identity run's
-    normalized ``overlap`` with |G>); best-aligned (the normalized sum of
-    every label output's ``overlap`` with its ideal vector, when that
-    sum's norm is at least JUNK_TOL); constructed (``constructed_junk``).
-    Each is a junk-register vector in ``grouped_matrix``'s order.  The
-    first candidate under which every label meets its bound is reported,
-    else the one with the smallest worst excess, the earlier on a tie.
-    The fallbacks are built only when identity-extraction fails, the
-    constructed junk before best-aligned is scored, so a degenerate one
-    raises JunkDegenerateError.  Each distance, fallbacks included, is the
-    direct residual norm (``residual_norm``), which keeps honest distances
-    at rounding level (the expanded inner-product form loses them to
-    cancellation near 1e-8).  Overlaps and residuals read a label output
-    through the ``grouped_matrix`` view, one graph-register value a (the
-    slice where a2 = a) at a time, and never copy it to reorder it; a
-    residual puts the slice less ideal[a] * junk in a 2^(n+m) buffer whose
-    squared norm adds to the total.  The junk products are formed once per
-    distinct value of the ideal vector (two for a Pauli label, at most four
-    for a rotation label), never as a 2^(m+2n) broadcast.
+    * none (the identity): || D ||, D = x - T, by ``residual_norm``;
+    * one vertex v (X, Z, R+-, or an XZ label on one vertex): from 4x4
+      blocks over the pair index s_v + 2 a2_v, with no kernel and no pass
+      of its own.  With M_v = (ideal 2x2) (x) I and Delta = W_v - M_v,
+      W_v x - M_v T = W_v D + Delta T, so
+
+          d^2 = ||D||^2 + tr(Delta TT Delta^dagger)
+                + 2 Re tr(W_v^dagger Delta TD),
+
+      TT = sum_r T_r T_r^dagger = rho_g,v (x) rho_junk,v and TD = TX - TT,
+      TX = sum_r T_r x_r^dagger, summed over every other index r.  TX
+      comes from x's ``pair_overlaps`` Y with g, contracted with the junk
+      over every junk bit but s_v.  The formula takes || W_v D || = || D ||:
+      W_v is unitary to the involution tolerance of the observables
+      (``statevec.SingleQubitObservable``, 1e-10).  Every term is small for
+      near-honest provers, so honest distances stay at rounding level;
+    * two or more vertices: the |S| adjacent-pair 4x4 kernels W_v applied
+      to x in two scratch vectors, then ``residual_norm`` of that output.
+      Such outputs are rebuilt whenever they are needed and never stored.
+
+    Junk candidates, in order: identity-extraction (the identity overlap
+    sum_a g[a] x_a = Y_v^00 + Y_v^11, normalized); best-aligned (the
+    normalized sum of every label output's ``overlap`` with its ideal
+    vector, when that sum's norm is at least JUNK_TOL; a one-vertex
+    label's term comes from Y, ``_pair_aligned``); constructed
+    (``constructed_junk``).  Each is a junk-register vector in
+    ``grouped_matrix``'s order, and each takes its one-vertex distances
+    by the formula above.  The first candidate under which every label
+    meets its bound is reported, else the one with the smallest worst
+    excess, the earlier on a tie.  The fallbacks are built only when
+    identity-extraction fails, the constructed junk before best-aligned is
+    scored, so a degenerate one raises JunkDegenerateError.  The identity
+    and multi-vertex distances are direct residual norms, which keep
+    honest distances at rounding level (the expanded inner-product form
+    loses them to cancellation near 1e-8).  Overlaps and residuals read
+    an output through the ``grouped_matrix`` view, one graph-register
+    value a (the slice where a2 = a) or PAIR_ROWS of them at a time, and
+    never copy it whole.
+
+    Memory.  Beside x, a report makes one vector of x's size, ``work``.  It
+    holds Y (4n junk-register vectors, 3.5 MiB at n = 7 in float64) with
+    its row buffer and gemm product, and once Y is freed it is the first
+    of the multi-vertex labels' two scratch vectors; the second is made
+    only then.  So Y is never live beside the two scratch vectors, every
+    fallback builds its own Y again in ``work``, a report with no
+    multi-vertex label makes no second vector, and the peak is x and the
+    two scratch vectors.  Making no other vector of x's size keeps the
+    allocator from holding a freed block of another size resident beside
+    them.
 
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
     prover factors): float64 when all are, complex128 otherwise.  The
-    identity run, the label kernels, the scratch vectors, the extracted and
-    best-aligned junk and the residuals all take it.  |G> and the ideal
+    identity run, the label kernels, Y, the scratch vectors, the extracted
+    and best-aligned junk and the residuals all take it.  |G> and the ideal
     vectors M|G> are real.
     """
     _require_quantum(p)
@@ -460,55 +602,84 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     parsed = [_label_entry(p, params, parse_label(spec), eps, g_amps) for spec in labels]
     unitaries = vertex_unitaries(p)
     dtype = np.result_type(p.shared_state.amplitudes, *unitaries,
-                           *(f for _, factors, _, _, _ in parsed for f in factors.values()))
+                           *(f for _, factors, *_ in parsed for f in factors.values()))
     unitaries = [u.astype(dtype, copy=False) for u in unitaries]
     amps0 = apply_phi(p, unitaries)
     n, m = p.n, p.shared_state.n_qubits
-    raw = overlap(g_amps, amps0, n)
+    entries = [(label_name(label), kind, conjugated_kernels(unitaries, factors, m),
+                ideals, ideal, bound)
+               for label, factors, ideals, ideal, kind, bound in parsed]
+    singles = [(i, v, kernels[0][0], ideal_m)
+               for i, (_, _, kernels, ideals, _, _) in enumerate(entries)
+               if len(kernels) == 1 for v, ideal_m in ideals.items()]
+    multi = [i for i, entry in enumerate(entries) if len(entry[2]) > 1]
+
+    def pair_distances(y, junk) -> list:
+        """Distances under ``junk`` of the labels on at most one vertex,
+        None for the others."""
+        d0 = residual_norm(amps0, g_amps, junk)
+        tt, td = _pair_blocks(y, g_amps, junk)
+        dists = [None if kernels else d0 for _, _, kernels, _, _, _ in entries]
+        for i, v, w, ideal_m in singles:
+            dists[i] = _pair_distance(d0, w, ideal_m, tt[v], td[v])
+        return dists
+
+    def direct_distances(junk, dists, aligned=None):
+        """The multi-vertex labels' distances under ``junk``, into
+        ``dists``; their overlaps are added to ``aligned`` if given."""
+        if not multi:
+            return
+        scratch = (work, np.empty_like(amps0))
+        for i in multi:
+            _, _, kernels, _, ideal, _ = entries[i]
+            amps = apply_kernels(amps0, kernels, scratch)
+            dists[i] = residual_norm(amps, ideal, junk)
+            if aligned is not None:
+                aligned += overlap(ideal, amps, n)
+
+    def report(dists, source: str) -> EquivalenceReport:
+        reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
+                     for (name, kind, _, _, _, bound), dist in zip(entries, dists))
+        return EquivalenceReport(eps, raw_norm, source, reps)
+
+    # Y's vector, then the first scratch vector
+    work = np.empty_like(amps0)
+    y = pair_overlaps(g_amps, amps0, n, work)
+    raw = y[0, 0, 0] + y[0, 1, 1]
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < JUNK_TOL:
         raise JunkDegenerateError(
             f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
             "test conditions fail too badly for the distance bound to apply")
+    junk = raw / raw_norm
+    dists = pair_distances(y, junk)
+    del y
+    direct_distances(junk, dists)
+    best = report(dists, "identity-extraction")
+    if best.all_satisfied:
+        return best
 
-    entries = [(label_name(label), kind, conjugated_kernels(unitaries, factors, m),
-                ideal, bound)
-               for label, factors, ideal, kind, bound in parsed]
-
-    scratch = (np.empty_like(amps0), np.empty_like(amps0))
-
-    def label_outputs():
-        for _, _, kernels, ideal, _ in entries:
-            yield apply_kernels(amps0, kernels, scratch), ideal
-
-    def report(dists, source: str) -> EquivalenceReport:
-        reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
-                     for (name, kind, _, _, bound), dist in zip(entries, dists))
-        return EquivalenceReport(eps, raw_norm, source, reps)
-
-    def candidates():
-        """(distances, junk source) per candidate junk, in the order above;
-        one pass over the label outputs sums the best-aligned junk and
-        takes the constructed distances."""
-        junk = raw / raw_norm
-        yield [residual_norm(a, i, junk) for a, i in label_outputs()], "identity-extraction"
-        constructed = constructed_junk(p, graph)
-        aligned = np.zeros_like(raw)
-        constructed_dists = []
-        for amps, ideal in label_outputs():
-            aligned += overlap(ideal, amps, n)
-            constructed_dists.append(residual_norm(amps, ideal, constructed))
-        aligned_norm = np.linalg.norm(aligned)
-        if aligned_norm >= JUNK_TOL:
-            junk = aligned / aligned_norm
-            yield [residual_norm(a, i, junk) for a, i in label_outputs()], "best-aligned"
-        yield constructed_dists, "constructed"
-
-    best = None
-    for dists, source in candidates():
-        cand = report(dists, source)
+    constructed = constructed_junk(p, graph)
+    y = pair_overlaps(g_amps, amps0, n, work)
+    constructed_dists = pair_distances(y, constructed)
+    aligned = _pair_aligned(y, [single[1:] for single in singles])
+    del y
+    # every label with no factor adds the identity overlap
+    aligned += (len(entries) - len(singles) - len(multi)) * raw
+    direct_distances(constructed, constructed_dists, aligned)
+    fallbacks = []
+    aligned_norm = np.linalg.norm(aligned)
+    if aligned_norm >= JUNK_TOL:
+        junk = aligned / aligned_norm
+        y = pair_overlaps(g_amps, amps0, n, work)
+        dists = pair_distances(y, junk)
+        del y
+        direct_distances(junk, dists)
+        fallbacks.append(report(dists, "best-aligned"))
+    fallbacks.append(report(constructed_dists, "constructed"))
+    for cand in fallbacks:
         if cand.all_satisfied:
             return cand
-        if best is None or cand.worst_excess < best.worst_excess:
+        if cand.worst_excess < best.worst_excess:
             best = cand
     return best

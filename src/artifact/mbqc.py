@@ -118,9 +118,8 @@ class StepRecord:
 
 
 # steps with the same outcome share one frozen record: a cache hit costs
-# about a fifth of building the dataclass.  Typed, so replies of another
-# type that compare equal (1.0, True) keep records of their own
-_step_record = lru_cache(maxsize=None, typed=True)(StepRecord)
+# about a fifth of building the dataclass
+_step_record = lru_cache(maxsize=None)(StepRecord)
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,8 @@ class RoundRecord:
 
 
 # rounds with the same outcome share one frozen record: a cache hit costs
-# about a fifth of building the dataclass.  Typed, so replies of another
-# type that compare equal (1.0, True) keep records of their own
-_round_record = lru_cache(maxsize=None, typed=True)(RoundRecord)
+# about a fifth of building the dataclass
+_round_record = lru_cache(maxsize=None)(RoundRecord)
 
 
 @dataclass(frozen=True)

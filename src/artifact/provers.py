@@ -112,7 +112,9 @@ class ClassicalStrategy:
     def __post_init__(self):
         _require_every_label(self.table)
         for v, per_label in enumerate(self.table):
-            bad = [l for l, r in per_label.items() if r not in (1, -1)]
+            # exactly int: 1.0, True and np.int64(1) compare equal to 1 but
+            # would carry their own type into every product and record
+            bad = [l for l, r in per_label.items() if type(r) is not int or r not in (1, -1)]
             if bad:
                 raise ValueError(f"prover {v} has non +-1 replies for {bad}")
 

@@ -23,7 +23,14 @@ overlap and the best-aligned sum began to add one graph-register slice
 at a time (``isometry.overlap``) instead of a matrix-vector product over
 a reordered copy: the sum runs in another order, so honest ``junk_norm``
 moved by 3.3e-16, honest distances by at most 2.2e-16 and perturbed
-distances by 7e-18; no bound and no other field moved.
+distances by 7e-18; no bound and no other field moved.  The two isometry
+digests were regenerated again when the labels on one vertex began to
+take their distances from 4x4 pair blocks (``isometry.pair_overlaps``)
+instead of a kernel and a residual pass of their own, and the identity
+overlap began to come from the same gemm: the sums run in another order,
+so honest ``junk_norm`` moved by 3.3e-16, honest distances and
+``worst_excess`` by at most 2.8e-16, perturbed ``junk_norm`` by 1.1e-16
+and perturbed distances by 4.9e-17; no bound and no other field moved.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from artifact.isometry import (
     label_name,
     measured_epsilon,
     overlap,
+    pair_overlaps,
     parse_label,
     _label_entry,
     phi_vertex_unitary,
@@ -35,15 +37,17 @@ from artifact.isometry import (
 )
 from artifact.provers import (
     ProverSet,
+    QuantumStrategy,
     classical_provers,
     honest_provers,
     perturbed_provers,
     xz_plane_provers,
 )
 from artifact.selftest import default_parameters
-from artifact.statevec import StateVector
+from artifact.statevec import SingleQubitObservable, StateVector
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]])
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 SWAP = np.array([[1, 0, 0, 0],
@@ -163,15 +167,29 @@ class TestGroupedView:
         assert view.shape == (2,) * 6 + (1 << m,)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 3)])
+    @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 3), (7, 2)])
     def test_overlap_matches_the_dense_product(self, n, m, dtype):
+        # so do the pair overlaps, whose gemm takes 64 slices at a time
+        # (two blocks at n = 7)
         rng = np.random.default_rng(83 + 8 * n + m)
         amps = TestResidualNorm._unit(1 << (m + 2 * n), dtype, rng)
         ideal = TestResidualNorm._unit(1 << n, float, rng)
-        want = ideal @ _grouped(amps, n, m)
+        mat = _grouped(amps, n, m)
+        want = ideal @ mat
         got = overlap(ideal, amps, n)
         assert got.shape == (2,) * n + (1 << m,)
         assert np.abs(got.reshape(-1) - want).max() <= 1e-15
+        pairs = pair_overlaps(ideal, amps, n)
+        assert pairs.shape == (n, 2, 2) + got.shape
+        a = np.arange(1 << n)
+        for v in range(n):
+            bit = (a >> v) & 1
+            for alpha in (0, 1):
+                for beta in (0, 1):
+                    weights = np.where(bit == beta, ideal[a ^ ((bit ^ alpha) << v)], 0.0)
+                    pair = pairs[v, alpha, beta].reshape(-1)
+                    assert np.abs(pair - weights @ mat).max() <= 1e-15
+            assert np.abs((pairs[v, 0, 0] + pairs[v, 1, 1]).reshape(-1) - want).max() <= 1e-15
 
 
 class TestJunk:
@@ -274,7 +292,7 @@ class TestResidualNorm:
         graph = triangle_strip(4)
         p, params = _honest(graph)
         g_amps = build_graph_state(graph).state.amplitudes
-        _, _, ideal, _, _ = _label_entry(p, params, parse_label(("R+", 1)), 0.0, g_amps)
+        _, _, _, ideal, _, _ = _label_entry(p, params, parse_label(("R+", 1)), 0.0, g_amps)
         assert 2 < len(np.unique(ideal)) <= 4
         n, m = graph.n, graph.n + 1
         rng = np.random.default_rng(79)
@@ -351,14 +369,17 @@ class TestEquivalenceDistance:
               ("XZ", (1, 0, 1), (0, 1, 0))]
 
     def test_honest_distances_vanish(self):
-        provers, params = _honest(complete_graph(3))
-        report = equivalence_distance(provers, params, self.LABELS)
-        assert isinstance(report, EquivalenceReport)
-        assert report.junk_source == "identity-extraction"
-        assert report.epsilon < 1e-12
-        assert report.all_satisfied
-        for entry in report.labels:
-            assert entry.distance < 1e-10
+        for graph, labels in ((complete_graph(3), self.LABELS),
+                              (triangle_strip(7), _labels(7))):
+            provers, params = _honest(graph)
+            report = equivalence_distance(provers, params, labels)
+            assert isinstance(report, EquivalenceReport)
+            assert report.junk_source == "identity-extraction"
+            assert report.epsilon < 1e-12
+            assert report.all_satisfied
+            # at rounding level, one-vertex labels included
+            for entry in report.labels:
+                assert entry.distance < 1e-14, (graph.n, entry.label)
 
     def test_bound_kinds_by_label(self):
         provers, params = _honest(complete_graph(3))
@@ -524,11 +545,24 @@ def _labels(n):
 
 
 def _provers(kind, graph, rng):
-    """Prover sets whose reports run in float64 (honest, perturbed, xz) or,
-    with a complex shared state, in complex128 (private)."""
+    """Prover sets whose reports run in float64 (honest, perturbed, xz) or
+    in complex128: a complex shared state with one private qubit (private),
+    or observables tilted out of the X-Z plane towards Y (complex)."""
     honest, params = _honest(graph)
     if kind == "honest":
         return honest, params
+    if kind == "complex":
+        def tilted(label, angle):
+            tilt = rng.normal(0, 0.1)
+            matrix = (math.cos(tilt) * oracles.rotation_xz(angle + rng.normal(0, 0.1))
+                      + math.sin(tilt) * Y)
+            return SingleQubitObservable(label, matrix)
+
+        centres = {"X": 0.0, "Z": math.pi / 2, "R+": math.pi / 4, "R-": -math.pi / 4}
+        observables = tuple({label: tilted(label, angle) for label, angle in centres.items()}
+                            for _ in range(graph.n))
+        return ProverSet(graph.n, QuantumStrategy(observables),
+                         build_graph_state(graph).state), params
     if kind == "perturbed":
         return perturbed_provers(honest, 0.08, rng), params
     if kind == "xz":
@@ -547,7 +581,7 @@ class TestConjugation:
         amps0 = apply_phi(p, vertex_unitaries(p))
         g_amps = build_graph_state(graph).state.amplitudes
         for label in _labels(graph.n):
-            _, factors, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
+            _, factors, _, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
             kernels = conjugated_kernels(vertex_unitaries(p), factors,
                                          p.shared_state.n_qubits)
             got = apply_kernels(amps0, kernels,
@@ -570,6 +604,48 @@ class TestConjugation:
         # 25 label factors on 4 vertices: one U_v per vertex, not one per factor
         equivalence_distance(p, params, _labels(graph.n))
         assert len(calls) == graph.n
+
+    @pytest.mark.parametrize("kind", ["perturbed", "private", "complex"])
+    def test_one_vertex_labels_run_no_kernel_under_any_junk(self, kind, monkeypatch):
+        graph = triangle_strip(4)
+        n = graph.n
+        p, params = _provers(kind, graph, np.random.default_rng(43))
+        labels = [(h, v) for v in range(n) for h in ("X", "Z", "R+", "R-")]
+        labels += [("XZ", unit, unit) for unit in np.eye(n, dtype=int).tolist()]
+        kernels, pair_passes = [], []
+        real_unitary, real_pairs = isometry.apply_unitary, isometry.pair_overlaps
+        monkeypatch.setattr(isometry, "apply_unitary",
+                            lambda *a, **k: kernels.append(1) or real_unitary(*a, **k))
+        monkeypatch.setattr(isometry, "pair_overlaps",
+                            lambda *a: pair_passes.append(1) or real_pairs(*a))
+        # zero bounds fail every junk, so all three candidates are scored
+        monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
+        monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
+        equivalence_distance(p, params, labels)
+        assert len(pair_passes) == 3
+        assert len(kernels) == n  # the circuit only
+
+    def test_pair_overlaps_are_freed_before_the_scratch_vectors(self, monkeypatch):
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(43))
+        pairs, live = [], []
+        real_pairs, real_kernels = isometry.pair_overlaps, isometry.apply_kernels
+
+        def pair_overlaps(*args):
+            y = real_pairs(*args)
+            pairs.append(weakref.ref(y))
+            return y
+
+        def apply_kernels(*args):
+            live.extend(ref() is not None for ref in pairs)
+            return real_kernels(*args)
+
+        monkeypatch.setattr(isometry, "pair_overlaps", pair_overlaps)
+        monkeypatch.setattr(isometry, "apply_kernels", apply_kernels)
+        monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
+        monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
+        equivalence_distance(p, params, _labels(graph.n))
+        assert len(pairs) == 3 and live and not any(live)
 
 
 def _direct_distances(p, params, labels, junks):
@@ -600,8 +676,8 @@ def _bound_labels(monkeypatch, bound_by_name):
     real_entry = isometry._label_entry
 
     def entry(*args):
-        label, factors, ideal, kind, _ = real_entry(*args)
-        return label, factors, ideal, kind, bound_by_name[label_name(label)]
+        *entry, _ = real_entry(*args)
+        return (*entry, bound_by_name[label_name(entry[0])])
 
     monkeypatch.setattr(isometry, "_label_entry", entry)
 
@@ -612,10 +688,10 @@ class TestForcedFallback:
     checked against one circuit run per label."""
 
     ORDER = ["identity-extraction", "best-aligned", "constructed"]
-    # float64 (perturbed, xz) and complex128 (private) reports
-    KINDS = ("perturbed", "xz", "private")
+    # float64 (perturbed, xz) and complex128 (private, complex) reports
+    KINDS = ("perturbed", "xz", "private", "complex")
 
-    @pytest.mark.parametrize("kind", ["perturbed", "xz", "private"])
+    @pytest.mark.parametrize("kind", ["perturbed", "xz", "private", "complex"])
     @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
     def test_zero_bounds_pick_the_smallest_worst_distance(self, graph, kind,
                                                           monkeypatch):
@@ -686,7 +762,7 @@ class TestDtype:
     it reads are real, and in complex128 otherwise."""
 
     WANT = {"honest": np.float64, "perturbed": np.float64, "xz": np.float64,
-            "private": np.complex128}
+            "private": np.complex128, "complex": np.complex128}
 
     @pytest.mark.parametrize("kind", sorted(WANT))
     def test_every_vector_of_a_report_takes_the_dtype(self, kind, monkeypatch):
@@ -783,7 +859,9 @@ class TestGoldenReports:
     distances by at most 1.4e-15 and private-n4's by 4.4e-16, inside the
     1e-13, so nothing here was regenerated for it.  Summing the identity
     overlap one slice at a time (``overlap``) moved them by at most 2.8e-17
-    and 2.2e-16, and nothing was regenerated either."""
+    and 2.2e-16, and nothing was regenerated either.  Taking the one-vertex
+    labels from pair blocks (``pair_overlaps``) moved them by at most
+    9.7e-17 and 6.7e-16, and nothing was regenerated."""
 
     @pytest.mark.parametrize("name", ["perturbed-n7", "private-n4"])
     def test_report_matches_the_pinned_values(self, name):

@@ -148,17 +148,13 @@ class TestRounds:
             assert record.branch == CALCULATE
             assert record.output in (0, 1) and record.subtest is None
 
-    def test_shared_records_keep_the_types_they_are_built_from(self):
-        # 1.0 replies pass the +-1 check and give a float output bit; their
-        # rounds must not be handed the record of an int table's equal bit
-        graph, params, pattern, _, _ = _setup()
-        cfg = ProtocolConfig(q=1.0, params=params, pattern=pattern,
-                             n_rounds=1, c_ip=0.8, s_ip=0.2)
-        for value in (1, 1.0, 1):
+    def test_replies_that_are_not_ints_are_refused(self):
+        # they compare equal to 1, but would carry their own type into every
+        # product and into the records that rounds share
+        for value in (1.0, True, np.int64(1)):
             table = {(v, label): value for v in range(3) for label in QUERY_LABELS}
-            _, record = run_round(classical_provers(3, table), cfg,
-                                  np.random.default_rng(0))
-            assert type(record.output) is type(value) and record.output == 0
+            with pytest.raises(ValueError, match="non \\+-1 replies"):
+                classical_provers(3, table)
 
     def test_round_record_serialization(self):
         graph, params, pattern, cfg, honest = _setup()
