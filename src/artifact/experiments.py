@@ -22,7 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from . import bounds
 from .graphs import Graph, as_int, as_real
 from .isometry import equivalence_distance
 from .mbqc import MeasurementPattern, reference_run, run_pattern, total_variation
-from .protocol import ProtocolConfig, choose_q, gap_case_lines, run_amplified
+from .protocol import ProtocolConfig, choose_q, gap_case_lines, require_bit, run_amplified
 from .provers import ProverSet, strategy_from_json
 from .selftest import TestParameters, c_test, default_parameters, run_oneshot
 
@@ -146,18 +146,19 @@ def _protocol_setup(cfg: ExperimentConfig,
     for any graph this package can simulate, which makes the optimal coin
     bias formula degenerate in floats.  Desk runs therefore take the test
     gap from options["s_test_gap"] (default 0.1) unless an explicit q or
-    c_ip/s_ip pair overrides it; an explicit q whose composed gap (the
-    lower of ``gap_case_lines``) is not positive is refused, since no
-    accept threshold is sound there.  The calculation branch's honest rate is
-    the pattern's exact reference law, and the accept threshold is the
-    midpoint rule of ``ProtocolConfig``.
+    c_ip/s_ip pair overrides it; a q, explicit or chosen, whose composed
+    gap (the lower of ``gap_case_lines``) is not positive is refused, since
+    no accept threshold is sound there.  The calculation branch's honest
+    rate is the pattern's exact reference law at the accept output.
+    ``ProtocolConfig`` checks the options before ``hoeffding_n`` reads
+    their gap, and sets the midpoint threshold.
     """
     opts = cfg.options
 
     def option(key: str, default, parse=as_real):
         return parse(opts[key], key) if key in opts else default
 
-    accept_output = option("accept_output", 0, as_int)
+    accept_output = require_bit(option("accept_output", 0, as_int))
     delta = option("delta", 0.1)
     s_calc = option("s_calc", 1 / 3)
     c_calc = reference_run(cfg.graph, cfg.pattern).get(accept_output, 0.0)
@@ -166,24 +167,22 @@ def _protocol_setup(cfg: ExperimentConfig,
     if "q" in opts:
         q = option("q", None)
         gap = min(gap_case_lines(q, c_calc, s_calc, ct, st, delta))
-        if gap <= 0:
-            raise ValueError(f"q = {q:g} gives a composed gap of {gap:.4g} <= 0: "
-                             "no accept threshold separates honest provers "
-                             "from cheaters at this coin weight")
     else:
         q, gap = choose_q(ct, st, s_calc, delta, c_calc)
+    if gap <= 0:
+        raise ValueError(f"q = {q:g} gives a composed gap of {gap:.4g} <= 0: "
+                         "no accept threshold separates honest provers "
+                         "from cheaters at this coin weight")
     c_ip = option("c_ip", q * c_calc + (1 - q) * ct)
     s_ip = option("s_ip", max(c_ip - gap, 0.0))
-    if "n_rounds" in opts:
-        n_rounds = option("n_rounds", None, as_int)
-    else:
-        n_rounds = bounds.hoeffding_n(c_ip - s_ip)
     proto_cfg = ProtocolConfig(
-        q=q, params=params, pattern=cfg.pattern, n_rounds=n_rounds,
+        q=q, params=params, pattern=cfg.pattern, n_rounds=option("n_rounds", 1, as_int),
         c_ip=c_ip, s_ip=s_ip, accept_output=accept_output)
+    if "n_rounds" not in opts:  # 1 stood in until ProtocolConfig checked the gap
+        proto_cfg = replace(proto_cfg, n_rounds=bounds.hoeffding_n(c_ip - s_ip))
     meta = {"q": q, "gap": gap, "delta": delta, "c_test": ct, "s_test": st,
             "c_calc": c_calc, "s_calc": s_calc,
-            "c_ip": c_ip, "s_ip": s_ip, "n_rounds": n_rounds,
+            "c_ip": c_ip, "s_ip": s_ip, "n_rounds": proto_cfg.n_rounds,
             "threshold": proto_cfg.threshold}
     return proto_cfg, meta
 

@@ -244,8 +244,8 @@ def _pair_distance(d0: float, w: np.ndarray, ideal_m: np.ndarray,
     return math.sqrt(max(d2, 0.0))
 
 
-def _pair_aligned(y: np.ndarray, singles) -> np.ndarray:
-    """sum of ``overlap(M_v g, W_v x)`` over the one-vertex labels
+def _pair_aligned(y: np.ndarray, singles, total: np.ndarray) -> None:
+    """Add to ``total`` ``overlap(M_v g, W_v x)`` for each one-vertex label
     (v, W_v, M_v) of ``singles``, from x's ``pair_overlaps`` ``y`` with g.
 
     With K[beta, alpha] = sum_alpha' M_v[alpha', beta] W_v[(alpha', .),
@@ -256,13 +256,11 @@ def _pair_aligned(y: np.ndarray, singles) -> np.ndarray:
     for v, w, ideal_m in singles:
         k = np.einsum("pb,psaq->basq", ideal_m, w.reshape(2, 2, 2, 2)).reshape(4, 2, 2)
         kernels[v] = kernels.get(v, 0) + k
-    total = np.zeros(y.shape[3:], y.dtype)
     for v, k in kernels.items():
         axis = n - 1 - v
         y_v = np.moveaxis(y[v], 2 + axis, 2)
         part = np.tensordot(k, y_v.reshape(4, 2, -1), axes=([0, 2], [0, 1]))
         total += np.moveaxis(part.reshape((2,) + y_v.shape[3:]), 0, axis)
-    return total
 
 
 def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarray],
@@ -564,29 +562,30 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     vector, when that sum's norm is at least JUNK_TOL; a one-vertex
     label's term comes from Y, ``_pair_aligned``); constructed
     (``constructed_junk``).  Each is a junk-register vector in
-    ``grouped_matrix``'s order, and each takes its one-vertex distances
-    by the formula above.  The first candidate under which every label
-    meets its bound is reported, else the one with the smallest worst
-    excess, the earlier on a tie.  The fallbacks are built only when
-    identity-extraction fails, the constructed junk before best-aligned is
-    scored, so a degenerate one raises JunkDegenerateError.  The identity
-    and multi-vertex distances are direct residual norms, which keep
-    honest distances at rounding level (the expanded inner-product form
-    loses them to cancellation near 1e-8).  Overlaps and residuals read
-    an output through the ``grouped_matrix`` view, one graph-register
-    value a (the slice where a2 = a) or PAIR_ROWS of them at a time, and
-    never copy it whole.
+    ``grouped_matrix``'s order.  One scorer gives a candidate's report
+    from its own pass of Y, which also yields the identity overlap; the
+    constructed junk's pass adds every label's overlap to the best-aligned
+    sum.  One rule picks the first candidate under which every label meets
+    its bound, else the smallest worst excess, the earlier on a tie.  It
+    reads them lazily: the fallbacks are scored only when
+    identity-extraction fails, the constructed junk first, so a degenerate
+    one raises JunkDegenerateError.  The identity and multi-vertex
+    distances are direct residual norms, which keep honest distances at
+    rounding level (the expanded inner-product form loses them to
+    cancellation near 1e-8).  Overlaps and residuals read an output through
+    the ``grouped_matrix`` view, one graph-register value a (the slice
+    where a2 = a) or PAIR_ROWS of them at a time, and never copy it whole.
 
-    Memory.  Beside x, a report makes one vector of x's size, ``work``.  It
-    holds Y (4n junk-register vectors, 3.5 MiB at n = 7 in float64) with
-    its row buffer and gemm product, and once Y is freed it is the first
-    of the multi-vertex labels' two scratch vectors; the second is made
-    only then.  So Y is never live beside the two scratch vectors, every
-    fallback builds its own Y again in ``work``, a report with no
-    multi-vertex label makes no second vector, and the peak is x and the
-    two scratch vectors.  Making no other vector of x's size keeps the
-    allocator from holding a freed block of another size resident beside
-    them.
+    Memory.  Beside x, a report makes one vector of x's size, ``work``.  A
+    pass holds Y (4n junk-register vectors, 3.5 MiB at n = 7 in float64)
+    with its row buffer and gemm product there, and once Y is freed
+    ``work`` is the first of the multi-vertex labels' two scratch vectors;
+    the pass makes the second only then.  So Y is never live beside the
+    two scratch vectors, every pass builds its own Y again in ``work``, a
+    report with no multi-vertex label makes no second vector, and the
+    peak is x and the two scratch vectors.  Making no other vector of x's
+    size keeps the allocator from holding a freed block of another size
+    resident beside them.
 
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
@@ -609,77 +608,57 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     entries = [(label_name(label), kind, conjugated_kernels(unitaries, factors, m),
                 ideals, ideal, bound)
                for label, factors, ideals, ideal, kind, bound in parsed]
-    singles = [(i, v, kernels[0][0], ideal_m)
-               for i, (_, _, kernels, ideals, _, _) in enumerate(entries)
+    singles = [(v, kernels[0][0], ideal_m) for _, _, kernels, ideals, _, _ in entries
                if len(kernels) == 1 for v, ideal_m in ideals.items()]
-    multi = [i for i, entry in enumerate(entries) if len(entry[2]) > 1]
-
-    def pair_distances(y, junk) -> list:
-        """Distances under ``junk`` of the labels on at most one vertex,
-        None for the others."""
-        d0 = residual_norm(amps0, g_amps, junk)
-        tt, td = _pair_blocks(y, g_amps, junk)
-        dists = [None if kernels else d0 for _, _, kernels, _, _, _ in entries]
-        for i, v, w, ideal_m in singles:
-            dists[i] = _pair_distance(d0, w, ideal_m, tt[v], td[v])
-        return dists
-
-    def direct_distances(junk, dists, aligned=None):
-        """The multi-vertex labels' distances under ``junk``, into
-        ``dists``; their overlaps are added to ``aligned`` if given."""
-        if not multi:
-            return
-        scratch = (work, np.empty_like(amps0))
-        for i in multi:
-            _, _, kernels, _, ideal, _ = entries[i]
-            amps = apply_kernels(amps0, kernels, scratch)
-            dists[i] = residual_norm(amps, ideal, junk)
-            if aligned is not None:
-                aligned += overlap(ideal, amps, n)
-
-    def report(dists, source: str) -> EquivalenceReport:
-        reps = tuple(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK)
-                     for (name, kind, _, _, _, bound), dist in zip(entries, dists))
-        return EquivalenceReport(eps, raw_norm, source, reps)
-
+    bare = sum(not kernels for _, _, kernels, *_ in entries)
     # Y's vector, then the first scratch vector
     work = np.empty_like(amps0)
-    y = pair_overlaps(g_amps, amps0, n, work)
-    raw = y[0, 0, 0] + y[0, 1, 1]
-    raw_norm = float(np.linalg.norm(raw))
-    if raw_norm < JUNK_TOL:
-        raise JunkDegenerateError(
-            f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
-            "test conditions fail too badly for the distance bound to apply")
-    junk = raw / raw_norm
-    dists = pair_distances(y, junk)
-    del y
-    direct_distances(junk, dists)
-    best = report(dists, "identity-extraction")
-    if best.all_satisfied:
-        return best
 
-    constructed = constructed_junk(p, graph)
-    y = pair_overlaps(g_amps, amps0, n, work)
-    constructed_dists = pair_distances(y, constructed)
-    aligned = _pair_aligned(y, [single[1:] for single in singles])
-    del y
-    # every label with no factor adds the identity overlap
-    aligned += (len(entries) - len(singles) - len(multi)) * raw
-    direct_distances(constructed, constructed_dists, aligned)
-    fallbacks = []
-    aligned_norm = np.linalg.norm(aligned)
-    if aligned_norm >= JUNK_TOL:
-        junk = aligned / aligned_norm
+    def score(junk, source: str, aligned=None) -> EquivalenceReport:
+        """The report under ``junk``, identity-extraction's when None; every
+        label's overlap with its ideal vector is added to ``aligned`` if given."""
         y = pair_overlaps(g_amps, amps0, n, work)
-        dists = pair_distances(y, junk)
+        raw = y[0, 0, 0] + y[0, 1, 1]
+        raw_norm = float(np.linalg.norm(raw))
+        if raw_norm < JUNK_TOL:
+            raise JunkDegenerateError(
+                f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
+                "test conditions fail too badly for the distance bound to apply")
+        junk = raw / raw_norm if junk is None else junk
+        d0 = residual_norm(amps0, g_amps, junk)
+        tt, td = _pair_blocks(y, g_amps, junk)
+        if aligned is not None:
+            _pair_aligned(y, singles, aligned)
+            aligned += bare * raw  # the identity overlap, once per label with no factor
         del y
-        direct_distances(junk, dists)
-        fallbacks.append(report(dists, "best-aligned"))
-    fallbacks.append(report(constructed_dists, "constructed"))
-    for cand in fallbacks:
-        if cand.all_satisfied:
-            return cand
-        if cand.worst_excess < best.worst_excess:
-            best = cand
-    return best
+        scratch, reps = None, []
+        for name, kind, kernels, ideals, ideal, bound in entries:
+            if not kernels:
+                dist = d0
+            elif len(kernels) == 1:
+                (v, ideal_m), = ideals.items()
+                dist = _pair_distance(d0, kernels[0][0], ideal_m, tt[v], td[v])
+            else:
+                scratch = scratch or (work, np.empty_like(amps0))
+                amps = apply_kernels(amps0, kernels, scratch)
+                dist = residual_norm(amps, ideal, junk)
+                if aligned is not None:
+                    aligned += overlap(ideal, amps, n)
+            reps.append(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK))
+        return EquivalenceReport(eps, raw_norm, source, tuple(reps))
+
+    def candidates():
+        yield score(None, "identity-extraction")
+        aligned = np.zeros((2,) * n + (1 << m,), amps0.dtype)
+        constructed = score(constructed_junk(p, graph), "constructed", aligned)
+        aligned_norm = np.linalg.norm(aligned)
+        if aligned_norm >= JUNK_TOL:
+            yield score(aligned / aligned_norm, "best-aligned")
+        yield constructed
+
+    scored = []
+    for report in candidates():
+        if report.all_satisfied:
+            return report
+        scored.append(report)
+    return min(scored, key=lambda r: r.worst_excess)

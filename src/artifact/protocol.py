@@ -67,6 +67,13 @@ def gap_case_lines(q: float, c_calc: float, s_calc: float, c_test: float,
     return first, second
 
 
+def require_bit(accept_output: int) -> int:
+    """``accept_output``, once it is 0 or 1."""
+    if accept_output not in (0, 1):
+        raise ValueError("accept_output is a bit")
+    return accept_output
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One interactive-proof setup: coin weight, test, pattern, repetitions."""
@@ -87,8 +94,7 @@ class ProtocolConfig:
             raise ValueError("need at least one round")
         if not 0 <= self.s_ip < self.c_ip <= 1:
             raise ValueError("need 0 <= s_ip < c_ip <= 1")
-        if self.accept_output not in (0, 1):
-            raise ValueError("accept_output is a bit")
+        require_bit(self.accept_output)
         require_support(self.pattern, self.params.graph.n)
         object.__setattr__(self, "threshold",
                            midpoint_threshold(self.n_rounds, self.c_ip, self.s_ip))

@@ -110,6 +110,7 @@ class TestOutcome:
 
 def default_parameters(graph: Graph, theta=None) -> TestParameters:
     """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor."""
+    cover = triangle_cover(graph)  # first: it names a vertex in no triangle
     if theta is None:
         theta = math.pi / 4
     if isinstance(theta, (int, float)):
@@ -117,7 +118,7 @@ def default_parameters(graph: Graph, theta=None) -> TestParameters:
     else:
         theta_t = tuple(float(theta[v]) for v in range(graph.n))
     u_choice = tuple(min(graph.neighbors(v)) for v in range(graph.n))
-    return TestParameters(graph, triangle_cover(graph), theta_t, u_choice)
+    return TestParameters(graph, cover, theta_t, u_choice)
 
 
 def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:

@@ -14,6 +14,8 @@ from artifact.mbqc import MeasurementPattern
 
 THETA = math.pi / 4
 K3_JSON = json.dumps(complete_graph(3).to_json())
+# K3 plus vertex 3, which has no edge
+ISOLATED_VERTEX_JSON = json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [1, 2]]})
 PATTERN_JSON = json.dumps({
     "steps": [
         {"v": 0, "theta": THETA, "x_deps": [], "z_deps": []},
@@ -193,6 +195,7 @@ class TestBadInput:
         ["selftest", "--strategy", json.dumps({"kind": "classical", "value": 1.5})],
         ["selftest", "--strategy", json.dumps({"kind": "classical", "value": True})],
         ["isometry-check", "--labels", "[]"],
+        ["selftest", "--graph", ISOLATED_VERTEX_JSON],
     ], ids=["perturbed-without-eta", "xz-vertex-out-of-range",
             "mbqc-pattern-angle", "prove-pattern-angle", "jobs-2",
             "xz-angles-entry-not-object", "xz-angles-not-object",
@@ -203,12 +206,32 @@ class TestBadInput:
             "perturbed-eta-nan", "classical-value-infinite", "xz-angle-nan",
             "label-vertex-infinite", "graph-size-not-integer", "pattern-vertex-not-integer",
             "label-vertex-not-integer", "classical-value-not-integer",
-            "classical-reply-boolean", "labels-empty"])
+            "classical-reply-boolean", "labels-empty", "graph-vertex-in-no-triangle"])
     def test_one_error_line(self, runner, args):
         command, *rest = args
         trials = [] if command == "prove" else ["--trials", "4"]
         _assert_input_error(runner.invoke(
             main, [command, "--graph", K3_JSON, "--seed", "1", *trials, *rest]))
+
+    @pytest.mark.parametrize("args,message", [
+        (["selftest", "--graph", ISOLATED_VERTEX_JSON, "--trials", "1"],
+         "vertex 3 lies in no triangle"),
+        (["prove", "--graph", ISOLATED_VERTEX_JSON], "vertex 3 lies in no triangle"),
+        (["prove", "--option", "accept_output=2"], "accept_output is a bit"),
+        (["prove", "--option", "s_ip=-0.5"], "need 0 <= s_ip < c_ip <= 1"),
+        (["prove", "--option", "c_ip=0.5", "--option", "s_ip=0.6"],
+         "need 0 <= s_ip < c_ip <= 1"),
+    ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
+            "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip"])
+    def test_error_line_names_the_fault(self, runner, args, message):
+        # the check that owns the input speaks, not a later step that trips
+        # over it (min() over no neighbors, the Hoeffding count's gap check)
+        command, *rest = args
+        defaults = (["--graph", K3_JSON, "--pattern", PATTERN_JSON] if command == "prove"
+                    else ["--graph", K3_JSON])
+        result = runner.invoke(main, [command, *defaults, "--seed", "1", *rest])
+        _assert_input_error(result)
+        assert result.output.strip() == f"Error: {message}"
 
     @pytest.mark.parametrize("command", ["selftest", "mbqc", "isometry-check", "prove"])
     def test_eta_whose_draw_width_overflows(self, runner, command):
@@ -366,12 +389,18 @@ class TestProveCommand:
             "--seed", "5", "--rounds", "10", "--q", "0.9"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("rounds", [[], ["--rounds", "5"]],
-                             ids=["hoeffding-rounds", "explicit-rounds"])
+    @pytest.mark.parametrize("args,q,gap", [
+        (["--q", "0.5"], "0.5", "-0.1116"),
+        (["--q", "0.5", "--rounds", "5"], "0.5", "-0.1116"),
+        (["--option", "s_calc=0.75"], "0.4", "-0.06929"),
+        (["--option", "s_calc=0.75", "--rounds", "5"], "0.4", "-0.06929"),
+    ], ids=["hoeffding-rounds", "explicit-rounds", "chosen-q-hoeffding-rounds",
+            "chosen-q-explicit-rounds"])
     def test_q_without_a_positive_gap_names_q_and_the_gap(self, runner, tmp_path,
-                                                          graph_file, rounds):
+                                                          graph_file, args, q, gap):
         # the three-step K3 pattern with output bits 0, 1, 2: at q = 0.5 the
-        # composed gap is -0.1116, whatever the round count
+        # composed gap is -0.1116, and at s_calc = 0.75 the chosen q is 0.4
+        # with gap -0.06929, whatever the round count
         pattern = tmp_path / "three-steps.json"
         pattern.write_text(json.dumps({
             "steps": [{"v": 0, "theta": THETA, "x_deps": [], "z_deps": []},
@@ -380,9 +409,9 @@ class TestProveCommand:
             "output_bits": [0, 1, 2]}))
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", str(pattern),
-            "--seed", "5", "--q", "0.5", *rounds])
+            "--seed", "5", *args])
         _assert_input_error(result)
-        assert "q = 0.5" in result.output and "-0.1116" in result.output
+        assert f"q = {q} " in result.output and f"gap of {gap} " in result.output
         assert "s_ip" not in result.output
 
     def test_bad_delta_is_a_usage_error(self, runner, graph_file,

@@ -605,25 +605,46 @@ class TestConjugation:
         equivalence_distance(p, params, _labels(graph.n))
         assert len(calls) == graph.n
 
-    @pytest.mark.parametrize("kind", ["perturbed", "private", "complex"])
-    def test_one_vertex_labels_run_no_kernel_under_any_junk(self, kind, monkeypatch):
+    # the identity, a label on all four vertices and one on two
+    MULTI = ["I", ("XZ", (1, 0, 1, 0), (0, 1, 0, 1)), ("XZ", (1, 1, 0, 0), (0, 0, 0, 0))]
+    COUNTED = ("apply_unitary", "residual_norm", "pair_overlaps", "overlap")
+
+    @pytest.mark.parametrize("kind,extra,calls", [
+        ("perturbed", [], (4, 3, 3, 0)),
+        ("private", [], (4, 3, 3, 0)),
+        ("complex", [], (4, 3, 3, 0)),
+        ("perturbed", MULTI, (22, 9, 3, 2)),
+        ("private", MULTI, (22, 9, 3, 2)),
+        ("complex", MULTI, (22, 9, 3, 2)),
+    ], ids=["perturbed", "private", "complex", "perturbed-multi-vertex",
+            "private-multi-vertex", "complex-multi-vertex"])
+    def test_one_vertex_labels_run_no_kernel_under_any_junk(self, kind, extra, calls,
+                                                             monkeypatch):
         graph = triangle_strip(4)
         n = graph.n
         p, params = _provers(kind, graph, np.random.default_rng(43))
         labels = [(h, v) for v in range(n) for h in ("X", "Z", "R+", "R-")]
         labels += [("XZ", unit, unit) for unit in np.eye(n, dtype=int).tolist()]
-        kernels, pair_passes = [], []
-        real_unitary, real_pairs = isometry.apply_unitary, isometry.pair_overlaps
-        monkeypatch.setattr(isometry, "apply_unitary",
-                            lambda *a, **k: kernels.append(1) or real_unitary(*a, **k))
-        monkeypatch.setattr(isometry, "pair_overlaps",
-                            lambda *a: pair_passes.append(1) or real_pairs(*a))
+        counts = dict.fromkeys(self.COUNTED, 0)
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in self.COUNTED:
+            monkeypatch.setattr(isometry, name, counted(name, getattr(isometry, name)))
         # zero bounds fail every junk, so all three candidates are scored
         monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
         monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
-        equivalence_distance(p, params, labels)
-        assert len(pair_passes) == 3
-        assert len(kernels) == n  # the circuit only
+        report = equivalence_distance(p, params, labels + extra)
+        assert not report.all_satisfied
+        # the circuit's 4 kernels; in each of the 3 passes, one pass of pair
+        # overlaps, the identity's residual and, per multi-vertex label, its
+        # kernels (4 + 2) and a residual; the constructed junk's pass adds
+        # their 2 overlaps to the best-aligned sum
+        assert tuple(counts[name] for name in self.COUNTED) == calls
 
     def test_pair_overlaps_are_freed_before_the_scratch_vectors(self, monkeypatch):
         graph = triangle_strip(4)
@@ -725,6 +746,39 @@ class TestForcedFallback:
             assert report.all_satisfied
             got = [r.distance for r in report.labels]
             assert np.allclose(got, own, rtol=0, atol=1e-12), kind
+
+    def test_best_aligned_comes_before_constructed(self, monkeypatch):
+        # best-aligned's own junk stands in for the constructed one, so both
+        # fallbacks meet bounds that identity-extraction fails
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(47))
+        labels = _labels(graph.n)
+        mats = [_direct_matrix(p, l) for l in labels]
+        ideals = [_ideal_vector(graph, params, l) for l in labels]
+        aligned = _standard_junks(p, graph)(mats, ideals)["best-aligned"]
+        own = _direct_distances(p, params, labels, _standard_junks(p, graph))
+        assert any(d > b + 1e-6 for d, b in zip(own["identity-extraction"],
+                                                own["best-aligned"]))
+        monkeypatch.setattr(isometry, "constructed_junk",
+                            lambda *a: aligned.reshape((2,) * graph.n + (-1,)))
+        _bound_labels(monkeypatch, dict(zip(map(label_name, labels), own["best-aligned"])))
+        report = equivalence_distance(p, params, labels)
+        assert report.junk_source == "best-aligned"
+        assert report.all_satisfied
+
+    def test_a_tie_goes_to_the_earlier_candidate(self, monkeypatch):
+        # with the identity its only label, the best-aligned junk is the
+        # identity overlap itself, so under a zero bound the two tie bit for
+        # bit; the constructed junk does worse
+        graph = triangle_strip(4)
+        p, params = _provers("perturbed", graph, np.random.default_rng(43))
+        labels = [parse_label("I")]
+        direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
+        assert direct["constructed"][0] > direct["identity-extraction"][0] + 1e-6
+        monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
+        report = equivalence_distance(p, params, labels)
+        assert report.junk_source == "identity-extraction"
+        assert not report.all_satisfied
 
     def test_constructed_junk_wins_when_only_it_fits(self, monkeypatch):
         # the factorization's junk never beats the other two on perturbed
