@@ -20,8 +20,8 @@ from .graphs import (Graph, complete_graph, triangle_strip, triangular_lattice,
                      triangles_containing)
 from .graphstate import build_graph_state, stabilizer_expectations, triangle_operator
 from .isometry import anticommutator_norm, equivalence_distance
-from .mbqc import (MeasurementPattern, PatternStep, reference_run,
-                   run_distribution, teleport_chain_check, total_variation)
+from .mbqc import (MeasurementPattern, PatternStep, chain_law, reference_run,
+                   run_distribution, total_variation)
 from .protocol import (midpoint_threshold, run_amplified_rounds,
                        uncovered_calculate_queries)
 from .provers import honest_provers, perturbed_provers, xz_plane_provers
@@ -172,20 +172,34 @@ def _engine_patterns() -> list[tuple[Graph, MeasurementPattern, dict[int, float]
 
 
 def criterion_6(fast: bool = False) -> tuple[bool, str]:
-    """Teleportation identity and exact pattern-output agreement."""
-    pairs = 20 if fast else 100
+    """Honest provers on random adaptive path patterns match ``mbqc.chain_law``."""
+    def engine_law(n, pattern):
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        angles = [*(s.theta for s in pattern.steps), THETA]
+        return run_distribution(_honest(path, dict(enumerate(angles))), pattern)
+
     rng = np.random.default_rng(11)
-    worst_residual = max(
-        teleport_chain_check(rng.uniform(0, math.pi / 2),
-                             rng.uniform(0, math.pi / 2))
-        for _ in range(pairs))
-    worst_tv = 0.0
-    for graph, pattern, theta in _engine_patterns():
-        dist = run_distribution(_honest(graph, theta), pattern)
-        worst_tv = max(worst_tv, total_variation(dist, reference_run(graph, pattern)))
-    ok = worst_residual < 1e-10 and worst_tv <= 1e-10
-    return ok, (f"{pairs} teleport pairs, worst residual {worst_residual:.2e}; "
-                f"honest-vs-reference total variation {worst_tv:.2e} (tol 1e-10)")
+    count = 20 if fast else 100
+    worst, live = 0.0, 0
+    for i in range(count):  # measure 0..k-1 of a path of k or k+1 vertices
+        k = int(rng.integers(1, 7))
+        n = k + i % 2
+        pattern = MeasurementPattern(tuple(
+            PatternStep(j, float(rng.uniform(0, math.pi / 2)),
+                        tuple(d for d in range(j) if rng.random() < 0.5),
+                        tuple(d for d in range(j) if rng.random() < 0.5))
+            for j in range(k)), tuple(v for v in range(k) if rng.random() < 0.5))
+        law = chain_law(pattern, n)
+        worst = max(worst, total_variation(engine_law(n, pattern), law))
+        live += abs(law[0] - 0.5) > 1e-6
+    # the check must have teeth: provers at pi/3 against a pattern at pi/6
+    wrong = total_variation(
+        engine_law(1, MeasurementPattern((PatternStep(0, math.pi / 3),), (0,))),
+        chain_law(MeasurementPattern((PatternStep(0, math.pi / 6),), (0,)), 1))
+    # a law more than 1e-6 from 1/2 is live, so an engine stuck at 1/2 fails
+    ok = worst <= 1e-10 and live > 0 and wrong > 1e-3
+    return ok, (f"engine vs chain law: worst total variation {worst:.2e} (tol 1e-10), "
+                f"{live}/{count} live; wrong angle differs by {wrong:.3f}")
 
 
 def _single_vertex_labels(n: int) -> list:
@@ -445,7 +459,7 @@ CRITERIA: list[tuple[int, str, object]] = [
     (3, "rotation-subtest success hits the quantum anchor", criterion_3),
     (4, "X-Z-plane strategies never beat the honest ceiling", criterion_4),
     (5, "deterministic replies cap the rotation subtest at 3/4", criterion_5),
-    (6, "pattern engine matches the teleportation reference", criterion_6),
+    (6, "pattern engine matches the chain law on paths", criterion_6),
     (7, "swap isometry factorizes ideal provers exactly", criterion_7),
     (8, "closed-form bounds hold for perturbed provers", criterion_8),
     (9, "adaptive-run deviation within the sequential bound", criterion_9),

@@ -161,9 +161,13 @@ def _protocol_setup(cfg: ExperimentConfig,
     accept_output = require_bit(option("accept_output", 0, as_int))
     delta = option("delta", 0.1)
     s_calc = option("s_calc", 1 / 3)
+    if not 0 <= s_calc <= 1:
+        raise ValueError("s_calc must lie in [0, 1]")
     c_calc = reference_run(cfg.graph, cfg.pattern).get(accept_output, 0.0)
     ct = c_test(params)
     st = ct - option("s_test_gap", 0.1)
+    if st < 0:
+        raise ValueError(f"s_test_gap must be at most c_test = {ct:.6g}")
     if "q" in opts:
         q = option("q", None)
         gap = min(gap_case_lines(q, c_calc, s_calc, ct, st, delta))

@@ -12,14 +12,15 @@ that law for honest provers measuring at the pattern's own angles on the
 ideal graph state, so the two can be compared without sampling noise.
 Sampled runs and exact laws walk the prover set's outcome tree.
 
-The cascaded-teleportation check lives here too.  It uses the X-Y-plane
-rotation R(a) = cos(a) X + sin(a) Y and the diagonal U(a) = exp(i a Z/2),
-for which the correction identities X R(a) X = R(-a) and
-Z R(a) Z = -R(a) hold exactly.
+``chain_law`` is the law of a pattern on a path graph measured in order,
+from cascaded teleportation of one logical qubit in the protocol's X-Z
+plane (Raussendorf and Briegel, quant-ph/0010033).  It builds no state
+vector and runs no prover code, so it checks the engine from outside.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,16 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, as_int, as_real
-from .graphstate import build_graph_state
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
-from .statevec import (
-    HADAMARD,
-    PAULI_X,
-    PAULI_Z,
-    SingleQubitObservable,
-    StateVector,
-    project,
-)
 
 
 class DependencyError(ValueError):
@@ -207,6 +199,30 @@ def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]
     return run_distribution(honest_provers(graph, theta), pattern)
 
 
+def chain_law(pattern: MeasurementPattern, n: int) -> dict[int, float]:
+    """Exact output law of ``pattern`` on the path 0-1-...-(n-1), step j at vertex j.
+
+    The unmeasured rest of the path carries one logical qubit psi = H (a, b),
+    from (a, b) = |0>.  Measuring a vertex at angle t (after the ``x_deps``
+    flip) with outcome s maps psi <- H diag(m_s) psi, m_s the real
+    eigenvector of cos(t) X + sin(t) Z for s.  The last vertex has no
+    neighbour after it: measuring it leaves the amplitude m_s . psi = a + b.
+    A branch's probability is the squared norm of what is left.
+    """
+    k = len(pattern.steps)
+    if k > n or pattern.vertices != list(range(k)):
+        raise ValueError(f"a chain law needs steps at 0, 1, ..., k-1 in order, k <= {n}")
+    dist = {0: 0.0, 1: 0.0}
+    for raw in itertools.product((1, -1), repeat=k):  # raw[j]: the outcome at vertex j
+        a, b = 1.0, 0.0
+        for step, s in zip(pattern.steps, raw):
+            phi = math.pi / 4 - _parity(raw, step.x_deps) * step.theta / 2
+            c, d = math.cos(phi) / math.sqrt(2), math.sin(phi) / math.sqrt(2)
+            a, b = (c * (a + b), d * (a - b)) if s == 1 else (d * (a + b), -c * (a - b))
+        dist[_output_bit(pattern, raw)] += (a + b) ** 2 if k == n else a * a + b * b
+    return dist
+
+
 def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, float]:
     """Exact output distribution through the prover set's observables."""
     require_support(pattern, p.n)
@@ -219,67 +235,3 @@ def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, flo
 def total_variation(a: dict[int, float], b: dict[int, float]) -> float:
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
-def rotation_xy(angle: float) -> np.ndarray:
-    """cos(a) X + sin(a) Y; the plane the teleportation figures live in."""
-    return np.array([[0, np.exp(-1j * angle)],
-                     [np.exp(1j * angle), 0]], dtype=complex)
-
-
-def u_diag(angle: float) -> np.ndarray:
-    """U(a) = exp(i a Z / 2)."""
-    return np.diag([np.exp(1j * angle / 2), np.exp(-1j * angle / 2)])
-
-
-def _qubit2_state(state: StateVector) -> np.ndarray:
-    """Extract the last qubit of a 3-qubit product state e0 x e1 x phi."""
-    mat = state.amplitudes.reshape(2, 4)
-    column = int(np.argmax(np.linalg.norm(mat, axis=0)))
-    phi = mat[:, column]
-    return phi / np.linalg.norm(phi)
-
-
-def teleport_chain_check(theta1: float, theta2: float) -> float:
-    """Worst-branch residual of two cascaded teleportations.
-
-    Builds the 3-qubit chain state, measures qubit 0 at angle theta1 and
-    qubit 1 at m1 * theta2 (the folded X correction), undoes the final
-    X^{s2} Z^{s1} byproduct, and compares each branch against
-    H U(theta2) H U(theta1) |+> up to global phase.
-    """
-    chain = Graph.from_edges(3, [(0, 1), (1, 2)])
-    state = build_graph_state(chain).state
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    target = HADAMARD @ u_diag(theta2) @ HADAMARD @ u_diag(theta1) @ plus
-    worst = 0.0
-    for m1 in (1, -1):
-        obs1 = SingleQubitObservable(f"Rxy({theta1:.6g})", rotation_xy(theta1))
-        p1, s1 = project(state, obs1, 0, m1)
-        if s1 is None:
-            continue
-        folded = m1 * theta2
-        obs2 = SingleQubitObservable(f"Rxy({folded:.6g})", rotation_xy(folded))
-        for m2 in (1, -1):
-            p2, s2 = project(s1, obs2, 1, m2)
-            if s2 is None:
-                continue
-            phi = _qubit2_state(s2)
-            if m2 == -1:
-                phi = PAULI_X @ phi
-            if m1 == -1:
-                phi = PAULI_Z @ phi
-            worst = max(worst, _phase_aligned_distance(target, phi))
-    return worst
-
-
-def _phase_aligned_distance(target: np.ndarray, phi: np.ndarray) -> float:
-    """min over global phases of ||target - e^{ia} phi||.
-
-    Computed as a direct vector difference after alignment; the closed
-    form sqrt(2 - 2|<t|phi>|) loses all precision below ~1e-8.
-    """
-    overlap = np.vdot(target, phi)
-    if abs(overlap) > 1e-12:
-        phi = phi * (overlap.conjugate() / abs(overlap))
-    return float(np.linalg.norm(target - phi))

@@ -22,7 +22,7 @@ stay real.  The protocol's observables (X, Z and R(theta) = cos(theta) X
 + sin(theta) Z) lie in the X-Z plane and |G> has real amplitudes, so
 honest, perturbed and X-Z-plane provers, their sampled runs, exact laws
 and isometry reports all run in float64, which moves half the bytes of
-complex128; Y, ``mbqc.rotation_xy`` and complex states promote.  An
+complex128; Y, X-Y-plane rotations and complex states promote.  An
 isometry report runs in one dtype, the result type of the shared state
 and every observable matrix it reads (X'_v and Z'_v of the vertex
 circuits, each label's prover factors); |G> and the ideal vectors M|G>

@@ -22,7 +22,6 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # Frozen closed-form anchors (evaluated once here, asserted in tests).
 C_TEST_K3_QUARTER_PI = (6 + 1 + 3 / math.sqrt(2)) / 10  # ~0.912132
@@ -165,17 +164,8 @@ def best_classical_rtheta(theta):
 
 
 # ---------------------------------------------------------------------------
-# teleportation target (Figs. 1-3 identity), X-Y convention
+# single-qubit rotations in the X-Y and X-Z planes
 # ---------------------------------------------------------------------------
-
-def teleport_target(theta1, theta2):
-    """H U(theta2) H U(theta1) |+> with U(theta) = exp(i theta Z / 2)."""
-    def u(theta):
-        return np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
-
-    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
-    return H @ u(theta2) @ H @ u(theta1) @ plus
-
 
 def rotation_xy(theta):
     return math.cos(theta) * X + math.sin(theta) * Y

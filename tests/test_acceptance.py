@@ -7,7 +7,8 @@ with ``-s`` (or read the captured output on failure) to see the lines.
 
 import pytest
 
-from artifact.acceptance import CRITERIA, run_criterion
+from artifact import provers
+from artifact.acceptance import CRITERIA, criterion_6, run_criterion
 
 TIME_CAPS = {1: 1.0, 2: 10.0, 4: 60.0, 8: 600.0}
 
@@ -32,3 +33,15 @@ def test_criterion(number, title, capsys):
 def test_every_criterion_is_numbered_once():
     numbers = [num for num, _, _ in CRITERIA]
     assert numbers == list(range(1, 14))
+
+
+def test_criterion_6_fails_when_the_engine_swaps_branch_probabilities(monkeypatch):
+    branches = provers.TreeWalk.branches
+
+    def swapped(self, v, label):
+        for outcome, prob, walk in branches(self, v, label):
+            yield outcome, 1.0 - prob, walk
+
+    monkeypatch.setattr(provers.TreeWalk, "branches", swapped)
+    passed, detail = criterion_6()
+    assert not passed, detail

@@ -221,8 +221,13 @@ class TestBadInput:
         (["prove", "--option", "s_ip=-0.5"], "need 0 <= s_ip < c_ip <= 1"),
         (["prove", "--option", "c_ip=0.5", "--option", "s_ip=0.6"],
          "need 0 <= s_ip < c_ip <= 1"),
+        (["prove", "--option", "s_calc=-1"], "s_calc must lie in [0, 1]"),
+        (["prove", "--option", "s_calc=1.5"], "s_calc must lie in [0, 1]"),
+        (["prove", "--option", "s_test_gap=0.95"],
+         "s_test_gap must be at most c_test = 0.912132"),
     ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
-            "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip"])
+            "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip",
+            "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test"])
     def test_error_line_names_the_fault(self, runner, args, message):
         # the check that owns the input speaks, not a later step that trips
         # over it (min() over no neighbors, the Hoeffding count's gap check)

@@ -1,4 +1,4 @@
-"""Tests for adaptive pattern execution and the teleportation identity."""
+"""Tests for adaptive pattern execution and the chain law on paths."""
 
 import json
 import math
@@ -15,13 +15,11 @@ from artifact.mbqc import (
     MeasurementPattern,
     MissingAngleSupportError,
     PatternStep,
+    chain_law,
     reference_run,
-    rotation_xy,
     run_distribution,
     run_pattern,
-    teleport_chain_check,
     total_variation,
-    u_diag,
 )
 from artifact.provers import (QUERY_LABELS, classical_provers, honest_provers,
                               perturbed_provers, xz_plane_provers)
@@ -222,26 +220,38 @@ class TestTotalVariation:
                             abs_tol=1e-15)
 
 
-class TestTeleportChain:
-    def test_identity_holds_for_random_angle_pairs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            theta1, theta2 = rng.uniform(0, math.pi / 2, size=2)
-            assert teleport_chain_check(theta1, theta2) < 1e-10
+def _chain_pattern(k, output_bits):
+    """k adaptive steps measuring 0 .. k-1 in order, with X and Z deps."""
+    angles = (math.pi / 3, math.pi / 8, 0.3, THETA)
+    steps = [PatternStep(j, angles[j], x_deps=(j - 1,) if j else (),
+                         z_deps=(j - 2,) if j > 1 else ()) for j in range(k)]
+    return MeasurementPattern(tuple(steps), output_bits)
 
-    def test_identity_holds_at_the_corners(self):
-        for theta1 in (0.0, math.pi / 2):
-            for theta2 in (0.0, math.pi / 2):
-                assert teleport_chain_check(theta1, theta2) < 1e-10
 
-    def test_rotation_xy_convention(self):
-        for theta in (0.0, 0.4, math.pi / 2):
-            assert np.allclose(rotation_xy(theta), oracles.rotation_xy(theta))
+class TestChainLaw:
+    @pytest.mark.parametrize("k,output_bits,n", [
+        (1, (0,), 1), (3, (2,), 3), (3, (2,), 4), (4, (0, 3), 4), (4, (0, 3), 5),
+    ], ids=["one-vertex", "every-vertex-measured", "unmeasured-tail",
+            "four-every-vertex-measured", "four-unmeasured-tail"])
+    def test_matches_branch_enumeration_oracle(self, k, output_bits, n):
+        pattern = _chain_pattern(k, output_bits)
+        oracle = oracles.mbqc_output_distribution(
+            n, [(v, v + 1) for v in range(n - 1)],
+            [(s.vertex, s.theta, s.x_deps, s.z_deps) for s in pattern.steps],
+            pattern.output_bits)
+        law = chain_law(pattern, n)
+        assert abs(oracle[1] - 0.5) > 0.05  # a law at 1/2 would show nothing
+        for bit in (0, 1):
+            assert math.isclose(law[bit], oracle[bit], abs_tol=1e-12)
 
-    def test_u_diag_is_the_z_phase_gate(self):
-        theta = 0.7
-        expected = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
-        assert np.allclose(u_diag(theta), expected)
+    @pytest.mark.parametrize("steps,n", [
+        ((PatternStep(1, THETA), PatternStep(0, THETA)), 2),
+        ((PatternStep(0, THETA), PatternStep(2, THETA)), 3),
+        ((PatternStep(0, THETA), PatternStep(1, THETA)), 1),
+    ], ids=["out-of-order", "skips-a-vertex", "more-steps-than-vertices"])
+    def test_pattern_off_the_path_order_rejected(self, steps, n):
+        with pytest.raises(ValueError, match="chain law"):
+            chain_law(MeasurementPattern(steps, (0,)), n)
 
 
 def _adaptive_pattern(graph):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from artifact.graphs import triangular_lattice
 from artifact.graphstate import build_graph_state
-from artifact.mbqc import rotation_xy
 from artifact.provers import QUERY_LABELS, QuantumStrategy
 from artifact.statevec import (HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                                ImaginaryResidueError,
@@ -338,7 +337,7 @@ class TestDtypeRule:
                     assert np.array_equal(real, full.real), (n, q)
 
     @pytest.mark.parametrize("matrix,real_result", [(PAULI_Y, np.complex128),
-                                                    (rotation_xy(0.7), np.complex128),
+                                                    (oracles.rotation_xy(0.7), np.complex128),
                                                     (rotation_matrix(0.7), np.float64)],
                              ids=["Y", "rotation-xy", "rotation-xz"])
     def test_measure_is_project_bit_for_bit_on_both_dtypes(self, matrix, real_result):
