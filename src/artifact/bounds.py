@@ -106,26 +106,28 @@ def cor3_gap(delta: float, n: int) -> float:
     return delta ** 8 / (10 ** 17.7 * n ** 11)
 
 
-def lemma6_q(c_test: float, s_test: float, s_calc: float, delta: float) -> float:
-    """Optimal coin weight q = (c_test - s_test) / (1 + c_test - s_calc - s_test - delta).
-
-    The boundary delta = 1/6 is allowed; the gap formula is evaluated there
-    when bounding the worst case.
-    """
+def _lemma6_domain(c_test: float, s_test: float, s_calc: float, delta: float) -> None:
+    """Lemma 6's domain: delta in (0, 1/6] (the boundary is evaluated when
+    bounding the worst case), c_test > s_test, and s_calc <= 1 - delta, the
+    range where the coin weight q lies in [0, 1]."""
     if not 0 < delta <= 1 / 6:
         raise DomainError("delta must lie in (0, 1/6]")
     if c_test <= s_test:
         raise DomainError("need c_test > s_test")
+    if s_calc > 1 - delta:
+        raise DomainError(f"s_calc must be at most 1 - delta = {1 - delta:.6g}, got {s_calc:.6g}")
+
+
+def lemma6_q(c_test: float, s_test: float, s_calc: float, delta: float) -> float:
+    """Optimal coin weight q = (c_test - s_test) / (1 + c_test - s_calc - s_test - delta)."""
+    _lemma6_domain(c_test, s_test, s_calc, delta)
     return (c_test - s_test) / (1 + c_test - s_calc - s_test - delta)
 
 
 def lemma6_gap(c_calc: float, s_calc: float, c_test: float, s_test: float,
                delta: float) -> float:
     """Composite gap (c_calc - s_calc - delta)(c_test - s_test) / denominator."""
-    if not 0 < delta <= 1 / 6:
-        raise DomainError("delta must lie in (0, 1/6]")
-    if c_test <= s_test:
-        raise DomainError("need c_test > s_test")
+    _lemma6_domain(c_test, s_test, s_calc, delta)
     return ((c_calc - s_calc - delta) * (c_test - s_test)
             / (1 + c_test - s_calc - s_test - delta))
 

@@ -165,7 +165,10 @@ def _protocol_setup(cfg: ExperimentConfig,
         raise ValueError("s_calc must lie in [0, 1]")
     c_calc = reference_run(cfg.graph, cfg.pattern).get(accept_output, 0.0)
     ct = c_test(params)
-    st = ct - option("s_test_gap", 0.1)
+    test_gap = option("s_test_gap", 0.1)
+    if test_gap <= 0:
+        raise ValueError("s_test_gap must be above 0")
+    st = ct - test_gap
     if st < 0:
         raise ValueError(f"s_test_gap must be at most c_test = {ct:.6g}")
     if "q" in opts:

@@ -10,37 +10,34 @@ state and measurements, and the closed-form bounds in :mod:`.bounds` cap
 that distance in terms of the observed test statistics.
 
 Register layout.  The shared state has m >= n qubits: vertex v's prover
-holds qubit v, and qubits n .. m-1 are private to the provers.  Vertex v
-gets an EPR pair (a1_v, a2_v) and its circuit acts on shared qubit v and
-a2_v.  The output, over m + 2n little-endian qubits, keeps each such pair
-adjacent:
+holds qubit v (s_v), and qubits n .. m-1 are private to the provers.
+Vertex v gets an EPR pair (a1_v, a2_v) and its circuit acts on s_v and
+a2_v.  The output, over m + 2n little-endian qubits, is graph-register
+major, from the top bit down:
 
-* bits ``0 .. m-n-1`` - the private shared qubits n .. m-1,
-* bits ``m-n .. m-1`` - the first ancillas a1_0 .. a1_{n-1},
-* bits ``m+2v, m+2v+1`` - shared qubit v and the second ancilla a2_v.
+* a2_{n-1} .. a2_0 - the graph register, so the amplitudes where a2 = a
+  are row a of ``grouped_matrix``, one contiguous slice;
+* the pairs (a1_{n-1}, s_{n-1}) .. (a1_0, s_0);
+* the private qubits n .. m-1.
 
-so every vertex kernel is one broadcast matmul on a (hi, 4, lo) view
-(``statevec.apply_unitary``).  After the circuits run, the second
-ancillas form the graph register and the junk state lives on every other
-bit.  ``grouped_matrix`` alone fixes the junk register's order: it views
-the output, without a copy, with axes a2_{n-1} .. a2_0 (the graph
-register), then s_{n-1} .. s_0 (shared qubits n-1 .. 0), then the low
-block of m bits (private qubits, then a1).  Every junk vector has shape
-(2,)*n + (2^m,) in that s, block order.
+Everything below the graph register is the junk register: a junk vector
+is flat, 2^(m+n) long, with s_v at bit m-n+2v and a1_v just above it.
 
-A report runs the circuit once.  The vertex circuits U_v are unitary and
-act on disjoint qubits, so a label's prover factors M'_v move through
-them by conjugation, Phi(M'_S|psi'>) = prod_{v in S} U_v M'_v U_v^dagger
-Phi(|psi'>).  A label on one vertex v (X, Z, R+-, most of a report) needs
-no output of its own: its distance follows from 4x4 blocks over the pair
-(s_v, a2_v), built from one pass of pair overlaps (``pair_overlaps``)
-over the identity-run output and the identity label's distance.  A label
-on two or more vertices costs |S| 4x4 kernels on the identity-run output
-instead of a second circuit run.  A direct distance (``residual_norm``)
-reads an output once, one graph-register value a at a time: the strided
-slice where a2 = a, less ideal[a] * junk, in a 2^(n+m) buffer, with one
-junk product per distinct ideal value.  ``equivalence_distance`` gives
-the formula and where memory peaks.
+The circuit's input sum_a |a>_{a1} |a>_{a2} |psi'> / 2^(n/2) is nonzero
+only where a2 = a1, and a2_v still equals a1_v until vertex v's circuit
+U_v runs.  So ``apply_phi`` never builds it: vertex v's stage needs only
+the 4x2 block of U_v for each value of a2_v (``_stage_blocks``), turns
+s_v into the pair (a1_v, s_v) and puts a2_v on top, which quadruples the
+vector.  The stages write 4/3 of the output's size in all.
+
+A report runs the circuit on |psi'> once.  A label on one vertex (X, Z,
+R+-, most of a report) needs no output of its own: its distance follows
+from 4x4 blocks over the pair (s_v, a2_v) and one gemm of pair overlaps
+(``pair_overlaps``) over the identity run.  A label on two or more
+vertices runs the stages again on M'_S|psi'>, its last stage one block
+of graph-register rows at a time.  A direct distance (``residual_norm``)
+reads each row once, less ideal[a] * junk.  ``equivalence_distance``
+gives the formula and where memory peaks.
 
 Dtype.  See ``statevec``: a report runs in the result type of its inputs.
 """
@@ -70,11 +67,6 @@ from .statevec import (
 
 JUNK_TOL = 1e-6
 BOUND_SLACK = 1e-9
-# graph-register slices per block of the pair-overlap gemm.  At n = 7 the
-# row buffer, Y and the gemm product then take 120 of x's 128 slices, so
-# they fit in one vector of x's size; blocks of 8 and 32 slices took
-# 2.5x and 1.2x as long
-PAIR_ROWS = 64
 
 _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
@@ -124,94 +116,112 @@ def vertex_unitaries(p: ProverSet) -> list[np.ndarray]:
                                p.observable(v, Z_LABEL).matrix) for v in range(p.n)]
 
 
-def apply_phi(p: ProverSet, unitaries: list[np.ndarray]) -> np.ndarray:
+def _stage_blocks(u: np.ndarray) -> np.ndarray:
+    """U_v's two 4x2 blocks B[c], c the output a2_v: B[c][2 b + s', s] =
+    U_v[2 c + s', 2 b + s], its input a2_v = b kept as a1_v."""
+    return u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(2, 4, 2)
+
+
+def _stages(psi: np.ndarray, blocks, n: int, buffers) -> np.ndarray:
+    """The circuits of vertices 0 .. len(blocks)-1 on shared amplitudes psi.
+
+    ``blocks`` are their ``_stage_blocks``.  psi / 2^(n/2) is reordered,
+    shared qubits on top; stage v then writes, for each output a2_v = c,
+    the half of its output that is blocks[v][c] times the (hi, 2, lo) view
+    of s_v.  The outputs alternate between the two ``buffers`` so that the
+    last lands in ``buffers[0]``, and it is returned.
+    """
+    width = psi.size >> n
+    amps = np.empty(psi.size, buffers[0].dtype)
+    amps.reshape(1 << n, width)[...] = psi.reshape(width, 1 << n).T
+    amps *= 2.0 ** (-n / 2)
+    for v, pair in enumerate(blocks):
+        out = buffers[(len(blocks) - 1 - v) % 2][:amps.size << 2]
+        for c, half in zip(pair, out.reshape(2, -1)):
+            apply_unitary(amps, c, 2 * v + width.bit_length() - 1,
+                          amps.size.bit_length() - 1, out=half)
+        amps = out
+    return amps
+
+
+def apply_phi(p: ProverSet, unitaries: list[np.ndarray],
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Attach EPR ancillas to the shared state and run every vertex circuit.
 
-    ``unitaries`` are p's ``vertex_unitaries``.  The pair-layout output
-    takes the result type of the shared state and every U_v.
+    ``unitaries`` are p's ``vertex_unitaries``.  The stages (``_stages``)
+    alternate between the output and ``scratch``, a vector of a quarter of
+    its size, made when missing.  The output takes the result type of the
+    shared state and every U_v.
     """
     _require_quantum(p)
     psi, m, n = p.shared_state.amplitudes, p.shared_state.n_qubits, p.n
     total = m + 2 * n
     if total > qubit_cap():
         raise QubitCapError(f"{total} qubits exceeds cap {qubit_cap()}")
-    amps = np.zeros(1 << total, dtype=np.result_type(psi, *unitaries))
-    # the shared index is private * 2^n + s, the block private + a1 * 2^(m-n)
-    width = 1 << (m - n)
-    psi = (psi * 2.0 ** (-n / 2)).reshape(width, 1 << n).T.reshape((2,) * n + (width,))
-    view = grouped_matrix(amps, n)
-    # |a>_{a1} |a>_{a2} |psi'>
-    for a, a2 in enumerate(np.ndindex(view.shape[:n])):
-        view[a2][..., a * width:(a + 1) * width] = psi
-    kernels = [(u, m + 2 * v) for v, u in enumerate(unitaries)]
-    # the input is free once the first kernel has read it
-    return apply_kernels(amps, kernels, (np.empty_like(amps), amps))
+    dtype = np.result_type(psi, *unitaries)
+    if scratch is None:
+        scratch = np.empty(1 << (total - 2), dtype)
+    x = np.empty(1 << total, dtype)
+    return _stages(psi, [_stage_blocks(u) for u in unitaries], n, (x, scratch))
+
+
+def _phi_rows(psi: np.ndarray, blocks, n: int, scratch):
+    """Phi(psi) in blocks of graph-register rows: yields (first row a, the
+    block's amplitudes).
+
+    Every stage but the last runs whole in the two ``scratch`` vectors (a
+    quarter and an eighth of the output's size, and at least one row),
+    and the last one block at a time into ``scratch[1]``, as many rows as
+    it holds, overwriting the block before.
+    """
+    amps = _stages(psi, blocks[:-1], n, scratch)
+    half = 1 << (n - 1)
+    per_row = amps.size >> (n - 1)  # last-stage input amplitudes per row
+    count = min(scratch[1].size // (2 * per_row), half)
+    for c, block in enumerate(blocks[-1]):
+        for h in range(0, half, count):
+            part = amps[h * per_row:(h + count) * per_row]
+            out = apply_unitary(part, block, per_row.bit_length() - 2,
+                                part.size.bit_length() - 1,
+                                out=scratch[1][:part.size << 1])
+            yield c * half + h, out
 
 
 def grouped_matrix(amps: np.ndarray, n: int) -> np.ndarray:
-    """Pair-layout amplitudes viewed (graph register) x (junk register).
-
-    The view, which copies nothing, has axes a2_{n-1} .. a2_0, then
-    s_{n-1} .. s_0 (shared qubits n-1 .. 0), then the low block of m bits
-    (the private qubits, then a1).
-    """
-    t = amps.reshape((2,) * (2 * n) + (amps.size >> (2 * n),))
-    return t.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,))
+    """Output amplitudes viewed (graph register) x (junk register): row a
+    is the contiguous slice where a2 = a.  The view copies nothing."""
+    return amps.reshape(1 << n, -1)
 
 
-def overlap(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
-    """sum_a ideal[a] * (the junk-register slice of ``amps`` where a2 = a),
-    one slice of the ``grouped_matrix`` view at a time."""
-    view = grouped_matrix(amps, n)
-    total = np.zeros(view.shape[n:], np.result_type(ideal, amps))
-    # C order over the a2 axes is a = 0, 1, 2, ...
-    for a2, c in zip(np.ndindex(view.shape[:n]), ideal):
-        total += c * view[a2]
-    return total
+def overlap(ideal: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_a ideal[a] * rows[a]: one gemv over graph-register rows (a
+    ``grouped_matrix`` or a block of ``_phi_rows``), a junk vector."""
+    return ideal @ rows.reshape(ideal.size, -1)
 
 
-def pair_overlaps(ideal: np.ndarray, amps: np.ndarray, n: int,
-                  work: np.ndarray | None = None) -> np.ndarray:
+def pair_overlaps(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
     """Y[v, alpha, beta] = sum over a with a_v = beta of ideal[a with bit v
-    set to alpha] * (the junk-register slice of ``amps`` where a2 = a).
+    set to alpha] * (row a of the ``grouped_matrix`` view of ``amps``).
 
-    Shape (n, 2, 2) + the junk shape; Y[v, 0, 0] + Y[v, 1, 1] is
-    ``overlap``.  One pass: PAIR_ROWS slices of the ``grouped_matrix`` view
-    at a time are copied into a row buffer, and one gemm with their columns
-    of the (4n, 2^n) weight matrix adds them to every Y.  The row buffer,
-    Y and the gemm product are carved from ``work``, a flat vector of the
-    result dtype, and Y is a view of it; when ``work`` is missing or too
-    short (below n = 7 when it has the size of ``amps``), one is made.
+    Shape (n, 2, 2, junk size); Y[v, 0, 0] + Y[v, 1, 1] is ``overlap``.
+    One gemm of the (4n, 2^n) weight matrix with the rows.
     """
-    view = grouped_matrix(amps, n)
-    dtype = np.result_type(ideal, amps)
-    r = min(n, PAIR_ROWS.bit_length() - 1)
     a = np.arange(1 << n)
-    weights = np.zeros((n, 2, 2, 1 << n), dtype)
+    weights = np.zeros((n, 2, 2, 1 << n), ideal.dtype)
     for v in range(n):
         bit = (a >> v) & 1
         for alpha in (0, 1):
             weights[v, alpha, bit, a] = ideal[a ^ ((bit ^ alpha) << v)]
-    weights = weights.reshape(4 * n, 1 << n)
-    width = amps.size >> n
-    used = ((1 << r) + 8 * n) * width
-    if work is None or work.size < used:
-        work = np.empty(used, dtype)
-    rows, y, product = (b.reshape(-1, width) for b in
-                        np.split(work[:used], [width << r, (4 * n + (1 << r)) * width]))
-    y.fill(0)
-    # C order over the high a2 axes is the block index k: rows a = k 2^r ..
-    for k, high in enumerate(np.ndindex(view.shape[:n - r])):
-        block = view[high]
-        np.copyto(rows.reshape(block.shape), block)
-        y += np.matmul(weights[:, k << r:(k + 1) << r], rows, out=product)
-    return y.reshape((n, 2, 2) + view.shape[n:])
+    y = weights.reshape(4 * n, 1 << n) @ grouped_matrix(amps, n)
+    return y.reshape(n, 2, 2, -1)
 
 
-def _one_bit(t: np.ndarray, v: int, n: int) -> np.ndarray:
-    """``t``, with n leading bit axes (bit n-1 first), as a matrix whose
-    row is bit v and whose column is every other index."""
-    return np.moveaxis(t, n - 1 - v, 0).reshape(2, -1)
+def _one_bit(t: np.ndarray, lo: int) -> np.ndarray:
+    """``t`` as a matrix whose row is its leading indices and then the bit
+    at ``lo`` of its last axis, and whose column is every other index."""
+    half = t.shape[-1] >> 1
+    t = t.reshape(t.shape[:-1] + (-1, 2, lo))
+    return np.moveaxis(t, -2, t.ndim - 3).reshape(-1, half)
 
 
 def _pair_blocks(y: np.ndarray, g_amps: np.ndarray, junk: np.ndarray) -> tuple[list, list]:
@@ -220,13 +230,13 @@ def _pair_blocks(y: np.ndarray, g_amps: np.ndarray, junk: np.ndarray) -> tuple[l
     T = g (x) junk and the identity-run output x: TX = sum_r T_r x_r^dagger
     over every other index r.  ``y`` is x's ``pair_overlaps`` with the real
     g."""
-    n = junk.ndim - 1
-    g_bits = g_amps.reshape((2,) * n)
+    n = y.shape[0]
+    width = junk.size >> (2 * n)
     tt, td = [], []
     for v in range(n):
-        g_v, j = _one_bit(g_bits, v, n), _one_bit(junk, v, n)
+        g_v, j = _one_bit(g_amps, 1 << v), _one_bit(junk, width << (2 * v))
         # y_v rows (alpha, beta, tau): g's bit alpha, x's bit beta, s_v = tau
-        y_v = np.moveaxis(y[v], 2 + n - 1 - v, 2).reshape(8, -1)
+        y_v = _one_bit(y[v], width << (2 * v))
         tx = (j @ y_v.conj().T).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)
         tt.append(_kron(g_v @ g_v.T, j @ j.conj().T))
         td.append(tx - tt[-1])
@@ -257,57 +267,33 @@ def _pair_aligned(y: np.ndarray, singles, total: np.ndarray) -> None:
         k = np.einsum("pb,psaq->basq", ideal_m, w.reshape(2, 2, 2, 2)).reshape(4, 2, 2)
         kernels[v] = kernels.get(v, 0) + k
     for v, k in kernels.items():
-        axis = n - 1 - v
-        y_v = np.moveaxis(y[v], 2 + axis, 2)
-        part = np.tensordot(k, y_v.reshape(4, 2, -1), axes=([0, 2], [0, 1]))
-        total += np.moveaxis(part.reshape((2,) + y_v.shape[3:]), 0, axis)
+        lo = (total.size >> (2 * n)) << (2 * v)
+        part = np.tensordot(k, y[v].reshape(4, -1, 2, lo), axes=([0, 2], [0, 2]))
+        total.reshape(-1, 2, lo)[...] += part.transpose(1, 0, 2)
 
 
-def conjugated_kernels(unitaries: list[np.ndarray], factors: dict[int, np.ndarray],
-                       m: int) -> list:
-    """The 4x4 kernels W_v = U_v (I (x) M'_v) U_v^dagger of a label's factors.
-
-    ``unitaries`` are the provers' ``vertex_unitaries``, ``factors`` maps
-    vertex v -> M'_v on shared qubit v, and m is the shared state's qubit
-    count.  Each kernel comes with the low bit of the pair it acts on, m+2v
-    (shared qubit v; the second ancilla of vertex v sits just above it).
-    W_v takes the result type of U_v and M'_v.
-    """
-    return [(unitaries[v] @ _kron(_I2, f) @ unitaries[v].conj().T,
-             m + 2 * v)
-            for v, f in factors.items()]
+def conjugated_kernel(u: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """W_v = U_v (I (x) M'_v) U_v^dagger, the 4x4 of a one-vertex label's
+    factor M'_v on the pair (s_v, a2_v), U_v its vertex circuit; it takes
+    the result type of U_v and M'_v."""
+    return u @ _kron(_I2, factor) @ u.conj().T
 
 
-def apply_kernels(amps: np.ndarray, kernels, scratch) -> np.ndarray:
-    """Pair-layout amplitudes with each (4x4, low bit) kernel applied in turn.
-
-    The kernels alternate between the two ``scratch`` vectors, and the
-    result is one of them, or ``amps`` itself when there are no kernels.
-    """
-    total = amps.size.bit_length() - 1
-    for i, (w, bit) in enumerate(kernels):
-        amps = apply_unitary(amps, w, bit, total, out=scratch[i % 2])
-    return amps
-
-
-def residual_norm(amps: np.ndarray, ideal: np.ndarray, junk: np.ndarray) -> float:
-    """|| amps - ideal (x) junk || for pair-layout amplitudes ``amps``, one
-    graph-register value a at a time (see ``equivalence_distance``).
-
-    ``ideal`` is a vector on the graph register (bit v = a2_v), and ``junk``
-    a junk-register vector of shape (2,)*n + (2^m,) (see ``grouped_matrix``).
-    """
-    n = junk.ndim - 1
-    by_a2 = grouped_matrix(amps, n)
+def residual_norm(rows: np.ndarray, ideal: np.ndarray, junk: np.ndarray,
+                  overwrite: bool = False) -> float:
+    """|| rows - ideal (x) junk || for graph-register rows (row a of
+    ``grouped_matrix``, or a block of rows with its part of ``ideal``) and
+    a junk vector: each row less ideal[a] * junk, with one junk product per
+    distinct ideal value, in a one-row buffer or, with ``overwrite``, in
+    the row itself.  One ``vdot`` per row sums them: one over a block of
+    2^20 complex amplitudes drifted by 3e-14 relative."""
     values, which = np.unique(ideal, return_inverse=True)
-    products = values.reshape((-1,) + (1,) * (n + 1)) * junk
-    residual = np.empty(junk.shape, np.result_type(amps, products))
+    products = values[:, None] * junk
+    residual = None if overwrite else np.empty(junk.size, np.result_type(rows, products))
     total = 0.0
-    # C order over the a2 axes is a = 0, 1, 2, ...
-    for a2, k in zip(np.ndindex(by_a2.shape[:n]), which):
-        np.copyto(residual, by_a2[a2])
-        np.subtract(residual, products[k], out=residual)
-        total += np.vdot(residual, residual).real
+    for row, k in zip(rows.reshape(ideal.size, -1), which):
+        d = np.subtract(row, products[k], out=row if overwrite else residual)
+        total += np.vdot(d, d).real
     return math.sqrt(total)
 
 
@@ -317,8 +303,8 @@ def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
     junk = 2^{-n} sum_{s,t} (-1)^{t.s} (-1)^{(s.As)/2} Z'^t |psi'> |s>, where
     the inner sum collapses to a product of (I + (-1)^{s_v} Z'_v) factors.
     For exact Paulis on |G> this reduces to one EPR pair per vertex.  |s>
-    lives on a1, and the junk has shape (2,)*n + (2^m,) in
-    ``grouped_matrix``'s order.  It takes the result type of |psi'> and
+    lives on a1, and the junk is a flat junk-register vector (see the
+    module's register layout).  It takes the result type of |psi'> and
     every Z'_v.
     """
     _require_quantum(p)
@@ -327,8 +313,8 @@ def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
     n = p.n
     width = 1 << (m - n)
     zs = [p.observable(v, Z_LABEL).matrix for v in range(n)]
-    # rows: shared qubits n-1 .. 0; columns: private qubits + a1 * 2^(m-n)
-    junk = np.zeros((1 << n, 1 << m), dtype=np.result_type(psi, *zs))
+    # axes: a1 = s, shared qubits n-1 .. 0, private qubits
+    junk = np.zeros((1 << n, 1 << n, width), dtype=np.result_type(psi, *zs))
     for s in range(1 << n):
         s_bits = bits([(s >> v) & 1 for v in range(n)])
         block = psi
@@ -336,12 +322,14 @@ def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
             sign = -1.0 if s_bits[v] else 1.0
             block = apply_single(block, _I2 + sign * zs[v], v, m)
         phase = -1.0 if graph.induced_edge_count(s_bits) % 2 else 1.0
-        junk[:, s * width:(s + 1) * width] = phase * block.reshape(width, 1 << n).T
+        junk[s] = phase * block.reshape(width, 1 << n).T
     junk /= float(1 << n)
     nrm = np.linalg.norm(junk)
     if nrm < JUNK_TOL:
         raise JunkDegenerateError(f"constructed junk norm {nrm:.3e} is degenerate")
-    return (junk / nrm).reshape((2,) * n + (1 << m,))
+    # interleave to a1_{n-1}, s_{n-1}, .., a1_0, s_0, private
+    order = [a for v in range(n) for a in (v, n + v)] + [2 * n]
+    return (junk / nrm).reshape((2,) * (2 * n) + (width,)).transpose(order).reshape(-1)
 
 
 def measured_epsilon(p: ProverSet, params: TestParameters) -> float:
@@ -526,21 +514,17 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
                          labels) -> EquivalenceReport:
     """Distances || Phi(M'|psi'>) - |junk> M|G> || with one shared junk.
 
-    The swap circuit runs once, on |psi'> itself, and gives x = Phi(|psi'>).
-    A label's output then follows by conjugation: the vertex circuits U_v
-    act on disjoint qubits (shared qubit v and a2_v) and are unitary, so a
-    factor M'_v on shared qubit v commutes with every U_w, w != v, and
-
-        Phi(M'_S |psi'>) = prod_{v in S} W_v x,   W_v = U_v (I (x) M'_v) U_v^dagger.
-
-    The label's target is M_S T, T = g (x) junk, g = |G>.  How a distance
-    is taken depends on the size of the label's support S:
+    The swap circuit runs once on |psi'> itself, x = Phi(|psi'>).  The
+    label's target is M_S T, T = g (x) junk, g = |G>.  How a distance is
+    taken depends on the size of the label's support S:
 
     * none (the identity): || D ||, D = x - T, by ``residual_norm``;
     * one vertex v (X, Z, R+-, or an XZ label on one vertex): from 4x4
-      blocks over the pair index s_v + 2 a2_v, with no kernel and no pass
-      of its own.  With M_v = (ideal 2x2) (x) I and Delta = W_v - M_v,
-      W_v x - M_v T = W_v D + Delta T, so
+      blocks over the pair index s_v + 2 a2_v, with no pass of its own.
+      The vertex circuits U_v act on disjoint qubits (s_v and a2_v) and
+      are unitary, so Phi(M'_v |psi'>) = W_v x with W_v = U_v (I (x) M'_v)
+      U_v^dagger (``conjugated_kernel``).  With M_v = (ideal 2x2) (x) I
+      and Delta = W_v - M_v, W_v x - M_v T = W_v D + Delta T, so
 
           d^2 = ||D||^2 + tr(Delta TT Delta^dagger)
                 + 2 Re tr(W_v^dagger Delta TD),
@@ -552,47 +536,42 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
       W_v is unitary to the involution tolerance of the observables
       (``statevec.SingleQubitObservable``, 1e-10).  Every term is small for
       near-honest provers, so honest distances stay at rounding level;
-    * two or more vertices: the |S| adjacent-pair 4x4 kernels W_v applied
-      to x in two scratch vectors, then ``residual_norm`` of that output.
-      Such outputs are rebuilt whenever they are needed and never stored.
+    * two or more vertices: the circuit on M'_S |psi'> (``apply_single``
+      on the shared state), its last stage one block of graph-register
+      rows at a time (``_phi_rows``), each block's ``residual_norm`` taken
+      as it is made.  Such outputs are rebuilt whenever they are needed
+      and never stored.
 
     Junk candidates, in order: identity-extraction (the identity overlap
     sum_a g[a] x_a = Y_v^00 + Y_v^11, normalized); best-aligned (the
     normalized sum of every label output's ``overlap`` with its ideal
     vector, when that sum's norm is at least JUNK_TOL; a one-vertex
     label's term comes from Y, ``_pair_aligned``); constructed
-    (``constructed_junk``).  Each is a junk-register vector in
-    ``grouped_matrix``'s order.  One scorer gives a candidate's report
-    from its own pass of Y, which also yields the identity overlap; the
-    constructed junk's pass adds every label's overlap to the best-aligned
-    sum.  One rule picks the first candidate under which every label meets
-    its bound, else the smallest worst excess, the earlier on a tie.  It
-    reads them lazily: the fallbacks are scored only when
-    identity-extraction fails, the constructed junk first, so a degenerate
-    one raises JunkDegenerateError.  The identity and multi-vertex
-    distances are direct residual norms, which keep honest distances at
-    rounding level (the expanded inner-product form loses them to
-    cancellation near 1e-8).  Overlaps and residuals read an output through
-    the ``grouped_matrix`` view, one graph-register value a (the slice
-    where a2 = a) or PAIR_ROWS of them at a time, and never copy it whole.
+    (``constructed_junk``).  Each is a flat junk-register vector.  Y is
+    built once, and one scorer gives a candidate's report from it; the
+    constructed junk's pass adds every label's overlap to the
+    best-aligned sum.  One rule picks the first candidate under which
+    every label meets its bound, else the smallest worst excess, the
+    earlier on a tie.  It reads them lazily: the fallbacks are scored only
+    when identity-extraction fails, the constructed junk first, so a
+    degenerate one raises JunkDegenerateError.  The identity and
+    multi-vertex distances are direct residual norms, which keep honest
+    distances at rounding level (the expanded inner-product form loses
+    them to cancellation near 1e-8).
 
-    Memory.  Beside x, a report makes one vector of x's size, ``work``.  A
-    pass holds Y (4n junk-register vectors, 3.5 MiB at n = 7 in float64)
-    with its row buffer and gemm product there, and once Y is freed
-    ``work`` is the first of the multi-vertex labels' two scratch vectors;
-    the pass makes the second only then.  So Y is never live beside the
-    two scratch vectors, every pass builds its own Y again in ``work``, a
-    report with no multi-vertex label makes no second vector, and the
-    peak is x and the two scratch vectors.  Making no other vector of x's
-    size keeps the allocator from holding a freed block of another size
-    resident beside them.
+    Memory.  Beside x, a report holds Y (4n junk vectors: 3.5 MiB at
+    n = 7 in float64, 0.22 of x) and two stage buffers, ``scratch``, of a
+    quarter and an eighth of x's size: the identity run alternates between
+    x and the first, and a multi-vertex label's stages between the two,
+    the second also taking its last stage's row blocks and the
+    differences of every residual.  No report makes another vector of
+    x's size.
 
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
     prover factors): float64 when all are, complex128 otherwise.  The
-    identity run, the label kernels, Y, the scratch vectors, the extracted
-    and best-aligned junk and the residuals all take it.  |G> and the ideal
-    vectors M|G> are real.
+    circuit outputs, Y, the extracted and best-aligned junk and the
+    residuals all take it.  |G> and the ideal vectors M|G> are real.
     """
     _require_quantum(p)
     graph = params.graph
@@ -603,53 +582,61 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     dtype = np.result_type(p.shared_state.amplitudes, *unitaries,
                            *(f for _, factors, *_ in parsed for f in factors.values()))
     unitaries = [u.astype(dtype, copy=False) for u in unitaries]
-    amps0 = apply_phi(p, unitaries)
-    n, m = p.n, p.shared_state.n_qubits
-    entries = [(label_name(label), kind, conjugated_kernels(unitaries, factors, m),
-                ideals, ideal, bound)
-               for label, factors, ideals, ideal, kind, bound in parsed]
-    singles = [(v, kernels[0][0], ideal_m) for _, _, kernels, ideals, _, _ in entries
-               if len(kernels) == 1 for v, ideal_m in ideals.items()]
-    bare = sum(not kernels for _, _, kernels, *_ in entries)
-    # Y's vector, then the first scratch vector
-    work = np.empty_like(amps0)
+    psi, n, m = p.shared_state.amplitudes, p.n, p.shared_state.n_qubits
+    size = 1 << (m + 2 * n)
+    scratch = (np.empty(size >> 2, dtype), np.empty(size >> min(n, 3), dtype))
+    x = apply_phi(p, unitaries, scratch[0])
+    y = pair_overlaps(g_amps, x, n)
+    raw = y[0, 0, 0] + y[0, 1, 1]
+    raw_norm = float(np.linalg.norm(raw))
+    if raw_norm < JUNK_TOL:
+        raise JunkDegenerateError(
+            f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
+            "test conditions fail too badly for the distance bound to apply")
+    blocks = [_stage_blocks(u) for u in unitaries]
+    entries, singles = [], []
+    for label, factors, ideals, ideal, kind, bound in parsed:
+        single = state = None
+        if len(factors) == 1:
+            (v, f), = factors.items()
+            single = (v, conjugated_kernel(unitaries[v], f), ideals[v])
+            singles.append(single)
+        elif factors:
+            state = psi
+            for v, f in factors.items():
+                state = apply_single(state, f, v, m)
+        entries.append((label_name(label), kind, single, state, ideal, bound))
+    bare = sum(not factors for _, factors, *_ in parsed)
 
     def score(junk, source: str, aligned=None) -> EquivalenceReport:
-        """The report under ``junk``, identity-extraction's when None; every
-        label's overlap with its ideal vector is added to ``aligned`` if given."""
-        y = pair_overlaps(g_amps, amps0, n, work)
-        raw = y[0, 0, 0] + y[0, 1, 1]
-        raw_norm = float(np.linalg.norm(raw))
-        if raw_norm < JUNK_TOL:
-            raise JunkDegenerateError(
-                f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
-                "test conditions fail too badly for the distance bound to apply")
-        junk = raw / raw_norm if junk is None else junk
-        d0 = residual_norm(amps0, g_amps, junk)
+        """The report under ``junk``; every label's overlap with its ideal
+        vector is added to ``aligned`` if given."""
+        d0 = residual_norm(x, g_amps, junk)
         tt, td = _pair_blocks(y, g_amps, junk)
         if aligned is not None:
             _pair_aligned(y, singles, aligned)
             aligned += bare * raw  # the identity overlap, once per label with no factor
-        del y
-        scratch, reps = None, []
-        for name, kind, kernels, ideals, ideal, bound in entries:
-            if not kernels:
+        reps = []
+        for name, kind, single, state, ideal, bound in entries:
+            if single is not None:
+                v, w, ideal_m = single
+                dist = _pair_distance(d0, w, ideal_m, tt[v], td[v])
+            elif state is None:
                 dist = d0
-            elif len(kernels) == 1:
-                (v, ideal_m), = ideals.items()
-                dist = _pair_distance(d0, kernels[0][0], ideal_m, tt[v], td[v])
             else:
-                scratch = scratch or (work, np.empty_like(amps0))
-                amps = apply_kernels(amps0, kernels, scratch)
-                dist = residual_norm(amps, ideal, junk)
-                if aligned is not None:
-                    aligned += overlap(ideal, amps, n)
+                d2 = 0.0
+                for a, rows in _phi_rows(state, blocks, n, scratch):
+                    part = ideal[a:a + rows.size // junk.size]
+                    if aligned is not None:
+                        aligned += overlap(part, rows)
+                    d2 += residual_norm(rows, part, junk, overwrite=True) ** 2
+                dist = math.sqrt(d2)
             reps.append(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK))
         return EquivalenceReport(eps, raw_norm, source, tuple(reps))
 
     def candidates():
-        yield score(None, "identity-extraction")
-        aligned = np.zeros((2,) * n + (1 << m,), amps0.dtype)
+        yield score(raw / raw_norm, "identity-extraction")
+        aligned = np.zeros_like(raw)
         constructed = score(constructed_junk(p, graph), "constructed", aligned)
         aligned_norm = np.linalg.norm(aligned)
         if aligned_norm >= JUNK_TOL:

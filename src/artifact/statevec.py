@@ -6,8 +6,9 @@ the vector, never by building the full 2^n x 2^n matrix.  A single-qubit
 matrix is one broadcast matmul over the (hi, 2, lo) view of its qubit,
 with no copies, when both operands are float64 and the qubit is not 0;
 at qubit 0 and with a complex operand it is one gemm over the contiguous
-amplitude pairs, the form that keeps the same bits there.  A two-qubit
-matrix is one broadcast matmul over an adjacent pair.  ``measure`` and
+amplitude pairs, the form that keeps the same bits there.  A matrix on
+one qubit or an adjacent pair that changes the vector's size (the swap
+isometry's 4x2 stages) is one broadcast matmul too.  ``measure`` and
 ``project`` form and normalize the collapsed branch in place, in the
 single-qubit kernel's fresh output, and never write to their input.
 
@@ -221,20 +222,24 @@ def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndar
 
 def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,
                   out: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 matrix to the adjacent qubits ``qubit`` and ``qubit + 1``.
+    """Apply an (r, c) matrix to one qubit (c = 2) or to the adjacent pair
+    ``qubit``, ``qubit + 1`` (c = 4) of a length-2^n vector.
 
-    ``qubit`` is the low bit of u's index.  The pair is the middle axis of a
-    (hi, 4, lo) view, so the kernel is one broadcast matmul with no
-    transposes.  The result goes into ``out``, a vector other than ``amps``
-    that the caller reuses, so no call pays for faulting in a fresh 2^n
-    vector; ``out`` must hold the result type of u and amps.
+    ``qubit`` is the low bit of u's column index.  The c values are the
+    middle axis of a (hi, c, lo) view, so the kernel is one broadcast
+    matmul with no transposes, into the (hi, r, lo) view of ``out``: a
+    4x4 unitary keeps the vector's size, and a 4x2 block of one (a swap-
+    isometry stage, ``isometry.apply_phi``) doubles it.  ``out`` is a
+    vector other than ``amps`` that the caller reuses, so no call pays for
+    faulting in a fresh one; it must hold the result type of u and amps.
     """
-    if u.shape != (4, 4):
-        raise ValueError("two-qubit kernels are 4x4")
-    if not 0 <= qubit < n - 1:
-        raise IndexError(f"qubit pair ({qubit}, {qubit + 1}) out of range")
+    if u.ndim != 2 or u.shape[1] not in (2, 4):
+        raise ValueError("kernels act on one qubit or an adjacent pair")
+    k = u.shape[1] >> 1
+    if not 0 <= qubit <= n - k:
+        raise IndexError(f"qubits {qubit} .. {qubit + k - 1} out of range")
     lo = 1 << qubit
-    np.matmul(u, amps.reshape(-1, 4, lo), out=out.reshape(-1, 4, lo))
+    np.matmul(u, amps.reshape(-1, u.shape[1], lo), out=out.reshape(-1, u.shape[0], lo))
     return out
 
 

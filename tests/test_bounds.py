@@ -138,6 +138,9 @@ class TestDomains:
         lambda: hoeffding_n(0.2, 0.0),
         lambda: hoeffding_n(0.2, 1.0),
         lambda: thm1_n(3, 0.0),
+        # s_calc above 1 - delta puts the coin weight q above 1
+        lambda: lemma6_q(0.9, 0.8, 0.95, 0.1),
+        lambda: lemma6_gap(0.95, 1.0, 0.9, 0.8, 0.1),
     ])
     def test_out_of_domain_rejected(self, call):
         with pytest.raises(DomainError):

@@ -225,9 +225,17 @@ class TestBadInput:
         (["prove", "--option", "s_calc=1.5"], "s_calc must lie in [0, 1]"),
         (["prove", "--option", "s_test_gap=0.95"],
          "s_test_gap must be at most c_test = 0.912132"),
+        (["prove", "--option", "s_test_gap=0"], "s_test_gap must be above 0"),
+        (["prove", "--option", "s_test_gap=-0.1"], "s_test_gap must be above 0"),
+        # a chosen q = 0.1 / (1.1 - delta - s_calc) leaves [0, 1] above 1 - delta
+        (["prove", "--option", "s_calc=0.95"],
+         "s_calc must be at most 1 - delta = 0.9, got 0.95"),
+        (["prove", "--option", "s_calc=1"], "s_calc must be at most 1 - delta = 0.9, got 1"),
     ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
             "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip",
-            "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test"])
+            "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test",
+            "s-test-gap-zero", "s-test-gap-negative", "s-calc-above-one-less-delta",
+            "s-calc-one"])
     def test_error_line_names_the_fault(self, runner, args, message):
         # the check that owns the input speaks, not a later step that trips
         # over it (min() over no neighbors, the Hoeffding count's gap check)

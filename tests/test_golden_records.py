@@ -31,6 +31,13 @@ overlap began to come from the same gemm: the sums run in another order,
 so honest ``junk_norm`` moved by 3.3e-16, honest distances and
 ``worst_excess`` by at most 2.8e-16, perturbed ``junk_norm`` by 1.1e-16
 and perturbed distances by 4.9e-17; no bound and no other field moved.
+The two isometry digests were regenerated again when the circuit output
+moved to the graph-register-major layout (the swap circuit run as one
+sparse-input stage per vertex, Y from one gemm, multi-vertex labels from
+their own stages, row block by row block): the sums run in another
+order, so honest distances, ``worst_excess`` and ``max_worst_excess``
+moved by at most 9.9e-32, perturbed distances by 2.1e-17 and perturbed
+``junk_norm`` by 1.1e-16; no bound and no other field moved.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``

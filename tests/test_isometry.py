@@ -2,24 +2,24 @@
 
 import json
 import math
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from artifact import bounds
-from artifact.graphs import complete_graph, triangle_strip
+from artifact.graphs import Graph, TriangleCover, complete_graph, triangle_strip, triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact import isometry
 from artifact.isometry import (
     EquivalenceReport,
     JunkDegenerateError,
     anticommutator_norm,
-    apply_kernels,
     apply_phi,
-    conjugated_kernels,
+    conjugated_kernel,
     constructed_junk,
     controlled_unitary,
     equivalence_distance,
@@ -43,7 +43,9 @@ from artifact.provers import (
     perturbed_provers,
     xz_plane_provers,
 )
-from artifact.selftest import default_parameters
+from artifact.mbqc import MeasurementPattern, PatternStep, run_distribution
+from artifact import selftest
+from artifact.selftest import default_parameters, exact_pass_probability
 from artifact.statevec import SingleQubitObservable, StateVector
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,12 +111,17 @@ class TestCircuitPieces:
             amps = apply_phi(p, vertex_unitaries(p))
             assert np.abs(amps[pos] - grouped).max() < 1e-12
             # grouped is indexed j | a1 << m | a2 << (m+n), j the shared index;
-            # the view's axes are a2, then s = j's low n bits, then the block
-            # (j >> n) | a1 << (m-n)
-            a, s, block = np.indices((1 << n, 1 << n, 1 << m))
-            j = s | ((block & ((1 << (m - n)) - 1)) << n)
-            want = grouped[j | ((block >> (m - n)) << m) | (a << (m + n))]
-            got = grouped_matrix(amps, n).reshape(want.shape)
+            # the view's rows are a2 and its columns the junk register:
+            # s_v at bit m-n+2v, a1_v at bit m-n+2v+1, the private qubits below
+            a, col = np.indices((1 << n, 1 << (m + n)))
+            private = col & ((1 << (m - n)) - 1)
+            shared, a1 = private << n, np.zeros_like(col)
+            for v in range(n):
+                shared |= ((col >> (m - n + 2 * v)) & 1) << v
+                a1 |= ((col >> (m - n + 2 * v + 1)) & 1) << v
+            want = grouped[shared | (a1 << m) | (a << (m + n))]
+            got = grouped_matrix(amps, n)
+            assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -164,21 +171,22 @@ class TestGroupedView:
         amps = np.arange(1 << (m + 6), dtype=float)
         view = grouped_matrix(amps, 3)
         assert np.shares_memory(view, amps)
-        assert view.shape == (2,) * 6 + (1 << m,)
+        assert view.shape == (8, 1 << (m + 3))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 3), (7, 2)])
     def test_overlap_matches_the_dense_product(self, n, m, dtype):
-        # so do the pair overlaps, whose gemm takes 64 slices at a time
-        # (two blocks at n = 7)
+        # so do the pair overlaps, one gemm over every row
         rng = np.random.default_rng(83 + 8 * n + m)
         amps = TestResidualNorm._unit(1 << (m + 2 * n), dtype, rng)
         ideal = TestResidualNorm._unit(1 << n, float, rng)
-        mat = _grouped(amps, n, m)
+        # row a is the slice where the top n bits, the graph register, are a
+        a, col = np.indices((1 << n, 1 << (n + m)))
+        mat = amps[(a << (n + m)) | col]
         want = ideal @ mat
-        got = overlap(ideal, amps, n)
-        assert got.shape == (2,) * n + (1 << m,)
-        assert np.abs(got.reshape(-1) - want).max() <= 1e-15
+        got = overlap(ideal, amps)
+        assert got.shape == (1 << (m + n),)
+        assert np.abs(got - want).max() <= 1e-15
         pairs = pair_overlaps(ideal, amps, n)
         assert pairs.shape == (n, 2, 2) + got.shape
         a = np.arange(1 << n)
@@ -187,9 +195,9 @@ class TestGroupedView:
             for alpha in (0, 1):
                 for beta in (0, 1):
                     weights = np.where(bit == beta, ideal[a ^ ((bit ^ alpha) << v)], 0.0)
-                    pair = pairs[v, alpha, beta].reshape(-1)
+                    pair = pairs[v, alpha, beta]
                     assert np.abs(pair - weights @ mat).max() <= 1e-15
-            assert np.abs((pairs[v, 0, 0] + pairs[v, 1, 1]).reshape(-1) - want).max() <= 1e-15
+            assert np.abs(pairs[v, 0, 0] + pairs[v, 1, 1] - want).max() <= 1e-15
 
 
 class TestJunk:
@@ -198,19 +206,17 @@ class TestJunk:
         provers, _ = _honest(graph)
         n = graph.n
         junk = constructed_junk(provers, graph)
-        assert junk.shape == (2,) * n + (1 << n,)
+        assert junk.shape == (1 << (2 * n),)
         # shared qubit v and a1_v hold the same bit: s = block
-        expected = np.zeros(1 << (2 * n), dtype=complex)
-        for s in range(1 << n):
-            expected[(s << n) | s] = 2 ** (-n / 2)
-        assert np.allclose(junk.reshape(-1), expected, atol=1e-12)
+        expected = np.eye(1 << n) * 2 ** (-n / 2)
+        assert np.allclose(_canonical(junk, n, n), expected, atol=1e-12)
 
     def test_extracted_junk_matches_constructed_for_honest(self):
         graph = complete_graph(3)
         provers, _ = _honest(graph)
         amps = apply_phi(provers, vertex_unitaries(provers))
         g_amps = build_graph_state(graph).state.amplitudes
-        extracted = overlap(np.conj(g_amps), amps, graph.n)
+        extracted = overlap(np.conj(g_amps), amps)
         extracted = extracted / np.linalg.norm(extracted)
         built = constructed_junk(provers, graph)
         phase = np.vdot(built, extracted)
@@ -226,20 +232,41 @@ class TestJunk:
         assert math.isclose(np.linalg.norm(junk), 1.0, abs_tol=1e-12)
 
 
-def _pair_index(n, m, a, s, block):
-    """Output index of a2 = a, shared qubits 0..n-1 = s and the low m bits
-    = block (private qubits, then the first ancillas), bit by bit."""
-    idx = block
+def _junk_index(n, m, s, block):
+    """Junk-register index of shared qubits 0..n-1 = s and the low m bits =
+    block (private qubits, then the first ancillas), bit by bit: the
+    private qubits lowest, then s_v at bit m-n+2v and a1_v just above it."""
+    idx = block & ((1 << (m - n)) - 1)
     for v in range(n):
-        idx = idx | (((s >> v) & 1) << (m + 2 * v)) | (((a >> v) & 1) << (m + 2 * v + 1))
+        a1 = (block >> (m - n + v)) & 1
+        idx = idx | (((s >> v) & 1) << (m - n + 2 * v)) | (a1 << (m - n + 2 * v + 1))
     return idx
 
 
+def _pair_index(n, m, a, s, block):
+    """Output index of a2 = a above the junk register's ``_junk_index``."""
+    return (a << (m + n)) | _junk_index(n, m, s, block)
+
+
 def _grouped(amps, n, m):
-    """Pair-layout amplitudes as a matrix with rows a2 = a and columns
+    """Output amplitudes as a matrix with rows a2 = a and columns
     s * 2^m + block, gathered by ``_pair_index``."""
     a, col = np.indices((1 << n, 1 << (n + m)))
     return amps[_pair_index(n, m, a, col >> m, col & ((1 << m) - 1))]
+
+
+def _canonical(junk, n, m):
+    """A junk-register vector as a matrix with rows s and columns block."""
+    s, block = np.indices((1 << n, 1 << m))
+    return junk[_junk_index(n, m, s, block)]
+
+
+def _junk_vector(matrix, n, m):
+    """The junk-register vector whose ``_canonical`` matrix is ``matrix``."""
+    s, block = np.indices((1 << n, 1 << m))
+    vec = np.empty(matrix.size, matrix.dtype)
+    vec[_junk_index(n, m, s, block)] = matrix
+    return vec
 
 
 class TestResidualNorm:
@@ -274,7 +301,7 @@ class TestResidualNorm:
     def test_matches_the_dense_norm(self, n, m, dtype):
         rng = np.random.default_rng(71 + 8 * n + m)
         ideal, junk, target = self._case(n, m, dtype, rng)
-        shaped = junk.reshape((2,) * n + (1 << m,))
+        shaped = _junk_vector(junk, n, m)
         for amps in (self._unit(target.size, dtype, rng),
                      target + 0.01 * self._unit(target.size, dtype, rng)):
             amps = amps / np.linalg.norm(amps)
@@ -285,7 +312,7 @@ class TestResidualNorm:
     @pytest.mark.parametrize("n,m", [(3, 3), (3, 5)])
     def test_an_exact_product_has_zero_distance(self, n, m, dtype):
         ideal, junk, target = self._case(n, m, dtype, np.random.default_rng(73))
-        got = residual_norm(target, ideal, junk.reshape((2,) * n + (1 << m,)))
+        got = residual_norm(target, ideal, _junk_vector(junk, n, m))
         assert got <= 1e-15
 
     def test_a_rotation_label_ideal(self):
@@ -300,7 +327,7 @@ class TestResidualNorm:
         target = self._target(n, m, ideal, junk)
         amps = target + 0.05 * self._unit(target.size, complex, rng)
         amps /= np.linalg.norm(amps)
-        got = residual_norm(amps, ideal, junk.reshape((2,) * n + (1 << m,)))
+        got = residual_norm(amps, ideal, _junk_vector(junk, n, m))
         assert abs(got - np.linalg.norm(amps - target)) <= 1e-15
 
 
@@ -504,7 +531,7 @@ def _private_qubit_provers(graph, rng):
 
 def _phi_by_index_arithmetic(p):
     """The swap circuit's output indexed shared | a1 << m | a2 << (m+n),
-    and the documented pair-layout position of each index."""
+    and the documented output position of each index."""
     n, m = p.n, p.shared_state.n_qubits
     total = m + 2 * n
     vec = np.zeros(1 << total, dtype=complex)
@@ -522,14 +549,14 @@ def _phi_by_index_arithmetic(p):
             for row in range(4):
                 out[base | ((row & 1) << lo) | ((row >> 1) << hi)] += u[row, col] * amp
         vec = out
-    # private qubits lowest, then the first ancillas, then (shared v, a2_v) pairs
+    # private qubits lowest, then (shared v, a1_v) pairs, then a2 on top
     pos = np.zeros(1 << total, dtype=np.int64)
     for idx in range(1 << total):
         bit = lambda b: (idx >> b) & 1
         k = sum(bit(n + q) << q for q in range(m - n))
-        k |= sum(bit(m + v) << (m - n + v) for v in range(n))
-        k |= sum((bit(v) << (m + 2 * v)) | (bit(m + n + v) << (m + 2 * v + 1))
+        k |= sum((bit(v) << (m - n + 2 * v)) | (bit(m + v) << (m - n + 2 * v + 1))
                  for v in range(n))
+        k |= sum(bit(m + n + v) << (m + n + v) for v in range(n))
         pos[idx] = k
     return vec, pos
 
@@ -577,15 +604,27 @@ class TestConjugation:
     @pytest.mark.parametrize("kind", ["perturbed", "xz", "private"])
     @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4)])
     def test_label_matrices_match_a_circuit_run_per_label(self, graph, kind):
+        # a one-vertex label's conjugated kernel on the identity run, and a
+        # label on other supports through its own stages, row block by row
+        # block, against one circuit run per label
         p, params = _provers(kind, graph, np.random.default_rng(41))
-        amps0 = apply_phi(p, vertex_unitaries(p))
+        n, m = graph.n, p.shared_state.n_qubits
+        unitaries = vertex_unitaries(p)
+        amps0 = apply_phi(p, unitaries)
+        blocks = [isometry._stage_blocks(u) for u in unitaries]
         g_amps = build_graph_state(graph).state.amplitudes
-        for label in _labels(graph.n):
+        for label in _labels(n):
             _, factors, _, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
-            kernels = conjugated_kernels(vertex_unitaries(p), factors,
-                                         p.shared_state.n_qubits)
-            got = apply_kernels(amps0, kernels,
-                                (np.empty_like(amps0), np.empty_like(amps0)))
+            if len(factors) == 1:
+                (v, f), = factors.items()
+                got = _apply_pair(amps0, conjugated_kernel(unitaries[v], f), v, n, m)
+            else:
+                state = oracles.full_operator(m, factors) @ p.shared_state.amplitudes
+                scratch = (np.empty(amps0.size >> 2, amps0.dtype),
+                           np.empty(amps0.size >> 3, amps0.dtype))
+                state = state if np.iscomplexobj(amps0) else state.real
+                rows = isometry._phi_rows(state, blocks, n, scratch)
+                got = np.concatenate([block.copy() for _, block in rows])
             direct = _direct_output(p, label)
             assert np.abs(got - direct).max() < 1e-12, label
             assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12
@@ -610,12 +649,12 @@ class TestConjugation:
     COUNTED = ("apply_unitary", "residual_norm", "pair_overlaps", "overlap")
 
     @pytest.mark.parametrize("kind,extra,calls", [
-        ("perturbed", [], (4, 3, 3, 0)),
-        ("private", [], (4, 3, 3, 0)),
-        ("complex", [], (4, 3, 3, 0)),
-        ("perturbed", MULTI, (22, 9, 3, 2)),
-        ("private", MULTI, (22, 9, 3, 2)),
-        ("complex", MULTI, (22, 9, 3, 2)),
+        ("perturbed", [], (8, 3, 1, 0)),
+        ("private", [], (8, 3, 1, 0)),
+        ("complex", [], (8, 3, 1, 0)),
+        ("perturbed", MULTI, (92, 51, 1, 16)),
+        ("private", MULTI, (92, 51, 1, 16)),
+        ("complex", MULTI, (92, 51, 1, 16)),
     ], ids=["perturbed", "private", "complex", "perturbed-multi-vertex",
             "private-multi-vertex", "complex-multi-vertex"])
     def test_one_vertex_labels_run_no_kernel_under_any_junk(self, kind, extra, calls,
@@ -640,33 +679,44 @@ class TestConjugation:
         monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
         report = equivalence_distance(p, params, labels + extra)
         assert not report.all_satisfied
-        # the circuit's 4 kernels; in each of the 3 passes, one pass of pair
-        # overlaps, the identity's residual and, per multi-vertex label, its
-        # kernels (4 + 2) and a residual; the constructed junk's pass adds
-        # their 2 overlaps to the best-aligned sum
+        # the circuit's 4 stages of 2 kernels and one pass of pair overlaps;
+        # in each of the 3 passes, the identity's residual and, per
+        # multi-vertex label (two), its first 3 stages (6 kernels) and 8
+        # blocks of 2 rows, each one kernel and one residual; the
+        # constructed junk's pass adds the 16 blocks' overlaps to the
+        # best-aligned sum
         assert tuple(counts[name] for name in self.COUNTED) == calls
 
-    def test_pair_overlaps_are_freed_before_the_scratch_vectors(self, monkeypatch):
-        graph = triangle_strip(4)
+    def test_a_report_peaks_below_x_y_and_half_of_x(self, monkeypatch):
+        # beside the identity run x and the pair overlaps Y, a report makes
+        # only its two stage buffers (3/8 of x) and junk-sized vectors,
+        # under zero bounds (three passes) with multi-vertex labels
+        graph = triangle_strip(7)
+        n = graph.n
         p, params = _provers("perturbed", graph, np.random.default_rng(43))
-        pairs, live = [], []
-        real_pairs, real_kernels = isometry.pair_overlaps, isometry.apply_kernels
-
-        def pair_overlaps(*args):
-            y = real_pairs(*args)
-            pairs.append(weakref.ref(y))
-            return y
-
-        def apply_kernels(*args):
-            live.extend(ref() is not None for ref in pairs)
-            return real_kernels(*args)
-
-        monkeypatch.setattr(isometry, "pair_overlaps", pair_overlaps)
-        monkeypatch.setattr(isometry, "apply_kernels", apply_kernels)
         monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
         monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
-        equivalence_distance(p, params, _labels(graph.n))
-        assert len(pairs) == 3 and live and not any(live)
+        equivalence_distance(p, params, _labels(n))  # fills the memo caches
+        tracemalloc.start()
+        try:
+            report = equivalence_distance(p, params, _labels(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.junk_source != "identity-extraction"
+        x = 8 << (3 * n)
+        y = 4 * n * (8 << (2 * n))
+        assert peak < x + y + x // 2
+
+
+def _apply_pair(amps, w, v, n, m):
+    """A 4x4 on vertex v's pair index s_v + 2 a2_v of an output, with s_v at
+    bit m-n+2v and a2_v at bit m+n+v, by axis arithmetic."""
+    total = m + 2 * n
+    axes = (total - 1 - (m + n + v), total - 1 - (m - n + 2 * v))
+    t = np.moveaxis(amps.reshape((2,) * total), axes, (0, 1))
+    out = np.tensordot(w.reshape(2, 2, 2, 2), t, axes=([2, 3], [0, 1]))
+    return np.moveaxis(out, (0, 1), axes).reshape(-1)
 
 
 def _direct_distances(p, params, labels, junks):
@@ -688,7 +738,8 @@ def _standard_junks(p, graph):
         aligned = sum(np.conj(i) @ m for i, m in zip(ideals, mats))
         return {"identity-extraction": raw / np.linalg.norm(raw),
                 "best-aligned": aligned / np.linalg.norm(aligned),
-                "constructed": constructed_junk(p, graph).reshape(-1)}
+                "constructed": _canonical(constructed_junk(p, graph), graph.n,
+                                          p.shared_state.n_qubits).reshape(-1)}
     return junks
 
 
@@ -759,8 +810,11 @@ class TestForcedFallback:
         own = _direct_distances(p, params, labels, _standard_junks(p, graph))
         assert any(d > b + 1e-6 for d, b in zip(own["identity-extraction"],
                                                 own["best-aligned"]))
-        monkeypatch.setattr(isometry, "constructed_junk",
-                            lambda *a: aligned.reshape((2,) * graph.n + (-1,)))
+        # constructed_junk is float64 for real provers; so is its stand-in
+        assert not aligned.imag.any()
+        stand_in = _junk_vector(aligned.real.reshape(1 << graph.n, -1), graph.n,
+                                p.shared_state.n_qubits)
+        monkeypatch.setattr(isometry, "constructed_junk", lambda *a: stand_in)
         _bound_labels(monkeypatch, dict(zip(map(label_name, labels), own["best-aligned"])))
         report = equivalence_distance(p, params, labels)
         assert report.junk_source == "best-aligned"
@@ -801,9 +855,10 @@ class TestForcedFallback:
             tight = direct["constructed"][0]
             for earlier in self.ORDER[:2]:
                 assert direct[earlier][0] > tight + 1e-6
+            stand_in = _junk_vector(fit.reshape(1 << graph.n, -1), graph.n,
+                                    p.shared_state.n_qubits)
             with monkeypatch.context() as mp:
-                mp.setattr(isometry, "constructed_junk",
-                           lambda *a: fit.reshape((2,) * graph.n + (-1,)))
+                mp.setattr(isometry, "constructed_junk", lambda *a: stand_in)
                 _bound_labels(mp, {"X(1)": tight, "R+(2)": 10.0})
                 report = equivalence_distance(p, params, labels)
             assert report.junk_source == "constructed", kind
@@ -878,6 +933,83 @@ class TestDtype:
         monkeypatch.setattr(isometry, "apply_unitary", unitary)
         equivalence_distance(p, params, ["I", ("X", 2)])
         assert set(seen) == {np.dtype(np.complex128)}
+
+
+class TestRelabeling:
+    """Renaming the vertices renames everything a run reads (graph, cover,
+    angles, partner choice, shared state, labels, pattern) and changes no
+    number: the exact pass probability, epsilon, every isometry distance
+    and the pattern law stay equal.  The output layout orders its registers
+    by vertex, so a slip in its index arithmetic shows up here."""
+
+    GRAPHS = {"strip5": triangle_strip(5), "lattice2x3": triangular_lattice(2, 3)}
+
+    @staticmethod
+    def _case(graph, rng):
+        """xz provers on a noisy |G>, the default parameters at random
+        angles, every one-vertex label and three random XZ labels, and a
+        three-step adaptive pattern."""
+        n = graph.n
+        params = default_parameters(graph, theta=rng.uniform(0.2, 1.3, size=n).tolist())
+        vec = build_graph_state(graph).state.amplitudes + 0.1 * rng.normal(size=1 << n)
+        angles = [{"X": rng.normal(0, 0.1), "Z": math.pi / 2 + rng.normal(0, 0.1),
+                   "R+": params.theta[v] + rng.normal(0, 0.1),
+                   "R-": -params.theta[v] + rng.normal(0, 0.1)} for v in range(n)]
+        labels = [(h, v) for v in range(n) for h in ("X", "Z", "R+", "R-")]
+        labels += [("XZ", *(tuple(int(b) for b in row) for row in rng.integers(0, 2, (2, n))))
+                   for _ in range(3)]
+        pattern = MeasurementPattern(
+            (PatternStep(0, 0.3), PatternStep(2, 0.7, x_deps=(0,)),
+             PatternStep(1, 0.5, x_deps=(2,), z_deps=(0,))), output_bits=(0, 1))
+        return params, vec / np.linalg.norm(vec), angles, labels, pattern
+
+    @staticmethod
+    def _relabel(pi, graph, params, vec, angles, labels, pattern):
+        """Every input with vertex v renamed pi[v]."""
+        n = graph.n
+        new = Graph.from_edges(n, [(pi[u], pi[v]) for u, v in graph.edges])
+        inverse = np.argsort(pi)
+
+        def moved(seq):
+            return tuple(seq[inverse[w]] for w in range(n))
+
+        cover = TriangleCover(tuple(np.array(moved(tau), dtype=tau.dtype)
+                                    for tau in params.cover.triangles))
+        new_params = selftest.TestParameters(new, cover, moved(params.theta),
+                                    moved([pi[u] for u in params.u_choice]))
+        # qubit v of the state becomes qubit pi[v]: axis n-1-v moves to n-1-pi[v]
+        tensor = vec.reshape((2,) * n)
+        new_vec = np.moveaxis(tensor, [n - 1 - v for v in range(n)],
+                              [n - 1 - pi[v] for v in range(n)]).reshape(-1)
+        new_labels = [("XZ", moved(l[1]), moved(l[2])) if l[0] == "XZ" else (l[0], pi[l[1]])
+                      for l in labels]
+        new_pattern = MeasurementPattern(
+            tuple(PatternStep(pi[s.vertex], s.theta, tuple(pi[d] for d in s.x_deps),
+                              tuple(pi[d] for d in s.z_deps)) for s in pattern.steps),
+            tuple(pi[b] for b in pattern.output_bits))
+        return new_params, new_vec, list(moved(angles)), new_labels, new_pattern
+
+    @staticmethod
+    def _numbers(params, vec, angles, labels, pattern):
+        p = xz_plane_provers(StateVector(params.graph.n, vec), angles)
+        report = equivalence_distance(p, params, labels)
+        return (exact_pass_probability(p, params), report.epsilon,
+                [r.distance for r in report.labels], run_distribution(p, pattern)[1])
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_renaming_the_vertices_changes_no_number(self, name, data):
+        graph = self.GRAPHS[name]
+        pi = data.draw(st.permutations(range(graph.n)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        case = self._case(graph, np.random.default_rng(seed))
+        want = self._numbers(*case)
+        got = self._numbers(*self._relabel(pi, graph, *case))
+        assert abs(got[0] - want[0]) <= 1e-13
+        assert abs(got[1] - want[1]) <= 1e-13
+        assert np.abs(np.subtract(got[2], want[2])).max() <= 1e-13
+        assert abs(got[3] - want[3]) <= 1e-13
 
 
 GOLDEN = Path(__file__).with_name("isometry_golden.json")
