@@ -23,16 +23,6 @@ class UncoverableVertexError(ValueError):
         super().__init__(f"vertex {vertex} lies in no triangle")
 
 
-def bits(seq) -> np.ndarray:
-    """Coerce an iterable of 0/1 (or a '0101' string) to a bit vector."""
-    if isinstance(seq, str):
-        seq = [int(c) for c in seq]
-    arr = np.asarray(seq, dtype=np.uint8)
-    if arr.ndim != 1 or not np.all(arr <= 1):
-        raise ValueError("bit vectors are 1-D with entries in {0,1}")
-    return arr
-
-
 def unit(n: int, v: int) -> np.ndarray:
     """The indicator string 1_v."""
     out = np.zeros(n, dtype=np.uint8)
@@ -49,6 +39,16 @@ def as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_list(value, what: str, length: int | None = None) -> list:
+    """``value`` if it is a JSON list (of ``length`` items when given);
+    anything else raises ValueError naming ``what``, where unpacking or
+    iterating it would raise Python's own message."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{what} must be a list{size}, got {value!r}")
+    return value
 
 
 def as_real(value, what: str) -> float:
@@ -174,7 +174,8 @@ class Graph:
     def from_json(cls, obj: dict) -> "Graph":
         return cls.from_edges(as_int(obj["n"], "the graph size"),
                               [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))
-                               for u, v in obj["edges"]])
+                               for u, v in (as_list(e, "an edge", 2)
+                                            for e in as_list(obj["edges"], "edges"))])
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,10 @@ from 4x4 blocks over the pair (s_v, a2_v) and one gemm of pair overlaps
 (``pair_overlaps``) over the identity run.  A label on two or more
 vertices runs the stages again on M'_S|psi'>, its last stage one block
 of graph-register rows at a time.  A direct distance (``residual_norm``)
-reads each row once, less ideal[a] * junk.  ``equivalence_distance``
-gives the formula and where memory peaks.
+reads each row once, less ideal[a] * junk.  A report scores at most two
+junk candidates, identity-extraction and, only if a label fails its
+bound, the constructed junk (``_stages`` with one 4x2 block per vertex).
+``equivalence_distance`` gives the formula and where memory peaks.
 
 Dtype.  See ``statevec``: a report runs in the result type of its inputs.
 """
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .graphs import Graph, as_int, bits
+from .graphs import Graph, as_int
 from .graphstate import build_graph_state
 from .provers import ProverSet, R_MINUS, R_PLUS, X_LABEL, Z_LABEL, query_expectation
 from .selftest import RTHETA_X, RTHETA_Z, TRIANGLE, VERTEX, TestParameters
@@ -123,21 +125,23 @@ def _stage_blocks(u: np.ndarray) -> np.ndarray:
 
 
 def _stages(psi: np.ndarray, blocks, n: int, buffers) -> np.ndarray:
-    """The circuits of vertices 0 .. len(blocks)-1 on shared amplitudes psi.
+    """Stages of vertices 0 .. len(blocks)-1 on shared amplitudes psi.
 
-    ``blocks`` are their ``_stage_blocks``.  psi / 2^(n/2) is reordered,
-    shared qubits on top; stage v then writes, for each output a2_v = c,
-    the half of its output that is blocks[v][c] times the (hi, 2, lo) view
-    of s_v.  The outputs alternate between the two ``buffers`` so that the
-    last lands in ``buffers[0]``, and it is returned.
+    ``blocks[v]`` stacks 4x2 blocks from s_v to the pair (a1_v, s_v): the
+    circuit's ``_stage_blocks``, or the constructed junk's single one.
+    psi / 2^(n/2) is reordered, shared qubits on top; stage v then writes,
+    for each block c, the part of its output that is blocks[v][c] times
+    the (hi, 2, lo) view of s_v, c on top.  The outputs alternate between
+    the two ``buffers`` so that the last lands in ``buffers[0]``, and it
+    is returned.
     """
     width = psi.size >> n
     amps = np.empty(psi.size, buffers[0].dtype)
     amps.reshape(1 << n, width)[...] = psi.reshape(width, 1 << n).T
     amps *= 2.0 ** (-n / 2)
     for v, pair in enumerate(blocks):
-        out = buffers[(len(blocks) - 1 - v) % 2][:amps.size << 2]
-        for c, half in zip(pair, out.reshape(2, -1)):
+        out = buffers[(len(blocks) - 1 - v) % 2][:amps.size * 2 * len(pair)]
+        for c, half in zip(pair, out.reshape(len(pair), -1)):
             apply_unitary(amps, c, 2 * v + width.bit_length() - 1,
                           amps.size.bit_length() - 1, out=half)
         amps = out
@@ -193,18 +197,13 @@ def grouped_matrix(amps: np.ndarray, n: int) -> np.ndarray:
     return amps.reshape(1 << n, -1)
 
 
-def overlap(ideal: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_a ideal[a] * rows[a]: one gemv over graph-register rows (a
-    ``grouped_matrix`` or a block of ``_phi_rows``), a junk vector."""
-    return ideal @ rows.reshape(ideal.size, -1)
-
-
 def pair_overlaps(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
     """Y[v, alpha, beta] = sum over a with a_v = beta of ideal[a with bit v
     set to alpha] * (row a of the ``grouped_matrix`` view of ``amps``).
 
-    Shape (n, 2, 2, junk size); Y[v, 0, 0] + Y[v, 1, 1] is ``overlap``.
-    One gemm of the (4n, 2^n) weight matrix with the rows.
+    Shape (n, 2, 2, junk size); Y[v, 0, 0] + Y[v, 1, 1] is the overlap
+    sum_a ideal[a] * (row a).  One gemm of the (4n, 2^n) weight matrix
+    with the rows.
     """
     a = np.arange(1 << n)
     weights = np.zeros((n, 2, 2, 1 << n), ideal.dtype)
@@ -254,24 +253,6 @@ def _pair_distance(d0: float, w: np.ndarray, ideal_m: np.ndarray,
     return math.sqrt(max(d2, 0.0))
 
 
-def _pair_aligned(y: np.ndarray, singles, total: np.ndarray) -> None:
-    """Add to ``total`` ``overlap(M_v g, W_v x)`` for each one-vertex label
-    (v, W_v, M_v) of ``singles``, from x's ``pair_overlaps`` ``y`` with g.
-
-    With K[beta, alpha] = sum_alpha' M_v[alpha', beta] W_v[(alpha', .),
-    (alpha, .)], a 2x2 on s_v, the sum is sum_{beta, alpha} K Y_v^{beta alpha}.
-    """
-    n = y.shape[0]
-    kernels = {}
-    for v, w, ideal_m in singles:
-        k = np.einsum("pb,psaq->basq", ideal_m, w.reshape(2, 2, 2, 2)).reshape(4, 2, 2)
-        kernels[v] = kernels.get(v, 0) + k
-    for v, k in kernels.items():
-        lo = (total.size >> (2 * n)) << (2 * v)
-        part = np.tensordot(k, y[v].reshape(4, -1, 2, lo), axes=([0, 2], [0, 2]))
-        total.reshape(-1, 2, lo)[...] += part.transpose(1, 0, 2)
-
-
 def conjugated_kernel(u: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """W_v = U_v (I (x) M'_v) U_v^dagger, the 4x4 of a one-vertex label's
     factor M'_v on the pair (s_v, a2_v), U_v its vertex circuit; it takes
@@ -297,39 +278,27 @@ def residual_norm(rows: np.ndarray, ideal: np.ndarray, junk: np.ndarray,
     return math.sqrt(total)
 
 
-def constructed_junk(p: ProverSet, graph: Graph) -> np.ndarray:
+def constructed_junk(p: ProverSet, graph: Graph, dtype) -> np.ndarray:
     """The factorization's closed-form junk state on the junk register.
 
     junk = 2^{-n} sum_{s,t} (-1)^{t.s} (-1)^{(s.As)/2} Z'^t |psi'> |s>, where
     the inner sum collapses to a product of (I + (-1)^{s_v} Z'_v) factors.
     For exact Paulis on |G> this reduces to one EPR pair per vertex.  |s>
-    lives on a1, and the junk is a flat junk-register vector (see the
-    module's register layout).  It takes the result type of |psi'> and
-    every Z'_v.
+    lives on a1: ``_stages`` with the 4x2 block (I + Z'_v ; I - Z'_v) /
+    sqrt(2) at vertex v, times the sign (-1)^{(s.As)/2} of |G> at s.  The
+    junk is a flat junk-register vector in ``dtype``, of norm 1 to the
+    involution tolerance of the Z'_v: (I +- Z'_v) / 2 are complementary
+    projectors.
     """
     _require_quantum(p)
-    psi = p.shared_state.amplitudes
-    m = p.shared_state.n_qubits
-    n = p.n
-    width = 1 << (m - n)
+    psi, n = p.shared_state.amplitudes, p.n
     zs = [p.observable(v, Z_LABEL).matrix for v in range(n)]
-    # axes: a1 = s, shared qubits n-1 .. 0, private qubits
-    junk = np.zeros((1 << n, 1 << n, width), dtype=np.result_type(psi, *zs))
-    for s in range(1 << n):
-        s_bits = bits([(s >> v) & 1 for v in range(n)])
-        block = psi
-        for v in range(n):
-            sign = -1.0 if s_bits[v] else 1.0
-            block = apply_single(block, _I2 + sign * zs[v], v, m)
-        phase = -1.0 if graph.induced_edge_count(s_bits) % 2 else 1.0
-        junk[s] = phase * block.reshape(width, 1 << n).T
-    junk /= float(1 << n)
-    nrm = np.linalg.norm(junk)
-    if nrm < JUNK_TOL:
-        raise JunkDegenerateError(f"constructed junk norm {nrm:.3e} is degenerate")
-    # interleave to a1_{n-1}, s_{n-1}, .., a1_0, s_0, private
-    order = [a for v in range(n) for a in (v, n + v)] + [2 * n]
-    return (junk / nrm).reshape((2,) * (2 * n) + (width,)).transpose(order).reshape(-1)
+    blocks = [(np.vstack([_I2 + z, _I2 - z]) / math.sqrt(2)).astype(dtype)[None] for z in zs]
+    junk = _stages(psi, blocks, n, (np.empty(psi.size << n, dtype),
+                                    np.empty(psi.size << (n - 1), dtype)))
+    sign = np.sign(build_graph_state(graph).state.amplitudes)
+    junk.reshape([2, 2] * n + [-1])[...] *= sign.reshape([2, 1] * n + [1])
+    return junk
 
 
 def measured_epsilon(p: ProverSet, params: TestParameters) -> float:
@@ -542,22 +511,17 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
       as it is made.  Such outputs are rebuilt whenever they are needed
       and never stored.
 
-    Junk candidates, in order: identity-extraction (the identity overlap
-    sum_a g[a] x_a = Y_v^00 + Y_v^11, normalized); best-aligned (the
-    normalized sum of every label output's ``overlap`` with its ideal
-    vector, when that sum's norm is at least JUNK_TOL; a one-vertex
-    label's term comes from Y, ``_pair_aligned``); constructed
-    (``constructed_junk``).  Each is a flat junk-register vector.  Y is
-    built once, and one scorer gives a candidate's report from it; the
-    constructed junk's pass adds every label's overlap to the
-    best-aligned sum.  One rule picks the first candidate under which
-    every label meets its bound, else the smallest worst excess, the
-    earlier on a tie.  It reads them lazily: the fallbacks are scored only
-    when identity-extraction fails, the constructed junk first, so a
-    degenerate one raises JunkDegenerateError.  The identity and
-    multi-vertex distances are direct residual norms, which keep honest
-    distances at rounding level (the expanded inner-product form loses
-    them to cancellation near 1e-8).
+    Two junk candidates: identity-extraction (the identity overlap
+    sum_a g[a] x_a = Y_v^00 + Y_v^11, normalized) and the constructed
+    junk of Theorem 2's proof (``constructed_junk``), each a flat
+    junk-register vector.  Y is built once, and one scorer gives a
+    candidate's report from it, so a report makes at most two passes.
+    Identity-extraction is returned when every label meets its bound;
+    otherwise the constructed junk is scored, and the candidate with the
+    smaller worst excess is returned, identity-extraction on a tie.  The
+    identity and multi-vertex distances are direct residual norms, which
+    keep honest distances at rounding level (the expanded inner-product
+    form loses them to cancellation near 1e-8).
 
     Memory.  Beside x, a report holds Y (4n junk vectors: 3.5 MiB at
     n = 7 in float64, 0.22 of x) and two stage buffers, ``scratch``, of a
@@ -570,8 +534,8 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
     prover factors): float64 when all are, complex128 otherwise.  The
-    circuit outputs, Y, the extracted and best-aligned junk and the
-    residuals all take it.  |G> and the ideal vectors M|G> are real.
+    circuit outputs, Y, both junk candidates and the residuals all take
+    it.  |G> and the ideal vectors M|G> are real.
     """
     _require_quantum(p)
     graph = params.graph
@@ -594,28 +558,22 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
             f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
             "test conditions fail too badly for the distance bound to apply")
     blocks = [_stage_blocks(u) for u in unitaries]
-    entries, singles = [], []
+    entries = []
     for label, factors, ideals, ideal, kind, bound in parsed:
         single = state = None
         if len(factors) == 1:
             (v, f), = factors.items()
             single = (v, conjugated_kernel(unitaries[v], f), ideals[v])
-            singles.append(single)
         elif factors:
             state = psi
             for v, f in factors.items():
                 state = apply_single(state, f, v, m)
         entries.append((label_name(label), kind, single, state, ideal, bound))
-    bare = sum(not factors for _, factors, *_ in parsed)
 
-    def score(junk, source: str, aligned=None) -> EquivalenceReport:
-        """The report under ``junk``; every label's overlap with its ideal
-        vector is added to ``aligned`` if given."""
+    def score(junk, source: str) -> EquivalenceReport:
+        """The report under ``junk``."""
         d0 = residual_norm(x, g_amps, junk)
         tt, td = _pair_blocks(y, g_amps, junk)
-        if aligned is not None:
-            _pair_aligned(y, singles, aligned)
-            aligned += bare * raw  # the identity overlap, once per label with no factor
         reps = []
         for name, kind, single, state, ideal, bound in entries:
             if single is not None:
@@ -627,25 +585,13 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
                 d2 = 0.0
                 for a, rows in _phi_rows(state, blocks, n, scratch):
                     part = ideal[a:a + rows.size // junk.size]
-                    if aligned is not None:
-                        aligned += overlap(part, rows)
                     d2 += residual_norm(rows, part, junk, overwrite=True) ** 2
                 dist = math.sqrt(d2)
             reps.append(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK))
         return EquivalenceReport(eps, raw_norm, source, tuple(reps))
 
-    def candidates():
-        yield score(raw / raw_norm, "identity-extraction")
-        aligned = np.zeros_like(raw)
-        constructed = score(constructed_junk(p, graph), "constructed", aligned)
-        aligned_norm = np.linalg.norm(aligned)
-        if aligned_norm >= JUNK_TOL:
-            yield score(aligned / aligned_norm, "best-aligned")
-        yield constructed
-
-    scored = []
-    for report in candidates():
-        if report.all_satisfied:
-            return report
-        scored.append(report)
-    return min(scored, key=lambda r: r.worst_excess)
+    extracted = score(raw / raw_norm, "identity-extraction")
+    if extracted.all_satisfied:
+        return extracted
+    constructed = score(constructed_junk(p, graph, dtype), "constructed")
+    return min((extracted, constructed), key=lambda r: r.worst_excess)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, as_int, as_real
+from .graphs import Graph, as_int, as_list, as_real
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 
 
@@ -92,13 +92,16 @@ class MeasurementPattern:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MeasurementPattern":
+        def ints(value, what: str, each: str) -> tuple[int, ...]:
+            return tuple(as_int(x, each) for x in as_list(value, what))
+
         steps = tuple(
             PatternStep(as_int(s["v"], "a step vertex"), as_real(s["theta"], "a step angle"),
-                        tuple(as_int(d, "a dependency") for d in s.get("x_deps", ())),
-                        tuple(as_int(d, "a dependency") for d in s.get("z_deps", ())))
-            for s in obj["steps"]
+                        ints(s.get("x_deps", []), "x_deps", "a dependency"),
+                        ints(s.get("z_deps", []), "z_deps", "a dependency"))
+            for s in as_list(obj["steps"], "steps")
         )
-        return cls(steps, tuple(as_int(v, "an output bit") for v in obj["output_bits"]))
+        return cls(steps, ints(obj["output_bits"], "output_bits", "an output bit"))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,31 @@ def rotation_xz(theta):
 
 
 # ---------------------------------------------------------------------------
+# swap-isometry constructed junk, one term per first-ancilla string
+# ---------------------------------------------------------------------------
+
+def constructed_junk(psi, zs, edges):
+    """The junk of Theorem 2's proof by its 2^n-term sum: the term a1 = s
+    is (-1)^{|E(s)|} prod_v (I + (-1)^{s_v} Z'_v) |psi'> / 2^n.
+
+    ``psi`` is over m little-endian qubits, the shared qubits 0..n-1 first;
+    ``zs`` are the n matrices Z'_v.  Junk-register index: the m - n private
+    qubits lowest, then shared qubit v at bit m-n+2v and a1_v just above it.
+    """
+    n, m = len(zs), psi.size.bit_length() - 1
+    junk = np.zeros(1 << (m + n), dtype=complex)
+    for s in range(1 << n):
+        op = full_operator(m, {v: I2 + (-1) ** ((s >> v) & 1) * zs[v] for v in range(n)})
+        term = (-1) ** induced_edges_of_int(s, edges) * (op @ psi) / 2 ** n
+        for j, amp in enumerate(term):
+            idx = j >> n
+            for v in range(n):
+                idx |= (((j >> v) & 1) | (((s >> v) & 1) << 1)) << (m - n + 2 * v)
+            junk[idx] = amp
+    return junk
+
+
+# ---------------------------------------------------------------------------
 # MBQC branch-enumeration oracle (independent of the package executor)
 # ---------------------------------------------------------------------------
 

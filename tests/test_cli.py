@@ -231,11 +231,26 @@ class TestBadInput:
         (["prove", "--option", "s_calc=0.95"],
          "s_calc must be at most 1 - delta = 0.9, got 0.95"),
         (["prove", "--option", "s_calc=1"], "s_calc must be at most 1 - delta = 0.9, got 1"),
+        # malformed JSON lists, named before they are unpacked or iterated
+        (["selftest", "--trials", "1", "--graph",
+          json.dumps({"n": 3, "edges": [[0, 1, 2], [0, 2], [1, 2]]})],
+         "an edge must be a list of 2, got [0, 1, 2]"),
+        (["selftest", "--trials", "1", "--graph", json.dumps({"n": 3, "edges": {"0": 1}})],
+         "edges must be a list, got {'0': 1}"),
+        (["mbqc", "--trials", "1", "--pattern",
+          json.dumps({"steps": [{"v": 0, "theta": 0.5, "x_deps": 5}], "output_bits": [0]})],
+         "x_deps must be a list, got 5"),
+        (["mbqc", "--trials", "1", "--pattern",
+          json.dumps({"steps": {"v": 0, "theta": 0.5}, "output_bits": [0]})],
+         "steps must be a list, got {'v': 0, 'theta': 0.5}"),
+        (["mbqc", "--trials", "1", "--pattern", json.dumps({"steps": [], "output_bits": 5})],
+         "output_bits must be a list, got 5"),
     ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
             "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip",
             "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test",
             "s-test-gap-zero", "s-test-gap-negative", "s-calc-above-one-less-delta",
-            "s-calc-one"])
+            "s-calc-one", "edge-not-a-pair", "edges-not-a-list", "x-deps-not-a-list",
+            "steps-not-a-list", "output-bits-not-a-list"])
     def test_error_line_names_the_fault(self, runner, args, message):
         # the check that owns the input speaks, not a later step that trips
         # over it (min() over no neighbors, the Hoeffding count's gap check)

@@ -19,8 +19,8 @@ residual element is the same subtract of the same product, but the sum of
 squares runs in another order, so distances moved by at most 2e-31
 (honest) and 7e-18 (perturbed); the rows also gained ``tightest_label``.
 The two isometry digests were regenerated once more when the identity
-overlap and the best-aligned sum began to add one graph-register slice
-at a time (``isometry.overlap``) instead of a matrix-vector product over
+overlap and a since-removed third junk candidate's sum began to add one
+graph-register slice at a time instead of a matrix-vector product over
 a reordered copy: the sum runs in another order, so honest ``junk_norm``
 moved by 3.3e-16, honest distances by at most 2.2e-16 and perturbed
 distances by 7e-18; no bound and no other field moved.  The two isometry

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from artifact.graphs import (Graph, TriangleCover, UncoverableVertexError,
-                             bits, complete_graph, dot, local_complement,
+                             complete_graph, dot, local_complement,
                              support, triangle_cover,
                              triangle_strip, triangles_containing,
                              triangular_lattice, unit, xor)
@@ -70,23 +70,16 @@ class TestGraphContainer:
 
 
 class TestBitHelpers:
-    def test_bits_accepts_strings_and_rejects_non_bits(self):
-        assert list(bits("0101")) == [0, 1, 0, 1]
-        assert list(bits([1, 0, 1])) == [1, 0, 1]
-        with pytest.raises(ValueError):
-            bits([2, 0, 1])
-        with pytest.raises(ValueError):
-            bits([[0, 1], [1, 0]])
-
     def test_unit_vector(self):
         assert list(unit(4, 2)) == [0, 0, 1, 0]
 
     def test_dot_is_integer_valued(self):
-        assert dot(bits([1, 1, 0]), bits([1, 0, 1])) == 1
-        assert dot(bits([1, 1]), bits([1, 1])) == 2
+        assert dot(np.array([1, 1, 0], np.uint8), np.array([1, 0, 1], np.uint8)) == 1
+        assert dot(np.ones(2, np.uint8), np.ones(2, np.uint8)) == 2
 
     def test_xor(self):
-        assert list(xor(bits([1, 1, 0]), bits([0, 1, 1]))) == [1, 0, 1]
+        s, t = np.array([1, 1, 0], np.uint8), np.array([0, 1, 1], np.uint8)
+        assert list(xor(s, t)) == [1, 0, 1]
 
 
 class TestFamilies:

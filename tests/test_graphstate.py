@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from artifact.graphs import Graph, bits, complete_graph, triangle_strip, triangular_lattice, xor
+from artifact.graphs import Graph, complete_graph, triangle_strip, triangular_lattice, xor
 from artifact.graphstate import (NotATriangleError, build_graph_state, stabilizer,
                                  stabilizer_expectations, triangle_operator)
 from artifact.pauli import stabilizer_product
@@ -77,7 +77,7 @@ class TestStabilizers:
         g = triangle_strip(4)
         state = build_graph_state(g).state
         for t_idx in range(2 ** g.n):
-            t = bits([(t_idx >> v) & 1 for v in range(g.n)])
+            t = np.array([(t_idx >> v) & 1 for v in range(g.n)], np.uint8)
             obs = stabilizer_product(g, t).observable()
             assert expectation(state, obs) == pytest.approx(1.0, abs=1e-10)
 
@@ -90,7 +90,7 @@ class TestTriangleOperators:
     def test_triangle_expectation_is_minus_one(self):
         g = complete_graph(3)
         state = build_graph_state(g).state
-        tau = bits([1, 1, 1])
+        tau = np.array([1, 1, 1], np.uint8)
         assert expectation(state, triangle_operator(g, tau)) == pytest.approx(
             -1.0, abs=1e-12)
 
@@ -113,7 +113,7 @@ class TestTriangleOperators:
     def test_rejects_wrong_weight(self):
         g = complete_graph(3)
         with pytest.raises((NotATriangleError, ValueError)):
-            triangle_operator(g, bits([1, 1, 0]))
+            triangle_operator(g, np.array([1, 1, 0], np.uint8))
 
 
 class TestAdjacencySumIdentities:
@@ -147,8 +147,8 @@ class TestAdjacencySumIdentities:
     def test_general_identity_exhaustive_k3(self):
         g = complete_graph(3)
         for xi, yi in itertools.product(range(8), repeat=2):
-            x = bits([(xi >> v) & 1 for v in range(3)])
-            y = bits([(yi >> v) & 1 for v in range(3)])
+            x = np.array([(xi >> v) & 1 for v in range(3)], np.uint8)
+            y = np.array([(yi >> v) & 1 for v in range(3)], np.uint8)
             assert self._lhs_general(g, x, y) == g.induced_edge_count(x) % 2
 
     def test_short_form_holds_for_single_vertex_y(self):
@@ -166,8 +166,8 @@ class TestAdjacencySumIdentities:
     def test_short_form_fails_for_heavy_y(self):
         # counterexample: K3 with x = 000, y = 111 gives parity 1, not 0
         g = complete_graph(3)
-        x = bits([0, 0, 0])
-        y = bits([1, 1, 1])
+        x = np.array([0, 0, 0], np.uint8)
+        y = np.array([1, 1, 1], np.uint8)
         s = xor(x, y)
         short = (g.induced_edge_count(s) + int(s @ (g.adjacency @ y))) % 2
         assert short == 1 != g.induced_edge_count(x) % 2

@@ -26,7 +26,6 @@ from artifact.isometry import (
     grouped_matrix,
     label_name,
     measured_epsilon,
-    overlap,
     pair_overlaps,
     parse_label,
     _label_entry,
@@ -163,8 +162,8 @@ class TestApplyPhi:
 
 
 class TestGroupedView:
-    """``grouped_matrix`` reads the output in place, and ``overlap``
-    matches the dense product with the matrix built by index arithmetic."""
+    """``grouped_matrix`` reads the output in place, and the pair overlaps
+    match the dense product with the matrix built by index arithmetic."""
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_grouped_matrix_shares_memory_with_the_output(self, m):
@@ -176,7 +175,8 @@ class TestGroupedView:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 3), (7, 2)])
     def test_overlap_matches_the_dense_product(self, n, m, dtype):
-        # so do the pair overlaps, one gemm over every row
+        # the pair overlaps, one gemm over every row, and their sum over
+        # the diagonal, the overlap with the ideal vector
         rng = np.random.default_rng(83 + 8 * n + m)
         amps = TestResidualNorm._unit(1 << (m + 2 * n), dtype, rng)
         ideal = TestResidualNorm._unit(1 << n, float, rng)
@@ -184,11 +184,8 @@ class TestGroupedView:
         a, col = np.indices((1 << n, 1 << (n + m)))
         mat = amps[(a << (n + m)) | col]
         want = ideal @ mat
-        got = overlap(ideal, amps)
-        assert got.shape == (1 << (m + n),)
-        assert np.abs(got - want).max() <= 1e-15
         pairs = pair_overlaps(ideal, amps, n)
-        assert pairs.shape == (n, 2, 2) + got.shape
+        assert pairs.shape == (n, 2, 2, 1 << (m + n))
         a = np.arange(1 << n)
         for v in range(n):
             bit = (a >> v) & 1
@@ -205,7 +202,7 @@ class TestJunk:
     def test_honest_constructed_junk_is_epr_pairs(self, graph):
         provers, _ = _honest(graph)
         n = graph.n
-        junk = constructed_junk(provers, graph)
+        junk = constructed_junk(provers, graph, np.float64)
         assert junk.shape == (1 << (2 * n),)
         # shared qubit v and a1_v hold the same bit: s = block
         expected = np.eye(1 << n) * 2 ** (-n / 2)
@@ -216,9 +213,9 @@ class TestJunk:
         provers, _ = _honest(graph)
         amps = apply_phi(provers, vertex_unitaries(provers))
         g_amps = build_graph_state(graph).state.amplitudes
-        extracted = overlap(np.conj(g_amps), amps)
+        extracted = np.conj(g_amps) @ grouped_matrix(amps, graph.n)
         extracted = extracted / np.linalg.norm(extracted)
-        built = constructed_junk(provers, graph)
+        built = constructed_junk(provers, graph, np.float64)
         phase = np.vdot(built, extracted)
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.linalg.norm(extracted - phase * built) < 1e-12
@@ -228,7 +225,24 @@ class TestJunk:
         provers, _ = _honest(graph)
         rng = np.random.default_rng(17)
         perturbed = perturbed_provers(provers, 0.08, rng)
-        junk = constructed_junk(perturbed, graph)
+        junk = constructed_junk(perturbed, graph, np.float64)
+        assert math.isclose(np.linalg.norm(junk), 1.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["honest", "perturbed", "xz", "private", "complex"])
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangle_strip(4),
+                                       triangular_lattice(2, 3)],
+                             ids=["k3", "strip4", "lattice2x3"])
+    def test_constructed_junk_matches_the_term_by_term_sum(self, graph, kind):
+        # the stage-built junk against the 2^n-term sum of its definition,
+        # in the dtype it is asked for, and of norm 1 for every kind
+        p, _ = _provers(kind, graph, np.random.default_rng(67))
+        psi = p.shared_state.amplitudes
+        zs = [p.observable(v, "Z").matrix for v in range(graph.n)]
+        dtype = np.result_type(psi, *zs)
+        junk = constructed_junk(p, graph, dtype)
+        assert junk.dtype == dtype
+        want = oracles.constructed_junk(psi, zs, graph.edges)
+        assert np.abs(junk - want).max() <= 1e-15
         assert math.isclose(np.linalg.norm(junk), 1.0, abs_tol=1e-12)
 
 
@@ -646,15 +660,15 @@ class TestConjugation:
 
     # the identity, a label on all four vertices and one on two
     MULTI = ["I", ("XZ", (1, 0, 1, 0), (0, 1, 0, 1)), ("XZ", (1, 1, 0, 0), (0, 0, 0, 0))]
-    COUNTED = ("apply_unitary", "residual_norm", "pair_overlaps", "overlap")
+    COUNTED = ("apply_unitary", "residual_norm", "pair_overlaps")
 
     @pytest.mark.parametrize("kind,extra,calls", [
-        ("perturbed", [], (8, 3, 1, 0)),
-        ("private", [], (8, 3, 1, 0)),
-        ("complex", [], (8, 3, 1, 0)),
-        ("perturbed", MULTI, (92, 51, 1, 16)),
-        ("private", MULTI, (92, 51, 1, 16)),
-        ("complex", MULTI, (92, 51, 1, 16)),
+        ("perturbed", [], (12, 2, 1)),
+        ("private", [], (12, 2, 1)),
+        ("complex", [], (12, 2, 1)),
+        ("perturbed", MULTI, (68, 34, 1)),
+        ("private", MULTI, (68, 34, 1)),
+        ("complex", MULTI, (68, 34, 1)),
     ], ids=["perturbed", "private", "complex", "perturbed-multi-vertex",
             "private-multi-vertex", "complex-multi-vertex"])
     def test_one_vertex_labels_run_no_kernel_under_any_junk(self, kind, extra, calls,
@@ -674,28 +688,30 @@ class TestConjugation:
 
         for name in self.COUNTED:
             monkeypatch.setattr(isometry, name, counted(name, getattr(isometry, name)))
-        # zero bounds fail every junk, so all three candidates are scored
+        # zero bounds fail every junk, so both candidates are scored
         monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
         monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
         report = equivalence_distance(p, params, labels + extra)
         assert not report.all_satisfied
         # the circuit's 4 stages of 2 kernels and one pass of pair overlaps;
-        # in each of the 3 passes, the identity's residual and, per
-        # multi-vertex label (two), its first 3 stages (6 kernels) and 8
-        # blocks of 2 rows, each one kernel and one residual; the
-        # constructed junk's pass adds the 16 blocks' overlaps to the
-        # best-aligned sum
+        # the constructed junk's 4 stages of one kernel; in each of the 2
+        # passes, the identity's residual and, per multi-vertex label (two),
+        # its first 3 stages (6 kernels) and 8 blocks of 2 rows, each one
+        # kernel and one residual
         assert tuple(counts[name] for name in self.COUNTED) == calls
 
     def test_a_report_peaks_below_x_y_and_half_of_x(self, monkeypatch):
         # beside the identity run x and the pair overlaps Y, a report makes
         # only its two stage buffers (3/8 of x) and junk-sized vectors,
-        # under zero bounds (three passes) with multi-vertex labels
+        # under zero bounds (both passes) with multi-vertex labels
         graph = triangle_strip(7)
         n = graph.n
         p, params = _provers("perturbed", graph, np.random.default_rng(43))
-        monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
-        monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
+        _bound_labels(monkeypatch, dict.fromkeys(map(label_name, _labels(n)), 0.0))
+        built = []
+        real_junk = isometry.constructed_junk
+        monkeypatch.setattr(isometry, "constructed_junk",
+                            lambda *a: built.append(1) or real_junk(*a))
         equivalence_distance(p, params, _labels(n))  # fills the memo caches
         tracemalloc.start()
         try:
@@ -703,7 +719,7 @@ class TestConjugation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.junk_source != "identity-extraction"
+        assert not report.all_satisfied and len(built) == 2
         x = 8 << (3 * n)
         y = 4 * n * (8 << (2 * n))
         assert peak < x + y + x // 2
@@ -730,15 +746,16 @@ def _direct_distances(p, params, labels, junks):
 
 
 def _standard_junks(p, graph):
-    """The three junk candidates of a report, built from direct matrices."""
+    """The two junk candidates of a report, built from a direct matrix and
+    the term-by-term constructed junk."""
     g_amps = build_graph_state(graph).state.amplitudes
     raw = np.conj(g_amps) @ _direct_matrix(p, parse_label("I"))
+    zs = [p.observable(v, "Z").matrix for v in range(graph.n)]
+    built = oracles.constructed_junk(p.shared_state.amplitudes, zs, graph.edges)
 
     def junks(mats, ideals):
-        aligned = sum(np.conj(i) @ m for i, m in zip(ideals, mats))
         return {"identity-extraction": raw / np.linalg.norm(raw),
-                "best-aligned": aligned / np.linalg.norm(aligned),
-                "constructed": _canonical(constructed_junk(p, graph), graph.n,
+                "constructed": _canonical(built, graph.n,
                                           p.shared_state.n_qubits).reshape(-1)}
     return junks
 
@@ -759,7 +776,7 @@ class TestForcedFallback:
     matrices are rebuilt for the fallback junks; every returned distance is
     checked against one circuit run per label."""
 
-    ORDER = ["identity-extraction", "best-aligned", "constructed"]
+    ORDER = ["identity-extraction", "constructed"]
     # float64 (perturbed, xz) and complex128 (private, complex) reports
     KINDS = ("perturbed", "xz", "private", "complex")
 
@@ -782,62 +799,32 @@ class TestForcedFallback:
         got = [r.distance for r in report.labels]
         assert np.allclose(got, direct[want], rtol=0, atol=1e-12)
 
-    def test_best_aligned_wins_at_its_own_distances(self, monkeypatch):
-        graph = triangle_strip(4)
-        for kind in self.KINDS:
-            p, params = _provers(kind, graph, np.random.default_rng(47))
-            labels = _labels(graph.n)
-            direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
-            own = direct["best-aligned"]
-            assert any(d > b + 1e-6 for d, b in zip(direct["identity-extraction"], own))
-            with monkeypatch.context() as mp:
-                _bound_labels(mp, dict(zip(map(label_name, labels), own)))
-                report = equivalence_distance(p, params, labels)
-            assert report.junk_source == "best-aligned", kind
-            assert report.all_satisfied
-            got = [r.distance for r in report.labels]
-            assert np.allclose(got, own, rtol=0, atol=1e-12), kind
-
-    def test_best_aligned_comes_before_constructed(self, monkeypatch):
-        # best-aligned's own junk stands in for the constructed one, so both
-        # fallbacks meet bounds that identity-extraction fails
-        graph = triangle_strip(4)
-        p, params = _provers("perturbed", graph, np.random.default_rng(47))
-        labels = _labels(graph.n)
-        mats = [_direct_matrix(p, l) for l in labels]
-        ideals = [_ideal_vector(graph, params, l) for l in labels]
-        aligned = _standard_junks(p, graph)(mats, ideals)["best-aligned"]
-        own = _direct_distances(p, params, labels, _standard_junks(p, graph))
-        assert any(d > b + 1e-6 for d, b in zip(own["identity-extraction"],
-                                                own["best-aligned"]))
-        # constructed_junk is float64 for real provers; so is its stand-in
-        assert not aligned.imag.any()
-        stand_in = _junk_vector(aligned.real.reshape(1 << graph.n, -1), graph.n,
-                                p.shared_state.n_qubits)
-        monkeypatch.setattr(isometry, "constructed_junk", lambda *a: stand_in)
-        _bound_labels(monkeypatch, dict(zip(map(label_name, labels), own["best-aligned"])))
-        report = equivalence_distance(p, params, labels)
-        assert report.junk_source == "best-aligned"
-        assert report.all_satisfied
-
     def test_a_tie_goes_to_the_earlier_candidate(self, monkeypatch):
-        # with the identity its only label, the best-aligned junk is the
-        # identity overlap itself, so under a zero bound the two tie bit for
-        # bit; the constructed junk does worse
+        # the constructed junk stands in as a copy of the extracted one, so
+        # under zero bounds the two reports tie bit for bit
         graph = triangle_strip(4)
         p, params = _provers("perturbed", graph, np.random.default_rng(43))
-        labels = [parse_label("I")]
-        direct = _direct_distances(p, params, labels, _standard_junks(p, graph))
-        assert direct["constructed"][0] > direct["identity-extraction"][0] + 1e-6
+        seen = []
+        real_norm = isometry.residual_norm
+
+        def norm(rows, ideal, junk, overwrite=False):
+            seen.append(junk)
+            return real_norm(rows, ideal, junk, overwrite)
+
+        monkeypatch.setattr(isometry, "residual_norm", norm)
+        monkeypatch.setattr(isometry, "constructed_junk", lambda *a: seen[0].copy())
         monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
-        report = equivalence_distance(p, params, labels)
+        monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
+        report = equivalence_distance(p, params, _labels(graph.n))
+        assert len(seen) > 1 and seen[-1] is not seen[0]
+        assert np.array_equal(seen[-1], seen[0])
         assert report.junk_source == "identity-extraction"
         assert not report.all_satisfied
 
     def test_constructed_junk_wins_when_only_it_fits(self, monkeypatch):
-        # the factorization's junk never beats the other two on perturbed
-        # provers, so stand in the junk that is optimal for the first label
-        # alone and bound only that label tightly
+        # the factorization's junk never beats identity-extraction on
+        # perturbed provers, so stand in the junk that is optimal for the
+        # first label alone and bound only that label tightly
         graph = triangle_strip(4)
         for kind in self.KINDS:
             p, params = _provers(kind, graph, np.random.default_rng(47))
@@ -853,8 +840,7 @@ class TestForcedFallback:
                 p, params, labels,
                 lambda mats, ideals: {**standard(mats, ideals), "constructed": fit})
             tight = direct["constructed"][0]
-            for earlier in self.ORDER[:2]:
-                assert direct[earlier][0] > tight + 1e-6
+            assert direct["identity-extraction"][0] > tight + 1e-6
             stand_in = _junk_vector(fit.reshape(1 << graph.n, -1), graph.n,
                                     p.shared_state.n_qubits)
             with monkeypatch.context() as mp:
@@ -890,7 +876,7 @@ class TestDtype:
 
         monkeypatch.setattr(isometry, "apply_unitary", unitary)
         monkeypatch.setattr(isometry, "constructed_junk", junk)
-        # zero bounds fail every junk, so both fallbacks run too
+        # zero bounds fail every junk, so the constructed junk is scored too
         monkeypatch.setattr(bounds, "thm2_bound", lambda *a: 0.0)
         monkeypatch.setattr(bounds, "lemma3_bound", lambda *a: 0.0)
         equivalence_distance(p, params, _labels(graph.n))
@@ -1044,7 +1030,7 @@ class TestGoldenReports:
     residual one graph-register slice at a time moved perturbed-n7's
     distances by at most 1.4e-15 and private-n4's by 4.4e-16, inside the
     1e-13, so nothing here was regenerated for it.  Summing the identity
-    overlap one slice at a time (``overlap``) moved them by at most 2.8e-17
+    overlap one slice at a time moved them by at most 2.8e-17
     and 2.2e-16, and nothing was regenerated either.  Taking the one-vertex
     labels from pair blocks (``pair_overlaps``) moved them by at most
     9.7e-17 and 6.7e-16, and nothing was regenerated."""

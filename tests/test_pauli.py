@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from artifact.graphs import Graph, bits, complete_graph, local_complement, triangle_strip
+from artifact.graphs import Graph, complete_graph, local_complement, triangle_strip
 from artifact.graphstate import build_graph_state
 from artifact.pauli import (PauliProduct, independent_commuting,
                             lc_generator_transform, stabilizer_generator,
@@ -121,7 +121,7 @@ class TestStabilizerProducts:
         g = triangle_strip(4)
         state = build_graph_state(g).state
         for t_idx in range(2 ** g.n):
-            t = bits([(t_idx >> v) & 1 for v in range(g.n)])
+            t = np.array([(t_idx >> v) & 1 for v in range(g.n)], np.uint8)
             m = stabilizer_product(g, t).matrix()
             assert np.allclose(m @ state.amplitudes, state.amplitudes,
                                atol=1e-10)

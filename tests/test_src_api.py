@@ -2,9 +2,10 @@
 
 The package modules ``src/artifact/*.py`` and the benchmark modules
 ``perfbench/*.py`` are parsed with ``ast``, not imported.  Each top-level
-function or class, and each public method of a top-level class, must be
-referenced somewhere in those files outside its own definition; a method
-counts only through an attribute access (``obj.name``).  References from
+function, class or assigned name (a module constant; ``__all__`` aside),
+and each public method of a top-level class, must be referenced somewhere
+in those files outside its own definition; a method counts only through
+an attribute access (``obj.name``).  References from
 ``tests/`` do not count, so a function that only tests call fails here.
 A top-level function under a decorator call (a ``click`` command) counts
 as registered.  The benchmark's own test module contributes references
@@ -12,6 +13,7 @@ but no definitions.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,17 +34,31 @@ def _key(path: Path, name: str) -> str:
     return f"{module}.{name}"
 
 
+@functools.cache
+def _trees() -> dict[Path, ast.Module]:
+    """Each file parsed once, so that a definition's own nodes are the very
+    nodes ``_references`` walks, and a name that only its own definition
+    uses (an assignment's target, a recursive call) is not a caller."""
+    return {path: ast.parse(path.read_text()) for path in FILES}
+
+
 def _definitions() -> dict[str, tuple[ast.AST, bool]]:
     """Dotted name -> (definition node, is a method)."""
     out = {}
-    for path in FILES:
+    for path, tree in _trees().items():
         if path.name.startswith("test_"):
             continue
-        for node in ast.parse(path.read_text()).body:
+        for node in tree.body:
             registered = isinstance(node, ast.FunctionDef) and any(
                 isinstance(d, ast.Call) for d in node.decorator_list)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not registered:
                 out[_key(path, node.name)] = (node, False)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id != "__all__":
+                            out[_key(path, name.id)] = (node, False)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -53,8 +69,8 @@ def _definitions() -> dict[str, tuple[ast.AST, bool]]:
 def _references() -> list[tuple[str, bool, ast.AST]]:
     """(name, is an attribute access, node) for every name use and import."""
     out = []
-    for path in FILES:
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _trees().values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 out.append((node.id, False, node))
             elif isinstance(node, ast.Attribute):
@@ -90,5 +106,6 @@ def test_each_allowed_name_is_defined_and_still_has_no_caller():
 def test_the_parser_sees_methods_and_module_functions():
     defs = _definitions()
     assert defs["provers.ProverSet.clone"][1] and not defs["statevec.measure"][1]
+    assert "isometry.JUNK_TOL" in defs and "perfbench.tracer.TRACED" in defs
     assert "perfbench.workloads.ProtocolK3" in defs
     assert not any(name.startswith("perfbench.test_oracle") for name in defs)
