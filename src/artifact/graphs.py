@@ -51,6 +51,15 @@ def as_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
+def as_dict(value, what: str) -> dict:
+    """``value`` if it is a JSON object; anything else raises ValueError
+    naming ``what``, where looking up a key would raise Python's own
+    message."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def as_real(value, what: str) -> float:
     """``value`` as a float if it is a finite real number (JSON or numpy).
 
@@ -172,6 +181,7 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
+        obj = as_dict(obj, "a graph")
         return cls.from_edges(as_int(obj["n"], "the graph size"),
                               [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))
                                for u, v in (as_list(e, "an edge", 2)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, as_int, as_list, as_real
+from .graphs import Graph, as_dict, as_int, as_list, as_real
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 
 
@@ -95,11 +95,12 @@ class MeasurementPattern:
         def ints(value, what: str, each: str) -> tuple[int, ...]:
             return tuple(as_int(x, each) for x in as_list(value, what))
 
+        obj = as_dict(obj, "a pattern")
         steps = tuple(
             PatternStep(as_int(s["v"], "a step vertex"), as_real(s["theta"], "a step angle"),
                         ints(s.get("x_deps", []), "x_deps", "a dependency"),
                         ints(s.get("z_deps", []), "z_deps", "a dependency"))
-            for s in as_list(obj["steps"], "steps")
+            for s in (as_dict(step, "a step") for step in as_list(obj["steps"], "steps"))
         )
         return cls(steps, ints(obj["output_bits"], "output_bits", "an output bit"))
 

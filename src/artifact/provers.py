@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -140,12 +140,13 @@ class OutcomeTree:
 
     A node stands for the state reached from the shared state by a path of
     (vertex, label, outcome) measurements, and maps each next (vertex,
-    label) to a ``_Branching``.  The tree holds no state vector but the
-    root: a walk keeps its last materialized state plus the steps taken
-    since, and rebuilds with ``project`` (bit for bit ``measure``'s
-    collapsed vector) only on reaching an uncached node.  Every path from
-    the root gives the same bits, so a cached probability is exactly the
-    one ``measure`` would compute there.
+    label) to a ``_Branching``.  No path measures a vertex twice: a query
+    names distinct vertices, and a pattern refuses a repeat.  The tree
+    holds no state vector but the root: a walk keeps its last materialized
+    state plus the steps taken since, and rebuilds with ``project`` (bit
+    for bit ``measure``'s branch) only on reaching an uncached node.
+    Every path from the root gives the same bits, so a cached probability
+    is exactly the one ``measure`` would compute there.
     """
 
     def __init__(self, state: StateVector,
@@ -155,26 +156,38 @@ class OutcomeTree:
         self.root: dict = {}
 
     def walk(self) -> "TreeWalk":
-        return TreeWalk(self, self.root, self.state, [])
+        return TreeWalk(self, self.root, self.state, 0, [])
 
 
 class TreeWalk:
     """A position in an outcome tree: its node, the last materialized
-    state, and the (vertex, label, outcome) steps taken since."""
+    state, the bitmask ``gone`` of the vertices measured out of that
+    state, and the (vertex, label, outcome) steps taken since.
 
-    __slots__ = ("tree", "node", "state", "pending")
+    A measurement takes its qubit out of the state (``statevec.measure``),
+    so vertex v sits at position v - popcount(gone below v) of the
+    materialized state.
+    """
+
+    __slots__ = ("tree", "node", "state", "gone", "pending")
 
     def __init__(self, tree: OutcomeTree, node: dict, state: StateVector,
-                 pending: list):
+                 gone: int, pending: list):
         self.tree = tree
         self.node = node
         self.state = state
+        self.gone = gone
         self.pending = pending
+
+    def _at(self, v: int) -> int:
+        """Vertex v's qubit in the materialized state."""
+        return v - (self.gone & ((1 << v) - 1)).bit_count()
 
     def _materialize(self) -> StateVector:
         for v, label, outcome in self.pending:
             self.state = project(self.state, self.tree.observables[v][label],
-                                 v, outcome)[1]
+                                 self._at(v), outcome)[1]
+            self.gone |= 1 << v
         self.pending = []
         return self.state
 
@@ -182,22 +195,24 @@ class TreeWalk:
                ) -> "TreeWalk | None":
         """A new walk into ``outcome``'s branch of ``b`` from here, or None
         if that branch is impossible.  An uncached probability is computed
-        with ``project``, whose collapsed state the new walk keeps."""
+        with ``project``, whose branch the new walk keeps."""
         p = b.p.get(outcome)
         if p is None:
-            p, state = project(self._materialize(), self.tree.observables[v][label],
-                               v, outcome)
+            state = self._materialize()
+            p, state = project(state, self.tree.observables[v][label],
+                               self._at(v), outcome)
             b.p[outcome] = p
             if state is None:
                 return None
-            return TreeWalk(self.tree, b.child.setdefault(outcome, {}), state, [])
+            return TreeWalk(self.tree, b.child.setdefault(outcome, {}), state,
+                            self.gone | 1 << v, [])
         if p < MIN_BRANCH_P:
             return None
         return TreeWalk(self.tree, b.child.setdefault(outcome, {}), self.state,
-                        [*self.pending, (v, label, outcome)])
+                        self.gone, [*self.pending, (v, label, outcome)])
 
     def sample(self, v: int, label: str, rng: np.random.Generator) -> int:
-        """Measure ``label`` on qubit v and step into the drawn branch.
+        """Measure ``label`` on vertex v's qubit and step into the drawn branch.
 
         One ``rng.random()`` compared with the +1 probability, the draw
         ``measure`` makes, so the stream and the outcomes are those of a
@@ -207,8 +222,10 @@ class TreeWalk:
         key = (v, label)
         b = self.node.get(key)
         if b is None:
+            state = self._materialize()
             outcome, self.state, p_plus = measure(
-                self._materialize(), self.tree.observables[v][label], v, rng)
+                state, self.tree.observables[v][label], self._at(v), rng)
+            self.gone |= 1 << v
             b = self.node[key] = _Branching({1: p_plus})
             self.node = b.child[outcome] = {}
             return outcome
@@ -218,16 +235,17 @@ class TreeWalk:
             walk = self._enter(b, v, label, outcome)
             if walk is None:
                 raise NormUnderflowError("measured an impossible branch")
-            self.node, self.state, self.pending = walk.node, walk.state, walk.pending
+            self.node, self.state = walk.node, walk.state
+            self.gone, self.pending = walk.gone, walk.pending
             return outcome
         self.pending.append((v, label, outcome))
         self.node = node
         return outcome
 
     def branches(self, v: int, label: str) -> Iterator[tuple[int, float, "TreeWalk"]]:
-        """Every possible outcome of measuring ``label`` on qubit v, +1
-        first, with its probability and a walk into its branch.  Lazy, so
-        an enumeration holds one collapsed state per level, not two."""
+        """Every possible outcome of measuring ``label`` on vertex v's
+        qubit, +1 first, with its probability and a walk into its branch.
+        Lazy, so an enumeration holds one branch state per level, not two."""
         b = self.node.get((v, label))
         if b is None:
             b = self.node[(v, label)] = _Branching({})
@@ -242,8 +260,8 @@ class ProverSet:
     """A strategy bound to its shared state (None for classical).
 
     A quantum set marks its state's amplitudes read-only and owns an
-    ``OutcomeTree``; ``clone()`` shares the tree, a new strategy gets its
-    own.
+    ``OutcomeTree``; ``clone()`` shares both, a new strategy gets its own
+    tree.
     """
 
     n: int
@@ -274,11 +292,9 @@ class ProverSet:
         return self.strategy.observables[v][label]
 
     def clone(self) -> "ProverSet":
-        """An equal set on a separate copy of the state, sharing the tree."""
-        state = None if self.shared_state is None else self.shared_state.copy()
-        copy = replace(self, shared_state=state)
-        object.__setattr__(copy, "tree", self.tree)
-        return copy
+        """The set itself: its state is read-only and every kernel writes a
+        fresh output, so a trial cannot change it and needs no copy."""
+        return self
 
 
 def honest_provers(graph: Graph, theta: dict[int, float]) -> ProverSet:

@@ -3,14 +3,34 @@
 Qubit ordering is little-endian throughout the package: qubit 0 is the
 least significant bit of a basis index.  Gates are applied to views of
 the vector, never by building the full 2^n x 2^n matrix.  A single-qubit
-matrix is one broadcast matmul over the (hi, 2, lo) view of its qubit,
-with no copies, when both operands are float64 and the qubit is not 0;
-at qubit 0 and with a complex operand it is one gemm over the contiguous
-amplitude pairs, the form that keeps the same bits there.  A matrix on
-one qubit or an adjacent pair that changes the vector's size (the swap
-isometry's 4x2 stages) is one broadcast matmul too.  ``measure`` and
-``project`` form and normalize the collapsed branch in place, in the
-single-qubit kernel's fresh output, and never write to their input.
+matrix takes one of three forms, chosen from the operands' dtype, the
+qubit and the vector's length, each the fastest where it runs:
+
+* float64 operands, qubit <= 3, at least ``GEMM_MIN_AMPS`` amplitudes:
+  one gemm of the (2^(n-q-1), 2^(q+1)) row view by (m (x) I_{2^q})^T,
+  a matrix of at most 16 columns.  numpy would run the broadcast form
+  below at qubit 1 as 2^(n-2) separate 2x2 products, and read ``m.T``
+  non-contiguously at qubit 0;
+* float64 operands on any other qubit >= 1: one broadcast matmul over
+  the (hi, 2, lo) view, with no copies;
+* qubit 0 of a short float64 vector, and every complex operand: one gemm
+  over the contiguous amplitude pairs, the form that keeps the same bits
+  there.
+
+For a 2x2 matrix all three give the same bits: each amplitude adds the
+same two products, and the row-view gemm's other terms are exact zeros.
+A 1x2 row in the broadcast form may round that sum differently, which
+nothing compares against: ``measure`` and ``project`` take the same form.
+A matrix on one qubit or an adjacent pair that changes the vector's size
+(the swap isometry's 4x2 stages) is one broadcast matmul too.
+
+A measured qubit leaves the state, as in the one-way model (Raussendorf
+and Briegel, quant-ph/0010033): ``measure`` and ``project`` return the
+normalized branch <e_s| psi on the other n - 1 qubits, e_s the outcome's
+eigenvector, which ``SingleQubitObservable`` holds as its eigen-row.  The
+collapsed n-qubit state is e_s (x) that branch, so nothing is lost.  They
+run the single-qubit kernel with the 1x2 row, one ``vdot`` and one scale,
+and never write to their input.
 
 Dtype.  This module is the one place where a dtype is decided.  A
 ``StateVector``, ``SingleQubitObservable`` or ``ProductObservable`` holds
@@ -41,6 +61,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +72,11 @@ MIN_BRANCH_P = 1e-24
 QUBIT_CAP_ENV = "GSIP_QUBIT_CAP"
 DEFAULT_QUBIT_CAP = 24
 
+# below this length building (m (x) I)^T, about 1 us, costs more than the
+# row-view gemm saves: timed per qubit on 3 to 12 qubits, the two break even
+# near 2^9 amplitudes.  The view then has at least 32 rows.
+GEMM_MIN_AMPS = 512
+
 SQRT2_INV = 1 / math.sqrt(2)
 _FLOAT64 = np.dtype(float)
 
@@ -59,6 +85,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
+# I_{2^q} laid out to broadcast against m.T as (2, 1, r, 1), for q <= 3
+_EYES = tuple(np.eye(1 << q).reshape(1, 1 << q, 1, 1 << q) for q in range(4))
 
 
 class QubitCapError(ValueError):
@@ -98,12 +126,32 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return math.cos(theta) * PAULI_X + math.sin(theta) * PAULI_Z
 
 
+def _eigen_rows(m: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix whose rows are the bras <e_+| and <e_-| of the +1 and
+    -1 eigenvectors of a traceless Hermitian involution m.
+
+    P_s = (I + s m)/2 is e_s e_s^dagger, so its row c over sqrt(P_s[c, c])
+    is <e_s| up to a phase.  P_+ takes the row c of its larger diagonal
+    entry (at least 1/2), and P_- = I - P_+ the other row, whose diagonal
+    entry is the same.  In Python scalars: numpy would spend more on calls
+    than on the eight numbers.
+    """
+    (m00, m01), (m10, m11) = m.tolist()
+    # plus and minus are those rows of 2 P_+ and 2 P_-, and d = 2 P_+[c, c]
+    if m11.real > m00.real:
+        plus, minus, d = [m10, 1 + m11], [1 - m00, -m01], 1 + m11
+    else:
+        plus, minus, d = [1 + m00, m01], [-m10, 1 - m11], 1 + m00
+    return np.array([plus, minus]) / math.sqrt(2 * d.real)
+
+
 @dataclass(frozen=True, eq=False)
 class SingleQubitObservable:
-    """A 2x2 Hermitian involution (eigenvalues exactly +-1).
+    """A 2x2 Hermitian involution with eigenvalues +1 and -1.
 
-    Compares and hashes by identity: a generated ``==`` over the ndarray
-    ``matrix`` would raise instead of answering.
+    +-I is refused: its projectors have rank 2 and 0, so it has no
+    eigen-row (``rows``).  Compares and hashes by identity: a generated
+    ``==`` over the ndarray ``matrix`` would raise instead of answering.
     """
 
     kind: str
@@ -119,19 +167,38 @@ class SingleQubitObservable:
             raise ValueError("observable is not Hermitian")
         if not np.abs(m @ m - PAULI_I).max() <= 1e-10:
             raise ValueError("observable does not square to identity")
+        # an involution's trace is -2, 0 or 2
+        if abs(m[0, 0] + m[1, 1]) > 1:
+            raise ValueError(f"observable {self.kind} is +-I, which has no eigen-row")
         m.setflags(write=False)
+
+    @cached_property
+    def rows(self) -> dict:
+        """{s: <e_s|}, the 1x2 eigen-row of each outcome s, with which
+        ``measure`` and ``project`` take the qubit out of the state.  Built
+        on first use: a prover set that is never measured (an isometry
+        report's) holds none."""
+        rows = _eigen_rows(self.matrix)
+        rows.setflags(write=False)
+        return {1: rows[:1], -1: rows[1:]}
 
     @staticmethod
     def x() -> "SingleQubitObservable":
-        return SingleQubitObservable("X", PAULI_X.copy())
+        """The one X observable: it is immutable, so every caller shares it."""
+        return _X
 
     @staticmethod
     def z() -> "SingleQubitObservable":
-        return SingleQubitObservable("Z", PAULI_Z.copy())
+        """The one Z observable, shared like ``x()``."""
+        return _Z
 
     @staticmethod
     def rotation(theta: float) -> "SingleQubitObservable":
         return SingleQubitObservable(f"R({theta:.6g})", rotation_matrix(theta))
+
+
+_X = SingleQubitObservable("X", PAULI_X.copy())
+_Z = SingleQubitObservable("Z", PAULI_Z.copy())
 
 
 class ProductObservable:
@@ -197,27 +264,37 @@ class StateVector:
 
 
 def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a length-2^n vector.
+    """Apply an (r, 2) matrix to one qubit of a length-2^n vector.
 
-    Returns a fresh vector that shares no memory with ``amps``, so a
-    caller may write into it (``measure`` and ``project`` do).  Each
-    amplitude is bit for bit the per-block matmul that ``np.moveaxis``
-    sets up (``test_apply_single_is_the_moveaxis_matmul_bit_for_bit`` and
-    ``test_real_kernel_is_the_moveaxis_matmul_bit_for_bit`` pin it).  When
-    ``amps`` and ``m`` are both float64 and ``qubit`` is not 0, ``m``
-    multiplies the (hi, 2, lo) view in one broadcast matmul, with no
-    copies.  Otherwise the view is copied to (hi, lo, 2) (qubit 0 needs no
-    copy), multiplied by ``m.T`` as one (2^(n-1), 2) gemm and transposed
-    back: there the broadcast form would round differently (with a
-    complex operand ``zgemm`` takes the operands in the other order).
+    A 2x2 matrix gives a length-2^n vector; a 1x2 row (the eigen-row that
+    ``measure`` and ``project`` apply) gives the length-2^(n-1) vector on
+    the other qubits.  Returns a fresh vector that shares no memory with
+    ``amps``, so a caller may write into it.  The form is the one the
+    module docstring gives for the operands' dtype, the qubit and the
+    length.  For a 2x2 matrix each amplitude is bit for bit the per-block
+    matmul that ``np.moveaxis`` sets up, in every form; so is a row's in
+    the row-view gemm (``test_apply_single_is_the_moveaxis_matmul_bit_for_bit``,
+    ``test_real_kernel_is_the_moveaxis_matmul_bit_for_bit`` and
+    ``test_row_view_gemm_is_the_moveaxis_matmul_bit_for_bit`` pin it).
+    The pairs form serves qubit 0 of a short float64 vector and every
+    complex operand because the broadcast form would round differently
+    there (with a complex operand ``zgemm`` takes the operands in the other
+    order).
     """
     lo = 1 << qubit
     # ``is``, not ``==``, which costs about 0.5 us a call; a float64 dtype
     # other than numpy's own instance takes the pairs form, same bits
-    if qubit and amps.dtype is m.dtype is _FLOAT64:
-        return np.matmul(m, amps.reshape(-1, 2, lo)).reshape(-1)
+    if amps.dtype is m.dtype is _FLOAT64:
+        if qubit < 4 and len(amps) >= GEMM_MIN_AMPS:
+            k = np.multiply(m.T.reshape(2, 1, -1, 1), _EYES[qubit], order="C")
+            k = k.reshape(2 * lo, -1)
+            return (amps.reshape(-1, 2 * lo) @ k).reshape(-1)
+        if qubit:
+            return np.matmul(m, amps.reshape(-1, 2, lo)).reshape(-1)
+    if not qubit:  # the pairs are the vector itself: no transposes
+        return (amps.reshape(-1, 2) @ m.T).reshape(-1)
     pairs = amps.reshape(-1, 2, lo).transpose(0, 2, 1).reshape(-1, 2) @ m.T
-    return pairs.reshape(-1, lo, 2).transpose(0, 2, 1).reshape(-1)
+    return pairs.reshape(-1, lo, len(m)).transpose(0, 2, 1).reshape(-1)
 
 
 def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,
@@ -279,51 +356,52 @@ def expectation(state: StateVector, obs: ProductObservable) -> float:
     return float(val.real)
 
 
+def _branch(amps: np.ndarray, row: np.ndarray, qubit: int, n: int
+            ) -> tuple[float, np.ndarray]:
+    """The unnormalized branch <e| psi on the other n - 1 qubits, and its
+    Born probability."""
+    branch = apply_single(amps, row, qubit, n)
+    return float(np.vdot(branch, branch).real), branch
+
+
 def measure(state: StateVector, obs: SingleQubitObservable, qubit: int,
             rng: np.random.Generator) -> tuple[int, StateVector, float]:
     """Projective measurement of a +-1 observable on one qubit.
 
-    Returns (outcome, collapsed state, p_plus): Born probabilities
-    (1 +- <o>)/2, the outcome +1 when one ``rng.random()`` falls below
-    p_plus.  Drawing into a branch below ``MIN_BRANCH_P`` raises
-    NormUnderflowError.
+    Returns (outcome, branch, p_plus): the outcome +1 when one
+    ``rng.random()`` falls below its Born probability p_plus, and the
+    normalized branch on the other n - 1 qubits (qubits above ``qubit``
+    move down by one); the collapsed n-qubit state is the outcome's
+    eigenvector (x) the branch.  Drawing into a branch below
+    ``MIN_BRANCH_P`` raises NormUnderflowError.
     """
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range")
     amps = state.amplitudes
-    applied = apply_single(amps, obs.matrix, qubit, n)
-    plus = np.add(amps, applied)
-    plus *= 0.5
-    p_plus = float(np.vdot(plus, plus).real)
-    outcome = 1 if rng.random() < p_plus else -1
-    if outcome == 1:
-        branch, p = plus, p_plus
+    p_plus, branch = _branch(amps, obs.rows[1], qubit, n)
+    if rng.random() < p_plus:
+        outcome, p = 1, p_plus
     else:
-        branch = np.subtract(amps, applied, out=applied)
-        branch *= 0.5
-        p = np.vdot(branch, branch).real
+        outcome = -1
+        p, branch = _branch(amps, obs.rows[-1], qubit, n)
     if p < MIN_BRANCH_P:
         raise NormUnderflowError("measured an impossible branch")
     branch /= math.sqrt(p)
-    return outcome, StateVector(n, branch, _validate=False), p_plus
+    return outcome, StateVector(n - 1, branch, _validate=False), p_plus
 
 
 def project(state: StateVector, obs: SingleQubitObservable, qubit: int,
             outcome: int) -> tuple[float, StateVector | None]:
-    """Deterministic branch of ``measure``: (probability, collapsed|None).
+    """Deterministic branch of ``measure``: (probability, branch|None).
 
-    The probability and the collapsed vector are bit for bit those
+    The probability and the (n - 1)-qubit branch are bit for bit those
     ``measure`` computes for the same outcome; a branch below
     ``MIN_BRANCH_P`` gives (0.0, None).
     """
     n = state.n_qubits
-    amps = state.amplitudes
-    branch = apply_single(amps, obs.matrix, qubit, n)
-    (np.add if outcome == 1 else np.subtract)(amps, branch, out=branch)
-    branch *= 0.5
-    p = float(np.real(np.vdot(branch, branch)))
+    p, branch = _branch(state.amplitudes, obs.rows[outcome], qubit, n)
     if p < MIN_BRANCH_P:
         return 0.0, None
     branch /= math.sqrt(p)
-    return p, StateVector(n, branch, _validate=False)
+    return p, StateVector(n - 1, branch, _validate=False)

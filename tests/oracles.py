@@ -53,6 +53,22 @@ def dense_apply(state, mat2x2, qubit, n):
     return full_operator(n, {qubit: mat2x2}) @ state
 
 
+def dense_branch(state, mat2x2, qubit, n, outcome):
+    """A measured branch by brute force: the 2^n x 2^n projector
+    (I + outcome M)/2 on ``qubit``, the Born probability of the collapsed
+    vector, and the qubit contracted away with ``np.einsum`` against M's
+    eigenvector for ``outcome`` (from ``np.linalg.eigh``), normalized.
+    The eigenvector's phase is numpy's: compare up to a global phase."""
+    collapsed = full_operator(n, {qubit: (I2 + outcome * mat2x2) / 2}) @ state
+    p = float(np.vdot(collapsed, collapsed).real)
+    values, vectors = np.linalg.eigh(mat2x2)
+    eigvec = vectors[:, np.argmin(abs(values - outcome))]
+    axis = n - 1 - qubit  # tensor axis 0 is the highest qubit
+    rest = [a for a in range(n) if a != axis]
+    branch = np.einsum(collapsed.reshape([2] * n), list(range(n)), eigvec.conj(), [axis], rest)
+    return p, branch.reshape(-1) / math.sqrt(p)
+
+
 def dense_expectation(state, terms, n, sign=1):
     return sign * np.vdot(state, full_operator(n, terms) @ state)
 

@@ -245,12 +245,20 @@ class TestBadInput:
          "steps must be a list, got {'v': 0, 'theta': 0.5}"),
         (["mbqc", "--trials", "1", "--pattern", json.dumps({"steps": [], "output_bits": 5})],
          "output_bits must be a list, got 5"),
+        # JSON values that are not objects where an object is read
+        (["selftest", "--trials", "2", "--graph", "[1]"],
+         "a graph must be a JSON object, got [1]"),
+        (["mbqc", "--trials", "1", "--pattern", "[1]"],
+         "a pattern must be a JSON object, got [1]"),
+        (["mbqc", "--trials", "1", "--pattern", json.dumps({"steps": [5], "output_bits": []})],
+         "a step must be a JSON object, got 5"),
     ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
             "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip",
             "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test",
             "s-test-gap-zero", "s-test-gap-negative", "s-calc-above-one-less-delta",
             "s-calc-one", "edge-not-a-pair", "edges-not-a-list", "x-deps-not-a-list",
-            "steps-not-a-list", "output-bits-not-a-list"])
+            "steps-not-a-list", "output-bits-not-a-list", "graph-not-an-object",
+            "pattern-not-an-object", "step-not-an-object"])
     def test_error_line_names_the_fault(self, runner, args, message):
         # the check that owns the input speaks, not a later step that trips
         # over it (min() over no neighbors, the Hoeffding count's gap check)

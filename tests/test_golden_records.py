@@ -37,7 +37,17 @@ sparse-input stage per vertex, Y from one gemm, multi-vertex labels from
 their own stages, row block by row block): the sums run in another
 order, so honest distances, ``worst_excess`` and ``max_worst_excess``
 moved by at most 9.9e-32, perturbed distances by 2.1e-17 and perturbed
-``junk_norm`` by 1.1e-16; no bound and no other field moved.
+``junk_norm`` by 1.1e-16; no bound and no other field moved.  The
+exact-laws, two mbqc and two protocol digests were regenerated when a
+measured qubit began to leave the state (``measure`` and ``project``
+return the branch on the other qubits, from the outcome's eigen-row,
+not (psi +- M psi)/2): each branch probability is the squared norm of
+another product, so exact-laws moved by at most 7.8e-16 (the X-Z-plane
+law; the honest law went from 0.6250000000000001 to 0.625 exactly), the
+mbqc summaries' ``reference`` by 1.1e-16, and the protocol summaries'
+``c_calc`` by 2.2e-16 and ``c_ip``, ``s_ip`` and ``gap`` by at most
+1.1e-16; no row field moved, and the selftest and isometry digests did
+not change.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``

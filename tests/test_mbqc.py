@@ -276,12 +276,16 @@ def _prover_sets(graph, seed):
 
 
 def _measure_chain(p, pattern, rng):
-    """run_pattern's raw outcomes written as a plain chain of ``measure`` calls."""
+    """run_pattern's raw outcomes written as a plain chain of ``measure``
+    calls.  Each takes its qubit out of the state, so ``present`` lists the
+    vertices still in it, in qubit order."""
     raw, state = {}, p.shared_state
+    present = list(range(state.n_qubits))
     for step in pattern.steps:
         label = "R+" if math.prod(raw[d] for d in step.x_deps) == 1 else "R-"
         raw[step.vertex], state, _ = measure(state, p.observable(step.vertex, label),
-                                             step.vertex, rng)
+                                             present.index(step.vertex), rng)
+        present.remove(step.vertex)
     return raw
 
 
@@ -290,7 +294,8 @@ def _closure_law(graph, pattern):
     enumeration by ``project`` with R(t theta) built per step."""
     dist = {0: 0.0, 1: 0.0}
 
-    def walk(current, k, raw, weight):
+    def walk(current, present, k, raw, weight):
+        # present: the vertices still in ``current``, in qubit order
         if k == len(pattern.steps):
             product = math.prod(raw[v] * math.prod(raw[d] for d in pattern.step_for(v).z_deps)
                                 for v in pattern.output_bits)
@@ -299,15 +304,16 @@ def _closure_law(graph, pattern):
         step = pattern.steps[k]
         t = math.prod(raw[d] for d in step.x_deps)
         obs = SingleQubitObservable.rotation(t * step.theta)
+        rest = [v for v in present if v != step.vertex]
         for outcome in (1, -1):
-            prob, collapsed = project(current, obs, step.vertex, outcome)
-            if collapsed is None:
+            prob, branch = project(current, obs, present.index(step.vertex), outcome)
+            if branch is None:
                 continue
             raw[step.vertex] = outcome
-            walk(collapsed, k + 1, raw, weight * prob)
+            walk(branch, rest, k + 1, raw, weight * prob)
             del raw[step.vertex]
 
-    walk(build_graph_state(graph).state, 0, {}, 1.0)
+    walk(build_graph_state(graph).state, list(range(graph.n)), 0, {}, 1.0)
     return dist
 
 
@@ -355,6 +361,27 @@ class TestOutcomeTree:
         second = [run_pattern(p.clone(), pattern, np.random.default_rng(i)) for i in range(30)]
         assert second == first
         assert calls == []
+
+    def test_a_pattern_out_of_vertex_order_finds_each_qubit(self):
+        # every measured qubit leaves the walk's state, so a vertex's qubit
+        # depends on which vertices went before it, not only how many
+        graph = triangle_strip(5)
+        steps = [PatternStep(3, THETA), PatternStep(0, math.pi / 8, x_deps=(3,)),
+                 PatternStep(4, math.pi / 3, x_deps=(0,), z_deps=(3,)),
+                 PatternStep(1, THETA, x_deps=(4, 3), z_deps=(0,))]
+        pattern = MeasurementPattern(tuple(steps), output_bits=(4, 1))
+        oracle = oracles.mbqc_output_distribution(
+            graph.n, list(graph.edges),
+            [(s.vertex, s.theta, s.x_deps, s.z_deps) for s in steps], pattern.output_bits)
+        assert abs(oracle[0] - 0.5) > 0.05  # a law at 1/2 would show nothing
+        law = reference_run(graph, pattern)
+        for bit in (0, 1):
+            assert math.isclose(law[bit], oracle[bit], abs_tol=1e-12)
+        p = honest_provers(graph, _angles_for(pattern, graph.n))
+        tree_rng, chain_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(20):
+            _, transcript = run_pattern(p, pattern, tree_rng)
+            assert _raw(transcript) == _measure_chain(p, pattern, chain_rng)
 
     @pytest.mark.parametrize("graph,pattern", [
         (complete_graph(3), _k3_pattern()),

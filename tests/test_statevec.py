@@ -11,7 +11,7 @@ import oracles
 from artifact.graphs import triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.provers import QUERY_LABELS, QuantumStrategy
-from artifact.statevec import (HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
+from artifact.statevec import (GEMM_MIN_AMPS, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                                ImaginaryResidueError,
                                NormUnderflowError, ProductObservable, QubitCapError,
                                SingleQubitObservable, StateVector,
@@ -74,6 +74,27 @@ class TestKernelsAgainstDense:
                     out = apply_single(amps, m, q, n)
                     assert out.dtype == np.float64
                     assert np.array_equal(out, moved), (n, q)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_row_view_gemm_is_the_moveaxis_matmul_bit_for_bit(self, seed):
+        # float64 operands on qubits 0-3 of at least GEMM_MIN_AMPS amplitudes
+        # take the row-view gemm, for a 2x2 matrix and for the 1x2 eigen-row
+        # that measure applies; below that (n = 4..8) the other two forms
+        # keep these bits for a 2x2 matrix (a row there is the same two-term
+        # sum, which the broadcast form may round differently)
+        rng = np.random.default_rng(seed)
+        for n in (*range(4, 15), 21):
+            amps = rng.normal(size=2 ** n)
+            for q in range(4):
+                row = SingleQubitObservable.rotation(rng.uniform(-math.pi, math.pi)).rows[-1]
+                gemm = 2 ** n >= GEMM_MIN_AMPS
+                for m in (rng.normal(size=(2, 2)), row)[:1 + gemm]:
+                    t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
+                    moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
+                    out = apply_single(amps, m, q, n)
+                    assert out.dtype == np.float64
+                    assert np.array_equal(out, moved), (n, q, len(m))
 
     def test_adjacent_pair_kernel_matches_index_arithmetic(self):
         rng = np.random.default_rng(2)
@@ -177,15 +198,25 @@ class TestObservables:
             SingleQubitObservable("bad", np.array([[1, 0], [0, 0.5]],
                                                   dtype=complex))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_single_qubit_refuses_plus_minus_identity(self, sign):
+        # a Hermitian involution, but its projectors have rank 2 and 0: a
+        # measurement of it has no eigen-row to take its qubit out with
+        with pytest.raises(ValueError, match=r"observable I is \+-I, which has no eigen-row"):
+            SingleQubitObservable("I", sign * PAULI_I)
+
     def test_single_qubit_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             SingleQubitObservable("bad", np.array([[0, 1], [0, 0]],
                                                   dtype=complex))
 
     def test_observables_compare_and_hash_by_identity(self):
-        x, other = SingleQubitObservable.x(), SingleQubitObservable.x()
-        assert x == x and x != other
-        assert hash(x) == hash(x) and len({x, other}) == 2
+        r, other = SingleQubitObservable.rotation(0.5), SingleQubitObservable.rotation(0.5)
+        assert r == r and r != other
+        assert hash(r) == hash(r) and len({r, other}) == 2
+        # X and Z are immutable, so one instance of each serves every caller
+        assert SingleQubitObservable.x() is SingleQubitObservable.x()
+        assert SingleQubitObservable.z() is SingleQubitObservable.z()
 
         def strategy():
             observables = (SingleQubitObservable.x(), SingleQubitObservable.z(),
@@ -247,12 +278,15 @@ class TestMeasurementLaw:
     def test_projected_state_is_normalized_eigenstate(self):
         rng = np.random.default_rng(6)
         state = random_state(3, rng)
-        obs = SingleQubitObservable.z()
-        p, collapsed = project(state, obs, 2, -1)
-        assert p > 0
-        assert math.isclose(np.linalg.norm(collapsed.amplitudes), 1.0, abs_tol=1e-12)
-        again = apply_single(collapsed.amplitudes, obs.matrix, 2, 3)
-        assert np.allclose(again, -collapsed.amplitudes, atol=1e-12)
+        for obs in (SingleQubitObservable.z(), SingleQubitObservable.rotation(0.7)):
+            p, branch = project(state, obs, 2, -1)
+            assert p > 0 and branch.n_qubits == 2
+            assert math.isclose(np.linalg.norm(branch.amplitudes), 1.0, abs_tol=1e-12)
+            # qubit 2 is the highest, so the collapsed state is e_- (x) branch
+            eigvec = obs.rows[-1].conj().ravel()
+            collapsed = np.kron(eigvec, branch.amplitudes)
+            again = apply_single(collapsed, obs.matrix, 2, 3)
+            assert np.allclose(again, -collapsed, atol=1e-12)
 
     def test_impossible_projection_returns_none(self):
         state = StateVector(1, np.array([1, 0], dtype=complex))
@@ -269,6 +303,35 @@ class TestMeasurementLaw:
         assert p_plus == project(state, obs, qubit, 1)[0]
         assert np.array_equal(collapsed.amplitudes,
                               project(state, obs, qubit, outcome)[1].amplitudes)
+
+    @pytest.mark.parametrize("matrix", [rotation_matrix(0.7), rotation_matrix(-2.4), PAULI_Z,
+                                        oracles.rotation_xy(0.7), PAULI_Y,
+                                        math.cos(0.3) * rotation_matrix(1.1)
+                                        + math.sin(0.3) * PAULI_Y],
+                             ids=["xz-0.7", "xz--2.4", "Z", "xy-0.7", "Y", "tilted"])
+    def test_branch_matches_the_dense_projector_oracle(self, matrix):
+        # the (n - 1)-qubit branch and its probability against the full 2^n
+        # projector with the qubit contracted by einsum, up to the phase of
+        # the oracle's eigenvector
+        rng = np.random.default_rng(31)
+        obs = SingleQubitObservable("M", matrix)
+        for n in (1, 2, 4, 6):
+            real = rng.normal(size=2 ** n)
+            for state in (random_state(n, rng), StateVector(n, real / np.linalg.norm(real))):
+                amps = state.amplitudes.astype(complex)
+                for qubit in range(n):
+                    for outcome in (1, -1):
+                        p_dense, dense = oracles.dense_branch(amps, matrix, qubit, n, outcome)
+                        p, branch = project(state, obs, qubit, outcome)
+                        assert branch.n_qubits == n - 1
+                        assert abs(p - p_dense) <= 1e-15
+                        phase = np.vdot(dense, branch.amplitudes)
+                        aligned = dense * phase / abs(phase)
+                        assert np.abs(branch.amplitudes - aligned).max() <= 1e-15
+                    drawn, branch, p_plus = measure(state, obs, qubit, rng)
+                    assert abs(p_plus - oracles.dense_branch(amps, matrix, qubit, n, 1)[0]) <= 1e-15
+                    assert np.array_equal(branch.amplitudes,
+                                          project(state, obs, qubit, drawn)[1].amplitudes)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_collapse_leaves_its_input_untouched(self, dtype):
