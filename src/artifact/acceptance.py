@@ -1,10 +1,9 @@
 """Acceptance suite: thirteen numbered end-to-end checks.
 
-Each criterion is a deterministic function (fixed seeds) returning pass or
-fail plus a one-line detail string.  ``run_suite`` prints one line per
-criterion and is wired to both ``gsip accept`` and the pytest gate.  The
-``fast`` flag shrinks trial counts for a smoke pass; the recorded criteria
-always run at full size under pytest.
+Each criterion is a deterministic function (fixed seeds and one fixed
+size) returning pass or fail plus a one-line detail string.  ``run_suite``
+prints one line per criterion; ``gsip accept`` and the pytest gate both run
+these same sizes.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def _indicator(n: int, vertices) -> np.ndarray:
     return vec
 
 
-def criterion_1(fast: bool = False) -> tuple[bool, str]:
+def criterion_1() -> tuple[bool, str]:
     """Stabilizers +1 and triangle operators -1 on the 3x4 lattice."""
     graph = triangular_lattice(3, 4)
     gs = build_graph_state(graph)
@@ -79,9 +78,9 @@ def criterion_1(fast: bool = False) -> tuple[bool, str]:
                 f"worst deviation {worst:.2e} (tol 1e-10)")
 
 
-def criterion_2(fast: bool = False) -> tuple[bool, str]:
+def criterion_2() -> tuple[bool, str]:
     """Honest K3 one-shot pass rate within 4 sigma of the exact ceiling."""
-    trials = 10_000 if fast else 100_000
+    trials = 100_000
     graph = complete_graph(3)
     params = _params(graph)
     rate, _ = empirical_pass_rate(_honest(graph), params, trials,
@@ -93,7 +92,7 @@ def criterion_2(fast: bool = False) -> tuple[bool, str]:
                       f"over {trials} trials = {dev:.2f} sigma (max 4)")
 
 
-def criterion_3(fast: bool = False) -> tuple[bool, str]:
+def criterion_3() -> tuple[bool, str]:
     """Honest rotation-subtest success equals 1/2 + 1/(2*sqrt(2)) exactly."""
     graph = complete_graph(3)
     params = _params(graph)
@@ -105,9 +104,9 @@ def criterion_3(fast: bool = False) -> tuple[bool, str]:
                            f"of {anchor:.10f} (tol 1e-10)")
 
 
-def criterion_4(fast: bool = False) -> tuple[bool, str]:
+def criterion_4() -> tuple[bool, str]:
     """No X-Z-plane strategy beats the honest one-shot ceiling."""
-    count = 200 if fast else 1000
+    count = 1000
     graph = complete_graph(3)
     params = _params(graph)
     cap = c_test(params)
@@ -136,7 +135,7 @@ def criterion_4(fast: bool = False) -> tuple[bool, str]:
                            f"c_test = {worst:.3e} (tol 1e-9)")
 
 
-def criterion_5(fast: bool = False) -> tuple[bool, str]:
+def criterion_5() -> tuple[bool, str]:
     """Deterministic replies cap the rotation subtest at exactly 3/4."""
     graph = complete_graph(3)
     params = _params(graph)
@@ -171,7 +170,7 @@ def _engine_patterns() -> list[tuple[Graph, MeasurementPattern, dict[int, float]
     return cases
 
 
-def criterion_6(fast: bool = False) -> tuple[bool, str]:
+def criterion_6() -> tuple[bool, str]:
     """Honest provers on random adaptive path patterns match ``mbqc.chain_law``."""
     def engine_law(n, pattern):
         path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
@@ -179,7 +178,7 @@ def criterion_6(fast: bool = False) -> tuple[bool, str]:
         return run_distribution(_honest(path, dict(enumerate(angles))), pattern)
 
     rng = np.random.default_rng(11)
-    count = 20 if fast else 100
+    count = 100
     worst, live = 0.0, 0
     for i in range(count):  # measure 0..k-1 of a path of k or k+1 vertices
         k = int(rng.integers(1, 7))
@@ -215,10 +214,10 @@ def _random_xz_label(n: int, rng: np.random.Generator) -> tuple:
     return ("XZ", tuple(int(b) for b in q), tuple(int(b) for b in p))
 
 
-def criterion_7(fast: bool = False) -> tuple[bool, str]:
+def criterion_7() -> tuple[bool, str]:
     """Ideal provers factorize exactly under the swap isometry."""
-    sizes = (3, 4) if fast else (3, 4, 5, 6, 7)
-    per_size = 5 if fast else 10
+    sizes = (3, 4, 5, 6, 7)
+    per_size = 10
     rng = np.random.default_rng(77)
     worst = 0.0
     checked = 0
@@ -234,9 +233,9 @@ def criterion_7(fast: bool = False) -> tuple[bool, str]:
                            f"worst distance {worst:.2e} (tol 1e-10)")
 
 
-def criterion_8(fast: bool = False) -> tuple[bool, str]:
+def criterion_8() -> tuple[bool, str]:
     """Measured distances never beat the closed-form bounds."""
-    instances = 15 if fast else 100
+    instances = 100
     rng = np.random.default_rng(88)
     sizes = sorted(SWEEP_GRAPHS)
     violations = 0
@@ -281,9 +280,9 @@ def _deviation_patterns() -> dict[int, MeasurementPattern]:
     return pats
 
 
-def criterion_9(fast: bool = False) -> tuple[bool, str]:
+def criterion_9() -> tuple[bool, str]:
     """Adaptive-run output deviation stays within the sequential bound."""
-    instances = 10 if fast else 50
+    instances = 50
     rng = np.random.default_rng(99)
     patterns = _deviation_patterns()
     sizes = sorted(patterns)
@@ -313,7 +312,7 @@ def criterion_9(fast: bool = False) -> tuple[bool, str]:
                 f"worst deviation/bound ratio {worst_ratio:.4f}")
 
 
-def criterion_10(fast: bool = False) -> tuple[bool, str]:
+def criterion_10() -> tuple[bool, str]:
     """Closed-form table: coin bias, gap floors, repetition counts."""
     checks = []
     q = bounds.evaluate("lemma6_q", c_test=0.9, s_test=0.8,
@@ -339,9 +338,9 @@ def criterion_10(fast: bool = False) -> tuple[bool, str]:
                 f"within 10^{worst_log:.3f} of displayed (max 10^0.2)")
 
 
-def criterion_11(fast: bool = False) -> tuple[bool, str]:
+def criterion_11() -> tuple[bool, str]:
     """Majority amplification decides synthetic Bernoulli rounds correctly."""
-    meta = 200 if fast else 1000
+    meta = 1000
     c_ip, s_ip, n_rounds = 0.25, 0.05, 55
     threshold = midpoint_threshold(n_rounds, c_ip, s_ip)
     rng = np.random.default_rng(1111)
@@ -361,7 +360,7 @@ def criterion_11(fast: bool = False) -> tuple[bool, str]:
                 f"meta-trials (max 1/3)")
 
 
-def criterion_12(fast: bool = False) -> tuple[bool, str]:
+def criterion_12() -> tuple[bool, str]:
     """Every computation query is already a test query, structurally."""
     uncovered = []
     n_patterns = 0
@@ -388,9 +387,9 @@ def _exhaustive_strings(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
-def criterion_13(fast: bool = False) -> tuple[bool, str]:
+def criterion_13() -> tuple[bool, str]:
     """Bitstring sum identities and local-complementation stabilizers."""
-    max_n = 8 if fast else 12
+    max_n = 12
     worst_sum = 0
     worst_mean = 0.0
     for n in range(1, max_n + 1):
@@ -413,23 +412,17 @@ def criterion_13(fast: bool = False) -> tuple[bool, str]:
         graph_dev = max(graph_dev, abs(mean_edges - graph.edge_count / 4))
     from .pauli import independent_commuting, lc_generator_transform
     from .graphs import local_complement
-    lc_count = 10 if fast else 50
-    lc_ok = True
-    for _ in range(lc_count):
+
+    def lc_stabilizes() -> bool:  # at a random vertex of a random graph
         graph = _random_graph(int(rng.integers(4, 9)), rng)
         v = int(rng.integers(graph.n))
         gens = lc_generator_transform(graph, v)
-        if not independent_commuting(gens):
-            lc_ok = False
-            break
-        target = build_graph_state(local_complement(graph, v)).state
-        for gen in gens:
-            val = np.vdot(target.amplitudes, gen.matrix() @ target.amplitudes)
-            if abs(val - 1) > 1e-10:
-                lc_ok = False
-                break
-        if not lc_ok:
-            break
+        target = build_graph_state(local_complement(graph, v)).state.amplitudes
+        return independent_commuting(gens) and all(
+            abs(np.vdot(target, gen.matrix() @ target) - 1) <= 1e-10 for gen in gens)
+
+    lc_count = 50
+    lc_ok = all(lc_stabilizes() for _ in range(lc_count))
     ok = worst_sum == 0 and worst_mean < 1e-12 and graph_dev < 1e-12 and lc_ok
     return ok, (f"string sums exact to n={max_n}, mean-inner-product dev "
                 f"{worst_mean:.1e}, edge-count mean dev {graph_dev:.1e}, "
@@ -470,11 +463,11 @@ CRITERIA: list[tuple[int, str, object]] = [
 ]
 
 
-def run_criterion(number: int, fast: bool = False) -> CriterionResult:
+def run_criterion(number: int) -> CriterionResult:
     for num, title, fn in CRITERIA:
         if num == number:
             start = time.perf_counter()
-            passed, detail = fn(fast)
+            passed, detail = fn()
             return CriterionResult(num, title, passed, detail,
                                    time.perf_counter() - start)
     raise ValueError(f"no criterion numbered {number}")
@@ -492,11 +485,11 @@ def suite_numbers(selected=None) -> list[int]:
     return numbers if selected is None else [n for n in numbers if n in set(selected)]
 
 
-def run_suite(selected=None, fast: bool = False, stream=None) -> bool:
+def run_suite(selected=None, stream=None) -> bool:
     """Run the (selected) criteria, print one line each, return overall pass."""
     all_ok = True
     for number in suite_numbers(selected):
-        result = run_criterion(number, fast=fast)
+        result = run_criterion(number)
         all_ok &= result.passed
         if stream is not None:
             status = "PASS" if result.passed else "FAIL"

@@ -232,7 +232,7 @@ def evaluate(kind: str, **params) -> float:
     names and defaults of its function.  Each value is read by its
     parameter's annotation, a size below its floor (n and m at least 1,
     edges and p at least 0) raises DomainError, and so does a result that
-    is not finite.
+    is not finite or overflows the float range.
     """
     fn = _REGISTRY[kind_key(kind)][0]
     names = inspect.signature(fn).parameters
@@ -247,7 +247,10 @@ def evaluate(kind: str, **params) -> float:
     for name, least in _FLOORS.items():
         if name in read and read[name] < least:
             raise DomainError(f"{name} must be at least {least}, got {read[name]}")
-    value = fn(**read)
+    try:
+        value = fn(**read)
+    except ArithmeticError:  # an overflow, or a division by a power that underflowed to 0
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"{kind} evaluates to {value} at {params}")
     return value

@@ -226,28 +226,23 @@ def bounds_cmd(kind, params, out):
 @click.option("--pattern", "pattern_src", required=True)
 @click.option("--strategy", "strategy_src", default=None)
 @click.option("--theta", type=float, default=math.pi / 4, show_default=True)
-@click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--q", type=float, default=None,
-              help="coin bias; default from the optimal-coin formula")
-@click.option("--rounds", type=int, default=None,
-              help="repetitions; default from the Hoeffding count")
 @click.option("--seed", type=int, required=True)
-@click.option("--option", "extra", multiple=True, help="key=value overrides")
-def prove(graph_src, pattern_src, strategy_src, theta, delta, q, rounds, seed,
-          extra):
+@click.option("--option", "extra", multiple=True,
+              help="key=value, repeatable; the one way to set a protocol constant: "
+                   "delta (default 0.1), q (default Lemma 6's optimal coin), "
+                   "n_rounds (default the Hoeffding count), accept_output (default 0), "
+                   "s_calc (default 1/3), s_test_gap (default 0.1), "
+                   "c_ip (default q c_calc + (1 - q) c_test) and "
+                   "s_ip (default c_ip less the composed gap, at least 0)")
+def prove(graph_src, pattern_src, strategy_src, theta, seed, extra):
     """One amplified protocol run; exit 0 on accept, 1 on reject.
 
     The run is trial 0 of a one-trial protocol experiment, so its decision
     matches row 0 of ``run_experiment`` on the same config.
     """
-    options = _parse_options(extra)
-    options.setdefault("delta", delta)
-    if q is not None:
-        options["q"] = q
-    if rounds is not None:
-        options["n_rounds"] = rounds
     cfg = _experiment_config("protocol", graph_src, strategy_src, pattern_src,
-                             theta=theta, trials=1, seed=seed, options=options)
+                             theta=theta, trials=1, seed=seed,
+                             options=_parse_options(extra))
     try:
         setup = prepare(cfg)
         _, result = setup.trial(0)
@@ -262,9 +257,7 @@ def prove(graph_src, pattern_src, strategy_src, theta, delta, q, rounds, seed,
 @main.command()
 @click.option("--only", default=None,
               help="comma-separated criterion numbers, e.g. 1,3,10")
-@click.option("--fast", is_flag=True,
-              help="shrink trial counts for a quick smoke pass")
-def accept(only, fast):
+def accept(only):
     """Run the acceptance suite; one pass/fail line per criterion."""
     from .acceptance import run_suite, suite_numbers
 
@@ -274,7 +267,7 @@ def accept(only, fast):
             selected = suite_numbers([int(tok) for tok in only.split(",") if tok.strip()])
         except ValueError as exc:
             raise InputError(f"--only {only!r}: {exc}") from exc
-    ok = run_suite(selected=selected, fast=fast, stream=sys.stdout)
+    ok = run_suite(selected=selected, stream=sys.stdout)
     sys.exit(0 if ok else 1)
 
 

@@ -87,8 +87,8 @@ class ExperimentConfig:
             raise ValueError("labels must name at least one label")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.seed is None:
-            raise ValueError("stochastic experiments need a seed")
+        if self.seed is None or self.seed < 0:
+            raise ValueError(f"the seed must be at least 0, got {self.seed}")
         if self.kind in ("mbqc", "protocol") and self.pattern is None:
             raise ValueError(f"{self.kind} experiments need a pattern")
 
@@ -169,6 +169,8 @@ def _protocol_setup(cfg: ExperimentConfig,
     if test_gap <= 0:
         raise ValueError("s_test_gap must be above 0")
     st = ct - test_gap
+    if st == ct:  # a gap below the float spacing at c_test rounds away
+        raise ValueError(f"s_test_gap = {test_gap:g} leaves s_test = c_test = {ct:.6g}")
     if st < 0:
         raise ValueError(f"s_test_gap must be at most c_test = {ct:.6g}")
     if "q" in opts:
@@ -337,6 +339,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
     chunk and per CPU; the per-trial PRNG streams make the merged rows
     identical to a serial run.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if cfg.kind == "bounds":
         return _bounds_record(cfg)
     setup = prepare(cfg)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .statevec import qubit_cap
+
 
 class UncoverableVertexError(ValueError):
     """Raised when a vertex lies in no triangle of the graph."""
@@ -182,7 +184,10 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         obj = as_dict(obj, "a graph")
-        return cls.from_edges(as_int(obj["n"], "the graph size"),
+        n = as_int(obj["n"], "the graph size")
+        if not 0 <= n <= qubit_cap():  # before from_edges allocates n x n
+            raise ValueError(f"the graph size must lie in [0, {qubit_cap()}], got {n}")
+        return cls.from_edges(n,
                               [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))
                                for u, v in (as_list(e, "an edge", 2)
                                             for e in as_list(obj["edges"], "edges"))])

@@ -10,7 +10,8 @@ import pytest
 from artifact import provers
 from artifact.acceptance import CRITERIA, criterion_6, run_criterion
 
-TIME_CAPS = {1: 1.0, 2: 10.0, 4: 60.0, 8: 600.0}
+# wall-clock cap in seconds; 5 s for every criterion not listed
+TIME_CAPS = {1: 1.0}
 
 
 @pytest.mark.parametrize(
@@ -18,16 +19,15 @@ TIME_CAPS = {1: 1.0, 2: 10.0, 4: 60.0, 8: 600.0}
     [(num, title) for num, title, _ in CRITERIA],
     ids=[f"criterion_{num:02d}" for num, _, _ in CRITERIA])
 def test_criterion(number, title, capsys):
-    result = run_criterion(number, fast=False)
+    result = run_criterion(number)
     status = "PASS" if result.passed else "FAIL"
     with capsys.disabled():
         print(f"{status} {result.number:02d} {result.title} "
               f"[{result.seconds:.1f}s] {result.detail}")
     assert result.passed, f"criterion {number} failed: {result.detail}"
-    cap = TIME_CAPS.get(number)
-    if cap is not None:
-        assert result.seconds < cap, (
-            f"criterion {number} took {result.seconds:.1f}s, cap {cap:.0f}s")
+    cap = TIME_CAPS.get(number, 5.0)
+    assert result.seconds < cap, (
+        f"criterion {number} took {result.seconds:.1f}s, cap {cap:.0f}s")
 
 
 def test_every_criterion_is_numbered_once():

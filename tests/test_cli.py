@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact.cli import main
-from artifact.experiments import ExperimentConfig, run_experiment
+from artifact.experiments import OPTION_KEYS, ExperimentConfig, run_experiment
 from artifact.graphs import Graph, complete_graph
 from artifact.mbqc import MeasurementPattern
 
@@ -252,20 +252,45 @@ class TestBadInput:
          "a pattern must be a JSON object, got [1]"),
         (["mbqc", "--trials", "1", "--pattern", json.dumps({"steps": [5], "output_bits": []})],
          "a step must be a JSON object, got 5"),
+        # a later --seed overrides the default one
+        (["selftest", "--trials", "1", "--seed", "-1"], "the seed must be at least 0, got -1"),
+        (["selftest", "--trials", "2", "--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["selftest", "--trials", "2", "--jobs", "-3"], "jobs must be at least 1, got -3"),
+        (["selftest", "--trials", "1", "--graph", json.dumps({"n": -1, "edges": []})],
+         "the graph size must lie in [0, 24], got -1"),
+        # c_test - 1e-300 rounds back to c_test
+        (["prove", "--option", "s_test_gap=1e-300"],
+         "s_test_gap = 1e-300 leaves s_test = c_test = 0.912132"),
+        # a bound that overflows, or divides by a power that underflowed to 0
+        (["bounds", "--kind", "thm1n", "--param", "n=3", "--param", "delta=1e-300"],
+         "thm1n evaluates to inf at {'n': 3, 'delta': 1e-300}"),
+        (["bounds", "--kind", "hoeffdingn", "--param", "gap=1e-200"],
+         "hoeffdingn evaluates to inf at {'gap': 1e-200}"),
+        (["bounds", "--param", "delta=1e-300"],
+         "thm1n evaluates to inf at {'n': 3, 'delta': 1e-300}"),
+        (["bounds", "--kind", "hoeffdingn", "--param", "gap=1e-160"],
+         "hoeffdingn evaluates to inf at {'gap': 1e-160}"),
+        (["bounds", "--kind", "lemma5eps", "--param", "n=3", "--param", "delta=1e200"],
+         "lemma5eps evaluates to inf at {'n': 3, 'delta': 1e+200}"),
+        (["bounds", "--kind", "cor3gap", "--param", "n=3", "--param", "delta=1e300"],
+         "cor3gap evaluates to inf at {'n': 3, 'delta': 1e+300}"),
     ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
             "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip",
             "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test",
             "s-test-gap-zero", "s-test-gap-negative", "s-calc-above-one-less-delta",
             "s-calc-one", "edge-not-a-pair", "edges-not-a-list", "x-deps-not-a-list",
             "steps-not-a-list", "output-bits-not-a-list", "graph-not-an-object",
-            "pattern-not-an-object", "step-not-an-object"])
+            "pattern-not-an-object", "step-not-an-object", "seed-negative", "jobs-zero",
+            "jobs-negative", "graph-size-negative", "s-test-gap-below-float-spacing",
+            "thm1n-divides-by-zero", "hoeffdingn-divides-by-zero", "table-divides-by-zero",
+            "hoeffdingn-ceil-overflows", "lemma5eps-overflows", "cor3gap-overflows"])
     def test_error_line_names_the_fault(self, runner, args, message):
         # the check that owns the input speaks, not a later step that trips
         # over it (min() over no neighbors, the Hoeffding count's gap check)
         command, *rest = args
-        defaults = (["--graph", K3_JSON, "--pattern", PATTERN_JSON] if command == "prove"
-                    else ["--graph", K3_JSON])
-        result = runner.invoke(main, [command, *defaults, "--seed", "1", *rest])
+        defaults = {"prove": ["--graph", K3_JSON, "--pattern", PATTERN_JSON, "--seed", "1"],
+                    "bounds": []}.get(command, ["--graph", K3_JSON, "--seed", "1"])
+        result = runner.invoke(main, [command, *defaults, *rest])
         _assert_input_error(result)
         assert result.output.strip() == f"Error: {message}"
 
@@ -276,7 +301,7 @@ class TestBadInput:
                 "--strategy", json.dumps({"kind": "perturbed", "eta": 1e308})]
         if command in ("mbqc", "prove"):
             args += ["--pattern", PATTERN_JSON]
-        args += ["--rounds", "10"] if command == "prove" else ["--trials", "2"]
+        args += ["--option", "n_rounds=10"] if command == "prove" else ["--trials", "2"]
         result = runner.invoke(main, args)
         _assert_input_error(result)
         assert "eta" in result.output
@@ -331,11 +356,20 @@ class TestBadInput:
     @pytest.mark.parametrize("cap", ["abc", "2.5", "0", "-3"])
     @pytest.mark.parametrize("command", ["selftest", "accept"])
     def test_qubit_cap_is_read_strictly(self, runner, cap, command):
-        args = (["accept", "--only", "1", "--fast"] if command == "accept" else
+        args = (["accept", "--only", "1"] if command == "accept" else
                 ["selftest", "--graph", K3_JSON, "--trials", "2", "--seed", "1"])
         result = runner.invoke(main, args, env={"GSIP_QUBIT_CAP": cap})
         _assert_input_error(result)
         assert "GSIP_QUBIT_CAP must be an integer of at least 1" in result.output
+
+    def test_graph_above_the_qubit_cap_is_refused_before_it_is_built(self, runner):
+        # a graph's adjacency is n x n, so the size is checked against the cap
+        # first; a small cap stands in for a size that would exhaust memory
+        result = runner.invoke(main, [
+            "selftest", "--graph", json.dumps({"n": 5, "edges": []}), "--trials", "1",
+            "--seed", "1"], env={"GSIP_QUBIT_CAP": "4"})
+        _assert_input_error(result)
+        assert result.output.strip() == "Error: the graph size must lie in [0, 4], got 5"
 
     @pytest.mark.parametrize("args,name", [
         (["--kind", "lemma4", "--param", "delta=0.1", "--param", "n=-5"], "n"),
@@ -387,7 +421,7 @@ class TestProveCommand:
     def test_honest_run_accepts(self, runner, graph_file, pattern_file):
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
-            "--seed", "5", "--rounds", "40"])
+            "--seed", "5", "--option", "n_rounds=40"])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output.strip().split("\n")[-1])
         assert payload["accepted"] is True
@@ -402,7 +436,7 @@ class TestProveCommand:
         strategy = json.dumps({"kind": "classical", "value": -1})
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
-            "--strategy", strategy, "--seed", "5", "--rounds", "40",
+            "--strategy", strategy, "--seed", "5", "--option", "n_rounds=40",
             "--option", "c_ip=0.9", "--option", "s_ip=0.1"])
         assert result.exit_code == 1
         payload = json.loads(result.output.strip().split("\n")[-1])
@@ -412,7 +446,7 @@ class TestProveCommand:
                                              pattern_file):
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
-            "--seed", "5", "--rounds", "10", "--q", "0.15"])
+            "--seed", "5", "--option", "n_rounds=10", "--option", "q=0.15"])
         payload = json.loads(result.output.strip().split("\n")[-1])
         assert math.isclose(payload["setup"]["q"], 0.15, abs_tol=1e-12)
 
@@ -422,14 +456,14 @@ class TestProveCommand:
         # negative, which cannot yield a sound accept window
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
-            "--seed", "5", "--rounds", "10", "--q", "0.9"])
+            "--seed", "5", "--option", "n_rounds=10", "--option", "q=0.9"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("args,q,gap", [
-        (["--q", "0.5"], "0.5", "-0.1116"),
-        (["--q", "0.5", "--rounds", "5"], "0.5", "-0.1116"),
+        (["--option", "q=0.5"], "0.5", "-0.1116"),
+        (["--option", "q=0.5", "--option", "n_rounds=5"], "0.5", "-0.1116"),
         (["--option", "s_calc=0.75"], "0.4", "-0.06929"),
-        (["--option", "s_calc=0.75", "--rounds", "5"], "0.4", "-0.06929"),
+        (["--option", "s_calc=0.75", "--option", "n_rounds=5"], "0.4", "-0.06929"),
     ], ids=["hoeffding-rounds", "explicit-rounds", "chosen-q-hoeffding-rounds",
             "chosen-q-explicit-rounds"])
     def test_q_without_a_positive_gap_names_q_and_the_gap(self, runner, tmp_path,
@@ -454,7 +488,7 @@ class TestProveCommand:
                                         pattern_file):
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
-            "--seed", "5", "--delta", "0.5"])
+            "--seed", "5", "--option", "delta=0.5"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("strategy", [
@@ -466,31 +500,39 @@ class TestProveCommand:
         extra = [] if strategy is None else ["--strategy", json.dumps(strategy)]
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
-            "--seed", "13", "--rounds", "30", *extra])
+            "--seed", "13", "--option", "n_rounds=30", *extra])
         payload = json.loads(result.output.strip().split("\n")[-1])
         record = run_experiment(ExperimentConfig(
             kind="protocol", graph=complete_graph(3), theta=THETA,
             strategy=strategy,
             pattern=MeasurementPattern.from_json(json.loads(PATTERN_JSON)),
-            trials=1, seed=13, options={"delta": 0.1, "n_rounds": 30}))
+            trials=1, seed=13, options={"n_rounds": 30}))
         row = record.rows[0]
         assert payload["accepted"] is row["accepted"]
         assert payload["accept_count"] == row["accept_count"]
         assert result.exit_code == (0 if row["accepted"] else 1)
         assert payload["setup"] == {k: record.summary[k] for k in payload["setup"]}
 
+    def test_option_help_names_every_protocol_key(self, runner):
+        result = runner.invoke(main, ["prove", "--help"])
+        assert result.exit_code == 0
+        option_help = result.output.split("--option", 1)[1].split("--help", 1)[0]
+        option_help = " ".join(option_help.split())  # undo click's line wrapping
+        for key in OPTION_KEYS["protocol"]:
+            assert f"{key} (default " in option_help, key
+
     def test_same_seed_same_transcript(self, runner, graph_file,
                                        pattern_file):
         args = ["prove", "--graph", graph_file, "--pattern", pattern_file,
-                "--seed", "9", "--rounds", "15"]
+                "--seed", "9", "--option", "n_rounds=15"]
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
 
 
 class TestAcceptCommand:
-    def test_fast_subset(self, runner):
-        result = runner.invoke(main, ["accept", "--fast", "--only", "3,10"])
+    def test_selected_subset(self, runner):
+        result = runner.invoke(main, ["accept", "--only", "3,10"])
         assert result.exit_code == 0
         lines = [l for l in result.output.strip().split("\n") if l]
         assert len(lines) == 2
@@ -613,7 +655,7 @@ class TestFuzzedInput:
     @FUZZ
     @given(key=st.sampled_from(_PROTOCOL_KEYS), value=_OPTION_VALUES)
     def test_protocol_option(self, runner, key, value):
-        rounds = [] if key == "n_rounds" else ["--rounds", "5"]
+        rounds = [] if key == "n_rounds" else ["--option", "n_rounds=5"]
         _run_fuzzed_option(runner, ["prove", "--graph", K3_JSON, "--pattern", PATTERN_JSON,
                                     "--seed", "1", *rounds, "--option", f"{key}={value}"])
 
