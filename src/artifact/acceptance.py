@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen numbered end-to-end checks.
+"""Acceptance suite: twelve numbered end-to-end checks.
 
 Each criterion is a deterministic function (fixed seeds and one fixed
 size) returning pass or fail plus a one-line detail string.  ``run_suite``
@@ -382,61 +382,6 @@ def criterion_12() -> tuple[bool, str]:
                 f"angle mismatch correctly flagged at vertex {mismatch}")
 
 
-def _exhaustive_strings(n: int) -> np.ndarray:
-    idx = np.arange(2 ** n, dtype=np.uint32)
-    return ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
-
-
-def criterion_13() -> tuple[bool, str]:
-    """Bitstring sum identities and local-complementation stabilizers."""
-    max_n = 12
-    worst_sum = 0
-    worst_mean = 0.0
-    for n in range(1, max_n + 1):
-        strings = _exhaustive_strings(n)
-        parity = (strings @ strings.T.astype(np.int32)) % 2
-        sums = ((-1) ** parity.astype(np.int64)).sum(axis=0)
-        expected = np.zeros(2 ** n, dtype=np.int64)
-        expected[0] = 2 ** n
-        worst_sum = max(worst_sum, int(np.max(np.abs(sums - expected))))
-        dots = (strings @ strings.T.astype(np.int64)).mean(axis=0)
-        weights = strings.sum(axis=1)
-        worst_mean = max(worst_mean, float(np.max(np.abs(dots - weights / 2))))
-    graph_dev = 0.0
-    rng = np.random.default_rng(13)
-    quad_graphs = [triangular_lattice(3, 4)] + [
-        _random_graph(rng.integers(2, max_n + 1), rng) for _ in range(5)]
-    for graph in quad_graphs:
-        strings = _exhaustive_strings(graph.n)
-        mean_edges = np.mean([graph.induced_edge_count(s) for s in strings])
-        graph_dev = max(graph_dev, abs(mean_edges - graph.edge_count / 4))
-    from .pauli import independent_commuting, lc_generator_transform
-    from .graphs import local_complement
-
-    def lc_stabilizes() -> bool:  # at a random vertex of a random graph
-        graph = _random_graph(int(rng.integers(4, 9)), rng)
-        v = int(rng.integers(graph.n))
-        gens = lc_generator_transform(graph, v)
-        target = build_graph_state(local_complement(graph, v)).state.amplitudes
-        return independent_commuting(gens) and all(
-            abs(np.vdot(target, gen.matrix() @ target) - 1) <= 1e-10 for gen in gens)
-
-    lc_count = 50
-    lc_ok = all(lc_stabilizes() for _ in range(lc_count))
-    ok = worst_sum == 0 and worst_mean < 1e-12 and graph_dev < 1e-12 and lc_ok
-    return ok, (f"string sums exact to n={max_n}, mean-inner-product dev "
-                f"{worst_mean:.1e}, edge-count mean dev {graph_dev:.1e}, "
-                f"{lc_count} local complementations stabilize exactly")
-
-
-def _random_graph(n: int, rng: np.random.Generator) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < 0.5]
-    if not edges:
-        edges = [(0, 1)]
-    return Graph.from_edges(n, edges)
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -459,7 +404,6 @@ CRITERIA: list[tuple[int, str, object]] = [
     (10, "closed-form table reproduces the displayed numbers", criterion_10),
     (11, "majority amplification error stays below 1/3", criterion_11),
     (12, "computation queries are covered by test queries", criterion_12),
-    (13, "bitstring identities and local complementation", criterion_13),
 ]
 
 

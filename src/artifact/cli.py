@@ -16,7 +16,8 @@ import click
 from . import bounds
 from .experiments import (ExperimentConfig, prepare, run_experiment, write_csv,
                           write_json_lines)
-from .graphs import Graph, complete_graph, triangle_strip, triangular_lattice
+from .graphs import (Graph, checked_size, complete_graph, triangle_strip,
+                     triangular_lattice)
 from .mbqc import MeasurementPattern
 from .statevec import qubit_cap
 
@@ -143,18 +144,19 @@ def gen_graph(family, n, k, rows, cols, out):
     """Write a graph from a named family as JSON."""
     try:
         if family == "k3":
-            g = complete_graph(3)
+            g = complete_graph(checked_size(3))
         elif family == "complete":
             if n is None:
                 raise click.BadParameter("complete needs --n")
-            g = complete_graph(n)
+            g = complete_graph(checked_size(n))
         elif family == "triangle-strip":
             if k is None:
                 raise click.BadParameter("triangle-strip needs -k")
-            g = triangle_strip(k)
+            g = triangle_strip(checked_size(k))
         else:
             if rows is None or cols is None:
                 raise click.BadParameter("triangular-lattice needs --rows/--cols")
+            checked_size(rows * cols)
             g = triangular_lattice(rows, cols)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -79,6 +79,17 @@ def as_real(value, what: str) -> float:
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
+def checked_size(n: int) -> int:
+    """``n`` if a graph of n vertices fits the qubit cap, else ValueError.
+
+    Input boundaries call this before ``Graph.from_edges`` allocates the
+    n x n adjacency; ``from_edges`` itself takes any size.
+    """
+    if not 0 <= n <= qubit_cap():
+        raise ValueError(f"the graph size must lie in [0, {qubit_cap()}], got {n}")
+    return n
+
+
 def dot(s: np.ndarray, t: np.ndarray) -> int:
     """s . t over the integers."""
     if len(s) != len(t):
@@ -161,15 +172,6 @@ class Graph:
             raise ValueError("bitstring length mismatch")
         return (self.adjacency.astype(np.int64) @ x.astype(np.int64) % 2).astype(np.uint8)
 
-    def quadratic_form(self, x: np.ndarray) -> int:
-        """x . A x over the integers (counts each induced edge twice)."""
-        xi = x.astype(np.int64)
-        return int(xi @ self.adjacency.astype(np.int64) @ xi)
-
-    def induced_edge_count(self, x: np.ndarray) -> int:
-        """Edges of the subgraph induced on the support of x."""
-        return self.quadratic_form(x) // 2
-
     def is_triangle(self, tau: np.ndarray) -> bool:
         verts = support(tau)
         if len(verts) != 3:
@@ -184,9 +186,7 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         obj = as_dict(obj, "a graph")
-        n = as_int(obj["n"], "the graph size")
-        if not 0 <= n <= qubit_cap():  # before from_edges allocates n x n
-            raise ValueError(f"the graph size must lie in [0, {qubit_cap()}], got {n}")
+        n = checked_size(as_int(obj["n"], "the graph size"))
         return cls.from_edges(n,
                               [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))
                                for u, v in (as_list(e, "an edge", 2)
@@ -283,15 +283,3 @@ def complete_graph(n: int) -> Graph:
         raise ValueError(f"complete graph needs n >= 1, not {n}")
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
-
-def local_complement(graph: Graph, v: int) -> Graph:
-    """Toggle every edge between neighbours of v; everything else fixed."""
-    if not 0 <= v < graph.n:
-        raise IndexError(f"vertex {v} out of range")
-    a = graph.adjacency.copy()
-    nbrs = graph.neighbors(v)
-    for i, p in enumerate(nbrs):
-        for q in nbrs[i + 1:]:
-            a[p, q] ^= 1
-            a[q, p] ^= 1
-    return Graph(n=graph.n, adjacency=a)

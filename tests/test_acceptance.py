@@ -32,7 +32,7 @@ def test_criterion(number, title, capsys):
 
 def test_every_criterion_is_numbered_once():
     numbers = [num for num, _, _ in CRITERIA]
-    assert numbers == list(range(1, 14))
+    assert numbers == list(range(1, 13))
 
 
 def test_criterion_6_fails_when_the_engine_swaps_branch_probabilities(monkeypatch):

@@ -81,6 +81,22 @@ class TestGenGraph:
         _assert_input_error(result)
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("args,size", [
+        (["--family", "complete", "--n", "6"], 6),
+        (["--family", "triangle-strip", "-k", "5"], 5),
+        (["--family", "triangular-lattice", "--rows", "2", "--cols", "3"], 6),
+    ], ids=["complete", "triangle-strip", "triangular-lattice"])
+    def test_a_graph_above_the_qubit_cap_is_not_written(self, runner, tmp_path, args,
+                                                        size):
+        # every other subcommand refuses such a graph, so gen-graph must not
+        # write it; the size is checked before the n x n adjacency is built
+        out = tmp_path / "graph.json"
+        result = runner.invoke(main, ["gen-graph", *args, "--out", str(out)],
+                               env={"GSIP_QUBIT_CAP": "4"})
+        _assert_input_error(result)
+        assert result.output.strip() == f"Error: the graph size must lie in [0, 4], got {size}"
+        assert not out.exists()
+
 
 class TestSelftestCommand:
     def test_inline_graph_json_lines(self, runner):
@@ -539,9 +555,10 @@ class TestAcceptCommand:
         assert all(line.startswith("PASS") for line in lines)
 
     def test_unknown_criterion_number(self, runner):
-        result = runner.invoke(main, ["accept", "--only", "99"])
-        _assert_input_error(result)
-        assert "unknown criteria [99]" in result.output
+        for number in (99, 13):
+            result = runner.invoke(main, ["accept", "--only", str(number)])
+            _assert_input_error(result)
+            assert f"unknown criteria [{number}]" in result.output
 
     def test_non_integer_criterion_rejected(self, runner):
         result = runner.invoke(main, ["accept", "--only", "x"])

@@ -5,13 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from artifact.graphs import (Graph, TriangleCover, UncoverableVertexError,
-                             complete_graph, dot, local_complement,
-                             support, triangle_cover,
+                             complete_graph, dot, support, triangle_cover,
                              triangle_strip, triangles_containing,
                              triangular_lattice, unit, xor)
 
@@ -58,15 +55,6 @@ class TestGraphContainer:
         g = complete_graph(4)
         assert all(g.degree(v) == 3 for v in range(4))
         assert list(support(g.neighborhood(0))) == [1, 2, 3]
-
-    def test_induced_edge_count_matches_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            g = random_graph(rng, 6)
-            t = rng.integers(0, 2, size=6)
-            t_int = int(sum(int(b) << i for i, b in enumerate(t)))
-            assert g.induced_edge_count(t) == oracles.induced_edges_of_int(
-                t_int, g.edges)
 
 
 class TestBitHelpers:
@@ -127,27 +115,6 @@ class TestTriangles:
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(UncoverableVertexError):
             triangle_cover(path)
-
-
-class TestLocalComplement:
-    def test_known_example(self):
-        # complementing K3 at any vertex removes the opposite edge
-        g = complete_graph(3)
-        lc = local_complement(g, 0)
-        assert (1, 2) not in lc.edges and (0, 1) in lc.edges
-
-    @given(st.integers(2, 7), st.integers(0, 10 ** 6), st.integers(0, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_involution(self, n, seed, v_raw):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, n)
-        v = v_raw % n
-        twice = local_complement(local_complement(g, v), v)
-        assert twice.edges == g.edges
-
-    def test_preserves_vertex_count(self):
-        g = triangle_strip(5)
-        assert local_complement(g, 2).n == g.n
 
 
 class TestBitstringIdentitySuites:

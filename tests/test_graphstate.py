@@ -1,15 +1,12 @@
-"""Graph state amplitudes, stabilizers, and adjacency-sum identities."""
+"""Graph state amplitudes, stabilizers, and triangle operators."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
-from artifact.graphs import Graph, complete_graph, triangle_strip, triangular_lattice, xor
+from artifact.graphs import Graph, complete_graph, triangle_strip, triangular_lattice
 from artifact.graphstate import (NotATriangleError, build_graph_state, stabilizer,
                                  stabilizer_expectations, triangle_operator)
 from artifact.pauli import stabilizer_product
@@ -114,60 +111,3 @@ class TestTriangleOperators:
         g = complete_graph(3)
         with pytest.raises((NotATriangleError, ValueError)):
             triangle_operator(g, np.array([1, 1, 0], np.uint8))
-
-
-class TestAdjacencySumIdentities:
-    """Phase bookkeeping for products of stabilizer elements.
-
-    With e(x) = number of edges inside the support of x, the general
-    identity is
-
-        e(x + y) + (x + y) . Ay + e(y) == e(x)   (mod 2),
-
-    where + is XOR and . Ay counts adjacencies against y.  The shorter
-    form without the e(y) term holds only when |y| <= 1 (no edge fits
-    inside a single vertex), which is the induction step actually used.
-    """
-
-    @staticmethod
-    def _lhs_general(g, x, y):
-        s = xor(x, y)
-        return (g.induced_edge_count(s) + int(s @ (g.adjacency @ y))
-                + g.induced_edge_count(y)) % 2
-
-    @given(st.integers(0, 10 ** 6), st.integers(2, 7))
-    @settings(max_examples=80, deadline=None)
-    def test_general_identity_all_weights(self, seed, n):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, n)
-        x = rng.integers(0, 2, size=n).astype(np.uint8)
-        y = rng.integers(0, 2, size=n).astype(np.uint8)
-        assert self._lhs_general(g, x, y) == g.induced_edge_count(x) % 2
-
-    def test_general_identity_exhaustive_k3(self):
-        g = complete_graph(3)
-        for xi, yi in itertools.product(range(8), repeat=2):
-            x = np.array([(xi >> v) & 1 for v in range(3)], np.uint8)
-            y = np.array([(yi >> v) & 1 for v in range(3)], np.uint8)
-            assert self._lhs_general(g, x, y) == g.induced_edge_count(x) % 2
-
-    def test_short_form_holds_for_single_vertex_y(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            g = random_graph(rng, 6)
-            x = rng.integers(0, 2, size=6).astype(np.uint8)
-            v = int(rng.integers(6))
-            y = np.zeros(6, dtype=np.uint8)
-            y[v] = 1
-            s = xor(x, y)
-            short = (g.induced_edge_count(s) + int(s @ (g.adjacency @ y))) % 2
-            assert short == g.induced_edge_count(x) % 2
-
-    def test_short_form_fails_for_heavy_y(self):
-        # counterexample: K3 with x = 000, y = 111 gives parity 1, not 0
-        g = complete_graph(3)
-        x = np.array([0, 0, 0], np.uint8)
-        y = np.array([1, 1, 1], np.uint8)
-        s = xor(x, y)
-        short = (g.induced_edge_count(s) + int(s @ (g.adjacency @ y))) % 2
-        assert short == 1 != g.induced_edge_count(x) % 2
