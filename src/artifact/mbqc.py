@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,6 +76,15 @@ class MeasurementPattern:
     def vertices(self) -> list[int]:
         return [s.vertex for s in self.steps]
 
+    @cached_property
+    def _runs(self) -> tuple[tuple, dict]:
+        """Per step the vertex, x_deps and one-key walk of each angle sign
+        t (R+ or R-); and up to 4,096 runs, raw outcomes -> output bit and
+        transcript, as a hit costs a fifth of building the transcript."""
+        return tuple((s.vertex, s.x_deps, {1: ((s.vertex, R_PLUS),),
+                                           -1: ((s.vertex, R_MINUS),)})
+                     for s in self.steps), {}
+
     def step_for(self, vertex: int) -> PatternStep:
         for step in self.steps:
             if step.vertex == vertex:
@@ -113,11 +122,6 @@ class StepRecord:
     corrected: int
 
 
-# steps with the same outcome share one frozen record: a cache hit costs
-# about a fifth of building the dataclass
-_step_record = lru_cache(maxsize=None)(StepRecord)
-
-
 @dataclass(frozen=True)
 class RunTranscript:
     steps: tuple[StepRecord, ...]
@@ -150,26 +154,28 @@ def run_pattern(p: ProverSet, pattern: MeasurementPattern,
                 rng: np.random.Generator) -> tuple[int, RunTranscript]:
     """Execute the pattern against a prover set, one query per step.
 
-    A quantum set's outcomes come from a walk of its outcome tree, drawn
-    as a chain of ``measure`` calls would draw them (see
-    ``provers.TreeWalk.sample``); a classical set reads its table and
-    draws nothing, so ``rng`` may be None.
+    A quantum set's outcomes come from a walk of its outcome tree, one
+    ``provers.TreeWalk.steps`` per step, drawn as a chain of ``measure``
+    calls would draw them; a classical set reads its table and draws
+    nothing, so ``rng`` may be None.
     """
     require_support(pattern, p.n)
+    steps, memo = pattern._runs
     raw: dict[int, int] = {}
-    records = []
-    walk = None if p.is_classical else p.tree.walk()
-    for step in pattern.steps:
-        t = _parity(raw, step.x_deps)
-        label = R_PLUS if t == 1 else R_MINUS
-        if walk is None:
-            outcome = p.strategy.table[step.vertex][label]
-        else:
-            outcome = walk.sample(step.vertex, label, rng)
-        raw[step.vertex] = outcome
-        records.append(_step_record(step.vertex, t, outcome,
-                                    outcome * _parity(raw, step.z_deps)))
-    return _output_bit(pattern, raw), RunTranscript(tuple(records))
+    walk = None if p.tree is None else p.tree.walk()
+    for v, x_deps, keys in steps:
+        key = keys[_parity(raw, x_deps)]
+        raw[v] = (p.strategy.table[v][key[0][1]] if walk is None
+                  else walk.steps(key, rng)[0])
+    outcomes = tuple(raw.values())
+    run = memo.get(outcomes)
+    if run is None:
+        run = _output_bit(pattern, raw), RunTranscript(tuple(
+            StepRecord(s.vertex, _parity(raw, s.x_deps), raw[s.vertex],
+                       raw[s.vertex] * _parity(raw, s.z_deps)) for s in pattern.steps))
+        if len(memo) < 4096:
+            memo[outcomes] = run
+    return run
 
 
 def _branch_distribution(walk: TreeWalk, pattern: MeasurementPattern
@@ -196,8 +202,14 @@ def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]
     """Ideal output distribution: the pattern on |G> with exact rotations.
 
     That is ``run_distribution`` for honest provers whose R+- angles are the
-    pattern's (other vertices are never measured and get angle 0).
+    pattern's (other vertices are never measured and get angle 0), kept
+    for the last few (graph, pattern) pairs and returned as a fresh dict.
     """
+    return dict(_reference_law(graph, pattern))
+
+
+@lru_cache(maxsize=16)
+def _reference_law(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]:
     theta = dict.fromkeys(range(graph.n), 0.0)
     theta.update((step.vertex, step.theta) for step in pattern.steps)
     return run_distribution(honest_provers(graph, theta), pattern)

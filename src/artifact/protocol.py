@@ -9,11 +9,12 @@ falls below it, and a cheating count rises above it, with probability at
 most exp(-N (c_ip - s_ip)^2 / 2); ``hoeffding_n`` picks the N that makes
 this 1/3.  The rounds draw in sequence from one generator: in an experiment,
 the trial's stream after any draws that built a ``perturbed`` strategy.
-A round sees a stand-in for that generator that offers ``random()`` only,
-served from blocks of uniforms drawn ahead; when the rounds end, or one
-raises, the generator is rewound to exactly where the uniforms the rounds
-took would have left it, so every drawn value is the one a scalar
-``Generator.random()`` call would have returned.
+A round sees a stand-in whose ``random()`` is the ``__next__`` of an
+iterator over blocks of uniforms drawn ahead; when the rounds end, or one
+raises, the generator is rewound to exactly where the uniforms taken
+would have left it, so every value is the one a scalar
+``Generator.random()`` call would have returned.  Each round is one
+``run_round`` call, and that one ``run_oneshot`` or ``run_pattern`` call.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import length_hint
 
 import numpy as np
 
@@ -154,9 +157,9 @@ def run_amplified(p: ProverSet, cfg: ProtocolConfig,
                   rng: np.random.Generator) -> ProtocolResult:
     """N rounds drawn in sequence from ``rng``, and the decision.
 
-    Every round queries the same prover set, which nothing mutates; its
-    outcome tree carries the Born probabilities one round caches to the
-    next.
+    ``run_amplified_rounds`` calls ``run_round`` N times; each call's record
+    is kept.  Every round queries the same prover set, whose outcome tree
+    carries the Born probabilities and small states one round caches.
     """
     records = []
 
@@ -175,44 +178,40 @@ def run_amplified_rounds(round_fn, n_rounds: int, threshold: float,
 
     ``round_fn(uniforms) -> bool`` runs N times, each round drawing where
     the last stopped.  ``uniforms`` stands in for ``rng`` and offers
-    ``random()`` only: it serves the values of ``rng.random(k)`` drawn in
-    blocks of k = min(N, ``UNIFORM_BLOCK``), which are the values of k
-    scalar draws.  On return, or when a round raises, ``rng`` is left
-    exactly where the draws the rounds took would have left it, a
-    buffered 32-bit half included.  ``run_amplified`` counts its protocol
-    rounds here, and tests exercise the rule with synthetic Bernoulli rounds.
+    ``random()`` only: the ``__next__`` of an iterator over the values of
+    ``rng.random(k)``, drawn in blocks of k = min(N, ``UNIFORM_BLOCK``),
+    which are the values of k scalar draws.  On return, or when a round
+    raises, ``rng`` is left exactly where the draws the rounds took would
+    have left it, a buffered 32-bit half included.  ``run_amplified``
+    counts its protocol rounds here, and tests exercise the rule with
+    synthetic Bernoulli rounds.
     """
     if n_rounds < 1:
         raise ValueError("need at least one round")
     uniforms = _Uniforms(rng, min(n_rounds, UNIFORM_BLOCK))
-    try:
-        count = sum(bool(round_fn(uniforms)) for _ in range(n_rounds))
+    try:  # the rounds run in map's loop, not the interpreter's
+        count = sum(map(bool, map(round_fn, repeat(uniforms, n_rounds))))
     finally:
         uniforms.rewind()
     return count > threshold, count
 
 
 class _Uniforms:
-    """``rng.random()`` served from blocks of ``size`` drawn ahead."""
+    """``rng.random()`` served from blocks of ``size`` drawn ahead, by the
+    ``__next__`` of a chain that draws a block when the last runs out."""
 
-    __slots__ = ("rng", "size", "block", "taken", "state")
+    __slots__ = ("rng", "size", "random", "state", "drawn", "block")
 
     def __init__(self, rng: np.random.Generator, size: int):
         self.rng, self.size = rng, size
-        self.block: list[float] = []
-        self.taken = 0
-        self.state = rng.bit_generator.state
+        self.state, self.drawn, self.block = rng.bit_generator.state, 0, iter(())
+        self.random = chain.from_iterable(self._blocks()).__next__
 
-    def random(self) -> float:
-        try:
-            value = self.block[self.taken]
-        except IndexError:
-            self.state = self.rng.bit_generator.state
-            self.block = self.rng.random(self.size).tolist()
-            self.taken = 0
-            value = self.block[0]
-        self.taken += 1
-        return value
+    def _blocks(self):
+        while True:
+            self.state, self.drawn = self.rng.bit_generator.state, self.size
+            self.block = iter(self.rng.random(self.size).tolist())
+            yield self.block
 
     def rewind(self) -> None:
         """Put ``rng`` where the draws served so far would have left it:
@@ -220,7 +219,7 @@ class _Uniforms:
         Restoring a saved state, not ``PCG64.advance``, keeps the buffered
         32-bit half that ``advance`` would drop."""
         self.rng.bit_generator.state = self.state
-        self.rng.random(self.taken)
+        self.rng.random(self.drawn - length_hint(self.block))
 
 
 def exact_accept_probability(p: ProverSet, cfg: ProtocolConfig) -> float:

@@ -49,6 +49,9 @@ R_PLUS = "R+"
 R_MINUS = "R-"
 IGNORE = "ignore"
 QUERY_LABELS = (X_LABEL, Z_LABEL, R_PLUS, R_MINUS)
+# an outcome-tree node keeps a state of at most this many amplitudes, no more
+# memory than the node's own bookkeeping: every state of K3, few of a lattice's
+KEEP_AMPS = 64
 
 
 class IncompleteTableError(ValueError):
@@ -80,6 +83,11 @@ class Query:
     def queried(self) -> tuple[int, ...]:
         """The vertices the query sends a label to, ascending."""
         return tuple(v for v, b in enumerate(self.bases) if b != IGNORE)
+
+    @cached_property
+    def keys(self) -> tuple[tuple[int, str], ...]:
+        """(vertex, label) of each queried vertex, ascending."""
+        return tuple((v, self.bases[v]) for v in self.queried)
 
 
 def _require_every_label(per_prover: tuple[dict, ...]) -> None:
@@ -124,123 +132,144 @@ class ClassicalStrategy:
 
 
 class _Branching:
-    """One measurement from a tree node: the Born probability of each
-    outcome once computed, and the child node of each branch known to be
-    possible."""
+    """One measurement from a tree node: per outcome, at index 1 or -1 of
+    lists of three, its Born probability and its child node, None until known."""
 
     __slots__ = ("p", "child")
 
-    def __init__(self, p: dict[int, float]):
-        self.p = p
-        self.child: dict[int, dict] = {}
+    def __init__(self, p_plus: float | None = None):
+        self.p, self.child = [None, p_plus, None], [None, None, None]
+
+
+class _Node(dict):
+    """A tree node: maps each next (vertex, label) to a ``_Branching``, and
+    holds ``path``, the (key, outcome) steps from the root to it (no link up,
+    which would make every tree a reference cycle), the bitmask ``gone`` of
+    the vertices they measured, its kept state and its path's replies."""
+
+    __slots__ = ("path", "gone", "state", "replies")
+
+    def __init__(self, parent=None, key=None, outcome=None, state=None):
+        self.path = () if parent is None else (*parent.path, (key, outcome))
+        self.gone = 0 if parent is None else parent.gone | 1 << key[0]
+        self.replies = None
+        self.keep(state)
+
+    def keep(self, state: StateVector | None) -> None:
+        self.state = state if state is None or len(state.amplitudes) <= KEEP_AMPS else None
+
+    def qubit(self, v: int) -> int:
+        """Vertex v's qubit here: each measurement took its qubit out."""
+        return v - (self.gone & ((1 << v) - 1)).bit_count()
 
 
 class OutcomeTree:
     """Cached Born probabilities of one prover set's measurement sequences.
 
     A node stands for the state reached from the shared state by a path of
-    (vertex, label, outcome) measurements, and maps each next (vertex,
-    label) to a ``_Branching``.  No path measures a vertex twice: a query
-    names distinct vertices, and a pattern refuses a repeat.  The tree
-    holds no state vector but the root: a walk keeps its last materialized
-    state plus the steps taken since, and rebuilds with ``project`` (bit
-    for bit ``measure``'s branch) only on reaching an uncached node.
-    Every path from the root gives the same bits, so a cached probability
-    is exactly the one ``measure`` would compute there.
+    (vertex, label, outcome) measurements.  No path measures a vertex
+    twice: a query names distinct vertices, and a pattern refuses a repeat.
+    The root keeps the shared state and a node a small one; a walk holds
+    the last state it materialized and rebuilds one with ``project`` (bit
+    for bit ``measure``'s branch) only at an uncached node.  Every path
+    from the root gives the same bits, so a cached probability is exactly
+    the one ``measure`` would compute there.
     """
 
     def __init__(self, state: StateVector,
                  observables: tuple[dict[str, SingleQubitObservable], ...]):
-        self.state = state
-        self.observables = observables
-        self.root: dict = {}
+        self.observables, self.root = observables, _Node()
+        self.root.state = state
 
     def walk(self) -> "TreeWalk":
-        return TreeWalk(self, self.root, self.state, 0, [])
+        walk = object.__new__(TreeWalk)  # without __init__'s frame: a third cheaper
+        walk.tree, walk.node, walk.at, walk.state = self, self.root, self.root, self.root.state
+        return walk
 
 
 class TreeWalk:
-    """A position in an outcome tree: its node, the last materialized
-    state, the bitmask ``gone`` of the vertices measured out of that
-    state, and the (vertex, label, outcome) steps taken since.
+    """A position in an outcome tree: its node, and ``at``, the deepest node
+    on the path to it whose ``state`` the walk holds."""
 
-    A measurement takes its qubit out of the state (``statevec.measure``),
-    so vertex v sits at position v - popcount(gone below v) of the
-    materialized state.
-    """
+    __slots__ = ("tree", "node", "at", "state")
 
-    __slots__ = ("tree", "node", "state", "gone", "pending")
-
-    def __init__(self, tree: OutcomeTree, node: dict, state: StateVector,
-                 gone: int, pending: list):
-        self.tree = tree
-        self.node = node
-        self.state = state
-        self.gone = gone
-        self.pending = pending
-
-    def _at(self, v: int) -> int:
-        """Vertex v's qubit in the materialized state."""
-        return v - (self.gone & ((1 << v) - 1)).bit_count()
+    def __init__(self, tree: OutcomeTree, node: _Node, at: _Node, state: StateVector):
+        self.tree, self.node, self.at, self.state = tree, node, at, state
 
     def _materialize(self) -> StateVector:
-        for v, label, outcome in self.pending:
-            self.state = project(self.state, self.tree.observables[v][label],
-                                 self._at(v), outcome)[1]
-            self.gone |= 1 << v
-        self.pending = []
-        return self.state
+        """The node's state: down the path from ``at``'s, each node's kept
+        state or else its branch by ``project``."""
+        node, state = self.at, self.state
+        for key, outcome in self.node.path[len(node.path):]:
+            node = node[key].child[outcome]
+            if node.state is None:
+                v, label = key
+                state = project(state, self.tree.observables[v][label], node.qubit(v), outcome)[1]
+                node.keep(state)
+            else:
+                state = node.state
+        self.at, self.state = self.node, state
+        return state
 
-    def _enter(self, b: _Branching, v: int, label: str, outcome: int
+    def _enter(self, b: _Branching, key: tuple[int, str], outcome: int
                ) -> "TreeWalk | None":
-        """A new walk into ``outcome``'s branch of ``b`` from here, or None
-        if that branch is impossible.  An uncached probability is computed
-        with ``project``, whose branch the new walk keeps."""
-        p = b.p.get(outcome)
+        """A new walk into ``outcome``'s branch of ``b``, the branching of
+        ``key`` here, or None if it is impossible.  An uncached probability
+        is computed with ``project``, whose branch the new walk holds."""
+        p, at, state = b.p[outcome], self.at, self.state
         if p is None:
-            state = self._materialize()
-            p, state = project(state, self.tree.observables[v][label],
-                               self._at(v), outcome)
-            b.p[outcome] = p
+            v, label = key
+            p, state = project(self._materialize(), self.tree.observables[v][label],
+                               self.node.qubit(v), outcome)
+            b.p[outcome], at = p, None
             if state is None:
                 return None
-            return TreeWalk(self.tree, b.child.setdefault(outcome, {}), state,
-                            self.gone | 1 << v, [])
-        if p < MIN_BRANCH_P:
+        elif p < MIN_BRANCH_P:
             return None
-        return TreeWalk(self.tree, b.child.setdefault(outcome, {}), self.state,
-                        self.gone, [*self.pending, (v, label, outcome)])
+        child = b.child[outcome]
+        if child is None:
+            child = b.child[outcome] = _Node(self.node, key, outcome)
+        if at is None:
+            child.keep(state)
+            at = child
+        return TreeWalk(self.tree, child, at, state)
 
-    def sample(self, v: int, label: str, rng: np.random.Generator) -> int:
-        """Measure ``label`` on vertex v's qubit and step into the drawn branch.
-
-        One ``rng.random()`` compared with the +1 probability, the draw
-        ``measure`` makes, so the stream and the outcomes are those of a
-        chain of ``measure`` calls.  An uncached measurement goes through
-        ``measure`` itself; an impossible branch raises NormUnderflowError.
-        """
-        key = (v, label)
-        b = self.node.get(key)
-        if b is None:
-            state = self._materialize()
-            outcome, self.state, p_plus = measure(
-                state, self.tree.observables[v][label], self._at(v), rng)
-            self.gone |= 1 << v
-            b = self.node[key] = _Branching({1: p_plus})
-            self.node = b.child[outcome] = {}
-            return outcome
-        outcome = 1 if rng.random() < b.p[1] else -1
-        node = b.child.get(outcome)
-        if node is None:
-            walk = self._enter(b, v, label, outcome)
-            if walk is None:
-                raise NormUnderflowError("measured an impossible branch")
-            self.node, self.state = walk.node, walk.state
-            self.gone, self.pending = walk.gone, walk.pending
-            return outcome
-        self.pending.append((v, label, outcome))
+    def steps(self, keys: tuple[tuple[int, str], ...], rng: np.random.Generator
+              ) -> list[int]:
+        """Measure each (vertex, label) of ``keys`` in turn, stepping into
+        the drawn branch, and return the outcomes: one ``rng.random()`` per
+        key against the +1 probability, the draw ``measure`` makes, so the
+        stream and the outcomes are those of a chain of ``measure`` calls.
+        A cached step is two lookups and a draw; an uncached one goes
+        through ``measure`` or ``_enter``.  Drawing an impossible branch
+        raises NormUnderflowError."""
+        random, node, outcomes = rng.random, self.node, []
+        for key in keys:
+            b = node.get(key)
+            if b is not None:
+                outcome = 1 if random() < b.p[1] else -1
+                child = b.child[outcome]
+                if child is not None:
+                    node = child
+                    outcomes.append(outcome)
+                    continue
+            self.node = node
+            if b is None:
+                v, label = key
+                outcome, state, p_plus = measure(
+                    self._materialize(), self.tree.observables[v][label],
+                    node.qubit(v), rng)
+                b = node[key] = _Branching(p_plus)
+                node = self.at = b.child[outcome] = _Node(node, key, outcome, state)
+                self.state = state
+            else:
+                walk = self._enter(b, key, outcome)
+                if walk is None:
+                    raise NormUnderflowError("measured an impossible branch")
+                node, self.at, self.state = walk.node, walk.at, walk.state
+            outcomes.append(outcome)
         self.node = node
-        return outcome
+        return outcomes
 
     def branches(self, v: int, label: str) -> Iterator[tuple[int, float, "TreeWalk"]]:
         """Every possible outcome of measuring ``label`` on vertex v's
@@ -248,9 +277,9 @@ class TreeWalk:
         Lazy, so an enumeration holds one branch state per level, not two."""
         b = self.node.get((v, label))
         if b is None:
-            b = self.node[(v, label)] = _Branching({})
+            b = self.node[(v, label)] = _Branching()
         for outcome in (1, -1):
-            walk = self._enter(b, v, label, outcome)
+            walk = self._enter(b, (v, label), outcome)
             if walk is not None:
                 yield outcome, b.p[outcome], walk
 
@@ -371,30 +400,25 @@ def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
                   ) -> tuple[dict[int, int], int]:
     """Measure the queried qubits in ascending order; return replies, product.
 
-    A quantum set's replies come from a walk of its outcome tree: one
-    ``rng.random()`` per queried qubit, the same draws and replies as a
-    chain of ``measure`` calls, and a ``measure`` only where the tree has
-    not yet cached the probability.  The product includes the query's
-    verifier-side sign; ignored provers contribute +1.  A classical set
-    reads its table and draws nothing, so ``rng`` may be None.  The
-    caller's ProverSet is never mutated.
+    A quantum set's replies are one ``TreeWalk.steps`` from the root of its
+    outcome tree: one ``rng.random()`` per queried qubit, the draws and
+    replies of a chain of ``measure`` calls, a ``measure`` only where the
+    tree has no probability cached, and a copy of the replies its end node
+    keeps.  The product includes the query's verifier-side sign; ignored
+    provers contribute +1.  A classical set reads its table and draws
+    nothing, so ``rng`` may be None.  The caller's ProverSet is never mutated.
     """
     if len(q.bases) != p.n:
         raise ValueError("query length does not match prover count")
-    replies: dict[int, int] = {}
-    product = q.sign
-    if p.is_classical:
-        for v in q.queried:
-            r = p.strategy.table[v][q.bases[v]]
-            replies[v] = r
-            product *= r
-        return replies, product
+    if p.tree is None:
+        outcomes = [p.strategy.table[v][label] for v, label in q.keys]
+        return dict(zip(q.queried, outcomes)), math.prod(outcomes, start=q.sign)
     walk = p.tree.walk()
-    for v in q.queried:
-        outcome = walk.sample(v, q.bases[v], rng)
-        replies[v] = outcome
-        product *= outcome
-    return replies, product
+    outcomes = walk.steps(q.keys, rng)
+    path = walk.node.replies
+    if path is None:
+        path = walk.node.replies = dict(zip(q.queried, outcomes)), math.prod(outcomes)
+    return path[0].copy(), path[1] * q.sign
 
 
 def query_expectation(p: ProverSet, q: Query) -> float:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,24 +102,26 @@ class TestParameters:
         return 3 * self.graph.n + len(self.cover.triangles)
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     subtest: Subtest
     accepted: bool
     replies: dict[int, int]
 
 
 def default_parameters(graph: Graph, theta=None) -> TestParameters:
-    """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor."""
-    cover = triangle_cover(graph)  # first: it names a vertex in no triangle
-    if theta is None:
-        theta = math.pi / 4
+    """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor,
+    shared for the last few (graph, angles) pairs: both are immutable."""
+    triangle_cover(graph)  # first: it names a vertex in no triangle
+    theta = math.pi / 4 if theta is None else theta
     if isinstance(theta, (int, float)):
-        theta_t = (float(theta),) * graph.n
-    else:
-        theta_t = tuple(float(theta[v]) for v in range(graph.n))
+        return _parameters(graph, (float(theta),) * graph.n)
+    return _parameters(graph, tuple(float(theta[v]) for v in range(graph.n)))
+
+
+@lru_cache(maxsize=16)
+def _parameters(graph: Graph, theta: tuple[float, ...]) -> TestParameters:
     u_choice = tuple(min(graph.neighbors(v)) for v in range(graph.n))
-    return TestParameters(graph, cover, theta_t, u_choice)
+    return TestParameters(graph, triangle_cover(graph), theta, u_choice)
 
 
 def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
@@ -163,10 +166,11 @@ def run_oneshot(p: ProverSet, params: TestParameters,
                 rng: np.random.Generator) -> TestOutcome:
     """Sample one subtest per the test's law and execute it.  The draw is
     ``Generator.choice``'s own CDF lookup, one ``rng.random()`` placed by
-    ``bisect_right`` in the stored CDF, without choice's per-call check of p."""
+    ``bisect_right`` in the stored CDF, without choice's per-call check of p.
+    ``tuple.__new__`` builds the outcome without NamedTuple's Python call."""
     subtest = params.subtests[bisect_right(params._cdf, rng.random())]
     replies, product = execute_query(p, subtest.query, rng)
-    return TestOutcome(subtest, product == subtest.target, replies)
+    return tuple.__new__(TestOutcome, (subtest, product == subtest.target, replies))
 
 
 def c_test(params: TestParameters) -> float:

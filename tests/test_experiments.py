@@ -17,7 +17,8 @@ from artifact.experiments import (
     write_json_lines,
 )
 from artifact.graphs import complete_graph, triangle_strip
-from artifact.mbqc import MeasurementPattern, PatternStep, reference_run
+from artifact.mbqc import MeasurementPattern, PatternStep, reference_run, run_distribution
+from artifact.provers import honest_provers
 
 THETA = math.pi / 4
 K3 = complete_graph(3)
@@ -216,6 +217,17 @@ class TestRowsAndSummaries:
         run_experiment(_cfg("protocol", trials=4,
                             options={"delta": 0.1, "n_rounds": 12}), jobs=2)
         assert log.read_text() == "x"
+
+    def test_protocol_c_calc_is_a_fresh_law_of_the_pattern(self):
+        # the reference law is kept between runs; c_calc must still be the
+        # honest law at the pattern's angles, computed from scratch
+        for _ in range(2):
+            meta = run_experiment(_cfg("protocol", trials=1,
+                                       options={"n_rounds": 4})).summary
+            theta = dict.fromkeys(range(K3.n), 0.0)
+            theta.update((s.vertex, s.theta) for s in PATTERN.steps)
+            law = run_distribution(honest_provers(K3, theta), PATTERN)
+            assert meta["c_calc"] == law.get(0, 0.0)
 
     def test_each_trial_draws_its_stream_through_trial_rng(self, monkeypatch):
         # a per-trial hook on the module global sees every trial exactly once

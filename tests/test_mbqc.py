@@ -111,6 +111,21 @@ class TestReferenceRun:
         with pytest.raises(MissingAngleSupportError):
             reference_run(complete_graph(3), pattern)
 
+    def test_a_second_graph_with_the_same_edges_gives_an_equal_law(self):
+        # the law is kept per graph object (Graph compares by identity)
+        first = reference_run(triangle_strip(5), _strip_pattern())
+        second = reference_run(triangle_strip(5), _strip_pattern())
+        assert second == first
+
+    def test_a_changed_law_does_not_reach_the_next_call(self):
+        graph, pattern = complete_graph(3), _k3_pattern()
+        law = reference_run(graph, pattern)
+        fresh = dict(law)
+        law[0] = 2.0
+        del law[1]
+        assert reference_run(graph, pattern) == fresh
+        assert reference_run(graph, pattern) is not reference_run(graph, pattern)
+
 
 class TestRunDistribution:
     @pytest.mark.parametrize("graph,pattern", [

@@ -31,6 +31,12 @@ HONEST = {"kind": "honest"}
 XZ_CHEATER = {"kind": "xz", "angles": {
     str(v): {"X": 0.0, "Z": math.pi / 2, "R+": math.pi / 2, "R-": math.pi / 2}
     for v in range(3)}}
+# classical rounds draw one uniform (calculation) or two (test), none inside
+# a query; the table's -1 replies fail some subtests
+CLASSICAL = {"kind": "classical", "value": 1}
+CLASSICAL_TABLE = {"kind": "classical", "table": {
+    str(v): {"X": 1, "Z": -1 if v == 1 else 1, "R+": -1, "R-": 1 if v else -1}
+    for v in range(3)}}
 
 
 def _setup(q=0.3, n_rounds=20):
@@ -271,18 +277,27 @@ class TestDrawsAhead:
         p = self._provers(spec, cfg.params)
         return tuple(run_round(p, cfg, twin)[1] for _ in range(cfg.n_rounds))
 
-    @pytest.mark.parametrize("spec", [HONEST, XZ_CHEATER], ids=["honest", "xz-cheater"])
-    def test_decision_is_the_twin_loop_of_run_round(self, spec):
-        # 3,000 rounds draw 13,192 uniforms: five blocks of 3,000
+    @pytest.mark.parametrize("spec,q,n_rounds", [
+        pytest.param(spec, q, n_rounds, id=name + suffix)
+        for suffix, q, n_rounds in (("", 0.3, 3000), ("-q0", 0.0, 1001), ("-q1", 1.0, 4099))
+        for name, spec in (("honest", HONEST), ("xz-cheater", XZ_CHEATER),
+                           ("classical", CLASSICAL), ("table", CLASSICAL_TABLE))])
+    def test_decision_is_the_twin_loop_of_run_round(self, spec, q, n_rounds):
+        # every case draws past its first block of min(N, 4,096) uniforms:
+        # 3,000 rounds at q = 0.3 draw 13,192 (quantum) or 5,111 (classical),
+        # 1,001 test rounds (q = 0) 5,005 or 2,002, and 4,099 calculation
+        # rounds (q = 1) 12,297 or 4,099
         _, params, pattern, _, _ = _setup()
-        cfg = ProtocolConfig(q=0.3, params=params, pattern=pattern,
-                             n_rounds=3000, c_ip=0.8, s_ip=0.2)
+        cfg = ProtocolConfig(q=q, params=params, pattern=pattern,
+                             n_rounds=n_rounds, c_ip=0.8, s_ip=0.2)
         rng, twin = np.random.default_rng(4301), np.random.default_rng(4301)
         result = run_amplified(self._provers(spec, params), cfg, rng)
         records = self._twin_rounds(spec, cfg, twin)
         assert result.rounds == records
         assert result.accept_count == sum(r.accepted for r in records)
         assert rng.bit_generator.state == twin.bit_generator.state
+        if spec is CLASSICAL_TABLE and q < 1:
+            assert 0 < result.accept_count < n_rounds
 
     @pytest.mark.parametrize("k", [1, 4096, 4097, 4098, 10_000])
     def test_a_raising_round_leaves_the_stream_after_the_draws_taken(self, k):

@@ -1,6 +1,9 @@
 """Prover strategies: honest, perturbed, classical, and adversarial."""
 
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
                               query_expectation, strategy_from_json,
                               xz_plane_provers, QUERY_LABELS)
 from artifact.selftest import default_parameters, exact_pass_probability
-from artifact.statevec import NormUnderflowError, StateVector, measure
+from artifact.statevec import NormUnderflowError, StateVector, measure, project
 
 THETA = {v: math.pi / 4 for v in range(8)}
 
@@ -370,6 +373,68 @@ class TestOutcomeTree:
         with pytest.raises(NormUnderflowError):
             execute_query(p, q, ForcedRng(forced))
         assert measure_calls == []
+
+
+    @staticmethod
+    def _nodes(node, n_qubits):
+        """(node, qubits of its state) for every node below ``node``."""
+        for b in node.values():
+            for child in b.child[1:]:
+                if child is not None:
+                    yield child, n_qubits - 1
+                    yield from TestOutcomeTree._nodes(child, n_qubits - 1)
+
+    @pytest.mark.parametrize("graph", [complete_graph(3), triangular_lattice(3, 4)],
+                             ids=["k3", "lattice"])
+    def test_only_small_states_are_kept_and_never_rebuilt(self, graph, monkeypatch):
+        projected = []
+
+        def counted(state, obs, qubit, outcome):
+            projected.append((id(state), obs, qubit, outcome))
+            return project(state, obs, qubit, outcome)
+
+        monkeypatch.setattr(provers, "project", counted)
+        p = _strategies(graph, 14)["honest"]
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            for s in default_parameters(graph).subtests:
+                execute_query(p, s.query, rng)
+        nodes = list(self._nodes(p.tree.root, graph.n))
+        assert len(nodes) > 20
+        for node, n_qubits in nodes:
+            if node.state is not None:
+                assert node.state.n_qubits == n_qubits <= math.log2(provers.KEEP_AMPS)
+        # a repeated call rebuilds a state the tree did not keep: the
+        # lattice's big ones, never one of K3's
+        rebuilt = len(projected) - len(set(projected))
+        assert (rebuilt == 0) == (graph.n == 3)
+
+    def test_a_walked_tree_pickles_and_is_no_reference_cycle(self):
+        # nodes hold their path, no link up: a walked set pickles, and a
+        # dropped tree goes by reference counting, without the cyclic collector
+        p = honest_k3()
+        queries = [s.query for s in default_parameters(complete_graph(3)).subtests]
+        for q in queries:
+            execute_query(p, q, np.random.default_rng(10))
+        twin = pickle.loads(pickle.dumps(p))
+        assert ([execute_query(twin, q, np.random.default_rng(11)) for q in queries]
+                == [execute_query(p, q, np.random.default_rng(11)) for q in queries])
+        b = next(iter(p.tree.root.values()))
+        kept = weakref.ref(next(c for c in b.child if c is not None).state.amplitudes)
+        gc.disable()
+        try:
+            del p, b
+            assert kept() is None
+        finally:
+            gc.enable()
+
+    def test_replies_are_a_fresh_dict_on_every_call(self):
+        p, q = honest_k3(), Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"})
+        first, _ = execute_query(p, q, ForcedRng((-1.0, -1.0, -1.0)))
+        first[0] = 7
+        second, product = execute_query(p, q, ForcedRng((-1.0, -1.0, -1.0)))
+        assert second == {0: 1, 1: 1, 2: 1} and product == 1
+        assert second is not first
 
 
 # the golden records' patterns: K3's adaptive chain and four unconditioned

@@ -138,6 +138,10 @@ def test_a_short_k3_protocol_run_calls_every_protocol_layer(monkeypatch):
         strategy={"kind": "honest"}, trials=1, seed=3, options={"n_rounds": 40}))
     assert _uncalled(calls, "protocol-k3") == []
     assert calls["provers.ProverSet.clone"] == 1
+    # one call of each round layer per round: the per-layer metrics
+    # rounds_per_decision and calculate_share count them
+    assert calls["protocol.run_round"] == 40
+    assert calls["selftest.run_oneshot"] + calls["mbqc.run_pattern"] == 40
 
 
 def test_a_short_k3_isometry_report_calls_every_isometry_layer(monkeypatch):
