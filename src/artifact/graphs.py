@@ -104,7 +104,7 @@ def xor(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def support(s: np.ndarray) -> list[int]:
-    return [int(v) for v in np.flatnonzero(s)]
+    return s.ravel().nonzero()[0].tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,13 +79,19 @@ class MeasurementPattern:
         return [s.vertex for s in self.steps]
 
     @cached_property
-    def _runs(self) -> tuple[tuple, dict]:
-        """Per step the vertex, x_deps and one-key walk of each angle sign
-        t (R+ or R-); and up to 4,096 runs, raw outcomes -> output bit and
-        transcript, as a hit costs a fifth of building the transcript."""
+    def _walk_steps(self) -> tuple[tuple, ...]:
+        """What ``run_pattern`` reads per step: its vertex, x_deps and the
+        one-key walk of each angle sign t (R+ or R-)."""
         return tuple((s.vertex, s.x_deps, {1: ((s.vertex, R_PLUS),),
                                            -1: ((s.vertex, R_MINUS),)})
-                     for s in self.steps), {}
+                     for s in self.steps)
+
+    @cached_property
+    def _output_deps(self) -> tuple[int, ...]:
+        """The vertices whose raw outcomes multiply to the output product:
+        those that the output bits and their z_deps name an odd number of times."""
+        named = Counter(u for v in self.output_bits for u in (v, *self.step_for(v).z_deps))
+        return tuple(sorted(u for u, times in named.items() if times % 2))
 
     def step_for(self, vertex: int) -> PatternStep:
         for step in self.steps:
@@ -122,9 +130,18 @@ class StepRecord:
     corrected: int
 
 
-@dataclass(frozen=True)
-class RunTranscript:
-    steps: tuple[StepRecord, ...]
+class RunTranscript(NamedTuple):
+    """A run's raw outcomes in step order; ``steps`` reads them as records."""
+
+    pattern: MeasurementPattern
+    outcomes: tuple[int, ...]
+
+    @property
+    def steps(self) -> tuple[StepRecord, ...]:
+        raw = dict(zip(self.pattern.vertices, self.outcomes))
+        return tuple(StepRecord(s.vertex, _parity(raw, s.x_deps), raw[s.vertex],
+                                raw[s.vertex] * _parity(raw, s.z_deps))
+                     for s in self.pattern.steps)
 
 
 def _parity(raw: dict[int, int], deps) -> int:
@@ -134,12 +151,8 @@ def _parity(raw: dict[int, int], deps) -> int:
     return sign
 
 
-def _output_bit(pattern: MeasurementPattern, raw: dict[int, int]) -> int:
-    product = 1
-    for v in pattern.output_bits:
-        step = pattern.step_for(v)
-        product *= raw[v] * _parity(raw, step.z_deps)
-    return (1 - product) // 2
+def _output_bit(pattern: MeasurementPattern, raw) -> int:
+    return (1 - _parity(raw, pattern._output_deps)) // 2
 
 
 def require_support(pattern: MeasurementPattern, n: int) -> None:
@@ -160,22 +173,13 @@ def run_pattern(p: ProverSet, pattern: MeasurementPattern,
     nothing, so ``rng`` may be None.
     """
     require_support(pattern, p.n)
-    steps, memo = pattern._runs
     raw: dict[int, int] = {}
-    walk = None if p.tree is None else p.tree.walk()
-    for v, x_deps, keys in steps:
+    walk = None if p.tree is None else TreeWalk(p.tree)
+    for v, x_deps, keys in pattern._walk_steps:
         key = keys[_parity(raw, x_deps)]
         raw[v] = (p.strategy.table[v][key[0][1]] if walk is None
-                  else walk.steps(key, rng)[0])
-    outcomes = tuple(raw.values())
-    run = memo.get(outcomes)
-    if run is None:
-        run = _output_bit(pattern, raw), RunTranscript(tuple(
-            StepRecord(s.vertex, _parity(raw, s.x_deps), raw[s.vertex],
-                       raw[s.vertex] * _parity(raw, s.z_deps)) for s in pattern.steps))
-        if len(memo) < 4096:
-            memo[outcomes] = run
-    return run
+                  else walk.steps(key, rng))
+    return _output_bit(pattern, raw), RunTranscript(pattern, tuple(raw.values()))
 
 
 def _branch_distribution(walk: TreeWalk, pattern: MeasurementPattern
@@ -245,7 +249,7 @@ def run_distribution(p: ProverSet, pattern: MeasurementPattern) -> dict[int, flo
     if p.is_classical:
         bit, _ = run_pattern(p, pattern, None)
         return {bit: 1.0, 1 - bit: 0.0}
-    return _branch_distribution(p.tree.walk(), pattern)
+    return _branch_distribution(TreeWalk(p.tree), pattern)
 
 
 def total_variation(a: dict[int, float], b: dict[int, float]) -> float:

@@ -178,13 +178,12 @@ def run_amplified_rounds(round_fn, n_rounds: int, threshold: float,
 
     ``round_fn(uniforms) -> bool`` runs N times, each round drawing where
     the last stopped.  ``uniforms`` stands in for ``rng`` and offers
-    ``random()`` only: the ``__next__`` of an iterator over the values of
-    ``rng.random(k)``, drawn in blocks of k = min(N, ``UNIFORM_BLOCK``),
-    which are the values of k scalar draws.  On return, or when a round
-    raises, ``rng`` is left exactly where the draws the rounds took would
-    have left it, a buffered 32-bit half included.  ``run_amplified``
-    counts its protocol rounds here, and tests exercise the rule with
-    synthetic Bernoulli rounds.
+    ``random()`` only: the ``__next__`` of an iterator over ``rng.random(k)``
+    drawn in blocks of k = min(N, ``UNIFORM_BLOCK``), the values of k scalar
+    draws.  On return, or when a round raises, ``rng`` is left exactly where
+    the draws taken would have left it, a buffered 32-bit half included.
+    ``run_amplified`` counts its protocol rounds here, and tests exercise
+    the rule with synthetic Bernoulli rounds.
     """
     if n_rounds < 1:
         raise ValueError("need at least one round")
@@ -217,9 +216,11 @@ class _Uniforms:
         """Put ``rng`` where the draws served so far would have left it:
         the state before the current block, then the draws taken from it.
         Restoring a saved state, not ``PCG64.advance``, keeps the buffered
-        32-bit half that ``advance`` would drop."""
+        32-bit half that ``advance`` would drop.  Serving ends here: dropping
+        the chain also breaks the cycle self -> chain -> ``_blocks`` -> self."""
         self.rng.bit_generator.state = self.state
         self.rng.random(self.drawn - length_hint(self.block))
+        self.random = None
 
 
 def exact_accept_probability(p: ProverSet, cfg: ProtocolConfig) -> float:

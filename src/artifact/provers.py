@@ -167,13 +167,12 @@ class OutcomeTree:
     """Cached Born probabilities of one prover set's measurement sequences.
 
     A node stands for the state reached from the shared state by a path of
-    (vertex, label, outcome) measurements.  No path measures a vertex
-    twice: a query names distinct vertices, and a pattern refuses a repeat.
-    The root keeps the shared state and a node a small one; a walk holds
-    the last state it materialized and rebuilds one with ``project`` (bit
-    for bit ``measure``'s branch) only at an uncached node.  Every path
-    from the root gives the same bits, so a cached probability is exactly
-    the one ``measure`` would compute there.
+    (vertex, label, outcome) measurements, no vertex twice: a query names
+    distinct vertices, and a pattern refuses a repeat.  The root keeps the
+    shared state and a node a small one; a walk rebuilds any other with
+    ``project``, bit for bit ``measure``'s branch.  Every path from the
+    root gives the same bits, so a cached probability is exactly the one
+    ``measure`` would compute there.
     """
 
     def __init__(self, state: StateVector,
@@ -181,19 +180,18 @@ class OutcomeTree:
         self.observables, self.root = observables, _Node()
         self.root.state = state
 
-    def walk(self) -> "TreeWalk":
-        walk = object.__new__(TreeWalk)  # without __init__'s frame: a third cheaper
-        walk.tree, walk.node, walk.at, walk.state = self, self.root, self.root, self.root.state
-        return walk
-
 
 class TreeWalk:
     """A position in an outcome tree: its node, and ``at``, the deepest node
-    on the path to it whose ``state`` the walk holds."""
+    on the path to it whose ``state`` the walk holds; by default the root."""
 
     __slots__ = ("tree", "node", "at", "state")
 
-    def __init__(self, tree: OutcomeTree, node: _Node, at: _Node, state: StateVector):
+    def __init__(self, tree: OutcomeTree, node: _Node | None = None,
+                 at: _Node | None = None, state: StateVector | None = None):
+        if node is None:
+            node = at = tree.root
+            state = node.state
         self.tree, self.node, self.at, self.state = tree, node, at, state
 
     def _materialize(self) -> StateVector:
@@ -235,15 +233,15 @@ class TreeWalk:
         return TreeWalk(self.tree, child, at, state)
 
     def steps(self, keys: tuple[tuple[int, str], ...], rng: np.random.Generator
-              ) -> list[int]:
+              ) -> int:
         """Measure each (vertex, label) of ``keys`` in turn, stepping into
-        the drawn branch, and return the outcomes: one ``rng.random()`` per
-        key against the +1 probability, the draw ``measure`` makes, so the
-        stream and the outcomes are those of a chain of ``measure`` calls.
-        A cached step is two lookups and a draw; an uncached one goes
-        through ``measure`` or ``_enter``.  Drawing an impossible branch
-        raises NormUnderflowError."""
-        random, node, outcomes = rng.random, self.node, []
+        the drawn branch, and return the last outcome; the walk's node's
+        ``path`` ends in all of them.  One ``rng.random()`` per key against
+        the +1 probability, the draw ``measure`` makes, so the stream and the
+        outcomes are those of a chain of ``measure`` calls.  A cached step
+        is two lookups and a draw; an uncached one goes through ``measure``
+        or ``_enter``.  Drawing an impossible branch raises NormUnderflowError."""
+        random, node, outcome = rng.random, self.node, 0
         for key in keys:
             b = node.get(key)
             if b is not None:
@@ -251,7 +249,6 @@ class TreeWalk:
                 child = b.child[outcome]
                 if child is not None:
                     node = child
-                    outcomes.append(outcome)
                     continue
             self.node = node
             if b is None:
@@ -267,9 +264,8 @@ class TreeWalk:
                 if walk is None:
                     raise NormUnderflowError("measured an impossible branch")
                 node, self.at, self.state = walk.node, walk.at, walk.state
-            outcomes.append(outcome)
         self.node = node
-        return outcomes
+        return outcome
 
     def branches(self, v: int, label: str) -> Iterator[tuple[int, float, "TreeWalk"]]:
         """Every possible outcome of measuring ``label`` on vertex v's
@@ -413,12 +409,14 @@ def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
     if p.tree is None:
         outcomes = [p.strategy.table[v][label] for v, label in q.keys]
         return dict(zip(q.queried, outcomes)), math.prod(outcomes, start=q.sign)
-    walk = p.tree.walk()
-    outcomes = walk.steps(q.keys, rng)
-    path = walk.node.replies
-    if path is None:
-        path = walk.node.replies = dict(zip(q.queried, outcomes)), math.prod(outcomes)
-    return path[0].copy(), path[1] * q.sign
+    walk = TreeWalk(p.tree)
+    walk.steps(q.keys, rng)
+    node = walk.node
+    if node.replies is None:
+        node.replies = ({key[0]: outcome for key, outcome in node.path},
+                        math.prod(outcome for _, outcome in node.path))
+    replies, product = node.replies
+    return replies.copy(), product * q.sign
 
 
 def query_expectation(p: ProverSet, q: Query) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -109,19 +109,16 @@ class TestOutcome(NamedTuple):
 
 
 def default_parameters(graph: Graph, theta=None) -> TestParameters:
-    """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor,
-    shared for the last few (graph, angles) pairs: both are immutable."""
-    triangle_cover(graph)  # first: it names a vertex in no triangle
-    theta = math.pi / 4 if theta is None else theta
+    """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor."""
+    cover = triangle_cover(graph)  # first: it names a vertex in no triangle
+    if theta is None:
+        theta = math.pi / 4
     if isinstance(theta, (int, float)):
-        return _parameters(graph, (float(theta),) * graph.n)
-    return _parameters(graph, tuple(float(theta[v]) for v in range(graph.n)))
-
-
-@lru_cache(maxsize=16)
-def _parameters(graph: Graph, theta: tuple[float, ...]) -> TestParameters:
+        theta_t = (float(theta),) * graph.n
+    else:
+        theta_t = tuple(float(theta[v]) for v in range(graph.n))
     u_choice = tuple(min(graph.neighbors(v)) for v in range(graph.n))
-    return TestParameters(graph, triangle_cover(graph), theta, u_choice)
+    return TestParameters(graph, cover, theta_t, u_choice)
 
 
 def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
@@ -147,10 +144,11 @@ def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
         w_z = w * sin_v / (cos_v + sin_v)
         u = params.u_choice[v]
         z_support = support(xor(g.neighborhood(u), unit(n, v)))
+        neighbors = g.neighbors(v)
         for t in (1, -1):
             r_label = R_PLUS if t == 1 else R_MINUS
             assigned_x = {v: r_label}
-            assigned_x.update({nb: Z_LABEL for nb in g.neighbors(v)})
+            assigned_x.update({nb: Z_LABEL for nb in neighbors})
             out.append(Subtest(RTHETA_X,
                                Query.from_assignments(n, assigned_x),
                                target=1, weight=w_x, vertex=v, t=t))
@@ -167,7 +165,7 @@ def run_oneshot(p: ProverSet, params: TestParameters,
     """Sample one subtest per the test's law and execute it.  The draw is
     ``Generator.choice``'s own CDF lookup, one ``rng.random()`` placed by
     ``bisect_right`` in the stored CDF, without choice's per-call check of p.
-    ``tuple.__new__`` builds the outcome without NamedTuple's Python call."""
+    The one TestOutcome maker: ``tuple.__new__`` skips NamedTuple's Python call."""
     subtest = params.subtests[bisect_right(params._cdf, rng.random())]
     replies, product = execute_query(p, subtest.query, rng)
     return tuple.__new__(TestOutcome, (subtest, product == subtest.target, replies))

@@ -1,5 +1,6 @@
 """Tests for adaptive pattern execution and the chain law on paths."""
 
+import itertools
 import json
 import math
 
@@ -204,6 +205,28 @@ class TestRunPattern:
             raw[v] * math.prod(raw[d] for d in pattern.step_for(v).z_deps)
             for v in pattern.output_bits)
         assert bit == (1 - product) // 2
+
+    def test_output_bit_and_records_are_the_products_on_every_table(self):
+        # z_deps that name a vertex twice, or an output bit's own
+        # predecessor, cancel in the output product
+        pattern = MeasurementPattern((PatternStep(0, 0.3), PatternStep(1, 0.5, (), (0, 0)),
+                                      PatternStep(2, 0.7, (1,), (0, 1))), (0, 1, 2))
+        for replies in itertools.product((1, -1), repeat=6):
+            table = {(v, label): replies[2 * v + (label == "R-")]
+                     for v in range(3) for label in ("R+", "R-")}
+            table.update({(v, label): 1 for v in range(3) for label in ("X", "Z")})
+            bit, transcript = run_pattern(classical_provers(3, table), pattern, None)
+            raw = _raw(transcript)
+            product = math.prod(
+                raw[v] * math.prod(raw[d] for d in pattern.step_for(v).z_deps)
+                for v in pattern.output_bits)
+            assert bit == (1 - product) // 2
+            for record, step in zip(transcript.steps, pattern.steps):
+                t = math.prod(raw[d] for d in step.x_deps)
+                assert record.t == t
+                assert record.outcome == table[(step.vertex, "R+" if t == 1 else "R-")]
+                assert record.corrected == record.outcome * math.prod(
+                    raw[d] for d in step.z_deps)
 
     def test_same_seed_same_run(self):
         graph = complete_graph(3)

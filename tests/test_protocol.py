@@ -1,5 +1,7 @@
 """Tests for the composed protocol: coin weight, amplification, coverage."""
 
+import contextlib
+import gc
 import json
 import math
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from artifact import protocol
 from artifact.bounds import DomainError, hoeffding_n
 from artifact.graphs import complete_graph, triangle_strip
 from artifact.mbqc import MeasurementPattern, PatternStep, reference_run
@@ -315,6 +318,25 @@ class TestDrawsAhead:
             run_amplified_rounds(round_fn, 10_000, 5_000.0, rng)
         assert seen == [twin.random() for _ in range(k - 1)]
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_the_uniforms_need_no_cyclic_collector(self, raises):
+        # rewinding drops the block chain, so the stand-in, its saved state
+        # and its last block go by reference counting
+        def round_fn(uniforms):
+            uniforms.random()
+            if raises and uniforms.random() > 0.9:
+                raise RuntimeError("round")
+            return True
+
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.suppress(RuntimeError):
+                run_amplified_rounds(round_fn, 5000, 2500.0, np.random.default_rng(4303))
+            assert not [o for o in gc.get_objects() if type(o) is protocol._Uniforms]
+        finally:
+            gc.enable()
 
     def test_a_buffered_half_survives_a_decision(self):
         *_, cfg, _ = _setup(n_rounds=500)

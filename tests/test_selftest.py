@@ -94,17 +94,6 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             OneShotParameters(graph, cover, (THETA, THETA), (1, 0, 0))
 
-    def test_parameters_are_shared_per_graph_and_angles(self):
-        graph = triangle_strip(5)
-        shared = default_parameters(graph)
-        assert default_parameters(graph, theta=THETA) is shared
-        assert default_parameters(graph, theta=dict.fromkeys(range(5), THETA)) is shared
-        assert default_parameters(graph, theta=0.3) is not shared
-        other = default_parameters(triangle_strip(5))
-        assert other is not shared
-        assert (other.theta, other.u_choice) == (shared.theta, shared.u_choice)
-        assert [s.label for s in other.subtests] == [s.label for s in shared.subtests]
-
     def test_non_neighbor_partner_rejected(self):
         graph = triangle_strip(4)
         cover = default_parameters(graph).cover
