@@ -238,13 +238,7 @@ class TrialSetup:
         if cfg.kind == "isometry":
             report = equivalence_distance(p, self.params,
                                           cfg.labels or DEFAULT_LABELS)
-            return {"trial": i, "epsilon": report.epsilon,
-                    "junk_norm": report.junk_norm,
-                    "junk_source": report.junk_source,
-                    "all_satisfied": report.all_satisfied,
-                    "worst_excess": report.worst_excess,
-                    "tightest_label": report.tightest.label,
-                    "labels": [r.to_json() for r in report.labels]}, report
+            return {"trial": i, **report.to_json()}, report
         result = run_amplified(p, self.protocol, rng)
         return {"trial": i, "accepted": bool(result.accepted),
                 "accept_count": int(result.accept_count)}, result

@@ -2,8 +2,8 @@
 
 Bitstrings are numpy uint8 arrays indexed by vertex; ``dot`` is their
 dot product over the integers.  Graphs carry a symmetric, loop-free
-adjacency bit-matrix plus a derived edge list, cross-validated at
-construction.
+adjacency bit-matrix, checked at construction, plus the edge list
+derived from it.
 """
 
 from __future__ import annotations
@@ -111,13 +111,13 @@ def support(s: np.ndarray) -> list[int]:
 class Graph:
     """Undirected simple graph with adjacency matrix and edge list.
 
-    Immutable after construction; the matrix and the edge list are
-    checked against each other so either representation can be trusted.
+    Immutable after construction; the edge list (u < v, ascending) is
+    derived from the matrix, so the two always agree.
     """
 
     n: int
     adjacency: np.ndarray
-    edges: tuple[tuple[int, int], ...] = field(default=None)
+    edges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         a = self.adjacency
@@ -127,16 +127,12 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a)):
             raise ValueError("self-loops are not allowed")
-        derived = tuple(
+        object.__setattr__(self, "edges", tuple(
             (int(u), int(v))
             for u in range(self.n)
             for v in range(u + 1, self.n)
             if a[u, v]
-        )
-        if self.edges is None:
-            object.__setattr__(self, "edges", derived)
-        elif tuple(sorted(self.edges)) != derived:
-            raise ValueError("edge list inconsistent with adjacency matrix")
+        ))
         a.setflags(write=False)
 
     @classmethod
@@ -244,7 +240,7 @@ def triangle_cover(graph: Graph) -> TriangleCover:
         tau[list(tri)] = 1
         chosen.append(tau)
         covered |= tau
-    return TriangleCover.validate(graph, chosen)
+    return TriangleCover(tuple(chosen))
 
 
 def triangular_lattice(rows: int, cols: int) -> Graph:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .graphs import Graph, as_int
+from .graphs import as_int
 from .graphstate import build_graph_state
 from .provers import ProverSet, R_MINUS, R_PLUS, X_LABEL, Z_LABEL, query_expectation
 from .selftest import RTHETA_X, RTHETA_Z, TRIANGLE, VERTEX, TestParameters
@@ -278,17 +278,17 @@ def residual_norm(rows: np.ndarray, ideal: np.ndarray, junk: np.ndarray,
     return math.sqrt(total)
 
 
-def constructed_junk(p: ProverSet, graph: Graph, dtype) -> np.ndarray:
+def constructed_junk(p: ProverSet, g_amps: np.ndarray, dtype) -> np.ndarray:
     """The factorization's closed-form junk state on the junk register.
 
     junk = 2^{-n} sum_{s,t} (-1)^{t.s} (-1)^{(s.As)/2} Z'^t |psi'> |s>, where
     the inner sum collapses to a product of (I + (-1)^{s_v} Z'_v) factors.
     For exact Paulis on |G> this reduces to one EPR pair per vertex.  |s>
     lives on a1: ``_stages`` with the 4x2 block (I + Z'_v ; I - Z'_v) /
-    sqrt(2) at vertex v, times the sign (-1)^{(s.As)/2} of |G> at s.  The
-    junk is a flat junk-register vector in ``dtype``, of norm 1 to the
-    involution tolerance of the Z'_v: (I +- Z'_v) / 2 are complementary
-    projectors.
+    sqrt(2) at vertex v, times the sign (-1)^{(s.As)/2} of |G> at s, read
+    from the report's |G> amplitudes ``g_amps``.  The junk is a flat
+    junk-register vector in ``dtype``, of norm 1 to the involution
+    tolerance of the Z'_v: (I +- Z'_v) / 2 are complementary projectors.
     """
     _require_quantum(p)
     psi, n = p.shared_state.amplitudes, p.n
@@ -296,7 +296,7 @@ def constructed_junk(p: ProverSet, graph: Graph, dtype) -> np.ndarray:
     blocks = [(np.vstack([_I2 + z, _I2 - z]) / math.sqrt(2)).astype(dtype)[None] for z in zs]
     junk = _stages(psi, blocks, n, (np.empty(psi.size << n, dtype),
                                     np.empty(psi.size << (n - 1), dtype)))
-    sign = np.sign(build_graph_state(graph).state.amplitudes)
+    sign = np.sign(g_amps)
     junk.reshape([2, 2] * n + [-1])[...] *= sign.reshape([2, 1] * n + [1])
     return junk
 
@@ -425,6 +425,7 @@ class EquivalenceReport:
     def to_json(self) -> dict:
         return {"epsilon": self.epsilon, "junk_norm": self.junk_norm,
                 "junk_source": self.junk_source, "all_satisfied": self.all_satisfied,
+                "worst_excess": self.worst_excess, "tightest_label": self.tightest.label,
                 "labels": [r.to_json() for r in self.labels]}
 
 
@@ -538,9 +539,8 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     it.  |G> and the ideal vectors M|G> are real.
     """
     _require_quantum(p)
-    graph = params.graph
     eps = measured_epsilon(p, params)
-    g_amps = build_graph_state(graph).state.amplitudes
+    g_amps = build_graph_state(params.graph).amplitudes
     parsed = [_label_entry(p, params, parse_label(spec), eps, g_amps) for spec in labels]
     unitaries = vertex_unitaries(p)
     dtype = np.result_type(p.shared_state.amplitudes, *unitaries,
@@ -593,5 +593,5 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     extracted = score(raw / raw_norm, "identity-extraction")
     if extracted.all_satisfied:
         return extracted
-    constructed = score(constructed_junk(p, graph, dtype), "constructed")
+    constructed = score(constructed_junk(p, g_amps, dtype), "constructed")
     return min((extracted, constructed), key=lambda r: r.worst_excess)

@@ -336,7 +336,7 @@ def honest_provers(graph: Graph, theta: dict[int, float]) -> ProverSet:
             R_MINUS: SingleQubitObservable.rotation(-th),
         })
     strategy = QuantumStrategy(tuple(per_prover))
-    return ProverSet(graph.n, strategy, build_graph_state(graph).state)
+    return ProverSet(graph.n, strategy, build_graph_state(graph))
 
 
 def _xz_angle(m: np.ndarray) -> float:
@@ -482,5 +482,5 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
         angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
         for (v, label), a in _per_vertex(spec, "angles", graph, as_real).items():
             angles[v][label] = a
-        return xz_plane_provers(build_graph_state(graph).state, angles)
+        return xz_plane_provers(build_graph_state(graph), angles)
     raise ValueError(f"unknown strategy kind {kind!r}")

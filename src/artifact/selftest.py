@@ -92,7 +92,7 @@ class TestParameters:
         TriangleCover.validate(g, self.cover.triangles)
         object.__setattr__(self, "subtests", _build_subtests(self))
         # the CDF Generator.choice(p=law) builds, as a tuple of floats, so
-        # one draw is a bisect_right and a vector of draws an np.searchsorted
+        # one draw is a bisect_right
         weights = np.array([s.weight for s in self.subtests])
         cdf = (weights / weights.sum()).cumsum()
         object.__setattr__(self, "_cdf", tuple((cdf / cdf[-1]).tolist()))
@@ -180,22 +180,6 @@ def c_test(params: TestParameters) -> float:
 def s_test(params: TestParameters, delta: float) -> float:
     """Ceiling for provers delta-far from honest (simplified constant)."""
     return c_test(params) - bounds.cor3_gap(delta, params.graph.n)
-
-
-def empirical_pass_rate(p: ProverSet, params: TestParameters, trials: int,
-                        rng: np.random.Generator) -> tuple[float, float]:
-    """Monte-Carlo pass rate with binomial standard error."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    indices = np.searchsorted(params._cdf, rng.random(trials), side="right")
-    hits = 0
-    for idx in indices:
-        subtest = params.subtests[idx]
-        _, product = execute_query(p, subtest.query, rng)
-        hits += product == subtest.target
-    rate = hits / trials
-    stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
-    return rate, stderr
 
 
 def subtest_breakdown(p: ProverSet, params: TestParameters

@@ -37,19 +37,19 @@ Dtype.  This module is the one place where a dtype is decided.  A
 float64 when every value it is built from has imaginary part exactly 0,
 and complex128 otherwise; the validated constructors narrow their input,
 and nothing else does.  Every kernel (``apply_single``, ``apply_unitary``,
-``apply_cz``, ``measure``, ``project``, ``expectation``) keeps numpy's
-result type, so a complex operand promotes the result and real operands
-stay real.  The protocol's observables (X, Z and R(theta) = cos(theta) X
-+ sin(theta) Z) lie in the X-Z plane and |G> has real amplitudes, so
-honest, perturbed and X-Z-plane provers, their sampled runs, exact laws
-and isometry reports all run in float64, which moves half the bytes of
-complex128; Y, X-Y-plane rotations and complex states promote.  An
-isometry report runs in one dtype, the result type of the shared state
-and every observable matrix it reads (X'_v and Z'_v of the vertex
-circuits, each label's prover factors); |G> and the ideal vectors M|G>
-are real.  A float64 kernel gives the real part of the complex kernel's
-result bit for bit; only inner products (``np.vdot``) sum in another
-order and move by an ulp.
+``measure``, ``project``, ``expectation``) keeps numpy's result type, so a
+complex operand promotes the result and real operands stay real.  The
+protocol's observables (X, Z and R(theta) = cos(theta) X + sin(theta) Z)
+lie in the X-Z plane and |G> has real amplitudes, so honest, perturbed
+and X-Z-plane provers, their sampled runs, exact laws and isometry
+reports all run in float64, which moves half the bytes of complex128; Y,
+X-Y-plane rotations and complex states promote.  An isometry report runs
+in one dtype, the result type of the shared state and every observable
+matrix it reads (X'_v and Z'_v of the vertex circuits, each label's
+prover factors); |G> and the ideal vectors M|G> are real.  A float64
+kernel gives the real part of the complex kernel's result bit for bit;
+only inner products (``np.vdot``) sum in another order and move by an
+ulp.
 
 Tolerances are centralized here: states must be normalized to
 ``NORM_TOL``; observables must be Hermitian to ``HERM_TOL``; a measurement
@@ -112,6 +112,12 @@ def qubit_cap() -> int:
     return int(raw)
 
 
+def check_qubit_count(n_qubits: int) -> None:
+    """Refuse more qubits than ``qubit_cap()``, before 2^n amplitudes exist."""
+    if n_qubits > (cap := qubit_cap()):
+        raise QubitCapError(f"{n_qubits} qubits exceeds cap {cap} (override with {QUBIT_CAP_ENV})")
+
+
 def _exact_dtype(a) -> np.ndarray:
     """``a`` as float64 when its imaginary parts are exactly 0, else as
     complex128: the module's one dtype rule."""
@@ -162,13 +168,17 @@ class SingleQubitObservable:
         object.__setattr__(self, "matrix", m)
         if m.shape != (2, 2):
             raise ValueError("single-qubit observables are 2x2")
-        # written so that a NaN entry fails the checks
-        if not np.abs(m - m.conj().T).max() <= HERM_TOL:
+        # in Python scalars, like _eigen_rows; all(... <= tol), so that a
+        # NaN entry fails the checks
+        (m00, m01), (m10, m11) = m.tolist()
+        if not all(abs(d) <= HERM_TOL for d in (m00 - m00.conjugate(), m11 - m11.conjugate(),
+                                                m01 - m10.conjugate())):
             raise ValueError("observable is not Hermitian")
-        if not np.abs(m @ m - PAULI_I).max() <= 1e-10:
+        if not all(abs(d) <= 1e-10 for d in (m00 * m00 + m01 * m10 - 1, m00 * m01 + m01 * m11,
+                                             m10 * m00 + m11 * m10, m10 * m01 + m11 * m11 - 1)):
             raise ValueError("observable does not square to identity")
         # an involution's trace is -2, 0 or 2
-        if abs(m[0, 0] + m[1, 1]) > 1:
+        if abs(m00 + m11) > 1:
             raise ValueError(f"observable {self.kind} is +-I, which has no eigen-row")
         m.setflags(write=False)
 
@@ -243,10 +253,7 @@ class StateVector:
         # the same n_qubits that already passed the cap and norm checks, in
         # the dtype the kernel gave it
         if _validate:
-            cap = qubit_cap()
-            if n_qubits > cap:
-                raise QubitCapError(f"{n_qubits} qubits exceeds cap {cap} "
-                                    f"(override with {QUBIT_CAP_ENV})")
+            check_qubit_count(n_qubits)
             amplitudes = _exact_dtype(amplitudes)
         if amplitudes.shape != (2 ** n_qubits,):
             raise ValueError("amplitude vector has wrong length")
@@ -318,30 +325,6 @@ def apply_unitary(amps: np.ndarray, u: np.ndarray, qubit: int, n: int,
     lo = 1 << qubit
     np.matmul(u, amps.reshape(-1, u.shape[1], lo), out=out.reshape(-1, u.shape[0], lo))
     return out
-
-
-def plus_state(n: int) -> StateVector:
-    """|+>^n, the uniform real-positive superposition."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    amps = np.full(2 ** n, 2 ** (-n / 2))
-    return StateVector(n, amps)
-
-
-def apply_cz(state: StateVector, u: int, v: int) -> StateVector:
-    """ctl-Z between qubits u and v (symmetric)."""
-    n = state.n_qubits
-    if u == v:
-        raise ValueError("CZ needs two distinct qubits")
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError("qubit out of range")
-    amps = state.amplitudes.copy()
-    t = amps.reshape([2] * n)
-    idx = [slice(None)] * n
-    idx[n - 1 - u] = 1
-    idx[n - 1 - v] = 1
-    t[tuple(idx)] *= -1
-    return StateVector(n, amps, _validate=False)
 
 
 def expectation(state: StateVector, obs: ProductObservable) -> float:

@@ -150,7 +150,7 @@ class TestApplyPhi:
         provers, _ = _honest(graph)
         amps = apply_phi(provers, vertex_unitaries(provers))
         mat = grouped_matrix(amps, graph.n).reshape(1 << graph.n, -1)
-        g_amps = build_graph_state(graph).state.amplitudes
+        g_amps = build_graph_state(graph).amplitudes
         junk = np.conj(g_amps) @ mat
         residual = np.linalg.norm(mat - np.outer(g_amps, junk))
         assert residual < 1e-12
@@ -202,7 +202,7 @@ class TestJunk:
     def test_honest_constructed_junk_is_epr_pairs(self, graph):
         provers, _ = _honest(graph)
         n = graph.n
-        junk = constructed_junk(provers, graph, np.float64)
+        junk = constructed_junk(provers, build_graph_state(graph).amplitudes, np.float64)
         assert junk.shape == (1 << (2 * n),)
         # shared qubit v and a1_v hold the same bit: s = block
         expected = np.eye(1 << n) * 2 ** (-n / 2)
@@ -212,10 +212,10 @@ class TestJunk:
         graph = complete_graph(3)
         provers, _ = _honest(graph)
         amps = apply_phi(provers, vertex_unitaries(provers))
-        g_amps = build_graph_state(graph).state.amplitudes
+        g_amps = build_graph_state(graph).amplitudes
         extracted = np.conj(g_amps) @ grouped_matrix(amps, graph.n)
         extracted = extracted / np.linalg.norm(extracted)
-        built = constructed_junk(provers, graph, np.float64)
+        built = constructed_junk(provers, g_amps, np.float64)
         phase = np.vdot(built, extracted)
         assert abs(abs(phase) - 1.0) < 1e-12
         assert np.linalg.norm(extracted - phase * built) < 1e-12
@@ -225,7 +225,7 @@ class TestJunk:
         provers, _ = _honest(graph)
         rng = np.random.default_rng(17)
         perturbed = perturbed_provers(provers, 0.08, rng)
-        junk = constructed_junk(perturbed, graph, np.float64)
+        junk = constructed_junk(perturbed, build_graph_state(graph).amplitudes, np.float64)
         assert math.isclose(np.linalg.norm(junk), 1.0, abs_tol=1e-12)
 
     @pytest.mark.parametrize("kind", ["honest", "perturbed", "xz", "private", "complex"])
@@ -239,7 +239,7 @@ class TestJunk:
         psi = p.shared_state.amplitudes
         zs = [p.observable(v, "Z").matrix for v in range(graph.n)]
         dtype = np.result_type(psi, *zs)
-        junk = constructed_junk(p, graph, dtype)
+        junk = constructed_junk(p, build_graph_state(graph).amplitudes, dtype)
         assert junk.dtype == dtype
         want = oracles.constructed_junk(psi, zs, graph.edges)
         assert np.abs(junk - want).max() <= 1e-15
@@ -332,7 +332,7 @@ class TestResidualNorm:
     def test_a_rotation_label_ideal(self):
         graph = triangle_strip(4)
         p, params = _honest(graph)
-        g_amps = build_graph_state(graph).state.amplitudes
+        g_amps = build_graph_state(graph).amplitudes
         _, _, _, ideal, _, _ = _label_entry(p, params, parse_label(("R+", 1)), 0.0, g_amps)
         assert 2 < len(np.unique(ideal)) <= 4
         n, m = graph.n, graph.n + 1
@@ -446,8 +446,10 @@ class TestEquivalenceDistance:
         provers, params = _honest(complete_graph(3))
         report = equivalence_distance(provers, params, ["I", ("X", 1)])
         payload = report.to_json()
-        assert set(payload) == {"epsilon", "junk_norm", "junk_source",
-                                "all_satisfied", "labels"}
+        assert list(payload) == ["epsilon", "junk_norm", "junk_source", "all_satisfied",
+                                 "worst_excess", "tightest_label", "labels"]
+        assert payload["worst_excess"] == report.worst_excess
+        assert payload["tightest_label"] == report.tightest.label
         assert len(payload["labels"]) == 2
         assert payload["labels"][0]["label"] == "I"
         assert "distance" in json.dumps(payload)
@@ -505,7 +507,7 @@ def _label_operators(p, label):
 
 def _ideal_vector(graph, params, label):
     """M |G> for a parsed label, by dense operators."""
-    g = build_graph_state(graph).state.amplitudes
+    g = build_graph_state(graph).amplitudes
     head = label[0]
     if head == "I":
         return g
@@ -603,14 +605,14 @@ def _provers(kind, graph, rng):
         observables = tuple({label: tilted(label, angle) for label, angle in centres.items()}
                             for _ in range(graph.n))
         return ProverSet(graph.n, QuantumStrategy(observables),
-                         build_graph_state(graph).state), params
+                         build_graph_state(graph)), params
     if kind == "perturbed":
         return perturbed_provers(honest, 0.08, rng), params
     if kind == "xz":
         angles = [{"X": rng.normal(0, 0.1), "Z": math.pi / 2 + rng.normal(0, 0.1),
                    "R+": math.pi / 4 + rng.normal(0, 0.1),
                    "R-": -math.pi / 4 + rng.normal(0, 0.1)} for _ in range(graph.n)]
-        return xz_plane_provers(build_graph_state(graph).state, angles), params
+        return xz_plane_provers(build_graph_state(graph), angles), params
     return _private_qubit_provers(graph, rng), params
 
 
@@ -626,7 +628,7 @@ class TestConjugation:
         unitaries = vertex_unitaries(p)
         amps0 = apply_phi(p, unitaries)
         blocks = [isometry._stage_blocks(u) for u in unitaries]
-        g_amps = build_graph_state(graph).state.amplitudes
+        g_amps = build_graph_state(graph).amplitudes
         for label in _labels(n):
             _, factors, _, ideal, _, _ = _label_entry(p, params, label, 0.0, g_amps)
             if len(factors) == 1:
@@ -748,7 +750,7 @@ def _direct_distances(p, params, labels, junks):
 def _standard_junks(p, graph):
     """The two junk candidates of a report, built from a direct matrix and
     the term-by-term constructed junk."""
-    g_amps = build_graph_state(graph).state.amplitudes
+    g_amps = build_graph_state(graph).amplitudes
     raw = np.conj(g_amps) @ _direct_matrix(p, parse_label("I"))
     zs = [p.observable(v, "Z").matrix for v in range(graph.n)]
     built = oracles.constructed_junk(p.shared_state.amplitudes, zs, graph.edges)
@@ -937,7 +939,7 @@ class TestRelabeling:
         three-step adaptive pattern."""
         n = graph.n
         params = default_parameters(graph, theta=rng.uniform(0.2, 1.3, size=n).tolist())
-        vec = build_graph_state(graph).state.amplitudes + 0.1 * rng.normal(size=1 << n)
+        vec = build_graph_state(graph).amplitudes + 0.1 * rng.normal(size=1 << n)
         angles = [{"X": rng.normal(0, 0.1), "Z": math.pi / 2 + rng.normal(0, 0.1),
                    "R+": params.theta[v] + rng.normal(0, 0.1),
                    "R-": -params.theta[v] + rng.normal(0, 0.1)} for v in range(n)]

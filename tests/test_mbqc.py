@@ -170,7 +170,7 @@ class TestRunDistribution:
 
 def oracles_state(graph):
     from artifact.graphstate import build_graph_state
-    return build_graph_state(graph).state
+    return build_graph_state(graph)
 
 
 class TestRunPattern:
@@ -310,7 +310,7 @@ def _prover_sets(graph, seed):
               for _ in range(graph.n)]
     return {"honest": honest,
             "perturbed": perturbed_provers(honest, 0.1, rng),
-            "xz": xz_plane_provers(build_graph_state(graph).state, angles)}
+            "xz": xz_plane_provers(build_graph_state(graph), angles)}
 
 
 def _measure_chain(p, pattern, rng):
@@ -351,7 +351,7 @@ def _closure_law(graph, pattern):
             walk(branch, rest, k + 1, raw, weight * prob)
             del raw[step.vertex]
 
-    walk(build_graph_state(graph).state, list(range(graph.n)), 0, {}, 1.0)
+    walk(build_graph_state(graph), list(range(graph.n)), 0, {}, 1.0)
     return dist
 
 

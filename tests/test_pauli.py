@@ -93,7 +93,7 @@ class TestStabilizerProducts:
 
     def test_product_stabilizes_state(self):
         g = triangle_strip(4)
-        state = build_graph_state(g).state
+        state = build_graph_state(g)
         for t_idx in range(2 ** g.n):
             t = np.array([(t_idx >> v) & 1 for v in range(g.n)], np.uint8)
             m = dense(stabilizer_product(g, t))

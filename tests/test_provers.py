@@ -219,7 +219,7 @@ class TestXZPlaneProvers:
     def test_honest_angles_reproduce_honest(self):
         graph = complete_graph(3)
         params = default_parameters(graph)
-        state = build_graph_state(graph).state
+        state = build_graph_state(graph)
         angles = [{"X": 0.0, "Z": math.pi / 2,
                    "R+": math.pi / 4, "R-": -math.pi / 4}
                   for _ in range(3)]
@@ -293,7 +293,7 @@ def _strategies(graph, seed):
               for _ in range(graph.n)]
     return {"honest": honest,
             "perturbed": perturbed_provers(honest, 0.1, rng),
-            "xz": xz_plane_provers(build_graph_state(graph).state, angles)}
+            "xz": xz_plane_provers(build_graph_state(graph), angles)}
 
 
 def _measure_chain(p, q, rng):
@@ -463,7 +463,7 @@ class TestRealDtype:
     @pytest.mark.parametrize("graph", [complete_graph(3), triangular_lattice(3, 4)],
                              ids=["k3", "lattice"])
     def test_sets_and_their_observables_are_float64(self, graph):
-        assert build_graph_state(graph).state.amplitudes.dtype == np.float64
+        assert build_graph_state(graph).amplitudes.dtype == np.float64
         for kind, p in _strategies(graph, 13).items():
             assert p.shared_state.amplitudes.dtype == np.float64, kind
             for v in range(p.n):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from artifact import bounds
-from artifact.graphs import complete_graph, triangle_strip, triangular_lattice
+from artifact.graphs import TriangleCover, complete_graph, triangle_strip, triangular_lattice
 from artifact.provers import classical_provers, honest_provers, perturbed_provers
 from artifact.selftest import (
     RTHETA_X,
@@ -20,7 +20,6 @@ from artifact.selftest import (
     best_classical_rtheta,
     c_test,
     default_parameters,
-    empirical_pass_rate,
     exact_pass_probability,
     rtheta_success,
     run_oneshot,
@@ -99,6 +98,19 @@ class TestParameterValidation:
         cover = default_parameters(graph).cover
         with pytest.raises(ValueError):
             OneShotParameters(graph, cover, (THETA,) * 4, (3, 0, 0, 0))
+
+    @pytest.mark.parametrize("triangles,message", [
+        ([[1, 1, 0, 1], [0, 1, 1, 1]], r"\[0, 1, 3\] is not a triangle"),
+        ([[1, 1, 1, 0]], "vertex 3 lies in no triangle"),
+        ([[1, 1, 1, 0], [0, 1, 1, 1]] * 3, "more than n triangles"),
+    ], ids=["not-a-triangle", "vertex-uncovered", "too-many"])
+    def test_hand_built_cover_is_checked(self, triangles, message):
+        # triangle_cover's own output is not checked again; TestParameters
+        # is the one place a cover is checked
+        graph = triangle_strip(4)
+        cover = TriangleCover(tuple(np.array(t, np.uint8) for t in triangles))
+        with pytest.raises(ValueError, match=message):
+            OneShotParameters(graph, cover, (THETA,) * 4, (1, 0, 0, 1))
 
 
 class TestHonestCeiling:
@@ -222,19 +234,10 @@ class TestSampling:
         params = default_parameters(graph)
         honest = honest_provers(graph, params.theta)
         rng = np.random.default_rng(17)
-        rate, stderr = empirical_pass_rate(honest, params, 4000, rng)
+        rate = sum(run_oneshot(honest, params, rng).accepted for _ in range(4000)) / 4000
         exact = exact_pass_probability(honest, params)
         sigma = math.sqrt(exact * (1 - exact) / 4000)
         assert abs(rate - exact) <= 4 * sigma
-        assert math.isclose(stderr, math.sqrt(rate * (1 - rate) / 4000),
-                            abs_tol=1e-12)
-
-    def test_empirical_rate_rejects_zero_trials(self):
-        graph = complete_graph(3)
-        params = default_parameters(graph)
-        honest = honest_provers(graph, params.theta)
-        with pytest.raises(ValueError):
-            empirical_pass_rate(honest, params, 0, np.random.default_rng(1))
 
     def test_run_oneshot_is_deterministic_under_a_seed(self):
         graph = triangle_strip(4)

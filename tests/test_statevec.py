@@ -8,21 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from artifact.graphs import triangular_lattice
+from artifact.graphs import complete_graph, triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.provers import QUERY_LABELS, QuantumStrategy
 from artifact.statevec import (GEMM_MIN_AMPS, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                                ImaginaryResidueError,
                                NormUnderflowError, ProductObservable, QubitCapError,
                                SingleQubitObservable, StateVector,
-                               apply_cz, apply_single, apply_unitary,
-                               expectation, measure, plus_state, project,
-                               qubit_cap, rotation_matrix)
+                               apply_single, apply_unitary, expectation, measure,
+                               project, qubit_cap, rotation_matrix)
 
 
 def random_state(n, rng):
     vec = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return StateVector(n, vec / np.linalg.norm(vec))
+
+
+def plus(n):
+    """|+>^n."""
+    return StateVector(n, np.full(2 ** n, 2 ** (-n / 2)))
 
 
 def random_2x2(rng):
@@ -124,13 +128,6 @@ class TestKernelsAgainstDense:
         with pytest.raises(ValueError):
             apply_unitary(amps, np.eye(8, dtype=complex), 0, 3, out)
 
-    def test_apply_cz_matches_dense(self):
-        rng = np.random.default_rng(3)
-        state = random_state(4, rng)
-        fast = apply_cz(state, 1, 3)
-        slow = oracles.dense_cz(4, 1, 3) @ state.amplitudes
-        assert np.allclose(fast.amplitudes, slow, atol=1e-12)
-
     def test_expectation_matches_dense(self):
         rng = np.random.default_rng(4)
         state = random_state(3, rng)
@@ -143,10 +140,6 @@ class TestKernelsAgainstDense:
 
 
 class TestStateVector:
-    def test_plus_state(self):
-        sv = plus_state(3)
-        assert np.allclose(sv.amplitudes, np.full(8, 8 ** -0.5))
-
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
@@ -165,10 +158,10 @@ class TestStateVector:
         monkeypatch.setenv("GSIP_QUBIT_CAP", "3")
         assert qubit_cap() == 3
         with pytest.raises(QubitCapError):
-            plus_state(4)
+            StateVector(4, np.full(16, 0.25))
 
     def test_copy_is_independent(self):
-        sv = plus_state(2)
+        sv = plus(2)
         other = sv.copy()
         assert other is not sv
         assert np.array_equal(other.amplitudes, sv.amplitudes)
@@ -210,6 +203,53 @@ class TestObservables:
             SingleQubitObservable("bad", np.array([[0, 1], [0, 0]],
                                                   dtype=complex))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("value", [math.nan, complex(0, math.nan)], ids=["nan", "nan-imaginary"])
+    def test_single_qubit_refuses_a_nan_entry(self, entry, value):
+        m = PAULI_X.astype(complex)
+        m[entry] = value
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SingleQubitObservable("bad", m)
+
+    def test_single_qubit_complex_hermitian_cases(self):
+        # Y and an X-Y rotation are complex Hermitian involutions; iX squares
+        # to -I and is anti-Hermitian, and a phase on Y's off-diagonal breaks
+        # its Hermiticity
+        for m in (PAULI_Y, oracles.rotation_xy(0.7)):
+            assert np.array_equal(SingleQubitObservable("ok", m).matrix, m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SingleQubitObservable("bad", 1j * PAULI_X)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SingleQubitObservable("bad", np.array([[0, -1j], [-1j, 0]]))
+        with pytest.raises(ValueError, match="does not square to identity"):
+            SingleQubitObservable("bad", 1.5 * PAULI_Y)
+
+    def test_single_qubit_checks_agree_with_numpy(self):
+        # the checks as numpy expressions: the scalar ones must refuse the
+        # same matrices, with the same message, away from the tolerances
+        def numpy_refusal(m):
+            m = np.asarray(m)
+            if not np.abs(m - m.conj().T).max() <= 1e-12:
+                return "not Hermitian"
+            if not np.abs(m @ m - PAULI_I).max() <= 1e-10:
+                return "does not square to identity"
+            if abs(m[0, 0] + m[1, 1]) > 1:
+                return "no eigen-row"
+            return None
+
+        rng = np.random.default_rng(23)
+        for i in range(400):
+            base = [PAULI_X, PAULI_Z, PAULI_I, rotation_matrix(rng.uniform(0, 7)),
+                    oracles.rotation_xy(rng.uniform(0, 7))][i % 5]
+            scale = [0.0, 1e-15, 1e-6][i // 5 % 3]
+            m = base + scale * random_2x2(rng)
+            want = numpy_refusal(m)
+            if want is None:
+                SingleQubitObservable("M", m)
+            else:
+                with pytest.raises(ValueError, match=want):
+                    SingleQubitObservable("M", m)
+
     def test_observables_compare_and_hash_by_identity(self):
         r, other = SingleQubitObservable.rotation(0.5), SingleQubitObservable.rotation(0.5)
         assert r == r and r != other
@@ -235,7 +275,7 @@ class TestObservables:
     def test_product_observable_accepts_xz_terms(self):
         # non-Hermitian per-qubit terms are allowed; X Z = -iY
         obs = ProductObservable({0: oracles.X @ oracles.Z})
-        state = plus_state(1)
+        state = plus(1)
         applied = obs.apply(state)
         assert np.allclose(applied.amplitudes,
                            (oracles.X @ oracles.Z) @ state.amplitudes)
@@ -248,7 +288,7 @@ class TestObservables:
             expectation(plus_i, obs)
 
     def test_expectation_range_check(self):
-        state = plus_state(2)
+        state = plus(2)
         with pytest.raises(IndexError):
             expectation(state, ProductObservable({5: oracles.X}))
 
@@ -337,7 +377,7 @@ class TestMeasurementLaw:
     def test_collapse_leaves_its_input_untouched(self, dtype):
         # measure and project write the branch into the kernel's output; the
         # input may be read-only, as a prover set's shared state is
-        real = build_graph_state(triangular_lattice(3, 4)).state.amplitudes
+        real = build_graph_state(triangular_lattice(3, 4)).amplitudes
         amps = real.astype(dtype)
         amps.setflags(write=False)
         state = StateVector(12, amps, _validate=False)
@@ -354,7 +394,7 @@ class TestMeasurementLaw:
 
     def test_measure_statistics(self):
         rng = np.random.default_rng(7)
-        state = plus_state(1)
+        state = plus(1)
         hits = sum(measure(state, SingleQubitObservable.z(), 0, rng)[0] == 1
                    for _ in range(4000))
         assert abs(hits / 4000 - 0.5) < 0.05
@@ -382,8 +422,7 @@ class TestDtypeRule:
         assert (terms[0].dtype, terms[1].dtype) == (np.float64, np.complex128)
         for m in (PAULI_X, PAULI_Z, rotation_matrix(0.3)):
             assert m.dtype == np.float64
-        assert plus_state(3).amplitudes.dtype == np.float64
-        assert apply_cz(plus_state(3), 0, 2).amplitudes.dtype == np.float64
+        assert build_graph_state(complete_graph(3)).amplitudes.dtype == np.float64
 
     def test_float64_apply_single_is_the_complex_kernels_real_part(self):
         rng = np.random.default_rng(19)
@@ -404,7 +443,7 @@ class TestDtypeRule:
                                                     (rotation_matrix(0.7), np.float64)],
                              ids=["Y", "rotation-xy", "rotation-xz"])
     def test_measure_is_project_bit_for_bit_on_both_dtypes(self, matrix, real_result):
-        real = build_graph_state(triangular_lattice(2, 3)).state
+        real = build_graph_state(triangular_lattice(2, 3))
         twin = StateVector(real.n_qubits, real.amplitudes.astype(complex), _validate=False)
         obs = SingleQubitObservable("M", matrix)
         for state, dtype in ((real, real_result), (twin, np.complex128)):
