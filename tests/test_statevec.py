@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from artifact.graphs import complete_graph, triangular_lattice
+from artifact.graphs import Graph, complete_graph, triangular_lattice
 from artifact.graphstate import build_graph_state
 from artifact.provers import QUERY_LABELS, QuantumStrategy
 from artifact.statevec import (GEMM_MIN_AMPS, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
@@ -140,6 +140,12 @@ class TestKernelsAgainstDense:
 
 
 class TestStateVector:
+    def test_plus_state(self):
+        sv = build_graph_state(Graph.from_edges(3, []))
+        assert sv.amplitudes.dtype == np.float64
+        assert np.allclose(sv.amplitudes, np.full(8, 8 ** -0.5))
+        assert np.array_equal(sv.amplitudes, plus(3).amplitudes)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
