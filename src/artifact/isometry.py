@@ -25,20 +25,24 @@ is flat, 2^(m+n) long, with s_v at bit m-n+2v and a1_v just above it.
 
 The circuit's input sum_a |a>_{a1} |a>_{a2} |psi'> / 2^(n/2) is nonzero
 only where a2 = a1, and a2_v still equals a1_v until vertex v's circuit
-U_v runs.  So ``apply_phi`` never builds it: vertex v's stage needs only
-the 4x2 block of U_v for each value of a2_v (``_stage_blocks``), turns
-s_v into the pair (a1_v, s_v) and puts a2_v on top, which quadruples the
-vector.  The stages write 4/3 of the output's size in all.
+U_v runs.  So it is never built: vertex v's stage needs only the 4x2
+block of U_v for each value of a2_v (``_stage_blocks``), turns s_v into
+the pair (a1_v, s_v) and puts a2_v on top, which quadruples the vector.
+All stages but the last ``STREAMED_STAGES`` (two) run whole
+(``_stages``) into the head, a sixteenth of the output's size; the last
+two stream from the head, one block of graph-register rows at a time
+(``apply_phi``).  No vector of the output's size is ever made.
 
-A report runs the circuit on |psi'> once.  A label on one vertex (X, Z,
-R+-, most of a report) needs no output of its own: its distance follows
-from 4x4 blocks over the pair (s_v, a2_v) and one gemm of pair overlaps
-(``pair_overlaps``) over the identity run.  A label on two or more
-vertices runs the stages again on M'_S|psi'>, its last stage one block
-of graph-register rows at a time.  A direct distance (``residual_norm``)
-reads each row once, less ideal[a] * junk.  A report scores at most two
-junk candidates, identity-extraction and, only if a label fails its
-bound, the constructed junk (``_stages`` with one 4x2 block per vertex).
+A report runs the head's stages on |psi'> once.  A label on one vertex
+(X, Z, R+-, most of a report) needs no output of its own: its distance
+follows from 4x4 blocks over the pair (s_v, a2_v) and one gemm of pair
+overlaps (``pair_overlaps``) over that head.  The identity streams the
+last stages from the same head, and a label on two or more vertices
+runs the stages again on M'_S|psi'> and streams its own.  A direct
+distance (``residual_norm``) reads each streamed row once, less
+ideal[a] * junk.  A report scores at most two junk candidates,
+identity-extraction and, only if a label fails its bound, the
+constructed junk (``_stages`` with one 4x2 block per vertex).
 ``equivalence_distance`` gives the formula and where memory peaks.
 
 Dtype.  See ``statevec``: a report runs in the result type of its inputs.
@@ -60,15 +64,17 @@ from .statevec import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
-    QubitCapError,
     apply_single,
     apply_unitary,
-    qubit_cap,
+    check_qubit_count,
     rotation_matrix,
 )
 
 JUNK_TOL = 1e-6
 BOUND_SLACK = 1e-9
+# the stages a report streams: each one more quarters the heads, and past
+# two they are small beside Y's 4n junk vectors
+STREAMED_STAGES = 2
 
 _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
@@ -148,62 +154,63 @@ def _stages(psi: np.ndarray, blocks, n: int, buffers) -> np.ndarray:
     return amps
 
 
-def apply_phi(p: ProverSet, unitaries: list[np.ndarray],
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """Attach EPR ancillas to the shared state and run every vertex circuit.
+def apply_phi(head: np.ndarray, pairs, n: int, out: np.ndarray):
+    """The swap circuit's output, one block of graph-register rows at a
+    time: yields (first row a, the block's amplitudes).
 
-    ``unitaries`` are p's ``vertex_unitaries``.  The stages (``_stages``)
-    alternate between the output and ``scratch``, a vector of a quarter of
-    its size, made when missing.  The output takes the result type of the
-    shared state and every U_v.
+    ``head`` is the output of every stage but the last k = len(pairs)
+    (``_stages``), and ``pairs`` holds those stages' blocks B_v[c],
+    c = a2_v, in vertex order: row a of the output is row a mod 2^(n-k)
+    of ``head`` with B_v[a_v] applied in turn on its s_v axis.  So a block
+    of head rows takes each choice of blocks in turn, stage by stage, each
+    stage into its own part of ``out``, and every block overwrites the one
+    before; ``out`` holds 2^(k+1) - 2 head rows or more.  ``head`` is only
+    read, so it can be streamed again, and no vector of the output's size
+    is made.
     """
-    _require_quantum(p)
-    psi, m, n = p.shared_state.amplitudes, p.shared_state.n_qubits, p.n
-    total = m + 2 * n
-    if total > qubit_cap():
-        raise QubitCapError(f"{total} qubits exceeds cap {qubit_cap()}")
-    dtype = np.result_type(psi, *unitaries)
-    if scratch is None:
-        scratch = np.empty(1 << (total - 2), dtype)
-    x = np.empty(1 << total, dtype)
-    return _stages(psi, [_stage_blocks(u) for u in unitaries], n, (x, scratch))
+    k = len(pairs)
+    rows = 1 << (n - k)
+    per_row = head.size >> (n - k)  # head amplitudes per head row
+    count = min(out.size // (((2 << k) - 2) * per_row), rows)
+    levels = np.split(out, np.cumsum([(count * per_row) << (i + 1) for i in range(k)]))
+    # a head row holds s_{n-1} .. s_{n-k} on top
+    for h in range(0, rows, count):
+        part = head[h * per_row:(h + count) * per_row]
+        yield from _stream(part, pairs, levels, per_row.bit_length() - 1 - k, h, rows)
 
 
-def _phi_rows(psi: np.ndarray, blocks, n: int, scratch):
-    """Phi(psi) in blocks of graph-register rows: yields (first row a, the
-    block's amplitudes).
-
-    Every stage but the last runs whole in the two ``scratch`` vectors (a
-    quarter and an eighth of the output's size, and at least one row),
-    and the last one block at a time into ``scratch[1]``, as many rows as
-    it holds, overwriting the block before.
-    """
-    amps = _stages(psi, blocks[:-1], n, scratch)
-    half = 1 << (n - 1)
-    per_row = amps.size >> (n - 1)  # last-stage input amplitudes per row
-    count = min(scratch[1].size // (2 * per_row), half)
-    for c, block in enumerate(blocks[-1]):
-        for h in range(0, half, count):
-            part = amps[h * per_row:(h + count) * per_row]
-            out = apply_unitary(part, block, per_row.bit_length() - 2,
-                                part.size.bit_length() - 1,
-                                out=scratch[1][:part.size << 1])
-            yield c * half + h, out
+def _stream(part, pairs, levels, qubit, a, step):
+    """``apply_phi``'s blocks from ``part``, rows of a stage's output
+    whose first row is a: each block of pairs[0] on ``qubit`` (that
+    vertex's s_v) into levels[0], and the rest of the stages from there."""
+    if not pairs:
+        yield a, part
+        return
+    for c, block in enumerate(pairs[0]):
+        out = apply_unitary(part, block, qubit, part.size.bit_length() - 1,
+                            out=levels[0][:part.size << 1])
+        yield from _stream(out, pairs[1:], levels[1:], qubit + 2, a + c * step, step << 1)
 
 
-def grouped_matrix(amps: np.ndarray, n: int) -> np.ndarray:
-    """Output amplitudes viewed (graph register) x (junk register): row a
-    is the contiguous slice where a2 = a.  The view copies nothing."""
-    return amps.reshape(1 << n, -1)
+def grouped_matrix(amps: np.ndarray, junk_size: int) -> np.ndarray:
+    """Graph-register rows (a block that ``apply_phi`` yields) viewed
+    (graph register) x (junk register): row a is the contiguous slice
+    where a2 = a.  The view copies nothing."""
+    return amps.reshape(-1, junk_size)
 
 
-def pair_overlaps(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
+def pair_overlaps(ideal: np.ndarray, head: np.ndarray, pairs, n: int,
+                  out: np.ndarray) -> np.ndarray:
     """Y[v, alpha, beta] = sum over a with a_v = beta of ideal[a with bit v
-    set to alpha] * (row a of the ``grouped_matrix`` view of ``amps``).
+    set to alpha] * (row a of the output that ``apply_phi`` streams from
+    ``head`` and ``pairs``), written into ``out``.
 
     Shape (n, 2, 2, junk size); Y[v, 0, 0] + Y[v, 1, 1] is the overlap
-    sum_a ideal[a] * (row a).  One gemm of the (4n, 2^n) weight matrix
-    with the rows.
+    sum_a ideal[a] * (row a).  Row a is K[c] = B_{n-1}[a_{n-1}] (x) ..
+    (x) B_{n-k}[a_{n-k}] on the k top qubits of head row a mod 2^(n-k),
+    so Y is one gemm of the (4n, 2^n) weight matrix, with K[c] folded into
+    its columns where the top bits of a are c, and ``head`` viewed
+    (head row, top qubits) x the rest: it reads only the head.
     """
     a = np.arange(1 << n)
     weights = np.zeros((n, 2, 2, 1 << n), ideal.dtype)
@@ -211,16 +218,33 @@ def pair_overlaps(ideal: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
         bit = (a >> v) & 1
         for alpha in (0, 1):
             weights[v, alpha, bit, a] = ideal[a ^ ((bit ^ alpha) << v)]
-    y = weights.reshape(4 * n, 1 << n) @ grouped_matrix(amps, n)
+    kron = pairs[0]
+    for pair in pairs[1:]:
+        c, r, s = kron.shape
+        kron = np.einsum("abc,def->adbecf", pair, kron).reshape(2 * c, 4 * r, 2 * s)
+    # column a = c 2^(n-k) + a'; folded[w, r, a', s] = sum_c weights[w, c, a'] K[c][r, s]
+    folded = np.einsum("wca,crs->wras", weights.reshape(4 * n, len(kron), -1), kron)
+    y = out.reshape(folded.shape[0] * folded.shape[1], -1)
+    np.matmul(folded.reshape(len(y), 1 << n), head.reshape(1 << n, -1), out=y)
     return y.reshape(n, 2, 2, -1)
 
 
-def _one_bit(t: np.ndarray, lo: int) -> np.ndarray:
-    """``t`` as a matrix whose row is its leading indices and then the bit
-    at ``lo`` of its last axis, and whose column is every other index."""
-    half = t.shape[-1] >> 1
-    t = t.reshape(t.shape[:-1] + (-1, 2, lo))
-    return np.moveaxis(t, -2, t.ndim - 3).reshape(-1, half)
+def _bit_gram(rows: np.ndarray, conj_junk: np.ndarray, lo: int) -> np.ndarray:
+    """G[k, tau, sigma] = sum over every other index of rows[k] where the
+    bit at ``lo`` is tau, times ``conj_junk`` where it is sigma.
+
+    Read through (hi, 2, lo) views, so nothing of the rows' size is
+    copied: a batch of (2, lo) products per hi when lo is long, else one
+    (2 lo)-square product per row, of which the lo-diagonal is kept.
+    """
+    k, size = rows.shape
+    hi = size // (2 * lo)
+    if hi <= 2 * lo:
+        cols = conj_junk.reshape(hi, 2, lo).transpose(0, 2, 1)
+        return np.matmul(rows.reshape(k, hi, 2, lo), cols).sum(1)
+    gram = np.matmul(rows.reshape(k, hi, 2 * lo).transpose(0, 2, 1),
+                     conj_junk.reshape(hi, 2 * lo))
+    return np.einsum("ktlsl->kts", gram.reshape(k, 2, lo, 2, lo))
 
 
 def _pair_blocks(y: np.ndarray, g_amps: np.ndarray, junk: np.ndarray) -> tuple[list, list]:
@@ -228,16 +252,18 @@ def _pair_blocks(y: np.ndarray, g_amps: np.ndarray, junk: np.ndarray) -> tuple[l
     TD = TX - TT over the pair index s_v + 2 a2_v, for the target
     T = g (x) junk and the identity-run output x: TX = sum_r T_r x_r^dagger
     over every other index r.  ``y`` is x's ``pair_overlaps`` with the real
-    g."""
+    g, contracted with the junk on views (``_bit_gram``): Y is not copied."""
     n = y.shape[0]
     width = junk.size >> (2 * n)
+    conj_junk = junk.conj()
     tt, td = [], []
     for v in range(n):
-        g_v, j = _one_bit(g_amps, 1 << v), _one_bit(junk, width << (2 * v))
-        # y_v rows (alpha, beta, tau): g's bit alpha, x's bit beta, s_v = tau
-        y_v = _one_bit(y[v], width << (2 * v))
-        tx = (j @ y_v.conj().T).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)
-        tt.append(_kron(g_v @ g_v.T, j @ j.conj().T))
+        lo = width << (2 * v)
+        # rows (alpha, beta): g's bit alpha, x's bit beta; then x's s_v and the junk's
+        gram = _bit_gram(y[v].reshape(4, -1), conj_junk, lo).conj()
+        tx = gram.reshape(2, 2, 2, 2).transpose(0, 3, 1, 2).reshape(4, 4)
+        rho_g = _bit_gram(g_amps[None], g_amps, 1 << v)[0]
+        tt.append(_kron(rho_g, _bit_gram(junk[None], conj_junk, lo)[0]))
         td.append(tx - tt[-1])
     return tt, td
 
@@ -260,21 +286,21 @@ def conjugated_kernel(u: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return u @ _kron(_I2, factor) @ u.conj().T
 
 
-def residual_norm(rows: np.ndarray, ideal: np.ndarray, junk: np.ndarray,
-                  overwrite: bool = False) -> float:
-    """|| rows - ideal (x) junk || for graph-register rows (row a of
-    ``grouped_matrix``, or a block of rows with its part of ``ideal``) and
-    a junk vector: each row less ideal[a] * junk, with one junk product per
-    distinct ideal value, in a one-row buffer or, with ``overwrite``, in
-    the row itself.  One ``vdot`` per row sums them: one over a block of
-    2^20 complex amplitudes drifted by 3e-14 relative."""
+def residual_norm(blocks, ideal: np.ndarray, junk: np.ndarray) -> float:
+    """|| rows - ideal (x) junk || over graph-register rows given as blocks
+    (first row a, amplitudes), as ``apply_phi`` yields them: each row of a
+    block's ``grouped_matrix`` view less ideal[a] * junk, in place, with
+    one junk product per distinct ideal value.  One ``vdot`` per row sums
+    them: one over a block of 2^20 complex amplitudes drifted by 3e-14
+    relative."""
     values, which = np.unique(ideal, return_inverse=True)
     products = values[:, None] * junk
-    residual = None if overwrite else np.empty(junk.size, np.result_type(rows, products))
     total = 0.0
-    for row, k in zip(rows.reshape(ideal.size, -1), which):
-        d = np.subtract(row, products[k], out=row if overwrite else residual)
-        total += np.vdot(d, d).real
+    for a, block in blocks:
+        rows = grouped_matrix(block, junk.size)
+        for row, k in zip(rows, which[a:a + len(rows)]):
+            np.subtract(row, products[k], out=row)
+            total += np.vdot(row, row).real
     return math.sqrt(total)
 
 
@@ -484,11 +510,14 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
                          labels) -> EquivalenceReport:
     """Distances || Phi(M'|psi'>) - |junk> M|G> || with one shared junk.
 
-    The swap circuit runs once on |psi'> itself, x = Phi(|psi'>).  The
-    label's target is M_S T, T = g (x) junk, g = |G>.  How a distance is
-    taken depends on the size of the label's support S:
+    The swap circuit's stages but the last two run once on |psi'> itself,
+    into the head of x = Phi(|psi'>), and x is only ever streamed from it
+    (``apply_phi``), the last two stages once per junk candidate.
+    The label's target is M_S T, T = g (x) junk, g = |G>.  How a distance
+    is taken depends on the size of the label's support S:
 
-    * none (the identity): || D ||, D = x - T, by ``residual_norm``;
+    * none (the identity): || D ||, D = x - T, by ``residual_norm`` over
+      x's stream (``apply_phi``);
     * one vertex v (X, Z, R+-, or an XZ label on one vertex): from 4x4
       blocks over the pair index s_v + 2 a2_v, with no pass of its own.
       The vertex circuits U_v act on disjoint qubits (s_v and a2_v) and
@@ -501,16 +530,17 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
 
       TT = sum_r T_r T_r^dagger = rho_g,v (x) rho_junk,v and TD = TX - TT,
       TX = sum_r T_r x_r^dagger, summed over every other index r.  TX
-      comes from x's ``pair_overlaps`` Y with g, contracted with the junk
-      over every junk bit but s_v.  The formula takes || W_v D || = || D ||:
-      W_v is unitary to the involution tolerance of the observables
-      (``statevec.SingleQubitObservable``, 1e-10).  Every term is small for
-      near-honest provers, so honest distances stay at rounding level;
+      comes from x's ``pair_overlaps`` Y with g, taken from the head,
+      contracted with the junk over every junk bit but s_v.  The formula
+      takes || W_v D || = || D ||: W_v is unitary to the involution
+      tolerance of the observables (``statevec.SingleQubitObservable``,
+      1e-10).  Every term is small for near-honest provers, so honest
+      distances stay at rounding level;
     * two or more vertices: the circuit on M'_S |psi'> (``apply_single``
-      on the shared state), its last stage one block of graph-register
-      rows at a time (``_phi_rows``), each block's ``residual_norm`` taken
-      as it is made.  Such outputs are rebuilt whenever they are needed
-      and never stored.
+      on the shared state), its stages but the last two into a head of
+      its own, streamed from like the identity's, each block's residual
+      taken as it is made.  Such outputs are rebuilt whenever
+      they are needed and never stored.
 
     Two junk candidates: identity-extraction (the identity overlap
     sum_a g[a] x_a = Y_v^00 + Y_v^11, normalized) and the constructed
@@ -524,13 +554,17 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
     keep honest distances at rounding level (the expanded inner-product
     form loses them to cancellation near 1e-8).
 
-    Memory.  Beside x, a report holds Y (4n junk vectors: 3.5 MiB at
-    n = 7 in float64, 0.22 of x) and two stage buffers, ``scratch``, of a
-    quarter and an eighth of x's size: the identity run alternates between
-    x and the first, and a multi-vertex label's stages between the two,
-    the second also taking its last stage's row blocks and the
-    differences of every residual.  No report makes another vector of
-    x's size.
+    Memory.  No report holds a vector of x's size (16 MiB at n = 7 in
+    float64).  One workspace, allocated once per report, holds the
+    identity's head (1/16 of x), the stage scratch (1/16 of x, and at
+    least 1.5 junk vectors), Y (4n junk vectors: 3.5 MiB at n = 7, 0.22
+    of x) and, when a label has two or more vertices, that label's head
+    (another 1/16).  The stages alternate between a head and the scratch,
+    which also takes each streamed block, the stage before it, and the
+    block's residual differences.  At n = 7 a report peaks near 7 MiB; at
+    n = 8, the 24-qubit default cap, near 40 MiB against x's 128 MiB.
+    One allocation, not one per buffer, lets the allocator reuse the same
+    pages report after report instead of faulting in fresh ones.
 
     The report runs in one dtype, the result type of the shared state and
     every observable it reads (X'_v and Z'_v for the circuits, the labels'
@@ -547,16 +581,7 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
                            *(f for _, factors, *_ in parsed for f in factors.values()))
     unitaries = [u.astype(dtype, copy=False) for u in unitaries]
     psi, n, m = p.shared_state.amplitudes, p.n, p.shared_state.n_qubits
-    size = 1 << (m + 2 * n)
-    scratch = (np.empty(size >> 2, dtype), np.empty(size >> min(n, 3), dtype))
-    x = apply_phi(p, unitaries, scratch[0])
-    y = pair_overlaps(g_amps, x, n)
-    raw = y[0, 0, 0] + y[0, 1, 1]
-    raw_norm = float(np.linalg.norm(raw))
-    if raw_norm < JUNK_TOL:
-        raise JunkDegenerateError(
-            f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
-            "test conditions fail too badly for the distance bound to apply")
+    check_qubit_count(m + 2 * n)
     blocks = [_stage_blocks(u) for u in unitaries]
     entries = []
     for label, factors, ideals, ideal, kind, bound in parsed:
@@ -569,10 +594,28 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
             for v, f in factors.items():
                 state = apply_single(state, f, v, m)
         entries.append((label_name(label), kind, single, state, ideal, bound))
+    # one workspace (see Memory): the identity's head, the stage scratch
+    # (room for one head row through every streamed stage), Y and, if a
+    # label needs one, a multi-vertex label's head
+    size, k = 1 << (m + 2 * n), min(n, STREAMED_STAGES)
+    parts = [size >> 2 * k, max(size >> 4, ((2 << k) - 2) * (size >> (n + k))),
+             4 * n * (size >> n)]
+    if any(state is not None for _, _, _, state, _, _ in entries):
+        parts.append(size >> 2 * k)
+    work = np.empty(sum(parts), dtype)
+    head, scratch, y, *label_head = np.split(work, np.cumsum(parts[:-1]))
+    head = _stages(psi, blocks[:-k], n, (head, scratch))
+    y = pair_overlaps(g_amps, head, blocks[-k:], n, y)
+    raw = y[0, 0, 0] + y[0, 1, 1]
+    raw_norm = float(np.linalg.norm(raw))
+    if raw_norm < JUNK_TOL:
+        raise JunkDegenerateError(
+            f"identity-run overlap norm {raw_norm:.3e} below {JUNK_TOL}; the "
+            "test conditions fail too badly for the distance bound to apply")
 
     def score(junk, source: str) -> EquivalenceReport:
         """The report under ``junk``."""
-        d0 = residual_norm(x, g_amps, junk)
+        d0 = residual_norm(apply_phi(head, blocks[-k:], n, scratch), g_amps, junk)
         tt, td = _pair_blocks(y, g_amps, junk)
         reps = []
         for name, kind, single, state, ideal, bound in entries:
@@ -582,11 +625,8 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
             elif state is None:
                 dist = d0
             else:
-                d2 = 0.0
-                for a, rows in _phi_rows(state, blocks, n, scratch):
-                    part = ideal[a:a + rows.size // junk.size]
-                    d2 += residual_norm(rows, part, junk, overwrite=True) ** 2
-                dist = math.sqrt(d2)
+                staged = _stages(state, blocks[:-k], n, (label_head[0], scratch))
+                dist = residual_norm(apply_phi(staged, blocks[-k:], n, scratch), ideal, junk)
             reps.append(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK))
         return EquivalenceReport(eps, raw_norm, source, tuple(reps))
 

@@ -47,7 +47,15 @@ law; the honest law went from 0.6250000000000001 to 0.625 exactly), the
 mbqc summaries' ``reference`` by 1.1e-16, and the protocol summaries'
 ``c_calc`` by 2.2e-16 and ``c_ip``, ``s_ip`` and ``gap`` by at most
 1.1e-16; no row field moved, and the selftest and isometry digests did
-not change.
+not change.  The two isometry digests were regenerated when the swap
+circuit's last two stages began to stream from the output of the stages
+before them (Y one gemm over that head, with those stages folded into
+its weights; the 4x4 pair blocks contracted on views of Y and the junk;
+a multi-vertex label's residual summed over its whole stream): the sums
+run in another order, so honest ``junk_norm`` moved by 2.2e-16, honest
+distances by at most 3.2e-16, honest ``worst_excess`` and
+``max_worst_excess`` by 3.2e-16, and perturbed distances by 1.4e-17; no
+bound and no other field moved.
 
 Regenerate (only for a change that means to move records, and say so):
 ``PYTHONPATH=src python tests/test_golden_records.py > tests/golden_records.json``
