@@ -28,10 +28,11 @@ only where a2 = a1, and a2_v still equals a1_v until vertex v's circuit
 U_v runs.  So it is never built: vertex v's stage needs only the 4x2
 block of U_v for each value of a2_v (``_stage_blocks``), turns s_v into
 the pair (a1_v, s_v) and puts a2_v on top, which quadruples the vector.
-All stages but the last ``STREAMED_STAGES`` (two) run whole
-(``_stages``) into the head, a sixteenth of the output's size; the last
-two stream from the head, one block of graph-register rows at a time
-(``apply_phi``).  No vector of the output's size is ever made.
+All stages but the last two run whole (``_stages``) into the head, a
+sixteenth of the output's size; the last two stream from the head, one
+block of graph-register rows at a time (``apply_phi``).  No vector of
+the output's size is ever made.  (A triangle-covered graph has n >= 3
+vertices, so there are always two stages to stream.)
 
 A report runs the head's stages on |psi'> once.  A label on one vertex
 (X, Z, R+-, most of a report) needs no output of its own: its distance
@@ -72,9 +73,10 @@ from .statevec import (
 
 JUNK_TOL = 1e-6
 BOUND_SLACK = 1e-9
-# the stages a report streams: each one more quarters the heads, and past
-# two they are small beside Y's 4n junk vectors
-STREAMED_STAGES = 2
+# _bit_gram's (2 lo)-square gram beats a batch of (2, lo) products up to
+# lo = 16 and loses from lo = 64 (timeit on a 2-core x86-64, float64 and
+# complex128, n = 5..8; the two tie near lo = 32)
+GRAM_MAX_LO = 16
 
 _P0 = np.diag([1.0, 0.0])
 _P1 = np.diag([0.0, 1.0])
@@ -158,38 +160,34 @@ def apply_phi(head: np.ndarray, pairs, n: int, out: np.ndarray):
     """The swap circuit's output, one block of graph-register rows at a
     time: yields (first row a, the block's amplitudes).
 
-    ``head`` is the output of every stage but the last k = len(pairs)
-    (``_stages``), and ``pairs`` holds those stages' blocks B_v[c],
-    c = a2_v, in vertex order: row a of the output is row a mod 2^(n-k)
-    of ``head`` with B_v[a_v] applied in turn on its s_v axis.  So a block
-    of head rows takes each choice of blocks in turn, stage by stage, each
-    stage into its own part of ``out``, and every block overwrites the one
-    before; ``out`` holds 2^(k+1) - 2 head rows or more.  ``head`` is only
-    read, so it can be streamed again, and no vector of the output's size
-    is made.
+    ``head`` is the output of every stage but the last two (``_stages``),
+    and ``pairs`` holds those two stages' blocks, (B_{n-2}, B_{n-1}),
+    B_v[c] for c = a2_v: row a of the output is row a mod 2^(n-2) of
+    ``head`` with B_{n-2}[a_{n-2}] applied on its s_{n-2} axis, then
+    B_{n-1}[a_{n-1}] on its s_{n-1} axis.  So a block of head rows takes
+    each pair of blocks in turn, the first stage into the front third of
+    ``out`` and the second into the rest, and every block overwrites the
+    one before; ``out`` holds 6 head rows or more.  ``head`` is only read,
+    so it can be streamed again, and no vector of the output's size is
+    made.
     """
-    k = len(pairs)
-    rows = 1 << (n - k)
-    per_row = head.size >> (n - k)  # head amplitudes per head row
-    count = min(out.size // (((2 << k) - 2) * per_row), rows)
-    levels = np.split(out, np.cumsum([(count * per_row) << (i + 1) for i in range(k)]))
-    # a head row holds s_{n-1} .. s_{n-k} on top
+    low, top = pairs
+    rows = 1 << (n - 2)
+    per_row = head.size >> (n - 2)  # head amplitudes per head row
+    count = min(out.size // (6 * per_row), rows)
+    mid, last = out[:2 * count * per_row], out[2 * count * per_row:6 * count * per_row]
+    # a head row holds s_{n-1} and s_{n-2} on top; the first stage puts
+    # a1_{n-2} between them
+    qubit = per_row.bit_length() - 3
     for h in range(0, rows, count):
         part = head[h * per_row:(h + count) * per_row]
-        yield from _stream(part, pairs, levels, per_row.bit_length() - 1 - k, h, rows)
-
-
-def _stream(part, pairs, levels, qubit, a, step):
-    """``apply_phi``'s blocks from ``part``, rows of a stage's output
-    whose first row is a: each block of pairs[0] on ``qubit`` (that
-    vertex's s_v) into levels[0], and the rest of the stages from there."""
-    if not pairs:
-        yield a, part
-        return
-    for c, block in enumerate(pairs[0]):
-        out = apply_unitary(part, block, qubit, part.size.bit_length() - 1,
-                            out=levels[0][:part.size << 1])
-        yield from _stream(out, pairs[1:], levels[1:], qubit + 2, a + c * step, step << 1)
+        for c0, b0 in enumerate(low):
+            staged = apply_unitary(part, b0, qubit, part.size.bit_length() - 1,
+                                   out=mid[:part.size << 1])
+            for c1, b1 in enumerate(top):
+                block = apply_unitary(staged, b1, qubit + 2, staged.size.bit_length() - 1,
+                                      out=last[:part.size << 2])
+                yield h + (c0 << (n - 2)) + (c1 << (n - 1)), block
 
 
 def grouped_matrix(amps: np.ndarray, junk_size: int) -> np.ndarray:
@@ -206,11 +204,12 @@ def pair_overlaps(ideal: np.ndarray, head: np.ndarray, pairs, n: int,
     ``head`` and ``pairs``), written into ``out``.
 
     Shape (n, 2, 2, junk size); Y[v, 0, 0] + Y[v, 1, 1] is the overlap
-    sum_a ideal[a] * (row a).  Row a is K[c] = B_{n-1}[a_{n-1}] (x) ..
-    (x) B_{n-k}[a_{n-k}] on the k top qubits of head row a mod 2^(n-k),
-    so Y is one gemm of the (4n, 2^n) weight matrix, with K[c] folded into
-    its columns where the top bits of a are c, and ``head`` viewed
-    (head row, top qubits) x the rest: it reads only the head.
+    sum_a ideal[a] * (row a).  Row a is the 16x4 K[c] = B_{n-1}[a_{n-1}]
+    (x) B_{n-2}[a_{n-2}], c = (a_{n-1}, a_{n-2}), on the two top qubits of
+    head row a mod 2^(n-2), so Y is one gemm of the (4n, 2^n) weight
+    matrix, with K[c] folded into its columns where the top bits of a are
+    c, and ``head`` viewed (head row, top qubits) x the rest: it reads
+    only the head.
     """
     a = np.arange(1 << n)
     weights = np.zeros((n, 2, 2, 1 << n), ideal.dtype)
@@ -218,12 +217,10 @@ def pair_overlaps(ideal: np.ndarray, head: np.ndarray, pairs, n: int,
         bit = (a >> v) & 1
         for alpha in (0, 1):
             weights[v, alpha, bit, a] = ideal[a ^ ((bit ^ alpha) << v)]
-    kron = pairs[0]
-    for pair in pairs[1:]:
-        c, r, s = kron.shape
-        kron = np.einsum("abc,def->adbecf", pair, kron).reshape(2 * c, 4 * r, 2 * s)
-    # column a = c 2^(n-k) + a'; folded[w, r, a', s] = sum_c weights[w, c, a'] K[c][r, s]
-    folded = np.einsum("wca,crs->wras", weights.reshape(4 * n, len(kron), -1), kron)
+    low, top = pairs
+    kron = np.einsum("abc,def->adbecf", top, low).reshape(4, 16, 4)
+    # column a = c 2^(n-2) + a'; folded[w, r, a', s] = sum_c weights[w, c, a'] K[c][r, s]
+    folded = np.einsum("wca,crs->wras", weights.reshape(4 * n, 4, -1), kron)
     y = out.reshape(folded.shape[0] * folded.shape[1], -1)
     np.matmul(folded.reshape(len(y), 1 << n), head.reshape(1 << n, -1), out=y)
     return y.reshape(n, 2, 2, -1)
@@ -234,17 +231,19 @@ def _bit_gram(rows: np.ndarray, conj_junk: np.ndarray, lo: int) -> np.ndarray:
     bit at ``lo`` is tau, times ``conj_junk`` where it is sigma.
 
     Read through (hi, 2, lo) views, so nothing of the rows' size is
-    copied: a batch of (2, lo) products per hi when lo is long, else one
-    (2 lo)-square product per row, of which the lo-diagonal is kept.
+    copied: up to ``GRAM_MAX_LO``, one (2 lo)-square product per row, of
+    which the lo-diagonal is kept (at most 4 k GRAM_MAX_LO^2 elements);
+    above, a batch of (2, lo) products per hi (for a shorter lo, numpy's
+    loop over the batch costs more than its products).
     """
     k, size = rows.shape
     hi = size // (2 * lo)
-    if hi <= 2 * lo:
-        cols = conj_junk.reshape(hi, 2, lo).transpose(0, 2, 1)
-        return np.matmul(rows.reshape(k, hi, 2, lo), cols).sum(1)
-    gram = np.matmul(rows.reshape(k, hi, 2 * lo).transpose(0, 2, 1),
-                     conj_junk.reshape(hi, 2 * lo))
-    return np.einsum("ktlsl->kts", gram.reshape(k, 2, lo, 2, lo))
+    if lo <= GRAM_MAX_LO:
+        gram = np.matmul(rows.reshape(k, hi, 2 * lo).transpose(0, 2, 1),
+                         conj_junk.reshape(hi, 2 * lo))
+        return np.einsum("ktlsl->kts", gram.reshape(k, 2, lo, 2, lo))
+    cols = conj_junk.reshape(hi, 2, lo).transpose(0, 2, 1)
+    return np.matmul(rows.reshape(k, hi, 2, lo), cols).sum(1)
 
 
 def _pair_blocks(y: np.ndarray, g_amps: np.ndarray, junk: np.ndarray) -> tuple[list, list]:
@@ -595,17 +594,16 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
                 state = apply_single(state, f, v, m)
         entries.append((label_name(label), kind, single, state, ideal, bound))
     # one workspace (see Memory): the identity's head, the stage scratch
-    # (room for one head row through every streamed stage), Y and, if a
+    # (room for one head row through both streamed stages), Y and, if a
     # label needs one, a multi-vertex label's head
-    size, k = 1 << (m + 2 * n), min(n, STREAMED_STAGES)
-    parts = [size >> 2 * k, max(size >> 4, ((2 << k) - 2) * (size >> (n + k))),
-             4 * n * (size >> n)]
+    size = 1 << (m + 2 * n)
+    parts = [size >> 4, max(size >> 4, 6 * (size >> (n + 2))), 4 * n * (size >> n)]
     if any(state is not None for _, _, _, state, _, _ in entries):
-        parts.append(size >> 2 * k)
+        parts.append(size >> 4)
     work = np.empty(sum(parts), dtype)
     head, scratch, y, *label_head = np.split(work, np.cumsum(parts[:-1]))
-    head = _stages(psi, blocks[:-k], n, (head, scratch))
-    y = pair_overlaps(g_amps, head, blocks[-k:], n, y)
+    head = _stages(psi, blocks[:-2], n, (head, scratch))
+    y = pair_overlaps(g_amps, head, blocks[-2:], n, y)
     raw = y[0, 0, 0] + y[0, 1, 1]
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < JUNK_TOL:
@@ -615,7 +613,7 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
 
     def score(junk, source: str) -> EquivalenceReport:
         """The report under ``junk``."""
-        d0 = residual_norm(apply_phi(head, blocks[-k:], n, scratch), g_amps, junk)
+        d0 = residual_norm(apply_phi(head, blocks[-2:], n, scratch), g_amps, junk)
         tt, td = _pair_blocks(y, g_amps, junk)
         reps = []
         for name, kind, single, state, ideal, bound in entries:
@@ -625,8 +623,8 @@ def equivalence_distance(p: ProverSet, params: TestParameters,
             elif state is None:
                 dist = d0
             else:
-                staged = _stages(state, blocks[:-k], n, (label_head[0], scratch))
-                dist = residual_norm(apply_phi(staged, blocks[-k:], n, scratch), ideal, junk)
+                staged = _stages(state, blocks[:-2], n, (label_head[0], scratch))
+                dist = residual_norm(apply_phi(staged, blocks[-2:], n, scratch), ideal, junk)
             reps.append(LabelReport(name, kind, dist, bound, dist <= bound + BOUND_SLACK))
         return EquivalenceReport(eps, raw_norm, source, tuple(reps))
 

@@ -6,12 +6,11 @@ the vector, never by building the full 2^n x 2^n matrix.  A single-qubit
 matrix takes one of three forms, chosen from the operands' dtype, the
 qubit and the vector's length, each the fastest where it runs:
 
-* float64 operands, qubit <= 3, at least ``GEMM_MIN_AMPS`` amplitudes,
-  or a 1x2 row at qubit 4 and at least ``ROW_GEMM_MIN_AMPS``: one gemm
-  of the (2^(n-q-1), 2^(q+1)) row view by (m (x) I_{2^q})^T, a matrix of
-  at most 16 columns.  numpy would run the broadcast form below at qubit
-  1 as 2^(n-2) separate 2x2 products, read ``m.T`` non-contiguously at
-  qubit 0, and loop one tiny product per block for a row at qubit 4;
+* float64 operands, qubit <= 3, at least ``GEMM_MIN_AMPS`` amplitudes:
+  one gemm of the (2^(n-q-1), 2^(q+1)) row view by (m (x) I_{2^q})^T,
+  a matrix of at most 16 columns.  numpy would run the broadcast form
+  below at qubit 1 as 2^(n-2) separate 2x2 products, and read ``m.T``
+  non-contiguously at qubit 0;
 * float64 operands on any other qubit >= 1: one broadcast matmul over
   the (hi, 2, lo) view, with no copies;
 * qubit 0 of a short float64 vector, and every complex operand: one gemm
@@ -77,9 +76,6 @@ DEFAULT_QUBIT_CAP = 24
 # row-view gemm saves: timed per qubit on 3 to 12 qubits, the two break even
 # near 2^9 amplitudes.  The view then has at least 32 rows.
 GEMM_MIN_AMPS = 512
-# a 1x2 row at qubit 4 breaks even between 2^11 and 2^12 amplitudes (timed
-# on 9 to 14 qubits): below, the broadcast form's 2^(n-5) products cost less
-ROW_GEMM_MIN_AMPS = 4096
 
 SQRT2_INV = 1 / math.sqrt(2)
 _FLOAT64 = np.dtype(float)
@@ -89,8 +85,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
-# I_{2^q} laid out to broadcast against m.T as (2, 1, r, 1), for q <= 4
-_EYES = tuple(np.eye(1 << q).reshape(1, 1 << q, 1, 1 << q) for q in range(5))
+# I_{2^q} laid out to broadcast against m.T as (2, 1, r, 1), for q <= 3
+_EYES = tuple(np.eye(1 << q).reshape(1, 1 << q, 1, 1 << q) for q in range(4))
 
 
 class QubitCapError(ValueError):
@@ -296,8 +292,7 @@ def apply_single(amps: np.ndarray, m: np.ndarray, qubit: int, n: int) -> np.ndar
     # ``is``, not ``==``, which costs about 0.5 us a call; a float64 dtype
     # other than numpy's own instance takes the pairs form, same bits
     if amps.dtype is m.dtype is _FLOAT64:
-        if (qubit < 4 and len(amps) >= GEMM_MIN_AMPS
-                or qubit == 4 and len(m) == 1 and len(amps) >= ROW_GEMM_MIN_AMPS):
+        if qubit < 4 and len(amps) >= GEMM_MIN_AMPS:
             k = np.multiply(m.T.reshape(2, 1, -1, 1), _EYES[qubit], order="C")
             k = k.reshape(2 * lo, -1)
             return (amps.reshape(-1, 2 * lo) @ k).reshape(-1)

@@ -54,7 +54,7 @@ its weights; the 4x4 pair blocks contracted on views of Y and the junk;
 a multi-vertex label's residual summed over its whole stream): the sums
 run in another order, so honest ``junk_norm`` moved by 2.2e-16, honest
 distances by at most 3.2e-16, honest ``worst_excess`` and
-``max_worst_excess`` by 3.2e-16, and perturbed distances by 1.4e-17; no
+``max_worst_excess`` by 3.2e-16, and perturbed distances by 2.8e-17; no
 bound and no other field moved.
 
 Regenerate (only for a change that means to move records, and say so):

@@ -71,21 +71,21 @@ def _streamed(head, blocks, n, out, size):
     return whole
 
 
-def _stream_output(psi, blocks, n, k):
+def _stream_output(psi, blocks, n):
     """The whole swap-circuit output on shared amplitudes psi, from the
-    stage ``blocks``: the head every stage but the last k writes, and the
-    blocks ``apply_phi`` streams from it."""
+    stage ``blocks``: the head every stage but the last two writes, and
+    the blocks ``apply_phi`` streams from it."""
     size = psi.size << (2 * n)
     dtype = np.result_type(psi, *blocks)
-    buffers = (np.empty(size >> (2 * k), dtype), np.empty(size >> 1, dtype))
-    head = isometry._stages(psi, blocks[:n - k], n, buffers)
-    return _streamed(head, blocks[n - k:], n, buffers[1], size)
+    buffers = (np.empty(size >> 4, dtype), np.empty(size >> 1, dtype))
+    head = isometry._stages(psi, blocks[:-2], n, buffers)
+    return _streamed(head, blocks[-2:], n, buffers[1], size)
 
 
-def _phi(p, k=isometry.STREAMED_STAGES):
-    """Phi(psi') whole for p's shared state, the last k stages streamed."""
+def _phi(p):
+    """Phi(psi') whole for p's shared state, the last two stages streamed."""
     blocks = [isometry._stage_blocks(u) for u in vertex_unitaries(p)]
-    return _stream_output(p.shared_state.amplitudes, blocks, p.n, k)
+    return _stream_output(p.shared_state.amplitudes, blocks, p.n)
 
 
 class TestCircuitPieces:
@@ -133,11 +133,9 @@ class TestCircuitPieces:
             p = _provers(kind, complete_graph(3), np.random.default_rng(29))[0]
             n, m = p.n, p.shared_state.n_qubits
             grouped, pos = _phi_by_index_arithmetic(p)
-            # streamed from the head every stage but the last k writes (none
-            # at k = 3: the reordered shared state)
-            for k in (1, 2, 3):
-                assert np.abs(_phi(p, k)[pos] - grouped).max() < 1e-12
+            # streamed from the head the first stage writes
             amps = _phi(p)
+            assert np.abs(amps[pos] - grouped).max() < 1e-12
             # grouped is indexed j | a1 << m | a2 << (m+n), j the shared index;
             # the view's rows are a2 and its columns the junk register:
             # s_v at bit m-n+2v, a1_v at bit m-n+2v+1, the private qubits below
@@ -209,34 +207,33 @@ class TestGroupedView:
     @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 3), (7, 2)])
     def test_overlap_matches_the_dense_product(self, n, m, dtype):
         # the pair overlaps, one gemm over the head of an output whose last
-        # k stages have random unitary blocks, and their sum over the
+        # two stages have random unitary blocks, and their sum over the
         # diagonal, the overlap with the ideal vector, against the streamed
-        # rows, for k = 1 and 2
+        # rows
         rng = np.random.default_rng(83 + 8 * n + m)
-        for k in (1, 2):
-            head = TestResidualNorm._unit(1 << (m + 2 * n - 2 * k), dtype, rng)
-            unitaries = [np.linalg.qr(TestResidualNorm._unit((4, 4), dtype, rng))[0]
-                         for _ in range(k)]
-            blocks = [isometry._stage_blocks(u) for u in unitaries]
-            amps = _streamed(head, blocks, n, np.empty(8 * head.size, dtype),
-                             head.size << (2 * k))
-            ideal = TestResidualNorm._unit(1 << n, float, rng)
-            # row a is the slice where the top n bits, the graph register, are a
-            a, col = np.indices((1 << n, 1 << (n + m)))
-            mat = amps[(a << (n + m)) | col]
-            want = ideal @ mat
-            out = np.empty(4 * n << (m + n), dtype)
-            pairs = pair_overlaps(ideal, head, blocks, n, out)
-            assert pairs.shape == (n, 2, 2, 1 << (m + n)) and np.shares_memory(pairs, out)
-            a = np.arange(1 << n)
-            for v in range(n):
-                bit = (a >> v) & 1
-                for alpha in (0, 1):
-                    for beta in (0, 1):
-                        weights = np.where(bit == beta, ideal[a ^ ((bit ^ alpha) << v)], 0.0)
-                        pair = pairs[v, alpha, beta]
-                        assert np.abs(pair - weights @ mat).max() <= 1e-15
-                assert np.abs(pairs[v, 0, 0] + pairs[v, 1, 1] - want).max() <= 1e-15
+        head = TestResidualNorm._unit(1 << (m + 2 * n - 4), dtype, rng)
+        unitaries = [np.linalg.qr(TestResidualNorm._unit((4, 4), dtype, rng))[0]
+                     for _ in range(2)]
+        blocks = [isometry._stage_blocks(u) for u in unitaries]
+        amps = _streamed(head, blocks, n, np.empty(8 * head.size, dtype),
+                         head.size << 4)
+        ideal = TestResidualNorm._unit(1 << n, float, rng)
+        # row a is the slice where the top n bits, the graph register, are a
+        a, col = np.indices((1 << n, 1 << (n + m)))
+        mat = amps[(a << (n + m)) | col]
+        want = ideal @ mat
+        out = np.empty(4 * n << (m + n), dtype)
+        pairs = pair_overlaps(ideal, head, blocks, n, out)
+        assert pairs.shape == (n, 2, 2, 1 << (m + n)) and np.shares_memory(pairs, out)
+        a = np.arange(1 << n)
+        for v in range(n):
+            bit = (a >> v) & 1
+            for alpha in (0, 1):
+                for beta in (0, 1):
+                    weights = np.where(bit == beta, ideal[a ^ ((bit ^ alpha) << v)], 0.0)
+                    pair = pairs[v, alpha, beta]
+                    assert np.abs(pair - weights @ mat).max() <= 1e-15
+            assert np.abs(pairs[v, 0, 0] + pairs[v, 1, 1] - want).max() <= 1e-15
 
 
 class TestJunk:
@@ -574,7 +571,7 @@ def _direct_output(p, label):
     ops = _label_operators(p, label)
     amps = oracles.full_operator(state.n_qubits, ops) @ state.amplitudes
     q = ProverSet(p.n, p.strategy, StateVector(state.n_qubits, amps, _validate=False))
-    return _phi(q, 1)
+    return _phi(q)
 
 
 def _direct_matrix(p, label):
@@ -671,7 +668,7 @@ class TestConjugation:
         p, params = _provers(kind, graph, np.random.default_rng(41))
         n, m = graph.n, p.shared_state.n_qubits
         unitaries = vertex_unitaries(p)
-        amps0 = _phi(p, 1)
+        amps0 = _phi(p)
         blocks = [isometry._stage_blocks(u) for u in unitaries]
         g_amps = build_graph_state(graph).amplitudes
         for label in _labels(n):
@@ -682,7 +679,7 @@ class TestConjugation:
             else:
                 state = oracles.full_operator(m, factors) @ p.shared_state.amplitudes
                 state = state if np.iscomplexobj(amps0) else state.real
-                got = _stream_output(state, blocks, n, isometry.STREAMED_STAGES)
+                got = _stream_output(state, blocks, n)
             direct = _direct_output(p, label)
             assert np.abs(got - direct).max() < 1e-12, label
             assert np.abs(ideal - _ideal_vector(graph, params, label)).max() < 1e-12

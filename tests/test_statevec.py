@@ -14,7 +14,6 @@ from artifact.provers import QUERY_LABELS, QuantumStrategy
 from artifact.statevec import (GEMM_MIN_AMPS, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z,
                                ImaginaryResidueError,
                                NormUnderflowError, ProductObservable, QubitCapError,
-                               ROW_GEMM_MIN_AMPS,
                                SingleQubitObservable, StateVector,
                                apply_single, apply_unitary, expectation, measure,
                                project, qubit_cap, rotation_matrix)
@@ -85,18 +84,16 @@ class TestKernelsAgainstDense:
     def test_row_view_gemm_is_the_moveaxis_matmul_bit_for_bit(self, seed):
         # float64 operands on qubits 0-3 of at least GEMM_MIN_AMPS amplitudes
         # take the row-view gemm, for a 2x2 matrix and for the 1x2 eigen-row
-        # that measure applies, and so does the row at qubit 4 from
-        # ROW_GEMM_MIN_AMPS; below that (n = 4..8) the other two forms keep
-        # these bits for a 2x2 matrix (a row there is the same two-term sum,
-        # which the broadcast form may round differently)
+        # that measure applies; below that (n = 4..8) the other two forms
+        # keep these bits for a 2x2 matrix (a row there is the same two-term
+        # sum, which the broadcast form may round differently)
         rng = np.random.default_rng(seed)
         for n in (*range(4, 15), 21):
             amps = rng.normal(size=2 ** n)
-            for q in range(5):
+            for q in range(4):
                 row = SingleQubitObservable.rotation(rng.uniform(-math.pi, math.pi)).rows[-1]
-                gemm = 2 ** n >= (GEMM_MIN_AMPS if q < 4 else ROW_GEMM_MIN_AMPS)
-                # at qubit 4 only the row, and only where it takes the gemm
-                for m in (rng.normal(size=(2, 2)), row)[q == 4:1 + gemm]:
+                gemm = 2 ** n >= GEMM_MIN_AMPS
+                for m in (rng.normal(size=(2, 2)), row)[:1 + gemm]:
                     t = np.moveaxis(amps.reshape([2] * n), n - 1 - q, -1) @ m.T
                     moved = np.moveaxis(t, -1, n - 1 - q).reshape(-1)
                     out = apply_single(amps, m, q, n)
