@@ -218,8 +218,9 @@ class TrialSetup:
     def trial(self, i: int) -> tuple[dict, object]:
         """Trial ``i`` on the stream ``trial_rng(seed, i)``: its row and result.
 
-        The result is the kind's own object: the TestOutcome, the pattern's
-        RunTranscript, the EquivalenceReport or the ProtocolResult.
+        The result is the kind's own object: the TestOutcome, the pattern
+        run's vertex -> raw outcome dict, the EquivalenceReport or the
+        ProtocolResult.
         """
         cfg = self.cfg
         rng = trial_rng(cfg.seed, i)
@@ -233,8 +234,8 @@ class TrialSetup:
             return {"trial": i, "subtest": outcome.subtest.kind,
                     "accepted": bool(outcome.accepted)}, outcome
         if cfg.kind == "mbqc":
-            bit, transcript = run_pattern(p, cfg.pattern, rng)
-            return {"trial": i, "output": int(bit)}, transcript
+            bit, raw = run_pattern(p, cfg.pattern, rng)
+            return {"trial": i, "output": int(bit)}, raw
         if cfg.kind == "isometry":
             report = equivalence_distance(p, self.params,
                                           cfg.labels or DEFAULT_LABELS)

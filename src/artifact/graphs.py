@@ -195,11 +195,9 @@ class TriangleCover:
 
     triangles: tuple[np.ndarray, ...]
 
-    def __len__(self):
-        return len(self.triangles)
-
     @staticmethod
-    def validate(graph: Graph, triangles) -> "TriangleCover":
+    def validate(graph: Graph, triangles) -> None:
+        """Raise unless ``triangles`` are at most n graph triangles covering every vertex."""
         covered = np.zeros(graph.n, dtype=np.uint8)
         for tau in triangles:
             if not graph.is_triangle(tau):
@@ -210,7 +208,6 @@ class TriangleCover:
             raise UncoverableVertexError(missing)
         if len(triangles) > graph.n:
             raise ValueError("cover uses more than n triangles")
-        return TriangleCover(triangles=tuple(triangles))
 
 
 def triangles_containing(graph: Graph, v: int) -> list[tuple[int, int, int]]:

@@ -10,7 +10,9 @@ the parity of the corrected outcomes over ``output_bits``.
 outcome branch through a prover set's observables; ``reference_run`` is
 that law for honest provers measuring at the pattern's own angles on the
 ideal graph state, so the two can be compared without sampling noise.
-Sampled runs and exact laws walk the prover set's outcome tree.
+Sampled runs and exact laws walk the prover set's outcome tree.  A
+sampled run returns its output bit, what the verifier reads, and the raw
+outcomes it computed the bit from.
 
 ``chain_law`` is the law of a pattern on a path graph measured in order,
 from cascaded teleportation of one logical qubit in the protocol's X-Z
@@ -25,7 +27,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,28 +123,6 @@ class MeasurementPattern:
         return cls(steps, ints(obj["output_bits"], "output_bits", "an output bit"))
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    vertex: int
-    t: int
-    outcome: int
-    corrected: int
-
-
-class RunTranscript(NamedTuple):
-    """A run's raw outcomes in step order; ``steps`` reads them as records."""
-
-    pattern: MeasurementPattern
-    outcomes: tuple[int, ...]
-
-    @property
-    def steps(self) -> tuple[StepRecord, ...]:
-        raw = dict(zip(self.pattern.vertices, self.outcomes))
-        return tuple(StepRecord(s.vertex, _parity(raw, s.x_deps), raw[s.vertex],
-                                raw[s.vertex] * _parity(raw, s.z_deps))
-                     for s in self.pattern.steps)
-
-
 def _parity(raw: dict[int, int], deps) -> int:
     sign = 1
     for dep in deps:
@@ -164,8 +143,9 @@ def require_support(pattern: MeasurementPattern, n: int) -> None:
 
 
 def run_pattern(p: ProverSet, pattern: MeasurementPattern,
-                rng: np.random.Generator) -> tuple[int, RunTranscript]:
-    """Execute the pattern against a prover set, one query per step.
+                rng: np.random.Generator) -> tuple[int, dict[int, int]]:
+    """Execute the pattern against a prover set, one query per step; return
+    the output bit and ``raw``, each measured vertex's raw outcome in step order.
 
     A quantum set's outcomes come from a walk of its outcome tree, one
     ``provers.TreeWalk.steps`` per step, drawn as a chain of ``measure``
@@ -179,7 +159,7 @@ def run_pattern(p: ProverSet, pattern: MeasurementPattern,
         key = keys[_parity(raw, x_deps)]
         raw[v] = (p.strategy.table[v][key[0][1]] if walk is None
                   else walk.steps(key, rng))
-    return _output_bit(pattern, raw), RunTranscript(pattern, tuple(raw.values()))
+    return _output_bit(pattern, raw), raw
 
 
 def _branch_distribution(walk: TreeWalk, pattern: MeasurementPattern

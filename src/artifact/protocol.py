@@ -142,15 +142,13 @@ class ProtocolResult:
 
 
 def run_round(p: ProverSet, cfg: ProtocolConfig,
-              rng: np.random.Generator) -> tuple[bool, RoundRecord]:
+              rng: np.random.Generator) -> RoundRecord:
     """Flip the coin, run one pattern execution or one subtest."""
     if rng.random() < cfg.q:
         bit, _ = run_pattern(p, cfg.pattern, rng)
-        record = _round_record(CALCULATE, bit == cfg.accept_output, bit, None)
-    else:
-        outcome = run_oneshot(p, cfg.params, rng)
-        record = _round_record(TEST, outcome.accepted, None, outcome.subtest.label)
-    return record.accepted, record
+        return _round_record(CALCULATE, bit == cfg.accept_output, bit, None)
+    outcome = run_oneshot(p, cfg.params, rng)
+    return _round_record(TEST, outcome.accepted, None, outcome.subtest.label)
 
 
 def run_amplified(p: ProverSet, cfg: ProtocolConfig,
@@ -164,9 +162,9 @@ def run_amplified(p: ProverSet, cfg: ProtocolConfig,
     records = []
 
     def round_fn(uniforms) -> bool:
-        accepted, record = run_round(p, cfg, uniforms)
+        record = run_round(p, cfg, uniforms)
         records.append(record)
-        return accepted
+        return record.accepted
 
     accepted, count = run_amplified_rounds(round_fn, cfg.n_rounds, cfg.threshold, rng)
     return ProtocolResult(accepted, count, cfg.threshold, tuple(records))

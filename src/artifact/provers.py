@@ -15,6 +15,8 @@ construction on, and its observables are fixed.  So every time the set
 sees the same measurements with the same outcome prefix it reaches the
 same Born probabilities, and its ``OutcomeTree`` caches them.  Sampled
 queries, sampled pattern runs and exact pattern laws all walk that tree.
+A sampled query returns only its reply product, the one number a test
+round's verifier reads, which each tree node keeps for its path.
 """
 
 from __future__ import annotations
@@ -145,14 +147,15 @@ class _Node(dict):
     """A tree node: maps each next (vertex, label) to a ``_Branching``, and
     holds ``path``, the (key, outcome) steps from the root to it (no link up,
     which would make every tree a reference cycle), the bitmask ``gone`` of
-    the vertices they measured, its kept state and its path's replies."""
+    the vertices they measured, ``product``, the product of their outcomes,
+    and its kept state."""
 
-    __slots__ = ("path", "gone", "state", "replies")
+    __slots__ = ("path", "gone", "product", "state")
 
     def __init__(self, parent=None, key=None, outcome=None, state=None):
         self.path = () if parent is None else (*parent.path, (key, outcome))
         self.gone = 0 if parent is None else parent.gone | 1 << key[0]
-        self.replies = None
+        self.product = 1 if parent is None else parent.product * outcome
         self.keep(state)
 
     def keep(self, state: StateVector | None) -> None:
@@ -351,7 +354,8 @@ def _xz_angle(m: np.ndarray) -> float:
 
 
 def perturbed_provers(base: ProverSet, eta: float, rng: np.random.Generator) -> ProverSet:
-    """Rotate every observable's X-Z axis by an independent U(-eta, eta)."""
+    """Rotate every observable's X-Z axis by an independent U(-eta, eta).
+    The new set shares the base's read-only state and gets its own tree."""
     # rng.uniform(-eta, eta) needs the width 2 eta to be a finite float
     if not 0 <= 2 * eta < math.inf:
         raise ValueError(f"eta must be nonnegative with 2 eta finite, got {eta!r}")
@@ -365,8 +369,7 @@ def perturbed_provers(base: ProverSet, eta: float, rng: np.random.Generator) -> 
             angle += rng.uniform(-eta, eta)
             noisy[label] = SingleQubitObservable.rotation(angle)
         per_prover.append(noisy)
-    return ProverSet(base.n, QuantumStrategy(tuple(per_prover)),
-                     base.shared_state.copy())
+    return ProverSet(base.n, QuantumStrategy(tuple(per_prover)), base.shared_state)
 
 
 def xz_plane_provers(state: StateVector, angles: list[dict[str, float]]) -> ProverSet:
@@ -392,31 +395,24 @@ def constant_classical_provers(n: int, value: int = 1) -> ProverSet:
     return classical_provers(n, table)
 
 
-def execute_query(p: ProverSet, q: Query, rng: np.random.Generator
-                  ) -> tuple[dict[int, int], int]:
-    """Measure the queried qubits in ascending order; return replies, product.
+def execute_query(p: ProverSet, q: Query, rng: np.random.Generator) -> int:
+    """Measure the queried qubits in ascending order; return the reply product.
 
     A quantum set's replies are one ``TreeWalk.steps`` from the root of its
     outcome tree: one ``rng.random()`` per queried qubit, the draws and
     replies of a chain of ``measure`` calls, a ``measure`` only where the
-    tree has no probability cached, and a copy of the replies its end node
-    keeps.  The product includes the query's verifier-side sign; ignored
-    provers contribute +1.  A classical set reads its table and draws
-    nothing, so ``rng`` may be None.  The caller's ProverSet is never mutated.
+    tree has no probability cached, and the product its end node keeps.
+    The product includes the query's verifier-side sign; ignored provers
+    contribute +1.  A classical set reads its table and draws nothing, so
+    ``rng`` may be None.  The caller's ProverSet is never mutated.
     """
     if len(q.bases) != p.n:
         raise ValueError("query length does not match prover count")
     if p.tree is None:
-        outcomes = [p.strategy.table[v][label] for v, label in q.keys]
-        return dict(zip(q.queried, outcomes)), math.prod(outcomes, start=q.sign)
+        return math.prod((p.strategy.table[v][label] for v, label in q.keys), start=q.sign)
     walk = TreeWalk(p.tree)
     walk.steps(q.keys, rng)
-    node = walk.node
-    if node.replies is None:
-        node.replies = ({key[0]: outcome for key, outcome in node.path},
-                        math.prod(outcome for _, outcome in node.path))
-    replies, product = node.replies
-    return replies.copy(), product * q.sign
+    return walk.node.product * q.sign
 
 
 def query_expectation(p: ProverSet, q: Query) -> float:
@@ -426,7 +422,7 @@ def query_expectation(p: ProverSet, q: Query) -> float:
     classical set's product is fixed, and its mean is that product.
     """
     if p.is_classical:
-        return float(execute_query(p, q, None)[1])
+        return float(execute_query(p, q, None))
     terms = {v: p.observable(v, q.bases[v]).matrix for v in q.queried}
     return expectation(p.shared_state, ProductObservable(terms, sign=q.sign))
 

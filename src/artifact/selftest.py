@@ -105,7 +105,6 @@ class TestParameters:
 class TestOutcome(NamedTuple):
     subtest: Subtest
     accepted: bool
-    replies: dict[int, int]
 
 
 def default_parameters(graph: Graph, theta=None) -> TestParameters:
@@ -167,8 +166,8 @@ def run_oneshot(p: ProverSet, params: TestParameters,
     ``bisect_right`` in the stored CDF, without choice's per-call check of p.
     The one TestOutcome maker: ``tuple.__new__`` skips NamedTuple's Python call."""
     subtest = params.subtests[bisect_right(params._cdf, rng.random())]
-    replies, product = execute_query(p, subtest.query, rng)
-    return tuple.__new__(TestOutcome, (subtest, product == subtest.target, replies))
+    accepted = execute_query(p, subtest.query, rng) == subtest.target
+    return tuple.__new__(TestOutcome, (subtest, accepted))
 
 
 def c_test(params: TestParameters) -> float:

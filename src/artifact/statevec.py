@@ -263,9 +263,6 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy(), _validate=False)
-
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 

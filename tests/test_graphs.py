@@ -106,7 +106,7 @@ class TestTriangles:
     def test_cover_members_are_triangles(self):
         g = triangular_lattice(2, 4)
         cover = triangle_cover(g)
-        assert len(cover) >= 1
+        assert len(cover.triangles) >= 1
         for tau in cover.triangles:
             a, b, c = support(tau)
             assert g.adjacency[a, b] and g.adjacency[b, c] and g.adjacency[a, c]

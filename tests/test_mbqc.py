@@ -43,11 +43,6 @@ def _strip_pattern():
         output_bits=(2, 0))
 
 
-def _raw(transcript):
-    """Vertex -> raw outcome of a run."""
-    return {r.vertex: r.outcome for r in transcript.steps}
-
-
 def _angles_for(pattern, n):
     theta = {v: THETA for v in range(n)}
     for step in pattern.steps:
@@ -193,14 +188,10 @@ class TestRunPattern:
         pattern = _strip_pattern()
         honest = honest_provers(graph, _angles_for(pattern, graph.n))
         rng = np.random.default_rng(7)
-        bit, transcript = run_pattern(honest.clone(), pattern, rng)
-        raw = _raw(transcript)
-        assert set(raw) == {0, 1, 2}
-        for record, step in zip(transcript.steps, pattern.steps):
-            assert record.vertex == step.vertex
-            assert record.t == math.prod(raw[d] for d in step.x_deps)
-            assert record.corrected == record.outcome * math.prod(
-                raw[d] for d in step.z_deps)
+        bit, raw = run_pattern(honest.clone(), pattern, rng)
+        # one raw outcome per step, in step order
+        assert list(raw) == pattern.vertices == [0, 1, 2]
+        assert all(type(r) is int and r in (1, -1) for r in raw.values())
         product = math.prod(
             raw[v] * math.prod(raw[d] for d in pattern.step_for(v).z_deps)
             for v in pattern.output_bits)
@@ -215,18 +206,16 @@ class TestRunPattern:
             table = {(v, label): replies[2 * v + (label == "R-")]
                      for v in range(3) for label in ("R+", "R-")}
             table.update({(v, label): 1 for v in range(3) for label in ("X", "Z")})
-            bit, transcript = run_pattern(classical_provers(3, table), pattern, None)
-            raw = _raw(transcript)
+            bit, raw = run_pattern(classical_provers(3, table), pattern, None)
             product = math.prod(
                 raw[v] * math.prod(raw[d] for d in pattern.step_for(v).z_deps)
                 for v in pattern.output_bits)
             assert bit == (1 - product) // 2
-            for record, step in zip(transcript.steps, pattern.steps):
+            # each step's raw outcome is the reply to the label its x_deps chose
+            assert list(raw) == pattern.vertices
+            for step in pattern.steps:
                 t = math.prod(raw[d] for d in step.x_deps)
-                assert record.t == t
-                assert record.outcome == table[(step.vertex, "R+" if t == 1 else "R-")]
-                assert record.corrected == record.outcome * math.prod(
-                    raw[d] for d in step.z_deps)
+                assert raw[step.vertex] == table[(step.vertex, "R+" if t == 1 else "R-")]
 
     def test_same_seed_same_run(self):
         graph = complete_graph(3)
@@ -367,8 +356,8 @@ class TestOutcomeTree:
         pattern = _adaptive_pattern(graph)
         tree_rng, chain_rng = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(40):
-            _, transcript = run_pattern(p.clone(), pattern, tree_rng)
-            assert _raw(transcript) == _measure_chain(p, pattern, chain_rng)
+            _, raw = run_pattern(p.clone(), pattern, tree_rng)
+            assert raw == _measure_chain(p, pattern, chain_rng)
             assert tree_rng.bit_generator.state == chain_rng.bit_generator.state
 
     @GRAPHS
@@ -385,8 +374,7 @@ class TestOutcomeTree:
         chain_rng = np.random.default_rng(4)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            assert _raw(run_pattern(p, pattern, rng)[1]) == _measure_chain(
-                p, pattern, chain_rng)
+            assert run_pattern(p, pattern, rng)[1] == _measure_chain(p, pattern, chain_rng)
 
     def test_a_second_pass_is_all_hits(self, monkeypatch):
         graph = triangular_lattice(3, 4)
@@ -418,8 +406,8 @@ class TestOutcomeTree:
         p = honest_provers(graph, _angles_for(pattern, graph.n))
         tree_rng, chain_rng = np.random.default_rng(2), np.random.default_rng(2)
         for _ in range(20):
-            _, transcript = run_pattern(p, pattern, tree_rng)
-            assert _raw(transcript) == _measure_chain(p, pattern, chain_rng)
+            _, raw = run_pattern(p, pattern, tree_rng)
+            assert raw == _measure_chain(p, pattern, chain_rng)
 
     @pytest.mark.parametrize("graph,pattern", [
         (complete_graph(3), _k3_pattern()),

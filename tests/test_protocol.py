@@ -150,10 +150,10 @@ class TestRounds:
                                   n_rounds=5, c_ip=0.8, s_ip=0.2)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            _, record = run_round(honest.clone(), cfg_test, rng)
+            record = run_round(honest.clone(), cfg_test, rng)
             assert record.branch == TEST
             assert record.subtest is not None and record.output is None
-            _, record = run_round(honest.clone(), cfg_calc, rng)
+            record = run_round(honest.clone(), cfg_calc, rng)
             assert record.branch == CALCULATE
             assert record.output in (0, 1) and record.subtest is None
 
@@ -168,7 +168,7 @@ class TestRounds:
     def test_round_record_serialization(self):
         graph, params, pattern, cfg, honest = _setup()
         rng = np.random.default_rng(9)
-        _, record = run_round(honest.clone(), cfg, rng)
+        record = run_round(honest.clone(), cfg, rng)
         payload = record.to_json()
         assert payload["branch"] in (CALCULATE, TEST)
         assert isinstance(payload["accepted"], bool)
@@ -278,7 +278,7 @@ class TestDrawsAhead:
 
     def _twin_rounds(self, spec, cfg, twin):
         p = self._provers(spec, cfg.params)
-        return tuple(run_round(p, cfg, twin)[1] for _ in range(cfg.n_rounds))
+        return tuple(run_round(p, cfg, twin) for _ in range(cfg.n_rounds))
 
     @pytest.mark.parametrize("spec,q,n_rounds", [
         pytest.param(spec, q, n_rounds, id=name + suffix)

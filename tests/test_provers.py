@@ -1,6 +1,7 @@
 """Prover strategies: honest, perturbed, classical, and adversarial."""
 
 import gc
+import itertools
 import math
 import pickle
 import weakref
@@ -17,7 +18,7 @@ from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
                               classical_provers, constant_classical_provers, execute_query,
                               honest_provers, perturbed_provers,
                               query_expectation, strategy_from_json,
-                              xz_plane_provers, QUERY_LABELS)
+                              xz_plane_provers, QUERY_LABELS, TreeWalk)
 from artifact.selftest import default_parameters, exact_pass_probability
 from artifact.statevec import NormUnderflowError, StateVector, measure, project
 
@@ -121,6 +122,15 @@ class TestPerturbedProvers:
                                    honest.observable(v, label).matrix,
                                    atol=1e-12)
 
+    def test_shares_the_base_state_and_gets_its_own_tree(self):
+        honest = honest_k3()
+        p = perturbed_provers(honest, 0.1, np.random.default_rng(4))
+        assert p.shared_state is honest.shared_state
+        assert not p.shared_state.amplitudes.flags.writeable
+        execute_query(p, Query.from_assignments(3, {0: "X", 1: "Z"}), np.random.default_rng(5))
+        assert p.tree is not honest.tree and len(p.tree.root) == 1
+        assert len(honest.tree.root) == 0
+
     def test_pass_rate_degrades_smoothly(self):
         rng = np.random.default_rng(4)
         graph = complete_graph(3)
@@ -137,21 +147,21 @@ class TestClassicalProvers:
         p = constant_classical_provers(3, 1)
         assert p.is_classical and p.shared_state is None
         q = Query.from_assignments(3, {0: "X", 1: "Z"})
-        assert execute_query(p, q, None)[1] == 1
+        assert execute_query(p, q, None) == 1
 
     def test_sign_propagates(self):
         p = constant_classical_provers(3, 1)
         q = Query.from_assignments(3, {0: "X"}, sign=-1)
-        assert execute_query(p, q, None)[1] == -1
+        assert execute_query(p, q, None) == -1
 
     def test_table_provers(self):
         table = {(v, label): (-1 if label == "X" else 1)
                  for v in range(2) for label in QUERY_LABELS}
         p = classical_provers(2, table)
         q = Query.from_assignments(2, {0: "X", 1: "X"})
-        assert execute_query(p, q, None)[1] == 1
+        assert execute_query(p, q, None) == 1
         q = Query.from_assignments(2, {0: "X", 1: "Z"})
-        assert execute_query(p, q, None)[1] == -1
+        assert execute_query(p, q, None) == -1
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(IncompleteTableError):
@@ -171,7 +181,7 @@ class TestClassicalProvers:
                                ({0: "X"}, -1), ({1: "R+"}, 1)]:
             q = Query.from_assignments(2, assigned, sign=sign)
             value = query_expectation(p, q)
-            assert type(value) is float and value == execute_query(p, q, None)[1]
+            assert type(value) is float and value == execute_query(p, q, None)
 
     def test_non_unit_reply_rejected(self):
         with pytest.raises(ValueError):
@@ -181,29 +191,29 @@ class TestClassicalProvers:
         p = constant_classical_provers(3, -1)
         q = Query.from_assignments(3, {0: "X", 2: "Z"})
         rng = np.random.default_rng(0)
-        replies, product = execute_query(p, q, rng)
-        assert product == 1  # (-1) * (-1)
-        assert all(r == -1 for r in replies.values())
+        before = rng.bit_generator.state
+        assert execute_query(p, q, rng) == 1  # (-1) * (-1)
+        assert execute_query(p, Query.from_assignments(3, {2: "Z"}), rng) == -1
+        assert rng.bit_generator.state == before
 
 
 class TestExecuteQuery:
     def test_replies_multiply_to_product(self):
-        rng = np.random.default_rng(5)
+        # the replies are the outcomes on the path of a walk on the same stream
         p = honest_k3()
-        q = Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"})
-        replies, product = execute_query(p.clone(), q, rng)
-        acc = q.sign
-        for r in replies.values():
-            acc *= r
-        assert acc == product
+        q = Query.from_assignments(3, {0: "R+", 1: "X", 2: "Z"}, sign=-1)
+        for seed in range(10):
+            product = execute_query(p.clone(), q, np.random.default_rng(seed))
+            walk = TreeWalk(p.tree)
+            walk.steps(q.keys, np.random.default_rng(seed))
+            assert product == q.sign * math.prod(outcome for _, outcome in walk.node.path)
 
     def test_vertex_query_always_passes_honest(self):
         rng = np.random.default_rng(6)
         p = honest_k3()
         q = Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"})
         for _ in range(50):
-            _, product = execute_query(p.clone(), q, rng)
-            assert product == 1
+            assert execute_query(p.clone(), q, rng) == 1
 
     def test_statistics_match_expectation(self):
         rng = np.random.default_rng(7)
@@ -211,7 +221,7 @@ class TestExecuteQuery:
         q = Query.from_assignments(3, {0: "R+", 1: "Z", 2: "Z"})
         exact = query_expectation(p, q)
         trials = 4000
-        total = sum(execute_query(p.clone(), q, rng)[1] for _ in range(trials))
+        total = sum(execute_query(p.clone(), q, rng) for _ in range(trials))
         assert abs(total / trials - exact) < 4 / math.sqrt(trials)
 
 
@@ -339,11 +349,16 @@ class TestOutcomeTree:
     def test_replies_and_stream_match_a_measure_chain(self, graph, kind):
         p = _strategies(graph, 11)[kind]
         queries = [s.query for s in default_parameters(graph).subtests]
-        tree_rng, chain_rng = np.random.default_rng(5), np.random.default_rng(5)
+        tree_rng, walk_rng, chain_rng = (np.random.default_rng(5) for _ in range(3))
         for _ in range(3):
             for q in queries:
-                assert execute_query(p.clone(), q, tree_rng) == _measure_chain(p, q, chain_rng)
-                assert tree_rng.bit_generator.state == chain_rng.bit_generator.state
+                replies, product = _measure_chain(p, q, chain_rng)
+                assert execute_query(p.clone(), q, tree_rng) == product
+                walk = TreeWalk(p.tree)
+                walk.steps(q.keys, walk_rng)
+                assert {key[0]: outcome for key, outcome in walk.node.path} == replies
+                assert (tree_rng.bit_generator.state == walk_rng.bit_generator.state
+                        == chain_rng.bit_generator.state)
 
     def test_a_second_pass_is_all_hits(self, measure_calls):
         p = _strategies(triangular_lattice(3, 4), 12)["perturbed"]
@@ -428,13 +443,28 @@ class TestOutcomeTree:
         finally:
             gc.enable()
 
-    def test_replies_are_a_fresh_dict_on_every_call(self):
-        p, q = honest_k3(), Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"})
-        first, _ = execute_query(p, q, ForcedRng((-1.0, -1.0, -1.0)))
-        first[0] = 7
-        second, product = execute_query(p, q, ForcedRng((-1.0, -1.0, -1.0)))
-        assert second == {0: 1, 1: 1, 2: 1} and product == 1
-        assert second is not first
+    def test_a_query_returns_its_end_nodes_signed_path_product(self):
+        # every outcome sequence of every K3 subtest query, forced: the
+        # reachable ones fill the tree, and a second call reads its end node
+        p = honest_k3()
+        queries = [s.query for s in default_parameters(complete_graph(3)).subtests]
+        assert {q.sign for q in queries} == {1, -1}
+        ends = 0
+        for q in queries:
+            for outcomes in itertools.product((1, -1), repeat=len(q.keys)):
+                draws = [-1.0 if o == 1 else 2.0 for o in outcomes]
+                try:
+                    execute_query(p, q, ForcedRng(draws))
+                except NormUnderflowError:
+                    continue
+                node = p.tree.root
+                for key, outcome in zip(q.keys, outcomes):
+                    node = node[key].child[outcome]
+                product = execute_query(p, q, ForcedRng(draws))
+                assert type(product) is int
+                assert product == q.sign * math.prod(outcome for _, outcome in node.path)
+                ends += 1
+        assert ends > len(queries)
 
 
 # the golden records' patterns: K3's adaptive chain and four unconditioned

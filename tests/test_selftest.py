@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from artifact import bounds
 from artifact.graphs import TriangleCover, complete_graph, triangle_strip, triangular_lattice
-from artifact.provers import classical_provers, honest_provers, perturbed_provers
+from artifact.provers import TreeWalk, classical_provers, honest_provers, perturbed_provers
 from artifact.selftest import (
     RTHETA_X,
     RTHETA_Z,
@@ -246,21 +246,31 @@ class TestSampling:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            outs = [run_oneshot(honest.clone(), params, rng)
-                    for _ in range(25)]
-            runs.append([(o.subtest.label, o.accepted, tuple(sorted(
-                o.replies.items()))) for o in outs])
+            runs.append([(o.subtest.label, o.accepted, rng.bit_generator.state)
+                         for o in (run_oneshot(honest.clone(), params, rng)
+                                   for _ in range(25))])
         assert runs[0] == runs[1]
 
     def test_oneshot_replies_cover_exactly_the_queried_vertices(self):
         graph = complete_graph(3)
         params = default_parameters(graph)
         honest = honest_provers(graph, params.theta)
-        rng = np.random.default_rng(5)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(20):
             out = run_oneshot(honest.clone(), params, rng)
-            assert set(out.replies) == set(out.subtest.query.queried)
-            assert all(r in (1, -1) for r in out.replies.values())
+            # the twin replays the run: the subtest draw, then the query's walk
+            assert params.subtests[bisect_right(params._cdf, twin.random())] is out.subtest
+            q = out.subtest.query
+            walk = TreeWalk(honest.tree)
+            walk.steps(q.keys, twin)
+            assert tuple(key for key, _ in walk.node.path) == q.keys
+            product = q.sign * math.prod(outcome for _, outcome in walk.node.path)
+            assert out.accepted == (product == out.subtest.target)
+            assert twin.bit_generator.state == rng.bit_generator.state
+        for s in params.subtests:
+            walk = TreeWalk(honest.tree)
+            walk.steps(s.query.keys, rng)
+            assert tuple(key for key, _ in walk.node.path) == s.query.keys
 
     def test_honest_structural_subtests_always_accept(self):
         graph = complete_graph(3)

@@ -166,12 +166,6 @@ class TestStateVector:
         with pytest.raises(QubitCapError):
             StateVector(4, np.full(16, 0.25))
 
-    def test_copy_is_independent(self):
-        sv = plus(2)
-        other = sv.copy()
-        assert other is not sv
-        assert np.array_equal(other.amplitudes, sv.amplitudes)
-
     def test_distance_and_inner(self):
         rng = np.random.default_rng(5)
         a, b = random_state(2, rng), random_state(2, rng)
