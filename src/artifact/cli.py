@@ -1,7 +1,8 @@
 """Command-line front end: batch experiments, bound tables, acceptance suite.
 
-Every stochastic subcommand takes --seed and reports reproducible rows; see
-the experiments module for the per-trial PRNG stream convention.  The
+Every stochastic subcommand, ``prove`` included, takes --seed, runs through
+``run_experiment`` and writes its record of reproducible rows; see the
+experiments module for the per-trial PRNG stream convention.  The
 simulator refuses states above GSIP_QUBIT_CAP qubits (default 24).
 """
 
@@ -14,8 +15,7 @@ import sys
 import click
 
 from . import bounds
-from .experiments import (ExperimentConfig, prepare, run_experiment, write_csv,
-                          write_json_lines)
+from .experiments import ExperimentConfig, run_experiment, write_csv, write_json_lines
 from .graphs import (Graph, checked_size, complete_graph, triangle_strip,
                      triangular_lattice)
 from .mbqc import MeasurementPattern
@@ -28,19 +28,37 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
-def _load_json_arg(value: str):
+def _parse_json(text: str, name: str):
+    """``json.loads(text)``, refused with one ``Error:`` line naming ``name``
+    when a value lies more than 32 levels below the top.  No input needs more
+    than 4 (a pattern step's x_deps), and a value the parser reads can still
+    be too deep for a later ``json.dumps`` of the config."""
+    try:
+        obj = json.loads(text)
+        level = [obj]
+        for _ in range(32):
+            level = [v for o in level if isinstance(o, (list, dict))
+                     for v in (o.values() if isinstance(o, dict) else o)]
+        if not level:
+            return obj
+    except RecursionError:  # too deep for the parser's own stack
+        pass
+    raise InputError(f"{name}: JSON nested too deeply")
+
+
+def _load_json_arg(value: str, flag: str):
     """Accept either a path to a JSON file or an inline JSON value."""
     text = value.strip()
-    if text.startswith("{") or text.startswith("["):
-        return json.loads(text)
-    with open(value) as fh:
-        return json.load(fh)
+    if not text.startswith(("{", "[")):
+        with open(value) as fh:
+            text = fh.read()
+    return _parse_json(text, flag)
 
 
 def _parse_labels(value: str | None) -> tuple | None:
     if value is None:
         return None
-    obj = _load_json_arg(value)
+    obj = _load_json_arg(value, "--labels")
     if not isinstance(obj, list):
         raise ValueError("labels must be a JSON list")
     return tuple(tuple(l) if isinstance(l, list) else l for l in obj)
@@ -52,10 +70,10 @@ def _experiment_config(kind: str, graph_src: str, strategy_src: str | None = Non
     """Parse every JSON input of a run into its config, in one place."""
     try:
         return ExperimentConfig(
-            kind=kind, graph=Graph.from_json(_load_json_arg(graph_src)),
-            strategy=None if strategy_src is None else _load_json_arg(strategy_src),
+            kind=kind, graph=Graph.from_json(_load_json_arg(graph_src, "--graph")),
+            strategy=None if strategy_src is None else _load_json_arg(strategy_src, "--strategy"),
             pattern=None if pattern_src is None
-            else MeasurementPattern.from_json(_load_json_arg(pattern_src)),
+            else MeasurementPattern.from_json(_load_json_arg(pattern_src, "--pattern")),
             labels=_parse_labels(labels_src), **fields)
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from exc
@@ -63,14 +81,14 @@ def _experiment_config(kind: str, graph_src: str, strategy_src: str | None = Non
         raise InputError(str(exc)) from exc
 
 
-def _parse_options(pairs: tuple[str, ...]) -> dict:
+def _parse_options(pairs: tuple[str, ...], flag: str) -> dict:
     opts = {}
     for pair in pairs:
         if "=" not in pair:
             raise click.BadParameter(f"option {pair!r} is not key=value")
         key, raw = pair.split("=", 1)
         try:
-            opts[key] = json.loads(raw)
+            opts[key] = _parse_json(raw, f"{flag} {key}")
         except json.JSONDecodeError:
             opts[key] = raw
     return opts
@@ -91,13 +109,13 @@ def _emit(record, out: str | None, as_csv: bool) -> None:
     _write(out, lambda stream: writer(record, stream))
 
 
-def _run_and_emit(cfg: ExperimentConfig, jobs: int, out: str | None,
-                  as_csv: bool) -> None:
+def _run_and_emit(cfg: ExperimentConfig, jobs: int, out: str | None, as_csv: bool):
     try:
         record = run_experiment(cfg, jobs=jobs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(record, out, as_csv)
+    return record
 
 
 _COMMON = [
@@ -206,7 +224,7 @@ def isometry_check(graph_src, strategy_src, theta, trials, seed, jobs, out,
 @click.option("--out", default=None)
 def bounds_cmd(kind, params, out):
     """Evaluate closed-form error bounds."""
-    opts = _parse_options(params)
+    opts = _parse_options(params, "--param")
     try:
         if kind is None:
             record = run_experiment(ExperimentConfig(kind="bounds", options=opts))
@@ -239,21 +257,15 @@ def bounds_cmd(kind, params, out):
 def prove(graph_src, pattern_src, strategy_src, theta, seed, extra):
     """One amplified protocol run; exit 0 on accept, 1 on reject.
 
-    The run is trial 0 of a one-trial protocol experiment, so its decision
-    matches row 0 of ``run_experiment`` on the same config.
+    The run is a one-trial protocol experiment: its JSON lines are those of
+    ``run_experiment`` on the same config, the decision's row and then the
+    summary footer, and the exit code follows the row's ``accepted``.
     """
     cfg = _experiment_config("protocol", graph_src, strategy_src, pattern_src,
                              theta=theta, trials=1, seed=seed,
-                             options=_parse_options(extra))
-    try:
-        setup = prepare(cfg)
-        _, result = setup.trial(0)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    payload = result.to_json()
-    payload["setup"] = setup.meta
-    click.echo(json.dumps(payload, sort_keys=True))
-    sys.exit(0 if result.accepted else 1)
+                             options=_parse_options(extra, "--option"))
+    record = _run_and_emit(cfg, 1, None, False)
+    sys.exit(0 if record.rows[0]["accepted"] else 1)
 
 
 @main.command()

@@ -9,9 +9,10 @@ the PRNG family so other implementations can replay the streams.
 Every trial takes one path: ``prepare`` builds a run's ``TrialSetup`` once
 (test parameters, the prover set of a deterministic strategy, and for
 protocol runs the ProtocolConfig with its meta), and ``TrialSetup.trial(i)``
-returns trial ``i``'s row together with the kind's result object.  Serial
-runs, ``jobs > 1`` worker chunks (which receive the built setup) and
-``gsip prove`` (trial 0 of a one-trial protocol run) all call it.
+returns trial ``i``'s row, a dict: a trial is its row.  Serial runs and
+``jobs > 1`` worker chunks (which receive the built setup) both call it,
+and every ``gsip`` subcommand that runs trials, ``gsip prove`` (a one-trial
+protocol run) included, goes through ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ class TrialSetup:
     samples from the Born probabilities earlier trials cached (in this
     process: a ``--jobs`` worker fills its own copy).  It is None for a
     stochastic strategy, which is rebuilt from ``cfg.strategy`` on each
-    trial's stream.  ``protocol`` and
-    ``meta`` are set for protocol runs only.
+    trial's stream.  ``protocol`` and ``meta`` are set for protocol runs
+    only; ``meta`` goes into the summary, and a trial returns its row alone.
     """
 
     cfg: ExperimentConfig
@@ -215,13 +216,8 @@ class TrialSetup:
     protocol: ProtocolConfig | None
     meta: dict
 
-    def trial(self, i: int) -> tuple[dict, object]:
-        """Trial ``i`` on the stream ``trial_rng(seed, i)``: its row and result.
-
-        The result is the kind's own object: the TestOutcome, the pattern
-        run's vertex -> raw outcome dict, the EquivalenceReport or the
-        ProtocolResult.
-        """
+    def trial(self, i: int) -> dict:
+        """Trial ``i``'s row, run on the stream ``trial_rng(seed, i)``."""
         cfg = self.cfg
         rng = trial_rng(cfg.seed, i)
         if self.provers is None:
@@ -232,21 +228,19 @@ class TrialSetup:
         if cfg.kind == "selftest":
             outcome = run_oneshot(p, self.params, rng)
             return {"trial": i, "subtest": outcome.subtest.kind,
-                    "accepted": bool(outcome.accepted)}, outcome
+                    "accepted": bool(outcome.accepted)}
         if cfg.kind == "mbqc":
-            bit, raw = run_pattern(p, cfg.pattern, rng)
-            return {"trial": i, "output": int(bit)}, raw
+            return {"trial": i, "output": int(run_pattern(p, cfg.pattern, rng)[0])}
         if cfg.kind == "isometry":
             report = equivalence_distance(p, self.params,
                                           cfg.labels or DEFAULT_LABELS)
-            return {"trial": i, **report.to_json()}, report
-        result = run_amplified(p, self.protocol, rng)
-        return {"trial": i, "accepted": bool(result.accepted),
-                "accept_count": int(result.accept_count)}, result
+            return {"trial": i, **report.to_json()}
+        accepted, count = run_amplified(p, self.protocol, rng)
+        return {"trial": i, "accepted": bool(accepted), "accept_count": int(count)}
 
     def rows(self, trials: range) -> list[dict]:
         """The rows of a range of trials: a whole serial run or one --jobs chunk."""
-        return [self.trial(i)[0] for i in trials]
+        return [self.trial(i) for i in trials]
 
 
 def prepare(cfg: ExperimentConfig) -> TrialSetup:

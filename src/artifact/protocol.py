@@ -1,4 +1,4 @@
-"""Composed interactive proof: CALCULATE/TEST coin, optimal q, amplification.
+"""Composed interactive proof: calculation/test coin, optimal q, amplification.
 
 A round flips a coin: with probability q the verifier runs the measurement
 pattern and accepts on the designated output bit; otherwise it runs the
@@ -15,13 +15,15 @@ raises, the generator is rewound to exactly where the uniforms taken
 would have left it, so every value is the one a scalar
 ``Generator.random()`` call would have returned.  Each round is one
 ``run_round`` call, and that one ``run_oneshot`` or ``run_pattern`` call.
+The verifier reads one accept bit per round and their count: a round is a
+bool, and a decision is the pair (accepted, count).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 from itertools import chain, repeat
 from operator import length_hint
 
@@ -32,9 +34,6 @@ from .mbqc import MeasurementPattern, require_support, run_distribution, run_pat
 from .provers import ProverSet
 from .selftest import TestParameters, exact_pass_probability, run_oneshot
 
-CALCULATE = "calculate"
-TEST = "test"
-
 # uniforms a decision draws ahead at a time; a decision of N < 4,096 rounds
 # draws blocks of N, since drawing 4,096 ahead of a few dozen rounds costs
 # more than the scalar draws it replaces
@@ -43,7 +42,7 @@ UNIFORM_BLOCK = 4096
 
 def choose_q(c_test: float, s_test: float, s_calc: float, delta: float,
              c_calc: float = 2 / 3) -> tuple[float, float]:
-    """Optimal CALCULATE weight and the composite gap it guarantees.
+    """Optimal calculation weight and the composite gap it guarantees.
 
     The weight is ``bounds.lemma6_q``, where the two adversarial case lines
     cross, and the gap is ``bounds.lemma6_gap`` at that weight.
@@ -103,71 +102,22 @@ class ProtocolConfig:
                            midpoint_threshold(self.n_rounds, self.c_ip, self.s_ip))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Outcome of a single CALCULATE or TEST round."""
-
-    branch: str
-    accepted: bool
-    output: int | None = None   # pattern output bit, CALCULATE branch
-    subtest: str | None = None  # subtest label, TEST branch
-
-    def to_json(self) -> dict:
-        out = {"branch": self.branch, "accepted": self.accepted}
-        if self.output is not None:
-            out["output"] = self.output
-        if self.subtest is not None:
-            out["subtest"] = self.subtest
-        return out
-
-
-# rounds with the same outcome share one frozen record: a cache hit costs
-# about a fifth of building the dataclass
-_round_record = lru_cache(maxsize=None)(RoundRecord)
-
-
-@dataclass(frozen=True)
-class ProtocolResult:
-    """Amplified decision with its per-round records."""
-
-    accepted: bool
-    accept_count: int
-    threshold: float
-    rounds: tuple[RoundRecord, ...]
-
-    def to_json(self) -> dict:
-        return {"accepted": self.accepted, "accept_count": self.accept_count,
-                "threshold": self.threshold, "n_rounds": len(self.rounds),
-                "rounds": [r.to_json() for r in self.rounds]}
-
-
-def run_round(p: ProverSet, cfg: ProtocolConfig,
-              rng: np.random.Generator) -> RoundRecord:
-    """Flip the coin, run one pattern execution or one subtest."""
+def run_round(p: ProverSet, cfg: ProtocolConfig, rng: np.random.Generator) -> bool:
+    """Flip the coin, run one pattern execution or one subtest: accepted or not."""
     if rng.random() < cfg.q:
-        bit, _ = run_pattern(p, cfg.pattern, rng)
-        return _round_record(CALCULATE, bit == cfg.accept_output, bit, None)
-    outcome = run_oneshot(p, cfg.params, rng)
-    return _round_record(TEST, outcome.accepted, None, outcome.subtest.label)
+        return run_pattern(p, cfg.pattern, rng)[0] == cfg.accept_output
+    return run_oneshot(p, cfg.params, rng).accepted
 
 
 def run_amplified(p: ProverSet, cfg: ProtocolConfig,
-                  rng: np.random.Generator) -> ProtocolResult:
-    """N rounds drawn in sequence from ``rng``, and the decision.
+                  rng: np.random.Generator) -> tuple[bool, int]:
+    """N rounds drawn in sequence from ``rng``: the decision and the accept count.
 
-    ``run_amplified_rounds`` calls ``run_round`` N times; each call's record
-    is kept.  Every round queries the same prover set, whose outcome tree
-    carries the Born probabilities and small states one round caches.
+    ``run_amplified_rounds`` calls ``run_round`` N times.  Every round
+    queries the same prover set, whose outcome tree carries the Born
+    probabilities and small states one round caches.
     """
-    records = []
-
-    def round_fn(uniforms) -> bool:
-        record = run_round(p, cfg, uniforms)
-        records.append(record)
-        return record.accepted
-
-    accepted, count = run_amplified_rounds(round_fn, cfg.n_rounds, cfg.threshold, rng)
-    return ProtocolResult(accepted, count, cfg.threshold, tuple(records))
+    return run_amplified_rounds(partial(run_round, p, cfg), cfg.n_rounds, cfg.threshold, rng)
 
 
 def run_amplified_rounds(round_fn, n_rounds: int, threshold: float,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -56,15 +55,6 @@ class Subtest:
     weight: float
     vertex: int | None = None
     t: int | None = None
-    triangle: tuple[int, int, int] | None = None
-
-    @cached_property
-    def label(self) -> str:
-        if self.kind == VERTEX:
-            return f"vertex({self.vertex})"
-        if self.kind == TRIANGLE:
-            return "triangle({},{},{})".format(*self.triangle)
-        return f"{self.kind}(v={self.vertex},t={self.t:+d})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +124,7 @@ def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:
         assigned = {v: X_LABEL for v in support(tau)}
         assigned.update({v: Z_LABEL for v in support(g.mul(tau))})
         out.append(Subtest(TRIANGLE, Query.from_assignments(n, assigned),
-                           target=-1, weight=w,
-                           triangle=tuple(support(tau))))
+                           target=-1, weight=w))
     for v in range(n):
         cos_v = math.cos(params.theta[v])
         sin_v = abs(math.sin(params.theta[v]))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface via click's test runner."""
 
+import io
 import json
 import math
 
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from artifact.cli import main
-from artifact.experiments import OPTION_KEYS, ExperimentConfig, run_experiment
+from artifact.experiments import OPTION_KEYS, ExperimentConfig, run_experiment, write_json_lines
 from artifact.graphs import Graph, complete_graph
 from artifact.mbqc import MeasurementPattern
 
@@ -290,6 +291,14 @@ class TestBadInput:
          "lemma5eps evaluates to inf at {'n': 3, 'delta': 1e+200}"),
         (["bounds", "--kind", "cor3gap", "--param", "n=3", "--param", "delta=1e300"],
          "cor3gap evaluates to inf at {'n': 3, 'delta': 1e+300}"),
+        # JSON too deep for the parser, or read but deeper than 32 levels
+        (["prove", "--option", "eps=" + "[" * 50_000], "--option eps: JSON nested too deeply"),
+        (["bounds", "--param", "eps=" + "[" * 50_000], "--param eps: JSON nested too deeply"),
+        (["mbqc", "--trials", "1", "--pattern", "[" * 50_000],
+         "--pattern: JSON nested too deeply"),
+        (["selftest", "--trials", "1", "--strategy",
+          json.dumps({"kind": "honest", "x": json.loads("[" * 100 + "]" * 100)})],
+         "--strategy: JSON nested too deeply"),
     ], ids=["selftest-vertex-in-no-triangle", "prove-vertex-in-no-triangle",
             "accept-output-not-a-bit", "s-ip-negative", "s-ip-above-c-ip",
             "s-calc-negative", "s-calc-above-one", "s-test-gap-above-c-test",
@@ -299,7 +308,9 @@ class TestBadInput:
             "pattern-not-an-object", "step-not-an-object", "seed-negative", "jobs-zero",
             "jobs-negative", "graph-size-negative", "s-test-gap-below-float-spacing",
             "thm1n-divides-by-zero", "hoeffdingn-divides-by-zero", "table-divides-by-zero",
-            "hoeffdingn-ceil-overflows", "lemma5eps-overflows", "cor3gap-overflows"])
+            "hoeffdingn-ceil-overflows", "lemma5eps-overflows", "cor3gap-overflows",
+            "option-too-deep-to-parse", "param-too-deep-to-parse",
+            "pattern-too-deep-to-parse", "strategy-deeper-than-32-levels"])
     def test_error_line_names_the_fault(self, runner, args, message):
         # the check that owns the input speaks, not a later step that trips
         # over it (min() over no neighbors, the Hoeffding count's gap check)
@@ -433,16 +444,22 @@ class TestBoundsCommand:
         _assert_input_error(runner.invoke(main, ["bounds", *args]))
 
 
+def _prove_record(result):
+    """``gsip prove``'s row and summary footer, its only two lines."""
+    row, footer = (json.loads(line) for line in result.output.strip().split("\n"))
+    return row, footer["summary"]
+
+
 class TestProveCommand:
     def test_honest_run_accepts(self, runner, graph_file, pattern_file):
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
             "--seed", "5", "--option", "n_rounds=40"])
         assert result.exit_code == 0, result.output
-        payload = json.loads(result.output.strip().split("\n")[-1])
-        assert payload["accepted"] is True
-        assert payload["setup"]["n_rounds"] == 40
-        assert 0 < payload["setup"]["q"] <= 1
+        row, summary = _prove_record(result)
+        assert row["accepted"] is True
+        assert summary["n_rounds"] == 40
+        assert 0 < summary["q"] <= 1
 
     def test_adversarial_strategy_rejects(self, runner, graph_file,
                                           pattern_file):
@@ -455,16 +472,16 @@ class TestProveCommand:
             "--strategy", strategy, "--seed", "5", "--option", "n_rounds=40",
             "--option", "c_ip=0.9", "--option", "s_ip=0.1"])
         assert result.exit_code == 1
-        payload = json.loads(result.output.strip().split("\n")[-1])
-        assert payload["accepted"] is False
+        row, _ = _prove_record(result)
+        assert row["accepted"] is False
 
     def test_explicit_q_flows_into_the_setup(self, runner, graph_file,
                                              pattern_file):
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
             "--seed", "5", "--option", "n_rounds=10", "--option", "q=0.15"])
-        payload = json.loads(result.output.strip().split("\n")[-1])
-        assert math.isclose(payload["setup"]["q"], 0.15, abs_tol=1e-12)
+        _, summary = _prove_record(result)
+        assert math.isclose(summary["q"], 0.15, abs_tol=1e-12)
 
     def test_far_from_optimal_q_is_a_usage_error(self, runner, graph_file,
                                                  pattern_file):
@@ -513,21 +530,20 @@ class TestProveCommand:
     ], ids=["honest", "perturbed", "classical"])
     def test_decision_is_row_zero_of_a_one_trial_batch(self, runner, graph_file,
                                                        pattern_file, strategy):
+        # stdout is the batch's record byte for byte, and the exit code its row 0
         extra = [] if strategy is None else ["--strategy", json.dumps(strategy)]
         result = runner.invoke(main, [
             "prove", "--graph", graph_file, "--pattern", pattern_file,
             "--seed", "13", "--option", "n_rounds=30", *extra])
-        payload = json.loads(result.output.strip().split("\n")[-1])
         record = run_experiment(ExperimentConfig(
             kind="protocol", graph=complete_graph(3), theta=THETA,
             strategy=strategy,
             pattern=MeasurementPattern.from_json(json.loads(PATTERN_JSON)),
             trials=1, seed=13, options={"n_rounds": 30}))
-        row = record.rows[0]
-        assert payload["accepted"] is row["accepted"]
-        assert payload["accept_count"] == row["accept_count"]
-        assert result.exit_code == (0 if row["accepted"] else 1)
-        assert payload["setup"] == {k: record.summary[k] for k in payload["setup"]}
+        expected = io.StringIO()
+        write_json_lines(record, expected)
+        assert result.output == expected.getvalue()
+        assert result.exit_code == (0 if record.rows[0]["accepted"] else 1)
 
     def test_option_help_names_every_protocol_key(self, runner):
         result = runner.invoke(main, ["prove", "--help"])
@@ -621,24 +637,31 @@ def _run_fuzzed(runner, command, **inputs):
     _assert_input_error(result)
 
 
-# an option value is a JSON value or the text 1e400, which JSON reads as inf;
-# integers come from _SCALARS, so a fuzzed n_rounds is at most 6
-_OPTION_VALUES = _JSON.map(json.dumps) | st.just("1e400")
+# an option value is a JSON value, the text 1e400, which JSON reads as inf,
+# or an array nested too deep to parse; integers come from _SCALARS, so a
+# fuzzed n_rounds is at most 6
+_OPTION_VALUES = _JSON.map(json.dumps) | st.just("1e400") | st.just("[" * 100_000)
 _PROTOCOL_KEYS = ("accept_output", "delta", "s_calc", "s_test_gap", "q", "c_ip", "s_ip",
                   "n_rounds", "threshold")
 _BOUNDS_KEYS = ("n", "edges", "eps", "m", "delta", "nn")
 
 
 def _run_fuzzed_option(runner, args):
-    """A run exits 0 or 1 with one JSON line, or 2 with one ``Error:`` line."""
+    """A run exits 0 or 1 with its record, or 2 with one ``Error:`` line.
+
+    The record is JSON objects, one per line, the last a footer with the
+    summary: a bounds table is the footer alone, ``prove`` one row and it.
+    """
     result = runner.invoke(main, args)
     if result.exit_code == 2:
         _assert_input_error(result)
         return
     assert result.exit_code in (0, 1), (args, result.output, result.exception)
     assert isinstance(result.exception, (SystemExit, type(None))), (args, result.exception)
-    lines = result.output.strip().splitlines()
-    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (args, result.output)
+    lines = [json.loads(line) for line in result.output.strip().splitlines()]
+    assert len(lines) == (2 if args[0] == "prove" else 1), (args, result.output)
+    assert all(isinstance(line, dict) for line in lines), (args, result.output)
+    assert "summary" in lines[-1], (args, result.output)
 
 
 class TestFuzzedInput:
@@ -668,6 +691,20 @@ class TestFuzzedInput:
     @given(labels=_LABELS)
     def test_labels(self, runner, labels):
         _run_fuzzed(runner, "isometry-check", labels=labels)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("selftest", "graph"), ("mbqc", "pattern"), ("selftest", "strategy"),
+        ("isometry-check", "labels")])
+    def test_file_nested_too_deep_to_parse(self, runner, tmp_path, command, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        args = {"--graph": K3_JSON, "--pattern": PATTERN_JSON, f"--{flag}": str(path)}
+        if command != "mbqc":
+            del args["--pattern"]
+        result = runner.invoke(main, [command, "--trials", "2", "--seed", "1",
+                                      *(x for kv in args.items() for x in kv)])
+        _assert_input_error(result)
+        assert result.output.strip() == f"Error: --{flag}: JSON nested too deeply"
 
     @FUZZ
     @given(key=st.sampled_from(_PROTOCOL_KEYS), value=_OPTION_VALUES)

@@ -2,7 +2,6 @@
 
 import contextlib
 import gc
-import json
 import math
 
 import numpy as np
@@ -12,10 +11,8 @@ import oracles
 from artifact import protocol
 from artifact.bounds import DomainError, hoeffding_n
 from artifact.graphs import complete_graph, triangle_strip
-from artifact.mbqc import MeasurementPattern, PatternStep, reference_run
+from artifact.mbqc import MeasurementPattern, PatternStep, reference_run, run_pattern
 from artifact.protocol import (
-    CALCULATE,
-    TEST,
     ProtocolConfig,
     choose_q,
     exact_accept_probability,
@@ -26,7 +23,7 @@ from artifact.protocol import (
     uncovered_calculate_queries,
 )
 from artifact.provers import QUERY_LABELS, classical_provers, honest_provers, strategy_from_json
-from artifact.selftest import c_test, default_parameters, exact_pass_probability
+from artifact.selftest import c_test, default_parameters, exact_pass_probability, run_oneshot
 
 THETA = math.pi / 4
 HONEST = {"kind": "honest"}
@@ -148,30 +145,25 @@ class TestRounds:
                                   n_rounds=5, c_ip=0.8, s_ip=0.2)
         cfg_calc = ProtocolConfig(q=1.0, params=params, pattern=pattern,
                                   n_rounds=5, c_ip=0.8, s_ip=0.2)
-        rng = np.random.default_rng(3)
+        # the twin draws the coin and discards it, then runs the forced branch
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(10):
-            record = run_round(honest.clone(), cfg_test, rng)
-            assert record.branch == TEST
-            assert record.subtest is not None and record.output is None
-            record = run_round(honest.clone(), cfg_calc, rng)
-            assert record.branch == CALCULATE
-            assert record.output in (0, 1) and record.subtest is None
+            accepted = run_round(honest.clone(), cfg_test, rng)
+            twin.random()
+            assert accepted is run_oneshot(honest.clone(), params, twin).accepted
+            accepted = run_round(honest.clone(), cfg_calc, rng)
+            twin.random()
+            bit, _ = run_pattern(honest.clone(), pattern, twin)
+            assert accepted is (bit == cfg_calc.accept_output)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_replies_that_are_not_ints_are_refused(self):
         # they compare equal to 1, but would carry their own type into every
-        # product and into the records that rounds share
+        # reply product, and through it into every accept bit and row
         for value in (1.0, True, np.int64(1)):
             table = {(v, label): value for v in range(3) for label in QUERY_LABELS}
             with pytest.raises(ValueError, match="non \\+-1 replies"):
                 classical_provers(3, table)
-
-    def test_round_record_serialization(self):
-        graph, params, pattern, cfg, honest = _setup()
-        rng = np.random.default_rng(9)
-        record = run_round(honest.clone(), cfg, rng)
-        payload = record.to_json()
-        assert payload["branch"] in (CALCULATE, TEST)
-        assert isinstance(payload["accepted"], bool)
 
     def test_exact_accept_probability_mixes_the_branches(self):
         graph, params, pattern, cfg, honest = _setup(q=0.3)
@@ -191,25 +183,16 @@ class TestAmplification:
             rng = np.random.default_rng(42)
             results.append(run_amplified(honest.clone(), cfg, rng))
         assert results[0] == results[1]
-        assert len(results[0].rounds) == 15
-        assert results[0].accept_count == sum(
-            r.accepted for r in results[0].rounds)
+        accepted, count = results[0]
+        assert 0 <= count <= 15 and accepted == (count > cfg.threshold)
 
     def test_single_round_amplification(self):
         graph, params, pattern, _, honest = _setup()
         cfg = ProtocolConfig(q=0.0, params=params, pattern=pattern,
                              n_rounds=1, c_ip=0.8, s_ip=0.2)
         rng = np.random.default_rng(12)
-        result = run_amplified(honest.clone(), cfg, rng)
-        assert result.accepted == (result.accept_count > cfg.threshold)
-
-    def test_result_serialization(self):
-        graph, params, pattern, cfg, honest = _setup(n_rounds=4)
-        result = run_amplified(honest.clone(), cfg, np.random.default_rng(1))
-        payload = result.to_json()
-        assert payload["n_rounds"] == 4
-        assert len(payload["rounds"]) == 4
-        assert "accept_count" in json.dumps(payload)
+        accepted, count = run_amplified(honest.clone(), cfg, rng)
+        assert count in (0, 1) and accepted == (count > cfg.threshold)
 
     def test_synthetic_rounds_count_and_decide(self):
         rng = np.random.default_rng(5)
@@ -254,19 +237,18 @@ class TestAmplification:
                              n_rounds=n_rounds, c_ip=0.8, s_ip=0.2)
         p = strategy_from_json(spec, graph, dict(enumerate(params.theta)), None)
         rate = exact_accept_probability(p, cfg)
-        result = run_amplified(p, cfg, np.random.default_rng(seed))
+        _, count = run_amplified(p, cfg, np.random.default_rng(seed))
         sigma = math.sqrt(n_rounds * rate * (1 - rate))
-        assert abs(result.accept_count - n_rounds * rate) <= 5 * sigma
+        assert abs(count - n_rounds * rate) <= 5 * sigma
 
     def test_honest_amplified_run_accepts(self):
         graph, params, pattern, _, honest = _setup()
         cfg = ProtocolConfig(q=0.2, params=params, pattern=pattern,
                              n_rounds=60, c_ip=0.9, s_ip=0.5)
-        result = run_amplified(honest.clone(), cfg,
-                               np.random.default_rng(2024))
+        accepted, _ = run_amplified(honest.clone(), cfg, np.random.default_rng(2024))
         # honest accept probability is about 0.93 per round, far above
         # the midpoint threshold 0.7, so 60 rounds decide reliably
-        assert result.accepted
+        assert accepted
 
 
 class TestDrawsAhead:
@@ -278,7 +260,23 @@ class TestDrawsAhead:
 
     def _twin_rounds(self, spec, cfg, twin):
         p = self._provers(spec, cfg.params)
-        return tuple(run_round(p, cfg, twin) for _ in range(cfg.n_rounds))
+        return [run_round(p, cfg, twin) for _ in range(cfg.n_rounds)]
+
+    def _decision_rounds(self, spec, cfg, rng):
+        """``run_amplified``'s decision, and the bools of ``run_round`` on the
+        same rounds, collected through ``run_amplified_rounds``."""
+        bools = []
+
+        def round_fn(uniforms):
+            bools.append(run_round(p, cfg, uniforms))
+            return bools[-1]
+
+        p, state = self._provers(spec, cfg.params), rng.bit_generator.state
+        collected = run_amplified_rounds(round_fn, cfg.n_rounds, cfg.threshold, rng)
+        after, rng.bit_generator.state = rng.bit_generator.state, state
+        decision = run_amplified(self._provers(spec, cfg.params), cfg, rng)
+        assert decision == collected and rng.bit_generator.state == after
+        return decision, bools
 
     @pytest.mark.parametrize("spec,q,n_rounds", [
         pytest.param(spec, q, n_rounds, id=name + suffix)
@@ -294,13 +292,13 @@ class TestDrawsAhead:
         cfg = ProtocolConfig(q=q, params=params, pattern=pattern,
                              n_rounds=n_rounds, c_ip=0.8, s_ip=0.2)
         rng, twin = np.random.default_rng(4301), np.random.default_rng(4301)
-        result = run_amplified(self._provers(spec, params), cfg, rng)
-        records = self._twin_rounds(spec, cfg, twin)
-        assert result.rounds == records
-        assert result.accept_count == sum(r.accepted for r in records)
+        (accepted, count), bools = self._decision_rounds(spec, cfg, rng)
+        twin_bools = self._twin_rounds(spec, cfg, twin)
+        assert bools == twin_bools and all(type(b) is bool for b in bools)
+        assert (accepted, count) == (sum(twin_bools) > cfg.threshold, sum(twin_bools))
         assert rng.bit_generator.state == twin.bit_generator.state
         if spec is CLASSICAL_TABLE and q < 1:
-            assert 0 < result.accept_count < n_rounds
+            assert 0 < count < n_rounds
 
     @pytest.mark.parametrize("k", [1, 4096, 4097, 4098, 10_000])
     def test_a_raising_round_leaves_the_stream_after_the_draws_taken(self, k):
@@ -343,8 +341,10 @@ class TestDrawsAhead:
         rng, twin = np.random.default_rng(4303), np.random.default_rng(4303)
         rng.random(dtype=np.float32)
         twin.random(dtype=np.float32)
-        result = run_amplified(self._provers(HONEST, cfg.params), cfg, rng)
-        assert result.rounds == self._twin_rounds(HONEST, cfg, twin)
+        (accepted, count), bools = self._decision_rounds(HONEST, cfg, rng)
+        twin_bools = self._twin_rounds(HONEST, cfg, twin)
+        assert bools == twin_bools
+        assert (accepted, count) == (sum(twin_bools) > cfg.threshold, sum(twin_bools))
         assert rng.bit_generator.state["has_uint32"] == 1
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)

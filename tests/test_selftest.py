@@ -71,14 +71,6 @@ class TestWeights:
                     wx[0] / wz[0], math.cos(th) / abs(math.sin(th)),
                     rel_tol=1e-12)
 
-    def test_subtest_labels_are_readable(self):
-        params = default_parameters(complete_graph(3))
-        labels = {s.label for s in params.subtests}
-        assert "vertex(0)" in labels
-        assert "triangle(0,1,2)" in labels
-        assert "rtheta-x(v=0,t=+1)" in labels
-        assert "rtheta-z(v=2,t=-1)" in labels
-
 
 class TestParameterValidation:
     def test_angle_outside_first_quadrant_rejected(self):
@@ -246,7 +238,7 @@ class TestSampling:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            runs.append([(o.subtest.label, o.accepted, rng.bit_generator.state)
+            runs.append([(o.subtest, o.accepted, rng.bit_generator.state)
                          for o in (run_oneshot(honest.clone(), params, rng)
                                    for _ in range(25))])
         assert runs[0] == runs[1]
