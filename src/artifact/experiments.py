@@ -7,12 +7,13 @@ as JSON lines; a single summary object closes the file.  The summary pins
 the PRNG family so other implementations can replay the streams.
 
 Every trial takes one path: ``prepare`` builds a run's ``TrialSetup`` once
-(test parameters, the prover set of a deterministic strategy, and for
-protocol runs the ProtocolConfig with its meta), and ``TrialSetup.trial(i)``
-returns trial ``i``'s row, a dict: a trial is its row.  Serial runs and
-``jobs > 1`` worker chunks (which receive the built setup) both call it,
-and every ``gsip`` subcommand that runs trials, ``gsip prove`` (a one-trial
-protocol run) included, goes through ``run_experiment``.
+(test parameters, themselves kept once per process, the prover set of a
+deterministic strategy, and for protocol runs the ProtocolConfig with its
+meta), and ``TrialSetup.trial(i)`` returns trial ``i``'s row, a dict: a
+trial is its row.  Serial runs and ``jobs > 1`` worker chunks (which
+receive the built setup) both call it, and every ``gsip`` subcommand that
+runs trials, ``gsip prove`` (a one-trial protocol run) included, goes
+through ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -199,15 +200,19 @@ def _protocol_setup(cfg: ExperimentConfig,
 
 @dataclass(frozen=True)
 class TrialSetup:
-    """Everything the trials of one run share, built once by ``prepare``.
+    """Everything the trials of one run share, built by ``prepare``.
 
-    ``provers`` is the prover set of a deterministic strategy, cloned for
-    every trial; a clone shares the set's outcome tree, so each trial
-    samples from the Born probabilities earlier trials cached (in this
-    process: a ``--jobs`` worker fills its own copy).  It is None for a
-    stochastic strategy, which is rebuilt from ``cfg.strategy`` on each
-    trial's stream.  ``protocol`` and ``meta`` are set for protocol runs
-    only; ``meta`` goes into the summary, and a trial returns its row alone.
+    ``params`` comes from ``default_parameters``, built once per process
+    and shared with every run on the same graph object and angles.
+    ``provers`` is the prover set of a deterministic strategy, built once
+    per run and cloned for every trial; a clone shares the set's outcome
+    tree, so each trial samples from the Born probabilities earlier trials
+    of the run cached (in this process: a ``--jobs`` worker fills its own
+    copy).  An honest set's strategy is shared by the whole process, its
+    state and tree by the run.  ``provers`` is None for a stochastic
+    strategy, which is rebuilt from ``cfg.strategy`` on each trial's
+    stream.  ``protocol`` and ``meta`` are set for protocol runs only;
+    ``meta`` goes into the summary, and a trial returns its row alone.
     """
 
     cfg: ExperimentConfig
@@ -246,9 +251,14 @@ class TrialSetup:
 def prepare(cfg: ExperimentConfig) -> TrialSetup:
     """Build the shared setup of a trial run (any kind but bounds).
 
-    For a protocol run this computes the ProtocolConfig, and with it the
-    pattern's reference law, once; a deterministic strategy is built here
-    too, a stochastic one per trial.
+    The test parameters and an honest strategy come from their
+    once-per-process memos (``default_parameters``, which also refuses a
+    theta map that misses a vertex or names one outside the graph, and
+    ``provers.honest_provers``); the prover set, with its state and outcome
+    tree, is built here for each run.  For a protocol run this computes the
+    ProtocolConfig, and with it the pattern's reference law (kept for the
+    last few graph and pattern pairs); a stochastic strategy is built per
+    trial.
     """
     params = default_parameters(cfg.graph, theta=cfg.theta)
     protocol, meta = (_protocol_setup(cfg, params) if cfg.kind == "protocol"

@@ -53,12 +53,18 @@ def as_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def as_dict(value, what: str) -> dict:
+def as_dict(value, what: str, keys: tuple[str, ...] | None = None) -> dict:
     """``value`` if it is a JSON object; anything else raises ValueError
     naming ``what``, where looking up a key would raise Python's own
-    message."""
+    message.  With ``keys``, the object's fields, a key outside them raises
+    ValueError naming it and ``what``: a misspelt field would otherwise be
+    read as absent."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                raise ValueError(f"{what} has unknown key {key!r}; expected any of {list(keys)}")
     return value
 
 
@@ -181,7 +187,7 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        obj = as_dict(obj, "a graph")
+        obj = as_dict(obj, "a graph", ("n", "edges"))
         n = checked_size(as_int(obj["n"], "the graph size"))
         return cls.from_edges(n,
                               [(as_int(u, "an edge vertex"), as_int(v, "an edge vertex"))

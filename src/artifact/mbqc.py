@@ -113,13 +113,13 @@ class MeasurementPattern:
         def ints(value, what: str, each: str) -> tuple[int, ...]:
             return tuple(as_int(x, each) for x in as_list(value, what))
 
-        obj = as_dict(obj, "a pattern")
+        obj = as_dict(obj, "a pattern", ("steps", "output_bits"))
         steps = tuple(
             PatternStep(as_int(s["v"], "a step vertex"), as_real(s["theta"], "a step angle"),
                         ints(s.get("x_deps", []), "x_deps", "a dependency"),
                         ints(s.get("z_deps", []), "z_deps", "a dependency"))
-            for s in (as_dict(step, "a step") for step in as_list(obj["steps"], "steps"))
-        )
+            for s in (as_dict(step, "a step", ("v", "theta", "x_deps", "z_deps"))
+                      for step in as_list(obj["steps"], "steps")))
         return cls(steps, ints(obj["output_bits"], "output_bits", "an output bit"))
 
 

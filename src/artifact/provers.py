@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, as_int, as_real
+from .graphs import Graph, as_dict, as_int, as_real
 from .graphstate import build_graph_state
 from .statevec import (
     MIN_BRANCH_P,
@@ -326,10 +326,21 @@ class ProverSet:
 
 
 def honest_provers(graph: Graph, theta: dict[int, float]) -> ProverSet:
-    """Graph state plus the ideal X, Z, R(+-theta_v) observables."""
+    """Graph state plus the ideal X, Z, R(+-theta_v) observables.
+
+    The strategy is built once per process for each angle tuple (the last
+    16 kept) and shared: it is immutable, and its observables' eigen-rows,
+    built on first use, serve every set that measures them.  The state |G>
+    is built on every call, so each set owns a fresh ``OutcomeTree``.
+    """
+    strategy = _honest_strategy(tuple(float(theta[v]) for v in range(graph.n)))
+    return ProverSet(graph.n, strategy, build_graph_state(graph))
+
+
+@lru_cache(maxsize=16)
+def _honest_strategy(theta: tuple[float, ...]) -> QuantumStrategy:
     per_prover = []
-    for v in range(graph.n):
-        th = float(theta[v])
+    for v, th in enumerate(theta):
         if not 0 <= th <= math.pi / 2:
             raise ValueError(f"theta[{v}] = {th} outside [0, pi/2]")
         per_prover.append({
@@ -338,8 +349,7 @@ def honest_provers(graph: Graph, theta: dict[int, float]) -> ProverSet:
             R_PLUS: SingleQubitObservable.rotation(th),
             R_MINUS: SingleQubitObservable.rotation(-th),
         })
-    strategy = QuantumStrategy(tuple(per_prover))
-    return ProverSet(graph.n, strategy, build_graph_state(graph))
+    return QuantumStrategy(tuple(per_prover))
 
 
 def _xz_angle(m: np.ndarray) -> float:
@@ -447,6 +457,11 @@ def _per_vertex(spec: dict, key: str, graph: Graph, parse) -> dict[tuple[int, st
     return out
 
 
+# each strategy kind's fields besides "kind"
+STRATEGY_FIELDS = {"honest": (), "perturbed": ("eta",), "classical": ("value", "table"),
+                   "xz": ("angles",)}
+
+
 def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
                        rng: np.random.Generator | None) -> ProverSet:
     """Build a ProverSet from a JSON strategy description.
@@ -455,12 +470,17 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
     {"kind": "classical", "value": 1} or {"kind": "classical",
     "table": {"0": {"X": 1, ...}, ...}}; {"kind": "xz", "angles":
     {"0": {"X": 0.1, ...}, ...}} measured on the ideal graph state.
-    A description of the wrong shape raises ValueError.  Only the
-    perturbed kind draws from ``rng``; the others accept None.
+    A description of the wrong shape, or with a key outside its kind's
+    ``STRATEGY_FIELDS``, raises ValueError.  Only the perturbed kind draws
+    from ``rng``; the others accept None.
     """
     if not isinstance(spec, dict):
         raise ValueError("a strategy must be a JSON object")
     kind = spec.get("kind")
+    fields = STRATEGY_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    as_dict(spec, f"the {kind} strategy", ("kind", *fields))
     if kind == "honest":
         return honest_provers(graph, theta)
     if kind == "perturbed":
@@ -469,14 +489,14 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
         return perturbed_provers(honest_provers(graph, theta),
                                  as_real(spec["eta"], "eta"), rng)
     if kind == "classical":
+        if "table" in spec and "value" in spec:
+            raise ValueError("a classical strategy takes a \"value\" or a \"table\", not both")
         if "table" in spec:
             return classical_provers(graph.n, _per_vertex(spec, "table", graph, as_int))
         return constant_classical_provers(graph.n, as_int(spec.get("value", 1), "value"))
-    if kind == "xz":
-        if "angles" not in spec:
-            raise ValueError("an xz strategy needs \"angles\"")
-        angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
-        for (v, label), a in _per_vertex(spec, "angles", graph, as_real).items():
-            angles[v][label] = a
-        return xz_plane_provers(build_graph_state(graph), angles)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    if "angles" not in spec:
+        raise ValueError("an xz strategy needs \"angles\"")
+    angles = [dict.fromkeys(QUERY_LABELS, 0.0) for _ in range(graph.n)]
+    for (v, label), a in _per_vertex(spec, "angles", graph, as_real).items():
+        angles[v][label] = a
+    return xz_plane_provers(build_graph_state(graph), angles)

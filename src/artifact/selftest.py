@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -98,16 +100,45 @@ class TestOutcome(NamedTuple):
 
 
 def default_parameters(graph: Graph, theta=None) -> TestParameters:
-    """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor."""
-    cover = triangle_cover(graph)  # first: it names a vertex in no triangle
-    if theta is None:
-        theta = math.pi / 4
+    """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor.
+
+    ``theta`` is read by ``_vertex_angles`` (None: pi/4 everywhere).  The
+    parameters are built once per process for each graph object and angle
+    tuple (the last 16 kept) and shared by every run on them: they are
+    immutable, and so are their subtests' queries, whose keys are built on
+    first use.  A graph with a vertex in no triangle is refused before its
+    angles are read.
+    """
+    try:
+        angles = _vertex_angles(graph, math.pi / 4 if theta is None else theta)
+    except (TypeError, ValueError):
+        triangle_cover(graph)  # a vertex in no triangle is named first
+        raise
+    return _default_parameters(graph, angles)
+
+
+def _vertex_angles(graph: Graph, theta) -> tuple[float, ...]:
+    """``theta`` read as one angle per vertex of ``graph``: a number is every
+    vertex's angle, a map (vertex -> angle) or a sequence (indexed by vertex)
+    gives each its own.  A map or sequence that misses a vertex or names one
+    outside the graph raises ValueError naming that vertex."""
     if isinstance(theta, (int, float)):
-        theta_t = (float(theta),) * graph.n
-    else:
-        theta_t = tuple(float(theta[v]) for v in range(graph.n))
+        return (float(theta),) * graph.n
+    named = theta.keys() if isinstance(theta, Mapping) else range(len(theta))
+    for v in range(graph.n):
+        if v not in named:
+            raise ValueError(f"theta has no angle for vertex {v}")
+    for v in named:
+        if v not in range(graph.n):
+            raise ValueError(f"theta given for vertex {v!r}, outside the graph")
+    return tuple(float(theta[v]) for v in range(graph.n))
+
+
+@lru_cache(maxsize=16)
+def _default_parameters(graph: Graph, theta: tuple[float, ...]) -> TestParameters:
+    cover = triangle_cover(graph)  # first: it names a vertex in no triangle
     u_choice = tuple(min(graph.neighbors(v)) for v in range(graph.n))
-    return TestParameters(graph, cover, theta_t, u_choice)
+    return TestParameters(graph, cover, theta, u_choice)
 
 
 def _build_subtests(params: TestParameters) -> tuple[Subtest, ...]:

@@ -321,6 +321,43 @@ class TestBadInput:
         _assert_input_error(result)
         assert result.output.strip() == f"Error: {message}"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--graph", {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "directed": True},
+         "a graph has unknown key 'directed'; expected any of ['n', 'edges']"),
+        ("--pattern", {"steps": [{"v": 0, "theta": 0.5}], "output_bits": [0], "output": [0]},
+         "a pattern has unknown key 'output'; expected any of ['steps', 'output_bits']"),
+        ("--pattern", {"steps": [{"v": 0, "theta": 0.5}, {"v": 1, "theta": 0.5, "xdeps": [0]}],
+                       "output_bits": [1]},
+         "a step has unknown key 'xdeps'; expected any of ['v', 'theta', 'x_deps', 'z_deps']"),
+        ("--strategy", {"kind": "honest", "theta": 0.3},
+         "the honest strategy has unknown key 'theta'; expected any of ['kind']"),
+        ("--strategy", {"kind": "perturbed", "eta": 0.1, "seed": 3},
+         "the perturbed strategy has unknown key 'seed'; expected any of ['kind', 'eta']"),
+        ("--strategy", {"kind": "classical", "values": -1},
+         "the classical strategy has unknown key 'values'; "
+         "expected any of ['kind', 'value', 'table']"),
+        ("--strategy", {"kind": "xz", "angles": {}, "eta": 0.1},
+         "the xz strategy has unknown key 'eta'; expected any of ['kind', 'angles']"),
+    ], ids=["graph", "pattern", "step", "honest-strategy", "perturbed-strategy",
+            "classical-strategy", "xz-strategy"])
+    def test_unknown_key_names_the_key_and_its_object(self, runner, flag, value, message):
+        # a misspelt field used to be read as absent: the run went on
+        # without it, exit 0
+        args = {"--graph": K3_JSON, "--pattern": PATTERN_JSON, flag: json.dumps(value)}
+        result = runner.invoke(main, ["mbqc", "--trials", "2", "--seed", "1",
+                                      *(x for kv in args.items() for x in kv)])
+        _assert_input_error(result)
+        assert result.output.strip() == f"Error: {message}"
+
+    def test_classical_strategy_takes_a_value_or_a_table(self, runner):
+        table = {str(v): {"X": 1, "Z": 1, "R+": 1, "R-": 1} for v in range(3)}
+        result = runner.invoke(main, [
+            "selftest", "--graph", K3_JSON, "--trials", "2", "--seed", "1", "--strategy",
+            json.dumps({"kind": "classical", "value": -1, "table": table})])
+        _assert_input_error(result)
+        assert result.output.strip() == \
+            'Error: a classical strategy takes a "value" or a "table", not both'
+
     @pytest.mark.parametrize("command", ["selftest", "mbqc", "isometry-check", "prove"])
     def test_eta_whose_draw_width_overflows(self, runner, command):
         # rng.uniform(-eta, eta) overflows once 2 eta exceeds the largest float

@@ -1,14 +1,16 @@
 """Tests for experiment configs, deterministic runs, and writers."""
 
 import csv
+import gc
 import io
 import json
 import math
+import types
 from concurrent.futures import Future
 
 import pytest
 
-from artifact import experiments
+from artifact import experiments, provers, selftest
 from artifact.experiments import (
     ExperimentConfig,
     run_experiment,
@@ -18,7 +20,8 @@ from artifact.experiments import (
 )
 from artifact.graphs import complete_graph, triangle_strip
 from artifact.mbqc import MeasurementPattern, PatternStep, reference_run, run_distribution
-from artifact.provers import honest_provers
+from artifact.provers import OutcomeTree, ProverSet, honest_provers
+from artifact.statevec import StateVector
 
 THETA = math.pi / 4
 K3 = complete_graph(3)
@@ -80,6 +83,17 @@ class TestConfig:
     def test_bounds_rejects_trials(self):
         with pytest.raises(ValueError):
             _cfg("bounds", trials=5)
+
+    @pytest.mark.parametrize("kind", ["selftest", "mbqc", "isometry", "protocol"])
+    @pytest.mark.parametrize("theta,message", [
+        ({0: 0.5, 1: 0.5}, "theta has no angle for vertex 2"),
+        ({0: 0.5, 1: 0.5, 2: 0.5, 7: 0.5}, "theta given for vertex 7, outside the graph"),
+    ], ids=["misses-a-vertex", "names-an-extra-vertex"])
+    def test_a_theta_map_must_name_each_vertex_once(self, kind, theta, message):
+        # a missing vertex ended in a bare KeyError; an extra one was
+        # ignored, though it changed the digest
+        with pytest.raises(ValueError, match=message):
+            run_experiment(_cfg(kind, theta=theta))
 
     def test_trial_rng_streams_are_distinct(self):
         a = trial_rng(5, 0).random(4).tolist()
@@ -144,6 +158,60 @@ class TestDeterminism:
     def test_record_round_trip(self):
         record = run_experiment(_cfg("selftest"))
         assert json.loads(json.dumps(record.to_json())) == record.to_json()
+
+
+# one strategy of each kind
+STRATEGY_SPECS = {
+    "honest": None,
+    "perturbed": {"kind": "perturbed", "eta": 0.05},
+    "xz": {"kind": "xz", "angles": {"0": {"X": 0.2, "Z": 1.4}, "2": {"R+": 0.6}}},
+    "classical": {"kind": "classical", "value": -1},
+}
+
+
+def _empty_memos():
+    selftest._default_parameters.cache_clear()
+    provers._honest_strategy.cache_clear()
+
+
+class TestMemos:
+    """Test parameters and honest strategies are built once per process;
+    a run's records must not tell whether they were."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["selftest", "mbqc", "isometry", "protocol"])
+    def test_records_are_the_same_with_cold_and_warm_memos(self, kind, jobs):
+        cfgs = [_cfg(kind, strategy=spec, trials=4, options=(
+                    {"n_rounds": 12} if kind == "protocol" else {}))
+                for name, spec in STRATEGY_SPECS.items()
+                if not (kind == "isometry" and name == "classical")]
+        cold = []
+        for cfg in cfgs:
+            _empty_memos()
+            cold.append(json.dumps(run_experiment(cfg, jobs=jobs).to_json(), sort_keys=True))
+        # every memo entry is now warm, filled by another run
+        warm = [json.dumps(run_experiment(cfg, jobs=jobs).to_json(), sort_keys=True)
+                for cfg in reversed(cfgs)]
+        assert warm[::-1] == cold
+
+    def test_no_memo_holds_a_state_or_a_tree(self):
+        for kind in ("selftest", "mbqc", "protocol"):
+            run_experiment(_cfg(kind, trials=4, options=(
+                {"n_rounds": 12} if kind == "protocol" else {})))
+        memos = (selftest._default_parameters, provers._honest_strategy)
+        assert all(memo.cache_info().currsize for memo in memos)
+        seen = {id(memo) for memo in memos}
+        todo = list(memos)
+        while todo:
+            obj = todo.pop()
+            assert not isinstance(obj, (StateVector, OutcomeTree, ProverSet)), obj
+            for ref in gc.get_referents(obj):
+                # classes, modules and functions lead to every global
+                if id(ref) not in seen and not isinstance(
+                        ref, (type, types.ModuleType, types.FunctionType)):
+                    seen.add(id(ref))
+                    todo.append(ref)
+        assert len(seen) > 100  # the walk reached the cached objects
 
 
 class TestRowsAndSummaries:

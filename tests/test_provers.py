@@ -92,6 +92,29 @@ class TestHonestProvers:
         assert perturbed_provers(p, 0.1, np.random.default_rng(0)).tree is not p.tree
 
 
+class TestHonestStrategyMemo:
+    def test_sets_share_the_strategy_and_own_their_state_and_tree(self):
+        g = complete_graph(3)
+        a, b = honest_provers(g, THETA), honest_provers(g, THETA)
+        assert a.strategy is b.strategy
+        assert a.shared_state is not b.shared_state
+        assert a.tree is not b.tree
+        assert honest_provers(g, {v: 0.5 for v in range(3)}).strategy is not a.strategy
+
+    def test_a_walk_on_one_set_leaves_the_others_tree_empty(self):
+        g = complete_graph(3)
+        a, b = honest_provers(g, THETA), honest_provers(g, THETA)
+        execute_query(a, Query.from_assignments(3, {0: "X", 1: "Z", 2: "Z"}),
+                      np.random.default_rng(0))
+        assert len(a.tree.root) == 1
+        assert len(b.tree.root) == 0
+
+    def test_a_bad_angle_is_refused_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"theta\[1\] = 2.0 outside"):
+                honest_provers(complete_graph(3), {0: 0.5, 1: 2.0, 2: 0.5})
+
+
 class TestPerturbedProvers:
     def test_observables_remain_involutions(self):
         rng = np.random.default_rng(1)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from artifact import bounds
-from artifact.graphs import TriangleCover, complete_graph, triangle_strip, triangular_lattice
+from artifact.graphs import (Graph, TriangleCover, UncoverableVertexError, complete_graph,
+                             triangle_strip, triangular_lattice)
 from artifact.provers import TreeWalk, classical_provers, honest_provers, perturbed_provers
 from artifact.selftest import (
     RTHETA_X,
@@ -103,6 +104,35 @@ class TestParameterValidation:
         cover = TriangleCover(tuple(np.array(t, np.uint8) for t in triangles))
         with pytest.raises(ValueError, match=message):
             OneShotParameters(graph, cover, (THETA,) * 4, (1, 0, 0, 1))
+
+
+class TestParameterMemo:
+    def test_a_repeat_is_the_same_object(self):
+        g = complete_graph(3)
+        params = default_parameters(g, THETA)
+        assert default_parameters(g, THETA) is params
+        assert default_parameters(g, {0: THETA, 1: THETA, 2: THETA}) is params
+        assert default_parameters(g, 0.5) is not params
+        assert default_parameters(complete_graph(3), THETA) is not params
+
+    @pytest.mark.parametrize("theta,message", [
+        ({0: THETA, 1: THETA}, "theta has no angle for vertex 2"),
+        ([THETA, THETA], "theta has no angle for vertex 2"),
+        ({0: THETA, 1: THETA, 2: THETA, 7: THETA}, "theta given for vertex 7, outside the graph"),
+        ({0: THETA, 1: THETA, 2: THETA, "1": THETA},
+         "theta given for vertex '1', outside the graph"),
+        ([THETA] * 4, "theta given for vertex 3, outside the graph"),
+    ], ids=["map-misses", "list-misses", "map-extra", "map-string-key", "list-extra"])
+    def test_an_angle_map_names_a_missing_or_extra_vertex(self, theta, message):
+        for _ in range(2):  # errors are not cached
+            with pytest.raises(ValueError, match=message):
+                default_parameters(complete_graph(3), theta)
+
+    def test_a_vertex_in_no_triangle_is_named_before_the_angles(self):
+        graph = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        for theta in ({0: THETA}, -1.0, THETA):
+            with pytest.raises(UncoverableVertexError, match="vertex 3 lies in no triangle"):
+                default_parameters(graph, theta)
 
 
 class TestHonestCeiling:
