@@ -40,17 +40,6 @@ SWEEP_GRAPHS = {
 }
 
 
-def _params(graph: Graph, theta=None):
-    return default_parameters(graph, theta=THETA if theta is None else theta)
-
-
-def _honest(graph: Graph, theta=None):
-    theta = THETA if theta is None else theta
-    if not isinstance(theta, dict):
-        theta = {v: theta for v in range(graph.n)}
-    return honest_provers(graph, theta)
-
-
 def _all_triangles(graph: Graph) -> list[tuple[int, int, int]]:
     return sorted({tuple(sorted(t)) for v in range(graph.n)
                    for t in triangles_containing(graph, v)})
@@ -81,8 +70,8 @@ def criterion_2() -> tuple[bool, str]:
     """Honest K3 one-shot pass rate within 4 sigma of the exact ceiling."""
     trials = 100_000
     graph = complete_graph(3)
-    params = _params(graph)
-    p, rng = _honest(graph), np.random.default_rng(7)
+    params = default_parameters(graph, THETA)
+    p, rng = honest_provers(graph, THETA), np.random.default_rng(7)
     rate = sum(run_oneshot(p, params, rng).accepted for _ in range(trials)) / trials
     c = c_test(params)
     sigma = math.sqrt(c * (1 - c) / trials)
@@ -94,8 +83,8 @@ def criterion_2() -> tuple[bool, str]:
 def criterion_3() -> tuple[bool, str]:
     """Honest rotation-subtest success equals 1/2 + 1/(2*sqrt(2)) exactly."""
     graph = complete_graph(3)
-    params = _params(graph)
-    p = _honest(graph)
+    params = default_parameters(graph, THETA)
+    p = honest_provers(graph, THETA)
     anchor = 0.5 + 1 / (2 * math.sqrt(2))
     worst = max(abs(rtheta_success(p, params, v) - anchor)
                 for v in range(graph.n))
@@ -107,7 +96,7 @@ def criterion_4() -> tuple[bool, str]:
     """No X-Z-plane strategy beats the honest one-shot ceiling."""
     count = 1000
     graph = complete_graph(3)
-    params = _params(graph)
+    params = default_parameters(graph, THETA)
     cap = c_test(params)
     rng = np.random.default_rng(2026)
     ideal = build_graph_state(graph)
@@ -137,7 +126,7 @@ def criterion_4() -> tuple[bool, str]:
 def criterion_5() -> tuple[bool, str]:
     """Deterministic replies cap the rotation subtest at exactly 3/4."""
     graph = complete_graph(3)
-    params = _params(graph)
+    params = default_parameters(graph, THETA)
     best = max(best_classical_rtheta(params, v)[0] for v in range(graph.n))
     quantum = 0.5 + 1 / (2 * math.sqrt(2))
     ok = abs(best - 0.75) < 1e-12 and best < quantum
@@ -173,8 +162,8 @@ def criterion_6() -> tuple[bool, str]:
     """Honest provers on random adaptive path patterns match ``mbqc.chain_law``."""
     def engine_law(n, pattern):
         path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-        angles = [*(s.theta for s in pattern.steps), THETA]
-        return run_distribution(_honest(path, dict(enumerate(angles))), pattern)
+        angles = [s.theta for s in pattern.steps] + [THETA] * (n - len(pattern.steps))
+        return run_distribution(honest_provers(path, angles), pattern)
 
     rng = np.random.default_rng(11)
     count = 100
@@ -222,10 +211,10 @@ def criterion_7() -> tuple[bool, str]:
     checked = 0
     for n in sizes:
         graph = SWEEP_GRAPHS[n]
-        params = _params(graph)
+        params = default_parameters(graph, THETA)
         labels = _single_vertex_labels(n)
         labels += [_random_xz_label(n, rng) for _ in range(per_size)]
-        report = equivalence_distance(_honest(graph), params, labels)
+        report = equivalence_distance(honest_provers(graph, THETA), params, labels)
         worst = max(worst, max(r.distance for r in report.labels))
         checked += len(report.labels)
     return worst < 1e-10, (f"{checked} labels across n={sizes}, "
@@ -242,9 +231,9 @@ def criterion_8() -> tuple[bool, str]:
     for i in range(instances):
         n = sizes[i % len(sizes)]
         graph = SWEEP_GRAPHS[n]
-        params = _params(graph)
+        params = default_parameters(graph, THETA)
         eta = rng.uniform(0.01, 0.1)
-        p = perturbed_provers(_honest(graph), eta, rng)
+        p = perturbed_provers(honest_provers(graph, THETA), eta, rng)
         labels = _single_vertex_labels(n)
         labels += [_random_xz_label(n, rng) for _ in range(3)]
         report = equivalence_distance(p, params, labels)
@@ -290,9 +279,9 @@ def criterion_9() -> tuple[bool, str]:
     for i in range(instances):
         n = sizes[i % len(sizes)]
         graph = SWEEP_GRAPHS[n]
-        params = _params(graph)
+        params = default_parameters(graph, THETA)
         pattern = patterns[n]
-        p = perturbed_provers(_honest(graph), rng.uniform(0.01, 0.1), rng)
+        p = perturbed_provers(honest_provers(graph, THETA), rng.uniform(0.01, 0.1), rng)
         labels = []
         for v in pattern.vertices:
             labels += [("R+", v), ("R-", v)]
@@ -364,18 +353,18 @@ def criterion_12() -> tuple[bool, str]:
     uncovered = []
     n_patterns = 0
     for graph, pattern, theta in _engine_patterns():
-        params = _params(graph, theta=theta)
+        params = default_parameters(graph, theta)
         uncovered += uncovered_calculate_queries(pattern, params)
         n_patterns += 1
     for n, pattern in _deviation_patterns().items():
-        params = _params(SWEEP_GRAPHS[n])
+        params = default_parameters(SWEEP_GRAPHS[n], THETA)
         uncovered += uncovered_calculate_queries(pattern, params)
         n_patterns += 1
     # the check must have teeth: a mismatched angle is flagged
     k3 = complete_graph(3)
     mismatch = uncovered_calculate_queries(
         MeasurementPattern((PatternStep(0, math.pi / 3, (), ()),), (0,)),
-        _params(k3))
+        default_parameters(k3, THETA))
     ok = not uncovered and mismatch == [0]
     return ok, (f"{n_patterns} patterns fully covered by the test label set; "
                 f"angle mismatch correctly flagged at vertex {mismatch}")

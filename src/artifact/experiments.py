@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -226,8 +225,7 @@ class TrialSetup:
         cfg = self.cfg
         rng = trial_rng(cfg.seed, i)
         if self.provers is None:
-            p = strategy_from_json(cfg.strategy, cfg.graph,
-                                   dict(enumerate(self.params.theta)), rng)
+            p = strategy_from_json(cfg.strategy, cfg.graph, self.params.theta, rng)
         else:
             p = self.provers.clone()
         if cfg.kind == "selftest":
@@ -252,10 +250,10 @@ def prepare(cfg: ExperimentConfig) -> TrialSetup:
     """Build the shared setup of a trial run (any kind but bounds).
 
     The test parameters and an honest strategy come from their
-    once-per-process memos (``default_parameters``, which also refuses a
-    theta map that misses a vertex or names one outside the graph, and
-    ``provers.honest_provers``); the prover set, with its state and outcome
-    tree, is built here for each run.  For a protocol run this computes the
+    once-per-process memos (``default_parameters``, which refuses what
+    ``graphs.vertex_angles`` refuses, and ``provers.honest_provers``, which
+    takes ``params.theta`` as it is); the prover set, with its state and
+    outcome tree, is built here for each run.  For a protocol run this computes the
     ProtocolConfig, and with it the pattern's reference law (kept for the
     last few graph and pattern pairs); a stochastic strategy is built per
     trial.
@@ -266,8 +264,7 @@ def prepare(cfg: ExperimentConfig) -> TrialSetup:
     spec = cfg.strategy or {"kind": "honest"}
     provers = None
     if spec.get("kind") not in STOCHASTIC_STRATEGIES:
-        provers = strategy_from_json(spec, cfg.graph,
-                                     dict(enumerate(params.theta)), None)
+        provers = strategy_from_json(spec, cfg.graph, params.theta, None)
     return TrialSetup(cfg, params, provers, protocol, meta)
 
 
@@ -344,6 +341,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultRecord:
         return _bounds_record(cfg)
     setup = prepare(cfg)
     if jobs > 1 and cfg.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
         n_chunks = min(jobs, cfg.trials)
         edges = np.linspace(0, cfg.trials, n_chunks + 1, dtype=int)
         rows: list[dict] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,38 @@ def as_real(value, what: str) -> float:
         if math.isfinite(real):
             return real
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def as_angle(value, what: str) -> float:
+    """``value`` as a float if it is a vertex angle: a real number, not a
+    bool, in [0, pi/2], the quadrant of the test's R(+-theta) observables
+    and of the patterns' step angles.  Anything else, nan and inf included,
+    raises ValueError naming ``what``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and 0 <= value <= math.pi / 2:
+        return float(value)
+    raise ValueError(f"{what} = {value!r} outside [0, pi/2]")
+
+
+def vertex_angles(graph: Graph, theta) -> tuple[float, ...]:
+    """``theta`` read as one angle per vertex of ``graph``, each by
+    ``as_angle``: a map (vertex -> angle) or a sequence (indexed by vertex)
+    gives each vertex its own, anything else is every vertex's angle.  A map
+    or sequence that misses a vertex or names one outside the graph raises
+    ValueError naming that vertex, as does an angle ``as_angle`` refuses."""
+    if isinstance(theta, Mapping):
+        named = theta.keys()
+    elif isinstance(theta, (list, tuple, np.ndarray)):
+        named = range(len(theta))
+    else:
+        theta, named = [theta] * graph.n, range(graph.n)
+    for v in range(graph.n):
+        if v not in named:
+            raise ValueError(f"theta has no angle for vertex {v}")
+    for v in named:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < graph.n:
+            raise ValueError(f"theta given for vertex {v!r}, outside the graph")
+    return tuple(as_angle(theta[v], f"theta[{v}]") for v in range(graph.n))
 
 
 def checked_size(n: int) -> int:

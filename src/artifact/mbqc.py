@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, as_dict, as_int, as_list, as_real
+from .graphs import Graph, as_angle, as_dict, as_int, as_list, as_real
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 
 
@@ -64,8 +64,7 @@ class MeasurementPattern:
                 raise ValueError(f"step {k} has negative vertex {step.vertex}")
             if step.vertex in measured:
                 raise DependencyError(f"vertex {step.vertex} measured twice")
-            if not 0 <= step.theta <= math.pi / 2:
-                raise ValueError(f"step {k} angle {step.theta} outside [0, pi/2]")
+            as_angle(step.theta, f"step {k}: theta[{step.vertex}]")
             for dep in (*step.x_deps, *step.z_deps):
                 if dep not in measured:
                     raise DependencyError(
@@ -194,8 +193,8 @@ def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]
 
 @lru_cache(maxsize=16)
 def _reference_law(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]:
-    theta = dict.fromkeys(range(graph.n), 0.0)
-    theta.update((step.vertex, step.theta) for step in pattern.steps)
+    require_support(pattern, graph.n)  # before an angle map names such a vertex
+    theta = dict.fromkeys(range(graph.n), 0.0) | {s.vertex: s.theta for s in pattern.steps}
     return run_distribution(honest_provers(graph, theta), pattern)
 
 

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, as_dict, as_int, as_real
+from .graphs import Graph, as_dict, as_int, as_real, vertex_angles
 from .graphstate import build_graph_state
 from .statevec import (
     MIN_BRANCH_P,
@@ -325,31 +325,27 @@ class ProverSet:
         return self
 
 
-def honest_provers(graph: Graph, theta: dict[int, float]) -> ProverSet:
+def honest_provers(graph: Graph, theta) -> ProverSet:
     """Graph state plus the ideal X, Z, R(+-theta_v) observables.
 
-    The strategy is built once per process for each angle tuple (the last
-    16 kept) and shared: it is immutable, and its observables' eigen-rows,
-    built on first use, serve every set that measures them.  The state |G>
-    is built on every call, so each set owns a fresh ``OutcomeTree``.
+    ``theta`` is read by ``graphs.vertex_angles``: a number, a map or a
+    sequence.  The strategy is built once per process for each angle tuple
+    (the last 16 kept) and shared: it is immutable, and its observables'
+    eigen-rows, built on first use, serve every set that measures them.  The
+    state |G> is built on every call, so each set owns a fresh ``OutcomeTree``.
     """
-    strategy = _honest_strategy(tuple(float(theta[v]) for v in range(graph.n)))
-    return ProverSet(graph.n, strategy, build_graph_state(graph))
+    return ProverSet(graph.n, _honest_strategy(vertex_angles(graph, theta)),
+                     build_graph_state(graph))
 
 
 @lru_cache(maxsize=16)
 def _honest_strategy(theta: tuple[float, ...]) -> QuantumStrategy:
-    per_prover = []
-    for v, th in enumerate(theta):
-        if not 0 <= th <= math.pi / 2:
-            raise ValueError(f"theta[{v}] = {th} outside [0, pi/2]")
-        per_prover.append({
-            X_LABEL: SingleQubitObservable.x(),
-            Z_LABEL: SingleQubitObservable.z(),
-            R_PLUS: SingleQubitObservable.rotation(th),
-            R_MINUS: SingleQubitObservable.rotation(-th),
-        })
-    return QuantumStrategy(tuple(per_prover))
+    return QuantumStrategy(tuple(
+        {X_LABEL: SingleQubitObservable.x(),
+         Z_LABEL: SingleQubitObservable.z(),
+         R_PLUS: SingleQubitObservable.rotation(th),
+         R_MINUS: SingleQubitObservable.rotation(-th)}
+        for th in theta))
 
 
 def _xz_angle(m: np.ndarray) -> float:
@@ -462,7 +458,7 @@ STRATEGY_FIELDS = {"honest": (), "perturbed": ("eta",), "classical": ("value", "
                    "xz": ("angles",)}
 
 
-def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
+def strategy_from_json(spec: dict, graph: Graph, theta,
                        rng: np.random.Generator | None) -> ProverSet:
     """Build a ProverSet from a JSON strategy description.
 
@@ -471,7 +467,8 @@ def strategy_from_json(spec: dict, graph: Graph, theta: dict[int, float],
     "table": {"0": {"X": 1, ...}, ...}}; {"kind": "xz", "angles":
     {"0": {"X": 0.1, ...}, ...}} measured on the ideal graph state.
     A description of the wrong shape, or with a key outside its kind's
-    ``STRATEGY_FIELDS``, raises ValueError.  Only the perturbed kind draws
+    ``STRATEGY_FIELDS``, raises ValueError.  The honest and perturbed kinds
+    read ``theta`` as ``honest_provers`` does.  Only the perturbed kind draws
     from ``rng``; the others accept None.
     """
     if not isinstance(spec, dict):

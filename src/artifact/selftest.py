@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
@@ -28,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds
-from .graphs import Graph, TriangleCover, support, triangle_cover, unit, xor
+from .graphs import Graph, TriangleCover, support, triangle_cover, unit, vertex_angles, xor
 from .provers import (
     ProverSet,
     Query,
@@ -61,7 +60,7 @@ class Subtest:
 
 @dataclass(frozen=True, eq=False)
 class TestParameters:
-    """Graph, cover, per-vertex angles, and the fixed partner choice."""
+    """Graph, cover, per-vertex angles (``graphs.vertex_angles``), and the fixed partner choice."""
 
     graph: Graph
     cover: TriangleCover
@@ -73,11 +72,9 @@ class TestParameters:
         g = self.graph
         if g.n < 1:
             raise ValueError("the test needs a graph with at least one vertex")
-        if len(self.theta) != g.n or len(self.u_choice) != g.n:
-            raise ValueError("theta and u_choice must cover every vertex")
-        for v, th in enumerate(self.theta):
-            if not 0 <= th <= math.pi / 2:
-                raise ValueError(f"theta[{v}] = {th} outside [0, pi/2]")
+        object.__setattr__(self, "theta", vertex_angles(g, self.theta))
+        if len(self.u_choice) != g.n:
+            raise ValueError("u_choice must cover every vertex")
         for v, u in enumerate(self.u_choice):
             if not g.adjacency[v, u]:
                 raise ValueError(f"u_choice[{v}] = {u} is not a neighbor")
@@ -102,7 +99,7 @@ class TestOutcome(NamedTuple):
 def default_parameters(graph: Graph, theta=None) -> TestParameters:
     """Canonical parameters: greedy cover, pi/4 angles, smallest neighbor.
 
-    ``theta`` is read by ``_vertex_angles`` (None: pi/4 everywhere).  The
+    ``theta`` is read by ``graphs.vertex_angles`` (None: pi/4 everywhere).  The
     parameters are built once per process for each graph object and angle
     tuple (the last 16 kept) and shared by every run on them: they are
     immutable, and so are their subtests' queries, whose keys are built on
@@ -110,28 +107,11 @@ def default_parameters(graph: Graph, theta=None) -> TestParameters:
     angles are read.
     """
     try:
-        angles = _vertex_angles(graph, math.pi / 4 if theta is None else theta)
-    except (TypeError, ValueError):
+        angles = vertex_angles(graph, math.pi / 4 if theta is None else theta)
+    except ValueError:
         triangle_cover(graph)  # a vertex in no triangle is named first
         raise
     return _default_parameters(graph, angles)
-
-
-def _vertex_angles(graph: Graph, theta) -> tuple[float, ...]:
-    """``theta`` read as one angle per vertex of ``graph``: a number is every
-    vertex's angle, a map (vertex -> angle) or a sequence (indexed by vertex)
-    gives each its own.  A map or sequence that misses a vertex or names one
-    outside the graph raises ValueError naming that vertex."""
-    if isinstance(theta, (int, float)):
-        return (float(theta),) * graph.n
-    named = theta.keys() if isinstance(theta, Mapping) else range(len(theta))
-    for v in range(graph.n):
-        if v not in named:
-            raise ValueError(f"theta has no angle for vertex {v}")
-    for v in named:
-        if v not in range(graph.n):
-            raise ValueError(f"theta given for vertex {v!r}, outside the graph")
-    return tuple(float(theta[v]) for v in range(graph.n))
 
 
 @lru_cache(maxsize=16)

@@ -1,12 +1,15 @@
 """Tests for experiment configs, deterministic runs, and writers."""
 
+import concurrent.futures
 import csv
 import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import types
-from concurrent.futures import Future
 
 import pytest
 
@@ -88,10 +91,11 @@ class TestConfig:
     @pytest.mark.parametrize("theta,message", [
         ({0: 0.5, 1: 0.5}, "theta has no angle for vertex 2"),
         ({0: 0.5, 1: 0.5, 2: 0.5, 7: 0.5}, "theta given for vertex 7, outside the graph"),
-    ], ids=["misses-a-vertex", "names-an-extra-vertex"])
+        (True, r"theta\[0\] = True outside \[0, pi/2\]"),
+    ], ids=["misses-a-vertex", "names-an-extra-vertex", "a-bool-angle"])
     def test_a_theta_map_must_name_each_vertex_once(self, kind, theta, message):
         # a missing vertex ended in a bare KeyError; an extra one was
-        # ignored, though it changed the digest
+        # ignored, though it changed the digest; True ran the test at 1 rad
         with pytest.raises(ValueError, match=message):
             run_experiment(_cfg(kind, theta=theta))
 
@@ -145,15 +149,23 @@ class TestDeterminism:
                 return False
 
             def submit(self, fn, *args):
-                future = Future()
+                future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        # run_experiment imports the pool class from its module on each pooled run
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         cfg = _cfg("selftest", trials=trials)
         assert run_experiment(cfg, jobs=64).rows == run_experiment(cfg).rows
         assert sizes == [workers]
+
+    def test_importing_the_package_leaves_the_process_pool_out(self):
+        # only a pooled run imports concurrent.futures.process
+        code = ("import sys, artifact; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_record_round_trip(self):
         record = run_experiment(_cfg("selftest"))

@@ -22,7 +22,7 @@ from artifact.provers import (ClassicalStrategy, IncompleteTableError, Query,
 from artifact.selftest import default_parameters, exact_pass_probability
 from artifact.statevec import NormUnderflowError, StateVector, measure, project
 
-THETA = {v: math.pi / 4 for v in range(8)}
+THETA = {v: math.pi / 4 for v in range(3)}  # K3's angles: every use is on K3
 
 
 def honest_k3():

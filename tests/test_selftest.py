@@ -11,7 +11,10 @@ import oracles
 from artifact import bounds
 from artifact.graphs import (Graph, TriangleCover, UncoverableVertexError, complete_graph,
                              triangle_strip, triangular_lattice)
-from artifact.provers import TreeWalk, classical_provers, honest_provers, perturbed_provers
+from artifact.experiments import ExperimentConfig, run_experiment
+from artifact.mbqc import MeasurementPattern, PatternStep
+from artifact.provers import (TreeWalk, classical_provers, honest_provers, perturbed_provers,
+                              strategy_from_json)
 from artifact.selftest import (
     RTHETA_X,
     RTHETA_Z,
@@ -106,13 +109,29 @@ class TestParameterValidation:
             OneShotParameters(graph, cover, (THETA,) * 4, (1, 0, 0, 1))
 
 
+# every entry point that reads vertex angles, called as (graph, theta)
+THETA_READERS = {
+    "default_parameters": default_parameters,
+    "honest_provers": honest_provers,
+    "honest-strategy-json": lambda g, theta: strategy_from_json(
+        {"kind": "honest"}, g, theta, None),
+    "perturbed-strategy-json": lambda g, theta: strategy_from_json(
+        {"kind": "perturbed", "eta": 0.1}, g, theta, np.random.default_rng(0)),
+    "run_experiment": lambda g, theta: run_experiment(
+        ExperimentConfig("selftest", graph=g, theta=theta, trials=1, seed=0)),
+}
+
+
 class TestParameterMemo:
     def test_a_repeat_is_the_same_object(self):
         g = complete_graph(3)
         params = default_parameters(g, THETA)
-        assert default_parameters(g, THETA) is params
-        assert default_parameters(g, {0: THETA, 1: THETA, 2: THETA}) is params
+        strategy = honest_provers(g, THETA).strategy
+        for same in (THETA, {0: THETA, 1: THETA, 2: THETA}, (THETA,) * 3):
+            assert default_parameters(g, same) is params
+            assert honest_provers(g, same).strategy is strategy
         assert default_parameters(g, 0.5) is not params
+        assert honest_provers(g, 0.5).strategy is not strategy
         assert default_parameters(complete_graph(3), THETA) is not params
 
     @pytest.mark.parametrize("theta,message", [
@@ -122,11 +141,25 @@ class TestParameterMemo:
         ({0: THETA, 1: THETA, 2: THETA, "1": THETA},
          "theta given for vertex '1', outside the graph"),
         ([THETA] * 4, "theta given for vertex 3, outside the graph"),
-    ], ids=["map-misses", "list-misses", "map-extra", "map-string-key", "list-extra"])
+        ({0: THETA, True: THETA, 2: THETA}, "theta given for vertex True, outside the graph"),
+        ({0: THETA, 1: True, 2: THETA}, r"theta\[1\] = True outside \[0, pi/2\]"),
+        ((THETA, THETA, math.pi), rf"theta\[2\] = {math.pi} outside \[0, pi/2\]"),
+    ], ids=["map-misses", "list-misses", "map-extra", "map-string-key", "list-extra",
+            "map-bool-key", "map-bool-angle", "tuple-angle-above"])
     def test_an_angle_map_names_a_missing_or_extra_vertex(self, theta, message):
-        for _ in range(2):  # errors are not cached
-            with pytest.raises(ValueError, match=message):
-                default_parameters(complete_graph(3), theta)
+        for read in THETA_READERS.values():
+            for _ in range(2):  # errors are not cached
+                with pytest.raises(ValueError, match=message):
+                    read(complete_graph(3), theta)
+
+    @pytest.mark.parametrize("value", [True, math.nan, math.inf, -0.1, math.pi])
+    @pytest.mark.parametrize("read", [
+        *THETA_READERS.values(),
+        lambda g, theta: MeasurementPattern((PatternStep(0, theta),), output_bits=(0,)),
+    ], ids=[*THETA_READERS, "pattern-step"])
+    def test_an_angle_outside_the_quadrant_is_refused(self, value, read):
+        with pytest.raises(ValueError, match=rf"theta\[0\] = {value!r} outside \[0, pi/2\]"):
+            read(complete_graph(3), value)
 
     def test_a_vertex_in_no_triangle_is_named_before_the_angles(self):
         graph = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
