@@ -19,10 +19,10 @@ from .graphs import (Graph, complete_graph, triangle_strip, triangular_lattice,
                      triangles_containing)
 from .graphstate import build_graph_state, stabilizer_expectations, triangle_operator
 from .isometry import anticommutator_norm, equivalence_distance
-from .mbqc import (MeasurementPattern, PatternStep, chain_law, reference_run,
-                   run_distribution, total_variation)
-from .protocol import (midpoint_threshold, run_amplified_rounds,
-                       uncovered_calculate_queries)
+from .experiments import ExperimentConfig, prepare
+from .mbqc import (MeasurementPattern, PatternStep, chain_law, pattern_angles,
+                   reference_run, run_distribution, total_variation)
+from .protocol import midpoint_threshold, run_amplified_rounds
 from .provers import honest_provers, perturbed_provers, xz_plane_provers
 from .selftest import (best_classical_rtheta, c_test, default_parameters,
                        exact_pass_probability, rtheta_success, run_oneshot)
@@ -134,36 +134,26 @@ def criterion_5() -> tuple[bool, str]:
                 f"quantum anchor {quantum:.5f}")
 
 
-def _engine_patterns() -> list[tuple[Graph, MeasurementPattern, dict[int, float]]]:
-    """Adaptive patterns on several graphs, angles within the test family."""
-    cases = []
-    k3 = complete_graph(3)
-    cases.append((k3, MeasurementPattern(
-        (PatternStep(0, THETA, (), ()),
-         PatternStep(1, THETA, (0,), ())), (1,)), {v: THETA for v in range(3)}))
-    s5 = triangle_strip(5)
-    varied = {0: math.pi / 3, 1: math.pi / 8, 2: THETA, 3: THETA, 4: THETA}
-    cases.append((s5, MeasurementPattern(
-        (PatternStep(0, varied[0], (), ()),
-         PatternStep(1, varied[1], (0,), ()),
-         PatternStep(2, varied[2], (1,), (0,))), (2, 0)), varied))
-    s8 = triangle_strip(8)
-    cases.append((s8, MeasurementPattern(
-        (PatternStep(0, THETA, (), ()),
-         PatternStep(1, THETA, (0,), ()),
-         PatternStep(2, THETA, (1,), (0,)),
-         PatternStep(3, THETA, (2,), (1,)),
-         PatternStep(4, THETA, (3,), (0, 2))), (4, 1)),
-        {v: THETA for v in range(8)}))
-    return cases
+def _engine_patterns() -> list[tuple[Graph, MeasurementPattern]]:
+    """Adaptive patterns on several graphs, one with angles other than THETA."""
+    return [
+        (complete_graph(3), MeasurementPattern(
+            (PatternStep(0, THETA), PatternStep(1, THETA, (0,))), (1,))),
+        (triangle_strip(5), MeasurementPattern(
+            (PatternStep(0, math.pi / 3), PatternStep(1, math.pi / 8, (0,)),
+             PatternStep(2, THETA, (1,), (0,))), (2, 0))),
+        (triangle_strip(8), MeasurementPattern(
+            (PatternStep(0, THETA), PatternStep(1, THETA, (0,)),
+             PatternStep(2, THETA, (1,), (0,)), PatternStep(3, THETA, (2,), (1,)),
+             PatternStep(4, THETA, (3,), (0, 2))), (4, 1))),
+    ]
 
 
 def criterion_6() -> tuple[bool, str]:
     """Honest provers on random adaptive path patterns match ``mbqc.chain_law``."""
     def engine_law(n, pattern):
         path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
-        angles = [s.theta for s in pattern.steps] + [THETA] * (n - len(pattern.steps))
-        return run_distribution(honest_provers(path, angles), pattern)
+        return run_distribution(honest_provers(path, pattern_angles(path, pattern)), pattern)
 
     rng = np.random.default_rng(11)
     count = 100
@@ -252,20 +242,12 @@ def criterion_8() -> tuple[bool, str]:
 
 
 def _deviation_patterns() -> dict[int, MeasurementPattern]:
-    pats = {}
-    pats[3] = MeasurementPattern(
-        (PatternStep(0, THETA, (), ()),
-         PatternStep(1, THETA, (0,), ())), (1,))
-    pats[4] = MeasurementPattern(
-        (PatternStep(0, THETA, (), ()),
-         PatternStep(1, THETA, (0,), ()),
-         PatternStep(2, THETA, (1,), (0,))), (2,))
-    pats[5] = pats[4]
-    pats[6] = MeasurementPattern(
-        (PatternStep(0, THETA, (), ()),
-         PatternStep(2, THETA, (0,), ()),
-         PatternStep(4, THETA, (2,), (0,))), (4, 0))
-    return pats
+    chain = MeasurementPattern((PatternStep(0, THETA), PatternStep(1, THETA, (0,)),
+                                PatternStep(2, THETA, (1,), (0,))), (2,))
+    return {3: MeasurementPattern((PatternStep(0, THETA), PatternStep(1, THETA, (0,))), (1,)),
+            4: chain, 5: chain,
+            6: MeasurementPattern((PatternStep(0, THETA), PatternStep(2, THETA, (0,)),
+                                   PatternStep(4, THETA, (2,), (0,))), (4, 0))}
 
 
 def criterion_9() -> tuple[bool, str]:
@@ -349,25 +331,29 @@ def criterion_11() -> tuple[bool, str]:
 
 
 def criterion_12() -> tuple[bool, str]:
-    """Every computation query is already a test query, structurally."""
-    uncovered = []
-    n_patterns = 0
-    for graph, pattern, theta in _engine_patterns():
-        params = default_parameters(graph, theta)
-        uncovered += uncovered_calculate_queries(pattern, params)
-        n_patterns += 1
-    for n, pattern in _deviation_patterns().items():
-        params = default_parameters(SWEEP_GRAPHS[n], THETA)
-        uncovered += uncovered_calculate_queries(pattern, params)
-        n_patterns += 1
-    # the check must have teeth: a mismatched angle is flagged
-    k3 = complete_graph(3)
-    mismatch = uncovered_calculate_queries(
-        MeasurementPattern((PatternStep(0, math.pi / 3, (), ()),), (0,)),
-        default_parameters(k3, THETA))
-    ok = not uncovered and mismatch == [0]
-    return ok, (f"{n_patterns} patterns fully covered by the test label set; "
-                f"angle mismatch correctly flagged at vertex {mismatch}")
+    """Every run tests each measured vertex at its step's angle."""
+    def run_angles(graph, pattern, theta):
+        return prepare(ExperimentConfig(kind="mbqc", graph=graph, theta=theta,
+                                        pattern=pattern, trials=1, seed=0)).params.theta
+
+    cases = [*_engine_patterns(), *((SWEEP_GRAPHS[n], pattern)
+                                    for n, pattern in _deviation_patterns().items())]
+    off = steps = 0
+    for graph, pattern in cases:  # pi/5 is no step's angle, so ignoring the pattern shows
+        theta = run_angles(graph, pattern, math.pi / 5)
+        off += sum(theta[s.vertex] != s.theta for s in pattern.steps)
+        steps += len(pattern.steps)
+    # the check must have teeth: a theta map that conflicts with a step is refused
+    try:
+        run_angles(complete_graph(3), MeasurementPattern((PatternStep(0, math.pi / 3),), (0,)),
+                   {v: THETA for v in range(3)})
+        refused = "not refused"
+    except ValueError as exc:
+        refused = str(exc)
+    ok = off == 0 and refused.startswith("theta[0]")
+    return ok, (f"{len(cases)} patterns through prepare at theta pi/5: {off} of "
+                f"{steps} measured vertices off their step angle; "
+                f"conflicting map: {refused}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ simulator refuses states above GSIP_QUBIT_CAP qubits (default 24).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -118,25 +119,29 @@ def _run_and_emit(cfg: ExperimentConfig, jobs: int, out: str | None, as_csv: boo
     return record
 
 
-_COMMON = [
+_INPUTS = [
     click.option("--graph", "graph_src", required=True,
                  help="graph JSON file or inline JSON"),
     click.option("--strategy", "strategy_src", default=None,
                  help="prover strategy JSON (file or inline); default honest"),
     click.option("--theta", type=float, default=math.pi / 4, show_default=True,
-                 help="measurement angle applied to every vertex"),
+                 help="test angle at every vertex the pattern does not measure"),
+]
+_PATTERN = click.option("--pattern", "pattern_src", required=True,
+                        help="measurement pattern JSON (file or inline)")
+_SEED = click.option("--seed", type=int, required=True)
+_BATCH = [
     click.option("--trials", type=int, required=True),
-    click.option("--seed", type=int, required=True),
+    _SEED,
     click.option("--jobs", type=int, default=1, show_default=True),
     click.option("--out", default=None, help="output path (default stdout)"),
     click.option("--csv", "as_csv", is_flag=True, help="emit CSV rows"),
 ]
 
 
-def _with_common(fn):
-    for opt in reversed(_COMMON):
-        fn = opt(fn)
-    return fn
+def _with(*options):
+    """One decorator for the click options given, listed in that order."""
+    return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(options), fn)
 
 
 @click.group()
@@ -183,7 +188,7 @@ def gen_graph(family, n, k, rows, cols, out):
 
 
 @main.command()
-@_with_common
+@_with(*_INPUTS, *_BATCH)
 def selftest(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv):
     """Run the one-shot honesty test repeatedly and report the accept rate."""
     cfg = _experiment_config("selftest", graph_src, strategy_src, theta=theta,
@@ -192,9 +197,7 @@ def selftest(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv):
 
 
 @main.command()
-@_with_common
-@click.option("--pattern", "pattern_src", required=True,
-              help="measurement pattern JSON (file or inline)")
+@_with(*_INPUTS, _PATTERN, *_BATCH)
 def mbqc(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv,
          pattern_src):
     """Drive an adaptive measurement pattern and tally the output bit."""
@@ -204,7 +207,7 @@ def mbqc(graph_src, strategy_src, theta, trials, seed, jobs, out, as_csv,
 
 
 @main.command("isometry-check")
-@_with_common
+@_with(*_INPUTS, *_BATCH)
 @click.option("--labels", "labels_src", default=None,
               help='JSON list of operator labels, e.g. \'["I",["X",0]]\'')
 def isometry_check(graph_src, strategy_src, theta, trials, seed, jobs, out,
@@ -242,11 +245,7 @@ def bounds_cmd(kind, params, out):
 
 
 @main.command()
-@click.option("--graph", "graph_src", required=True)
-@click.option("--pattern", "pattern_src", required=True)
-@click.option("--strategy", "strategy_src", default=None)
-@click.option("--theta", type=float, default=math.pi / 4, show_default=True)
-@click.option("--seed", type=int, required=True)
+@_with(*_INPUTS, _PATTERN, _SEED)
 @click.option("--option", "extra", multiple=True,
               help="key=value, repeatable; the one way to set a protocol constant: "
                    "delta (default 0.1), q (default Lemma 6's optimal coin), "

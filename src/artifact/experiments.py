@@ -30,7 +30,8 @@ import numpy as np
 from . import bounds
 from .graphs import Graph, as_int, as_real
 from .isometry import equivalence_distance
-from .mbqc import MeasurementPattern, reference_run, run_pattern, total_variation
+from .mbqc import (MeasurementPattern, pattern_angles, reference_run, run_pattern,
+                   total_variation)
 from .protocol import ProtocolConfig, choose_q, gap_case_lines, require_bit, run_amplified
 from .provers import ProverSet, strategy_from_json
 from .selftest import TestParameters, c_test, default_parameters, run_oneshot
@@ -73,6 +74,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown {self.kind} options "
                              f"{sorted(set(self.options) - set(known))}; "
                              f"expected any of {list(known)}")
+        if self.pattern is not None and self.kind not in ("mbqc", "protocol"):
+            raise ValueError(f"{self.kind} experiments take no pattern")
+        if self.labels is not None and self.kind != "isometry":
+            raise ValueError(f"{self.kind} experiments take no labels")
         if self.kind == "bounds":
             if self.trials:
                 raise ValueError("bounds experiments take no trials")
@@ -249,16 +254,19 @@ class TrialSetup:
 def prepare(cfg: ExperimentConfig) -> TrialSetup:
     """Build the shared setup of a trial run (any kind but bounds).
 
-    The test parameters and an honest strategy come from their
-    once-per-process memos (``default_parameters``, which refuses what
-    ``graphs.vertex_angles`` refuses, and ``provers.honest_provers``, which
-    takes ``params.theta`` as it is); the prover set, with its state and
-    outcome tree, is built here for each run.  For a protocol run this computes the
-    ProtocolConfig, and with it the pattern's reference law (kept for the
-    last few graph and pattern pairs); a stochastic strategy is built per
-    trial.
+    A run with a pattern tests each measured vertex at its step's angle and
+    the rest at ``cfg.theta`` (``mbqc.pattern_angles``).  The test parameters
+    and an honest strategy come from their once-per-process memos
+    (``default_parameters``, which refuses what ``graphs.vertex_angles``
+    refuses, and ``provers.honest_provers``, which takes ``params.theta`` as
+    it is); the prover set, with its state and outcome tree, is built here
+    for each run.  For a protocol run this computes the ProtocolConfig, and
+    with it the pattern's reference law (kept for the last few graph and
+    pattern pairs); a stochastic strategy is built per trial.
     """
-    params = default_parameters(cfg.graph, theta=cfg.theta)
+    theta = cfg.theta if cfg.pattern is None else pattern_angles(
+        cfg.graph, cfg.pattern, cfg.theta)
+    params = default_parameters(cfg.graph, theta=theta)
     protocol, meta = (_protocol_setup(cfg, params) if cfg.kind == "protocol"
                       else (None, {}))
     spec = cfg.strategy or {"kind": "honest"}

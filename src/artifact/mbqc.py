@@ -25,12 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import Graph, as_angle, as_dict, as_int, as_list, as_real
+from .graphs import Graph, as_angle, as_dict, as_int, as_list, as_real, vertex_angles
 from .provers import ProverSet, R_MINUS, R_PLUS, TreeWalk, honest_provers
 
 
@@ -141,6 +142,24 @@ def require_support(pattern: MeasurementPattern, n: int) -> None:
                 f"no prover for pattern vertex {step.vertex}")
 
 
+def pattern_angles(graph: Graph, pattern: MeasurementPattern, theta=None
+                   ) -> tuple[float, ...]:
+    """A run's one angle per vertex of ``graph``: its step's ``theta`` at each
+    vertex the pattern measures, ``theta`` (a number, None: pi/4) elsewhere.
+    A map or sequence (read by ``graphs.vertex_angles``) that misses a step's
+    angle by over 1e-12 raises ValueError naming ``theta[v]``; a step vertex
+    outside the graph raises ``MissingAngleSupportError`` first."""
+    require_support(pattern, graph.n)
+    steps = {s.vertex: s.theta for s in pattern.steps}
+    angles = vertex_angles(graph, math.pi / 4 if theta is None else theta)
+    if isinstance(theta, (Mapping, list, tuple, np.ndarray)):
+        for v, step_theta in steps.items():
+            if abs(angles[v] - step_theta) > 1e-12:
+                raise ValueError(f"theta[{v}] = {angles[v]:.6g} differs from the "
+                                 f"pattern's angle {step_theta:.6g} at vertex {v}")
+    return tuple(steps.get(v, angle) for v, angle in enumerate(angles))
+
+
 def run_pattern(p: ProverSet, pattern: MeasurementPattern,
                 rng: np.random.Generator) -> tuple[int, dict[int, int]]:
     """Execute the pattern against a prover set, one query per step; return
@@ -184,18 +203,19 @@ def _branch_distribution(walk: TreeWalk, pattern: MeasurementPattern
 def reference_run(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]:
     """Ideal output distribution: the pattern on |G> with exact rotations.
 
-    That is ``run_distribution`` for honest provers whose R+- angles are the
-    pattern's (other vertices are never measured and get angle 0), kept
-    for the last few (graph, pattern) pairs and returned as a fresh dict.
+    That is ``run_distribution`` for honest provers at ``pattern_angles``
+    (vertices the pattern never measures get angle 0), the angles a run on
+    this pattern tests at every measured vertex, so it is also the law of
+    that run's honest provers.  It is kept for the last few (graph,
+    pattern) pairs and returned as a fresh dict.
     """
     return dict(_reference_law(graph, pattern))
 
 
 @lru_cache(maxsize=16)
 def _reference_law(graph: Graph, pattern: MeasurementPattern) -> dict[int, float]:
-    require_support(pattern, graph.n)  # before an angle map names such a vertex
-    theta = dict.fromkeys(range(graph.n), 0.0) | {s.vertex: s.theta for s in pattern.steps}
-    return run_distribution(honest_provers(graph, theta), pattern)
+    return run_distribution(honest_provers(graph, pattern_angles(graph, pattern, 0.0)),
+                            pattern)
 
 
 def chain_law(pattern: MeasurementPattern, n: int) -> dict[int, float]:

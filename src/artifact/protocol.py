@@ -21,7 +21,6 @@ bool, and a decision is the pair (accepted, count).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
@@ -177,21 +176,3 @@ def exact_accept_probability(p: ProverSet, cfg: ProtocolConfig) -> float:
     test = exact_pass_probability(p, cfg.params)
     return cfg.q * calc + (1 - cfg.q) * test
 
-
-def uncovered_calculate_queries(pattern: MeasurementPattern,
-                                params: TestParameters) -> list[int]:
-    """Vertices whose pattern angle differs from their test angle.
-
-    An empty list certifies query indistinguishability: every rotation query
-    sent during a calculation is one the test also sends, so a prover cannot
-    tell the branches apart.  Executions query provers only through their
-    R+/R- labels, so a mismatch means the pattern assumes an angle the
-    provers were never tested on.
-    """
-    bad = []
-    for step in pattern.steps:
-        if step.vertex >= len(params.theta) or not math.isclose(
-                step.theta, params.theta[step.vertex],
-                rel_tol=0.0, abs_tol=1e-12):
-            bad.append(step.vertex)
-    return bad

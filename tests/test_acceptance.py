@@ -5,10 +5,13 @@ line with its measured detail, and fails if the criterion does.  Run
 with ``-s`` (or read the captured output on failure) to see the lines.
 """
 
+import math
+
 import pytest
 
-from artifact import provers
-from artifact.acceptance import CRITERIA, criterion_6, run_criterion
+from artifact import experiments, provers
+from artifact.acceptance import CRITERIA, criterion_6, criterion_12, run_criterion
+from artifact.graphs import vertex_angles
 
 # wall-clock cap in seconds; 5 s for every criterion not listed
 TIME_CAPS = {1: 1.0}
@@ -44,4 +47,13 @@ def test_criterion_6_fails_when_the_engine_swaps_branch_probabilities(monkeypatc
 
     monkeypatch.setattr(provers.TreeWalk, "branches", swapped)
     passed, detail = criterion_6()
+    assert not passed, detail
+
+
+def test_criterion_12_fails_when_a_run_ignores_the_pattern_angles(monkeypatch):
+    def scalar_only(graph, pattern, theta):
+        return vertex_angles(graph, math.pi / 4 if theta is None else theta)
+
+    monkeypatch.setattr(experiments, "pattern_angles", scalar_only)
+    passed, detail = criterion_12()
     assert not passed, detail

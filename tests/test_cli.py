@@ -8,10 +8,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from artifact import experiments
 from artifact.cli import main
 from artifact.experiments import OPTION_KEYS, ExperimentConfig, run_experiment, write_json_lines
 from artifact.graphs import Graph, complete_graph
 from artifact.mbqc import MeasurementPattern
+from artifact.protocol import exact_accept_probability
 
 THETA = math.pi / 4
 K3_JSON = json.dumps(complete_graph(3).to_json())
@@ -581,6 +583,30 @@ class TestProveCommand:
         write_json_lines(record, expected)
         assert result.output == expected.getvalue()
         assert result.exit_code == (0 if record.rows[0]["accepted"] else 1)
+
+    def test_c_ip_is_the_exact_accept_rate_of_the_run(self, runner, monkeypatch,
+                                                      graph_file, tmp_path):
+        # K3: v1 at 0.5, v2 at pi/4, then v0 with x_deps [1, 2] and z_deps [1];
+        # c_ip used to be 0.90120 while the honest set's exact rate was 0.90335
+        pattern = tmp_path / "mixed-angles.json"
+        pattern.write_text(json.dumps({
+            "steps": [{"v": 1, "theta": 0.5},
+                      {"v": 2, "theta": THETA},
+                      {"v": 0, "theta": THETA, "x_deps": [1, 2], "z_deps": [1]}],
+            "output_bits": [1, 0]}))
+        setups, prepare = [], experiments.prepare
+
+        def recorded(cfg):
+            setups.append(prepare(cfg))
+            return setups[-1]
+
+        monkeypatch.setattr(experiments, "prepare", recorded)
+        result = runner.invoke(main, ["prove", "--graph", graph_file,
+                                      "--pattern", str(pattern), "--seed", "1"])
+        _, summary = _prove_record(result)
+        (setup,) = setups
+        exact = exact_accept_probability(setup.provers, setup.protocol)
+        assert math.isclose(summary["c_ip"], exact, rel_tol=0.0, abs_tol=1e-12)
 
     def test_option_help_names_every_protocol_key(self, runner):
         result = runner.invoke(main, ["prove", "--help"])

@@ -23,7 +23,7 @@ from artifact.experiments import (
 )
 from artifact.graphs import complete_graph, triangle_strip
 from artifact.mbqc import MeasurementPattern, PatternStep, reference_run, run_distribution
-from artifact.provers import OutcomeTree, ProverSet, honest_provers
+from artifact.provers import OutcomeTree, ProverSet, honest_provers, strategy_from_json
 from artifact.statevec import StateVector
 
 THETA = math.pi / 4
@@ -83,6 +83,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             _cfg("mbqc", pattern=None)
 
+    @pytest.mark.parametrize("kind,field,value", [
+        ("selftest", "pattern", PATTERN),
+        ("isometry", "pattern", PATTERN),
+        ("bounds", "pattern", PATTERN),
+        ("selftest", "labels", ("I",)),
+        ("mbqc", "labels", ("I",)),
+        ("protocol", "labels", ("I",)),
+        ("bounds", "labels", ("I",)),
+    ])
+    def test_a_field_the_kind_does_not_read_is_refused(self, kind, field, value):
+        # such a field used to be ignored, though it changed the digest
+        with pytest.raises(ValueError, match=f"^{kind} experiments take no {field}$"):
+            _cfg(kind, **{field: value})
+
     def test_bounds_rejects_trials(self):
         with pytest.raises(ValueError):
             _cfg("bounds", trials=5)
@@ -97,6 +111,13 @@ class TestConfig:
         # a missing vertex ended in a bare KeyError; an extra one was
         # ignored, though it changed the digest; True ran the test at 1 rad
         with pytest.raises(ValueError, match=message):
+            run_experiment(_cfg(kind, theta=theta))
+
+    @pytest.mark.parametrize("kind", ["mbqc", "protocol"])
+    def test_a_theta_map_that_conflicts_with_the_pattern_is_refused(self, kind):
+        theta = {0: THETA, 1: 0.5, 2: THETA}
+        with pytest.raises(ValueError, match=r"^theta\[1\] = 0\.5 differs from "
+                                             r"the pattern's angle 0\.785398 at vertex 1$"):
             run_experiment(_cfg(kind, theta=theta))
 
     def test_trial_rng_streams_are_distinct(self):
@@ -332,6 +353,36 @@ class TestRowsAndSummaries:
             assert set(entry) >= {"kind", "value", "formula"}
         assert record.summary["chain"][0]["stage"] == "thm2"
         assert record.summary["inputs"]["n"] == 3
+
+
+class TestPatternAngles:
+    # K3: v1 at 0.5, v2 at pi/4, then v0 with x_deps [1, 2] and z_deps [1];
+    # its honest runs used to test v1 at the run's theta, not at 0.5
+    PATTERN = MeasurementPattern(
+        (PatternStep(1, 0.5), PatternStep(2, THETA),
+         PatternStep(0, THETA, x_deps=(1, 2), z_deps=(1,))),
+        output_bits=(1, 0))
+
+    @pytest.mark.parametrize("theta", [None, THETA, 0.2])
+    def test_the_honest_run_law_is_the_reference_law(self, theta):
+        setup = experiments.prepare(_cfg("mbqc", theta=theta, pattern=self.PATTERN))
+        assert setup.params.theta == (THETA, 0.5, THETA)
+        law = run_distribution(setup.provers, self.PATTERN)
+        reference = reference_run(K3, self.PATTERN)
+        for bit in (0, 1):
+            assert math.isclose(law[bit], reference[bit], rel_tol=0.0, abs_tol=1e-12)
+
+    def test_a_perturbed_run_is_built_at_the_pattern_angles(self, monkeypatch):
+        seen = []
+
+        def recorded(spec, graph, theta, rng):
+            seen.append(theta)
+            return strategy_from_json(spec, graph, theta, rng)
+
+        monkeypatch.setattr(experiments, "strategy_from_json", recorded)
+        run_experiment(_cfg("mbqc", theta=None, pattern=self.PATTERN, trials=2,
+                            strategy={"kind": "perturbed", "eta": 0.05}))
+        assert seen == [(THETA, 0.5, THETA)] * 2
 
 
 class TestWriters:

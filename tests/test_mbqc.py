@@ -17,6 +17,7 @@ from artifact.mbqc import (
     MissingAngleSupportError,
     PatternStep,
     chain_law,
+    pattern_angles,
     reference_run,
     run_distribution,
     run_pattern,
@@ -82,6 +83,37 @@ class TestPatternValidation:
         with pytest.raises(KeyError):
             pattern.step_for(9)
         assert pattern.vertices == [0, 1, 2]
+
+
+class TestPatternAngles:
+    def test_a_scalar_theta_sets_only_the_unmeasured_vertices(self):
+        graph = triangle_strip(5)
+        for theta, rest in ((0.3, 0.3), (None, THETA)):
+            assert pattern_angles(graph, _strip_pattern(), theta) == (
+                math.pi / 3, math.pi / 8, THETA, rest, rest)
+
+    @pytest.mark.parametrize("as_given", [dict, lambda theta: tuple(theta.values())],
+                             ids=["map", "tuple"])
+    def test_an_agreeing_map_or_tuple_is_accepted(self, as_given):
+        # within 1e-12 of a step's angle agrees, and the step's angle is the run's
+        theta = _angles_for(_strip_pattern(), 5) | {1: math.pi / 8 + 1e-13, 4: 0.2}
+        assert pattern_angles(triangle_strip(5), _strip_pattern(), as_given(theta)) == (
+            math.pi / 3, math.pi / 8, THETA, THETA, 0.2)
+
+    @pytest.mark.parametrize("as_given", [dict, lambda theta: tuple(theta.values())],
+                             ids=["map", "tuple"])
+    def test_a_map_or_tuple_that_conflicts_at_a_measured_vertex_is_refused(self, as_given):
+        theta = _angles_for(_strip_pattern(), 5) | {1: THETA}
+        with pytest.raises(ValueError, match=r"^theta\[1\] = 0\.785398 differs from "
+                                             r"the pattern's angle 0\.392699 at vertex 1$"):
+            pattern_angles(triangle_strip(5), _strip_pattern(), as_given(theta))
+
+    @pytest.mark.parametrize("theta", [THETA, {v: THETA for v in range(3)}],
+                             ids=["scalar", "map"])
+    def test_a_step_vertex_outside_the_graph_is_refused(self, theta):
+        pattern = MeasurementPattern((PatternStep(4, THETA),), output_bits=(4,))
+        with pytest.raises(MissingAngleSupportError, match="no prover for pattern vertex 4"):
+            pattern_angles(complete_graph(3), pattern, theta)
 
 
 class TestReferenceRun:

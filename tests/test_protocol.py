@@ -1,4 +1,4 @@
-"""Tests for the composed protocol: coin weight, amplification, coverage."""
+"""Tests for the composed protocol: coin weight and amplification."""
 
 import contextlib
 import gc
@@ -10,7 +10,7 @@ import pytest
 import oracles
 from artifact import protocol
 from artifact.bounds import DomainError, hoeffding_n
-from artifact.graphs import complete_graph, triangle_strip
+from artifact.graphs import complete_graph
 from artifact.mbqc import MeasurementPattern, PatternStep, reference_run, run_pattern
 from artifact.protocol import (
     ProtocolConfig,
@@ -20,7 +20,6 @@ from artifact.protocol import (
     run_amplified,
     run_amplified_rounds,
     run_round,
-    uncovered_calculate_queries,
 )
 from artifact.provers import QUERY_LABELS, classical_provers, honest_provers, strategy_from_json
 from artifact.selftest import c_test, default_parameters, exact_pass_probability, run_oneshot
@@ -349,28 +348,3 @@ class TestDrawsAhead:
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random(dtype=np.float32) == twin.random(dtype=np.float32)
 
-
-class TestQueryCoverage:
-    def test_matching_angles_are_covered(self):
-        graph = triangle_strip(5)
-        theta = {v: THETA for v in range(5)}
-        theta[1] = 0.3
-        params = default_parameters(graph, theta=theta)
-        pattern = MeasurementPattern(
-            (PatternStep(0, THETA), PatternStep(1, 0.3, x_deps=(0,))),
-            output_bits=(1,))
-        assert uncovered_calculate_queries(pattern, params) == []
-
-    def test_angle_mismatch_is_flagged(self):
-        graph = complete_graph(3)
-        params = default_parameters(graph)
-        pattern = MeasurementPattern(
-            (PatternStep(0, math.pi / 3), PatternStep(1, THETA)),
-            output_bits=(1,))
-        assert uncovered_calculate_queries(pattern, params) == [0]
-
-    def test_vertex_outside_test_support_is_flagged(self):
-        params = default_parameters(complete_graph(3))
-        pattern = MeasurementPattern((PatternStep(4, THETA),),
-                                     output_bits=(4,))
-        assert uncovered_calculate_queries(pattern, params) == [4]
